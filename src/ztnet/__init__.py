@@ -62,7 +62,6 @@ from .zarankiewicz import (
 from .generators import GenParams, PruneResult, generate, prune_to_ktt_free
 from .rectangles import (
     CanonicalTupleFamily,
-    CrossingGraph,
     IntersectionTypeCounts,
     canonical_segment_tuples,
     corner_incidence_graph,

@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -287,19 +288,7 @@ def _cmd_bound(args) -> int:
                 "bound": report.bound,
                 "edges": report.actual_edges,
                 "levels": [
-                    {
-                        "level": lv.level,
-                        "m": lv.m,
-                        "n": lv.n,
-                        "eps": None if lv.eps is None else str(lv.eps),
-                        "eps_prime": None if lv.eps_prime is None else str(lv.eps_prime),
-                        "s": lv.s,
-                        "s_prime": lv.s_prime,
-                        "heavy_a": lv.heavy_a,
-                        "heavy_b": lv.heavy_b,
-                        "additive": lv.additive,
-                        "kind": lv.kind,
-                    }
+                    {k: str(v) if isinstance(v, Fraction) else v for k, v in asdict(lv).items()}
                     for lv in report.levels
                 ],
                 "seed": args.seed,

@@ -10,17 +10,15 @@ shared state between the calls.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceeded, ParamOutOfRange
+from .errors import ParamOutOfRange
 from .geometry import AxisRect, Disc, Frame, Point
 from .hypergraph import BipartiteIntersectionGraph, bits_of
-from .zarankiewicz import resolve_budget
+from .zarankiewicz import _lex_witness, resolve_budget
 
 GRID_POW = 20
 _G = 1 << GRID_POW  # grid cells per axis; values are doubled and offset by parity
@@ -167,79 +165,32 @@ class PruneResult:
     witnesses_found: int
 
 
-def _combos_at_least(pool: list[int], t: int, lower: Optional[tuple]):
-    """t-combinations of sorted `pool` in lexicographic order, starting at the
-    first combination >= `lower` (inclusive).  `lower` may reference values no
-    longer in the pool."""
-    if lower is None:
-        yield from itertools.combinations(pool, t)
-        return
-    if t == 0:
-        yield ()
-        return
-    i = bisect_left(pool, lower[0])
-    if i < len(pool) and pool[i] == lower[0] and len(pool) - i >= t:
-        rest_lower = tuple(lower[1:]) if len(lower) > 1 else None
-        for rest in _combos_at_least(pool[i + 1 :], t - 1, rest_lower):
-            yield (lower[0],) + rest
-        i += 1
-    yield from itertools.combinations(pool[i:], t)
-
-
 def prune_to_ktt_free(
-    g: BipartiteIntersectionGraph, t: int, seed: int = 0, budget: Optional[int] = None
+    g: BipartiteIntersectionGraph, t: int, budget: Optional[int] = None
 ) -> PruneResult:
     """Delete vertices until no complete t-by-t biclique remains.
 
     Repeatedly find the first witness in the lexicographic scan order of the
     smaller side (ties prefer A) and delete its vertex of maximum current
     degree, tie-breaking toward the B side and then the lowest index.  The
-    heuristic is deterministic; `seed` is accepted for interface uniformity
-    and ignored.
+    heuristic is deterministic.
 
     Deletions only ever destroy bicliques, so the lexicographic scan never
     needs to revisit positions before the last witness; the scan keeps one
     resume cursor per side while remaining equivalent to a fresh scan after
     every deletion.
     """
-    del seed
     if t < 2:
         raise ValueError("t must be >= 2")
     budget = resolve_budget(budget)
-    adj_a = [0] * g.m
-    adj_b = [0] * g.n
-    for i, j in g.edges:
-        adj_a[i] |= 1 << j
-        adj_b[j] |= 1 << i
-    active_a = sorted(range(g.m))
-    active_b = sorted(range(g.n))
+    adj_a = list(g.adj_a)
+    adj_b = list(g.adj_b)
+    active_a = list(range(g.m))
+    active_b = list(range(g.n))
     cursors: dict[str, Optional[tuple]] = {"A": None, "B": None}
     deleted_a: list[int] = []
     deleted_b: list[int] = []
     witnesses = 0
-
-    def scan(side: str):
-        pool = active_a if side == "A" else active_b
-        adj = adj_a if side == "A" else adj_b
-        if len(pool) >= t and math.comb(len(pool), t) > budget:
-            raise BudgetExceeded(
-                f"C({len(pool)}, {t}) subsets exceed the enumeration budget {budget}"
-            )
-        for combo in _combos_at_least(pool, t, cursors[side]):
-            common = adj[combo[0]]
-            for v in combo[1:]:
-                common &= adj[v]
-                if not common:
-                    break
-            if common.bit_count() >= t:
-                cursors[side] = combo
-                partner = []
-                for b in bits_of(common):
-                    partner.append(b)
-                    if len(partner) == t:
-                        break
-                return combo, tuple(partner)
-        return None
 
     def delete(side: str, v: int):
         if side == "A":
@@ -257,11 +208,13 @@ def prune_to_ktt_free(
 
     while len(active_a) >= t and len(active_b) >= t:
         side = "A" if len(active_a) <= len(active_b) else "B"
-        found = scan(side)
+        pool, adj = (active_a, adj_a) if side == "A" else (active_b, adj_b)
+        found = _lex_witness(pool, adj, t, budget, cursors[side])
         if found is None:
             break
-        witnesses += 1
         combo, partner = found
+        cursors[side] = combo
+        witnesses += 1
         wit_a, wit_b = (combo, partner) if side == "A" else (partner, combo)
         candidates = [("A", v, adj_a[v].bit_count()) for v in wit_a]
         candidates += [("B", v, adj_b[v].bit_count()) for v in wit_b]

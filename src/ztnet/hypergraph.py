@@ -46,13 +46,25 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits_of(mask))
 
 
+def contained_counts(tuples, rows: list[int]) -> list[int]:
+    """For every row bitmask, how many of the index `tuples` lie inside it."""
+    tuple_masks = [mask_of(tp) for tp in tuples]
+    return [sum(1 for tm in tuple_masks if tm & row == tm) for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # data types
 
 
 @dataclass
 class BipartiteIntersectionGraph:
-    """Two object families plus the edge set E as index pairs (i in A, j in B)."""
+    """Two object families plus the edge set E as index pairs (i in A, j in B).
+
+    `edges` is the constructor input and the public view.  The neighbour
+    bitmasks `adj_a` / `adj_b` are derived from it once and cached, and every
+    degree and neighbourhood is read from them, so callers must not mutate
+    `edges` after construction.
+    """
 
     side_a: list
     side_b: list
@@ -73,30 +85,34 @@ class BipartiteIntersectionGraph:
         edges = {(int(i), int(j)) for i, j in np.argwhere(mat)}
         return cls(list(fam_a), list(fam_b), edges)
 
+    @cached_property
+    def adj_a(self) -> list[int]:
+        """Bitmask of N(a) over the B indices, for every a in A."""
+        adj = [0] * self.m
+        for i, j in self.edges:
+            adj[i] |= 1 << j
+        return adj
+
+    @cached_property
+    def adj_b(self) -> list[int]:
+        """Bitmask of N(b) over the A indices, for every b in B."""
+        adj = [0] * self.n
+        for i, j in self.edges:
+            adj[j] |= 1 << i
+        return adj
+
     def degrees_a(self) -> list[int]:
-        deg = [0] * self.m
-        for i, _ in self.edges:
-            deg[i] += 1
-        return deg
+        return [mask.bit_count() for mask in self.adj_a]
 
     def degrees_b(self) -> list[int]:
-        deg = [0] * self.n
-        for _, j in self.edges:
-            deg[j] += 1
-        return deg
+        return [mask.bit_count() for mask in self.adj_b]
 
     def neighborhoods_of_b(self) -> list[frozenset[int]]:
         """N(b) for every b in B, as subsets of A indices."""
-        nbrs = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[j].add(i)
-        return [frozenset(s) for s in nbrs]
+        return [set_of(mask) for mask in self.adj_b]
 
     def neighborhoods_of_a(self) -> list[frozenset[int]]:
-        nbrs = [set() for _ in range(self.m)]
-        for i, j in self.edges:
-            nbrs[i].add(j)
-        return [frozenset(s) for s in nbrs]
+        return [set_of(mask) for mask in self.adj_a]
 
     def swapped(self) -> "BipartiteIntersectionGraph":
         return BipartiteIntersectionGraph(
@@ -266,12 +282,16 @@ def _strict_inside_matrix(inner, outer) -> np.ndarray:
 
 def primal_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
     """Hypergraph on the A indices; one hyperedge N(b) per vertex b of B."""
-    return Hypergraph(g.m, g.neighborhoods_of_b(), source_labels=list(range(g.n)))
+    h = Hypergraph(g.m, g.neighborhoods_of_b(), source_labels=list(range(g.n)))
+    h.edge_masks = list(g.adj_b)  # the graph's masks fill the hyperedge-mask cache
+    return h
 
 
 def dual_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
     """Hypergraph on the B indices; one hyperedge N(a) per vertex a of A."""
-    return Hypergraph(g.n, g.neighborhoods_of_a(), source_labels=list(range(g.m)))
+    h = Hypergraph(g.n, g.neighborhoods_of_a(), source_labels=list(range(g.m)))
+    h.edge_masks = list(g.adj_a)
+    return h
 
 
 def induced_subhypergraph(h: Hypergraph, keep: Iterable[int]) -> Hypergraph:
@@ -310,7 +330,7 @@ def vc_dimension(h: Hypergraph, cap: int = 6) -> VCProfile:
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    distinct_masks = list({m for m in (mask_of(e) for e in h.hyperedges)})
+    distinct_masks = list(set(h.edge_masks))
     best = 0
     witness: frozenset[int] = frozenset()
     n = h.vertex_count
@@ -335,21 +355,3 @@ def vc_dimension(h: Hypergraph, cap: int = 6) -> VCProfile:
         witness = frozenset(found)
     return VCProfile(vc_dim=best, witness_shattered_set=witness, cap_reached=best == cap)
 
-
-def shatter_point_estimate(h: Hypergraph, ell: int, samples: int, seed: int) -> int:
-    """Max number of distinct traces over `samples` random ell-subsets.
-
-    A lower-bound point evaluation of the shatter function; exact computation
-    over all subsets is exponential and is not attempted.
-    """
-    import random
-
-    if ell < 0 or ell > h.vertex_count:
-        raise ValueError("ell out of range")
-    rng = random.Random(seed)
-    masks = [mask_of(e) for e in h.dedup_view()]
-    best = 0
-    for _ in range(samples):
-        s_mask = mask_of(rng.sample(range(h.vertex_count), ell))
-        best = max(best, len({m & s_mask for m in masks}))
-    return best

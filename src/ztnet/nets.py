@@ -110,8 +110,8 @@ def verify_epsilon_net(h: Hypergraph, eps: EpsilonLike, s) -> Optional[frozenset
 def verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[frozenset[int]]:
     """None if every heavy hyperedge contains some net tuple, else one witness.
 
-    Hyperedges with identical traces share coverage status, so the check runs
-    on the dedup view.
+    Hyperedges with identical traces share coverage status, so each distinct
+    heavy hyperedge is checked once.
     """
     tuple_masks = []
     for tp in net.tuples:
@@ -119,12 +119,12 @@ def verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[frozens
             raise ValueError(f"net tuple {sorted(tp)} out of vertex range")
         tuple_masks.append(mask_of(tp))
     thr = heavy_threshold(eps, h.vertex_count)
-    for e in h.dedup_view():
-        if len(e) < thr:
-            continue
-        em = mask_of(e)
-        if not any(tm & em == tm for tm in tuple_masks):
-            return e
+    seen = set()
+    for e, em in zip(h.hyperedges, h.edge_masks):
+        if len(e) >= thr and em not in seen:
+            seen.add(em)
+            if not any(tm & em == tm for tm in tuple_masks):
+                return e
     return None
 
 

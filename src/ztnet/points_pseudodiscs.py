@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import InequalityViolated, PreconditionViolated
 from .geometry import Disc, Point, point_in_disc
-from .hypergraph import BipartiteIntersectionGraph, mask_of
+from .hypergraph import BipartiteIntersectionGraph, bits_of, contained_counts, mask_of
 from .rectangles import CanonicalTupleFamily
 from .zarankiewicz import find_ktt_witness
 
@@ -109,19 +109,22 @@ def shrink_canonical_tuples(a_pts, b_discs, t: int) -> CanonicalTupleFamily:
     family.  Simultaneous losses are one event, so the artificial intermediate
     set between them is not recorded.
     """
+    return _shrink_tuples(BipartiteIntersectionGraph.from_families(a_pts, b_discs), t)
+
+
+def _shrink_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalTupleFamily:
+    """`shrink_canonical_tuples` on the point/disc incidence graph `g`."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    a_pts = list(a_pts)
     encountered: set[frozenset[int]] = set()
-    for b in b_discs:
-        contained = [i for i, p in enumerate(a_pts) if point_in_disc(p, b)]
-        if not contained:
+    for b, cm in zip(g.side_b, g.adj_b):
+        if not cm:
             continue
-        start = frozenset(contained)
-        encountered.add(start)
-        local_pts = [a_pts[i] for i in contained]
-        for anchor_local, anchor_global in enumerate(contained):
-            events = shrink_events(b, a_pts[anchor_global], local_pts)
+        contained = list(bits_of(cm))
+        encountered.add(frozenset(contained))
+        local_pts = [g.side_a[i] for i in contained]
+        for anchor in local_pts:
+            events = shrink_events(b, anchor, local_pts)
             loss_events = events[:-1]
             for _, group in itertools.groupby(loss_events, key=lambda ev: ev.s):
                 last = None
@@ -140,19 +143,16 @@ def coverage_violations(a_pts, b_discs, t: int) -> list[tuple[int, int]]:
     in at least one canonical t-tuple inside that disc: shrinking the disc
     toward the point passes through a contained set of size exactly t.
     """
-    fam = shrink_canonical_tuples(a_pts, b_discs, t)
+    g = BipartiteIntersectionGraph.from_families(a_pts, b_discs)
+    fam = _shrink_tuples(g, t)
     tuple_masks = [mask_of(tp) for tp in fam.tuples]
-    point_masks = {}
     bad = []
-    for j, b in enumerate(b_discs):
-        contained = [i for i, p in enumerate(a_pts) if point_in_disc(p, b)]
-        if len(contained) < t:
+    for j, cm in enumerate(g.adj_b):
+        if cm.bit_count() < t:
             continue
-        cm = mask_of(contained)
         inside = [tm for tm in tuple_masks if tm & cm == tm]
-        for i in contained:
-            bit = point_masks.setdefault(i, 1 << i)
-            if not any(tm & bit for tm in inside):
+        for i in bits_of(cm):
+            if not any((tm >> i) & 1 for tm in inside):
                 bad.append((j, i))
     return bad
 
@@ -181,28 +181,19 @@ def counting_inequality_check(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    a_pts = list(a_pts)
-    b_discs = list(b_discs)
+    g = BipartiteIntersectionGraph.from_families(a_pts, b_discs)
     if not assume_ktt_free:
-        g = BipartiteIntersectionGraph.from_families(a_pts, b_discs)
         witness = find_ktt_witness(g, t, budget)
         if witness is not None:
             raise PreconditionViolated(f"incidence graph contains K_{t},{t}: {witness}")
-    fam = shrink_canonical_tuples(a_pts, b_discs, t)
-    tuple_masks = [mask_of(tp) for tp in fam.tuples]
-    degrees = []
-    x_counts = []
-    for b in b_discs:
-        contained = [i for i, p in enumerate(a_pts) if point_in_disc(p, b)]
-        cm = mask_of(contained)
-        d = len(contained)
-        x = sum(1 for tm in tuple_masks if tm & cm == tm)
+    fam = _shrink_tuples(g, t)
+    degrees = g.degrees_b()
+    x_counts = contained_counts(fam.tuples, g.adj_b)
+    for d, x in zip(degrees, x_counts):
         if d // t > x:
             raise InequalityViolated(
                 f"disc with {d} points has only {x} canonical tuples inside"
             )
-        degrees.append(d)
-        x_counts.append(x)
     x_sum = sum(x_counts)
     x_upper = (t - 1) * len(fam.tuples)
     if x_sum > x_upper:

@@ -33,7 +33,7 @@ from .geometry import (
     rect_horizontal_edges,
     rect_vertical_edges,
 )
-from .hypergraph import BipartiteIntersectionGraph, Graph, mask_of
+from .hypergraph import BipartiteIntersectionGraph, Graph, contained_counts
 from .zarankiewicz import find_ktt_witness
 
 
@@ -130,34 +130,9 @@ def corner_biclique_check(a_rects, b_rects, t: int, budget: Optional[int] = None
     return find_ktt_witness(corner_incidence_graph(a_rects, b_rects), 4 * t - 3, budget)
 
 
-@dataclass
-class CrossingGraph:
-    """Bipartite crossing graph: horizontal edges of A vs vertical edges of B."""
-
-    h_segments: list[Segment]
-    v_segments: list[Segment]
-    edges: set[tuple[int, int]]  # (h index, v index)
-
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degrees_v(self) -> list[int]:
-        deg = [0] * len(self.v_segments)
-        for _, j in self.edges:
-            deg[j] += 1
-        return deg
-
-    def crossed_by_v(self) -> list[frozenset[int]]:
-        """For each vertical vertex, the set of horizontal vertices it crosses."""
-        sets = [set() for _ in self.v_segments]
-        for i, j in self.edges:
-            sets[j].add(i)
-        return [frozenset(s) for s in sets]
-
-
-def crossing_graph(a_rects, b_rects) -> CrossingGraph:
-    # every B-rectangle contributes two vertical vertices, so there are
-    # exactly 2|B| of them (degree sums below run over all 2|B|)
+def crossing_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
+    """Bipartite crossing graph: horizontal edges of A (side A) vs vertical
+    edges of B (side B), with exactly two vertices per rectangle."""
     hsegs = horizontal_edges_of(a_rects)
     vsegs = vertical_edges_of(b_rects)
     edges = set()
@@ -165,7 +140,7 @@ def crossing_graph(a_rects, b_rects) -> CrossingGraph:
         for i, h in enumerate(hsegs):
             if h.lo <= v.fixed <= h.hi and v.lo <= h.fixed <= v.hi:
                 edges.add((i, j))
-    return CrossingGraph(hsegs, vsegs, edges)
+    return BipartiteIntersectionGraph(hsegs, vsegs, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +200,7 @@ class SegmentDelaunay:
     witness_x: dict[tuple[int, int], float]
 
     def to_svg(self, width: float = 640.0) -> str:
-        return _delaunay_svg(self.hsegs, self.graph, self.witness_x, width)
+        return _delaunay_svg(self, width)
 
 
 def segment_delaunay(hsegs) -> SegmentDelaunay:
@@ -271,10 +246,11 @@ def delaunay_drawing_paths(dela: "SegmentDelaunay") -> dict[tuple[int, int], lis
     return paths
 
 
-def _delaunay_svg(hsegs, graph: Graph, witness_x, width: float) -> str:
+def _delaunay_svg(dela: SegmentDelaunay, width: float) -> str:
     """Planar drawing: vertices at right endpoints, each edge a 3-leg path that
     runs along one segment, jumps over the witness vertical, and follows the
     other segment to its right endpoint."""
+    hsegs = dela.hsegs
     if not hsegs:
         return '<svg xmlns="http://www.w3.org/2000/svg" width="16" height="16"/>'
     xs = [s.lo for s in hsegs] + [s.hi for s in hsegs]
@@ -304,7 +280,6 @@ def _delaunay_svg(hsegs, graph: Graph, witness_x, width: float) -> str:
             f'x2="{tx(s.hi):.3f}" y2="{ty(s.fixed):.3f}" '
             'stroke="#bbbbbb" stroke-width="1.5"/>'
         )
-    dela = SegmentDelaunay(hsegs=list(hsegs), graph=graph, witness_x=witness_x)
     for edge, pts in delaunay_drawing_paths(dela).items():
         coords = " ".join(f"{tx(x):.3f},{ty(y):.3f}" for x, y in pts)
         parts.append(
@@ -390,7 +365,6 @@ class RectangleBoundReport:
     crossing_edges: int  # |E(K)| = sum of d_i
     x_sum: int
     x_upper: int  # (2t-2) |F|
-    per_vertex_lower_ok: bool  # d_i - 2t + 2 <= x_i for every vertical vertex
     degrees: list[int]
     x_counts: list[int]
 
@@ -419,24 +393,17 @@ def rectangle_bound_report(
             raise PreconditionViolated(f"input graph contains K_{t},{t}: {witness}")
     census = intersection_type_census(a_rects, b_rects)
     k_graph = crossing_graph(a_rects, b_rects)
-    degrees = k_graph.degrees_v()
-    fam = canonical_tuples_with_witness(k_graph.h_segments, 2 * t - 1)
-    tuple_masks = [mask_of(tp) for tp in fam]
-    crossed = k_graph.crossed_by_v()
-    x_counts = []
-    for cs in crossed:
-        cm = mask_of(cs)
-        x_counts.append(sum(1 for tm in tuple_masks if tm & cm == tm))
+    degrees = k_graph.degrees_b()
+    fam = canonical_tuples_with_witness(k_graph.side_a, 2 * t - 1)
+    x_counts = contained_counts(fam, k_graph.adj_b)
     x_sum = sum(x_counts)
     x_upper = (2 * t - 2) * len(fam)
     if x_sum > x_upper:
         raise InequalityViolated(
             f"sum x_i = {x_sum} exceeds (2t-2)|F| = {x_upper}"
         )
-    per_vertex_ok = True
     for d, x in zip(degrees, x_counts):
         if d - 2 * t + 2 > x:
-            per_vertex_ok = False
             raise InequalityViolated(
                 f"vertical vertex with degree {d} meets only {x} canonical tuples"
             )
@@ -444,10 +411,9 @@ def rectangle_bound_report(
         t=t,
         census=census,
         family_size=len(fam),
-        crossing_edges=k_graph.edge_count(),
+        crossing_edges=len(k_graph.edges),
         x_sum=x_sum,
         x_upper=x_upper,
-        per_vertex_lower_ok=per_vertex_ok,
         degrees=degrees,
         x_counts=x_counts,
     )

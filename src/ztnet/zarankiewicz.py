@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -21,11 +22,18 @@ from typing import Callable, Optional
 from .errors import BudgetExceeded, InvalidNet
 from .hypergraph import (
     BipartiteIntersectionGraph,
+    bits_of,
     dual_hypergraph,
-    mask_of,
     primal_hypergraph,
 )
-from .nets import EpsilonLike, TNet, as_fraction, greedy_cover_t_net, verify_t_net
+from .nets import (
+    EpsilonLike,
+    TNet,
+    as_fraction,
+    greedy_cover_t_net,
+    heavy_threshold,
+    verify_t_net,
+)
 
 DEFAULT_ENUM_BUDGET = 2**22
 
@@ -46,6 +54,48 @@ def resolve_budget(explicit: Optional[int] = None) -> int:
 # K_{t,t} detection
 
 
+def _combos_at_least(pool, t: int, lower: Optional[tuple]):
+    """t-combinations of sorted `pool` in lexicographic order, starting at the
+    first combination >= `lower` (inclusive).  `lower` may reference values no
+    longer in the pool."""
+    if lower is None:
+        return itertools.combinations(pool, t)
+    if t == 0:
+        return iter([()])
+    i = bisect_left(pool, lower[0])
+    head = ()
+    if i < len(pool) and pool[i] == lower[0] and len(pool) - i >= t:
+        rest_lower = tuple(lower[1:]) if len(lower) > 1 else None
+        head = ((lower[0],) + rest for rest in _combos_at_least(pool[i + 1 :], t - 1, rest_lower))
+        i += 1
+    return itertools.chain(head, itertools.combinations(pool[i:], t))
+
+
+def _lex_witness(
+    pool, masks: list[int], t: int, budget: int, lower: Optional[tuple] = None
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """First t-combination of sorted `pool`, in lexicographic order from the
+    cursor `lower` on, whose neighbour masks share at least t bits.
+
+    Returns the combination and the first t shared bits as its partner, or
+    None.  Raises BudgetExceeded when the pool has more than `budget`
+    t-subsets.
+    """
+    if math.comb(len(pool), t) > budget:
+        raise BudgetExceeded(
+            f"C({len(pool)}, {t}) subsets exceed the enumeration budget {budget}"
+        )
+    for combo in _combos_at_least(pool, t, lower):
+        common = masks[combo[0]]
+        for v in combo[1:]:
+            common &= masks[v]
+            if not common:
+                break
+        if common.bit_count() >= t:
+            return combo, tuple(itertools.islice(bits_of(common), t))
+    return None
+
+
 def find_ktt_witness(
     g: BipartiteIntersectionGraph, t: int, budget: Optional[int] = None
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -58,35 +108,13 @@ def find_ktt_witness(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    m, n = g.m, g.n
-    if min(m, n) < t:
+    if min(g.m, g.n) < t:
         return None
     budget = resolve_budget(budget)
-    scan_a = m <= n
-    count = m if scan_a else n
-    if math.comb(count, t) > budget:
-        raise BudgetExceeded(
-            f"C({count}, {t}) subsets exceed the enumeration budget {budget}"
-        )
-    nbrs = g.neighborhoods_of_a() if scan_a else g.neighborhoods_of_b()
-    masks = [mask_of(s) for s in nbrs]
-    for combo in itertools.combinations(range(count), t):
-        common = masks[combo[0]]
-        for v in combo[1:]:
-            common &= masks[v]
-            if not common:
-                break
-        if common.bit_count() >= t:
-            partner = []
-            for b in range(common.bit_length()):
-                if (common >> b) & 1:
-                    partner.append(b)
-                    if len(partner) == t:
-                        break
-            if scan_a:
-                return combo, tuple(partner)
-            return tuple(partner), combo
-    return None
+    if g.m <= g.n:
+        return _lex_witness(range(g.m), g.adj_a, t, budget)
+    found = _lex_witness(range(g.n), g.adj_b, t, budget)
+    return None if found is None else (found[1], found[0])
 
 
 def is_ktt_free(g: BipartiteIntersectionGraph, t: int, budget: Optional[int] = None) -> bool:
@@ -103,21 +131,22 @@ class HeavyLightPartition:
     epsilon_prime: Fraction
     heavy_a: frozenset[int]
     heavy_b: frozenset[int]
-    threshold_a: int  # ceil(eps' * n): minimal heavy degree on side A
-    threshold_b: int  # ceil(eps * m): minimal heavy degree on side B
+    threshold_a: int  # heavy_threshold(eps', n): minimal heavy degree on side A
+    threshold_b: int  # heavy_threshold(eps, m): minimal heavy degree on side B
 
 
 def heavy_light_partition(
     g: BipartiteIntersectionGraph, eps: EpsilonLike, eps_prime: EpsilonLike
 ) -> HeavyLightPartition:
-    """Exact threshold partition: a in A' iff deg(a) >= eps' * n, b in B' iff deg(b) >= eps * m."""
+    """Exact threshold partition: a in A' iff deg(a) >= eps' * n, b in B' iff deg(b) >= eps * m.
+
+    Both cutoffs go through `heavy_threshold`, so an isolated vertex is never
+    heavy, even when the opposite side is empty.
+    """
     e = as_fraction(eps)
     ep = as_fraction(eps_prime)
-    for val in (e, ep):
-        if not 0 < val <= 1:
-            raise ValueError(f"epsilon must be in (0, 1], got {val}")
-    thr_a = math.ceil(ep * g.n)
-    thr_b = math.ceil(e * g.m)
+    thr_a = heavy_threshold(ep, g.n)
+    thr_b = heavy_threshold(e, g.m)
     deg_a = g.degrees_a()
     deg_b = g.degrees_b()
     return HeavyLightPartition(
@@ -152,19 +181,14 @@ def heavy_count_check(
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     if side == "B":
-        h = primal_hypergraph(g)
-        witness = verify_t_net(h, net.epsilon, net)
-        if witness is not None:
-            raise InvalidNet(f"net misses heavy hyperedge {sorted(witness)}")
-        thr = math.ceil(net.epsilon * g.m)
-        heavy = sum(1 for d in g.degrees_b() if d >= thr)
+        h, count, degrees = primal_hypergraph(g), g.m, g.degrees_b()
     else:
-        h = dual_hypergraph(g)
-        witness = verify_t_net(h, net.epsilon, net)
-        if witness is not None:
-            raise InvalidNet(f"net misses heavy hyperedge {sorted(witness)}")
-        thr = math.ceil(net.epsilon * g.n)
-        heavy = sum(1 for d in g.degrees_a() if d >= thr)
+        h, count, degrees = dual_hypergraph(g), g.n, g.degrees_a()
+    witness = verify_t_net(h, net.epsilon, net)
+    if witness is not None:
+        raise InvalidNet(f"net misses heavy hyperedge {sorted(witness)}")
+    thr = heavy_threshold(net.epsilon, count)
+    heavy = sum(1 for d in degrees if d >= thr)
     bound = (t - 1) * net.size()
     return HeavyCountReport(
         side=side, heavy_count=heavy, bound=bound, net_size=net.size(), passed=heavy <= bound

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -144,6 +145,18 @@ class TestSuiteCommand:
         assert main(["suite", "--seed", "11", "--quick", "--out", str(out2)]) == 0
         for name in ("suite_report.csv", "suite_report.json", "bound_levels.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_quick_suite_matches_golden_digests(self, tmp_path):
+        # sha256 of `ztnet suite --seed 7 --quick` reports, as listed in ROADMAP.md
+        golden = {
+            "bound_levels.csv": "722b500596000f878789ffcf5cd966f8d0a9d3a64331ddded48f4a7388255cdd",
+            "suite_report.csv": "5c40e001ec8af5ff7864aedc1462ee904db35ff6d8a5a400c289cb745b327e94",
+            "suite_report.json": "f5a1e5a47ca3285dd4f03d2730eeca2411450523cb0bb75892824a624e855ea5",
+        }
+        out = tmp_path / "s"
+        assert main(["suite", "--seed", "7", "--quick", "--out", str(out)]) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_report_embeds_seed_and_config(self, tmp_path):
         out = tmp_path / "s"

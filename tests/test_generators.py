@@ -7,15 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztnet.errors import ParamOutOfRange
-from ztnet.generators import (
-    GenParams,
-    _combos_at_least,
-    generate,
-    prune_to_ktt_free,
-)
+from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import AxisRect, Disc, Frame, Point, check_general_position
 from ztnet.hypergraph import BipartiteIntersectionGraph
-from ztnet.zarankiewicz import find_ktt_witness, is_ktt_free
+from ztnet.zarankiewicz import _combos_at_least, find_ktt_witness, is_ktt_free
 
 
 class TestGenerate:

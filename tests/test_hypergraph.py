@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztnet.generators import GenParams, generate
-from ztnet.geometry import intersects
+from ztnet.geometry import REL_TOL, Disc, Point, intersects, point_in_disc
 from ztnet.hypergraph import (
     BipartiteIntersectionGraph,
     Graph,
     Hypergraph,
+    contained_counts,
     delaunay_graph,
     dual_hypergraph,
     induced_subhypergraph,
@@ -178,17 +180,6 @@ class TestSmallHyperedgeScaling:
         assert max(ratios) <= 2.5 * max(ratios[0], 0.5), ratios
 
 
-class TestShatterEstimate:
-    def test_point_evaluation_bounds(self):
-        from ztnet.hypergraph import shatter_point_estimate
-
-        h = Hypergraph(6, [fs(0, 1), fs(1, 2), fs(2, 3), fs(0, 1, 2, 3)])
-        val = shatter_point_estimate(h, 3, samples=30, seed=1)
-        assert 1 <= val <= 2**3
-        full = shatter_point_estimate(h, 6, samples=1, seed=0)
-        assert full == len({frozenset(e) for e in h.hyperedges})
-
-
 class TestIntersectionMatrix:
     def test_matches_scalar_predicate(self):
         rng = random.Random(3)
@@ -205,6 +196,22 @@ class TestIntersectionMatrix:
                     for j, b in enumerate(fb):
                         assert mat[i, j] == intersects(a, b), (a, b)
 
+    def test_point_disc_tangency_matches_scalar_predicate(self):
+        # points at distance r * (1 + REL_TOL) from the centre and one ulp to
+        # either side, along both axes, with centres on shared coordinates
+        discs = [Disc(Point(0.0, 0.0), 0.1), Disc(Point(0.5, 0.0), 0.3),
+                 Disc(Point(0.5, 0.25), 1 / 3), Disc(Point(0.0, 0.25), 0.1)]
+        pts = [Point(0.5, 0.0), Point(0.0, 0.25)]
+        for d in discs:
+            reach = d.radius * (1.0 + REL_TOL)
+            for r in (math.nextafter(reach, 0.0), reach, math.nextafter(reach, math.inf)):
+                pts += [Point(d.center.x + r, d.center.y), Point(d.center.x, d.center.y - r)]
+        mat = intersection_matrix(pts, discs)
+        expected = [[point_in_disc(p, d) for d in discs] for p in pts]
+        assert mat.tolist() == expected
+        assert intersection_matrix(discs, pts).T.tolist() == expected
+        assert mat.any() and not mat.all()
+
     def test_from_families_edges(self):
         fam_a = generate("random_discs", 10, None, 1)
         fam_b = generate("random_discs", 10, None, 2)
@@ -216,6 +223,32 @@ class TestIntersectionMatrix:
             if intersects(a, b)
         }
         assert g.edges == expected
+
+
+@st.composite
+def bipartite_graphs(draw):
+    m = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(m) for j in range(n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return BipartiteIntersectionGraph([None] * m, [None] * n, edges)
+
+
+class TestAdjacencyMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(bipartite_graphs())
+    def test_masks_agree_with_edges(self, g):
+        nbrs_a = [frozenset(j for i, j in g.edges if i == a) for a in range(g.m)]
+        nbrs_b = [frozenset(i for i, j in g.edges if j == b) for b in range(g.n)]
+        assert [set_of(mask) for mask in g.adj_a] == nbrs_a == g.neighborhoods_of_a()
+        assert [set_of(mask) for mask in g.adj_b] == nbrs_b == g.neighborhoods_of_b()
+        assert g.degrees_a() == [len(s) for s in nbrs_a]
+        assert g.degrees_b() == [len(s) for s in nbrs_b]
+
+    def test_contained_counts(self):
+        rows = [mask_of([0, 1, 2]), mask_of([0, 1]), mask_of([2]), 0]
+        assert contained_counts([(0, 1), fs(1, 2)], rows) == [2, 1, 0, 0]
+        assert contained_counts([], rows) == [0, 0, 0, 0]
 
 
 class TestGraphTypes:

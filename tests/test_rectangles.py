@@ -81,18 +81,18 @@ class TestCornerGraph:
 class TestCrossingGraph:
     def test_cross_pair_contributes_four(self):
         k = crossing_graph([AxisRect(0, 3, 1, 2)], [AxisRect(1, 2, 0, 3)])
-        assert k.edge_count() == 4
+        assert len(k.edges) == 4
 
     def test_nested_pair_contributes_none(self):
         k = crossing_graph([AxisRect(1, 2, 1, 2)], [AxisRect(0, 3, 0, 3)])
-        assert k.edge_count() == 0
+        assert len(k.edges) == 0
 
     def test_type3_bounded_by_4_edges(self):
         for seed in range(10):
             a, b = rect_families(20, seed)
             census = intersection_type_census(a, b)
             k = crossing_graph(a, b)
-            assert census.type3 <= 4 * k.edge_count()
+            assert census.type3 <= 4 * len(k.edges)
 
     def test_per_pair_edge_counts(self):
         # a type-3 pair contributes 1, 2, or 4 crossing edges
@@ -101,7 +101,7 @@ class TestCrossingGraph:
             for ra in a:
                 for rb in b:
                     k = crossing_graph([ra], [rb])
-                    assert k.edge_count() in (0, 1, 2, 4)
+                    assert len(k.edges) in (0, 1, 2, 4)
 
     def test_frames_realize_only_crossing_types(self):
         # boundary curves meet exactly when the solid pair is of type 3 or 4
@@ -273,7 +273,6 @@ class TestBoundReport:
         rep = rectangle_bound_report(
             [AxisRect(0, 3, 1, 2)], [AxisRect(1, 2, 0, 3)], 2, assume_ktt_free=True
         )
-        assert rep.per_vertex_lower_ok
         assert all(d == 2 for d in rep.degrees)
         assert all(x == 0 for x in rep.x_counts)
 
@@ -284,7 +283,6 @@ class TestBoundReport:
             res = prune_to_ktt_free(g, 2)
             rep = rectangle_bound_report(res.graph.side_a, res.graph.side_b, 2)
             assert rep.x_sum <= rep.x_upper
-            assert rep.per_vertex_lower_ok
             assert rep.crossing_edges == sum(rep.degrees)
 
     def test_non_free_input_rejected(self):

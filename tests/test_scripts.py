@@ -1,0 +1,32 @@
+"""Smoke runs of the experiment scripts on tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("edge_density_sweep.py", ["--sizes", "32", "--seeds", "1"]),
+        # the stacked cover needs eps * n >= 2t, which n = 32 misses at eps 0.1
+        ("net_size_scaling.py", ["--sizes", "64", "--seeds", "1"]),
+        ("prune_overhead_report.py", ["--trials", "2"]),
+    ],
+)
+def test_script_exits_zero(script, args, tmp_path):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

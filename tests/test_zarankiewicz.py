@@ -102,12 +102,27 @@ class TestPartition:
             assert (w in part.heavy_b) == (deg_b[w] >= part.threshold_b)
 
 
+    def test_isolated_vertices_never_heavy(self):
+        # ceil(eps * 0) = 0 would make every degree-0 vertex heavy
+        g = BipartiteIntersectionGraph([], [None, None], set())
+        part = heavy_light_partition(g, "1/2", "1/2")
+        assert part.heavy_b == frozenset() and part.threshold_b == 1
+        part = heavy_light_partition(g.swapped(), "1/2", "1/2")
+        assert part.heavy_a == frozenset() and part.threshold_a == 1
+
+
 class TestHeavyCount:
     def test_empty_graph(self):
         g = bip(4, 4, set())
         net = TNet(2, frozenset(), Fraction(1, 2))
         rep = heavy_count_check(g, 2, net, "B")
         assert rep.passed and rep.heavy_count == 0
+
+    def test_empty_opposite_side(self):
+        net = TNet(2, frozenset(), Fraction(1, 2))
+        for g, side in ((bip(0, 3, set()), "B"), (bip(3, 0, set()), "A")):
+            rep = heavy_count_check(g, 2, net, side)
+            assert rep.passed and rep.heavy_count == 0
 
     def test_pass_on_pruned_disc_instances(self):
         for seed in range(6):
