@@ -30,6 +30,10 @@ def main() -> int:
     args = ap.parse_args()
     eps = as_fraction(args.eps)
     sizes = [int(s) for s in args.sizes.split(",")]
+    for n in sizes:
+        if eps * n < 2 * args.t:
+            ap.error(f"size {n} is too small: the stacked cover needs eps*n >= 2t "
+                     f"({eps}*{n} < {2 * args.t})")
     params = GenParams(radius_lo=0.05, radius_hi=0.13)
 
     print(f"eps={eps} t={args.t}")

@@ -160,7 +160,8 @@ def segments_cross(a: Segment, b: Segment) -> bool:
 def intersects(a: GeomObject, b: GeomObject) -> bool:
     """True iff the closed point sets of `a` and `b` share a point.
 
-    Total and symmetric over all pairs of Point/Disc/AxisRect/Frame.
+    Total and symmetric over all pairs of Point/Disc/AxisRect/Frame, and over
+    pairs of segments.
     """
     key = (type(a), type(b))
     fn = _DISPATCH.get(key)
@@ -213,6 +214,7 @@ _DISPATCH = {
     (AxisRect, AxisRect): _rect_rect,
     (AxisRect, Frame): _rect_frame,
     (Frame, Frame): _frame_frame,
+    (Segment, Segment): segments_cross,
 }
 
 

@@ -9,6 +9,10 @@ sets rather than objects.
 
 Vertex subsets are manipulated as int bitmasks internally; the public data
 model stays frozensets.
+
+`BipartiteIntersectionGraph.from_families` is the one way two families become
+a graph; `intersection_matrix` behind it has a round and a box kernel, both
+bitwise equal to `geometry.intersects`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import geometry
-from .geometry import AxisRect, Disc, Frame, Point, intersects
+from .geometry import AxisRect, Disc, Frame, Point, Segment, intersects
 
 # ---------------------------------------------------------------------------
 # bitmask helpers
@@ -187,32 +191,26 @@ class VCProfile:
 # ---------------------------------------------------------------------------
 # vectorized intersection matrices (agree bitwise with geometry.intersects)
 
-
-def _all_type(fam, kind) -> bool:
-    return len(fam) > 0 and all(type(o) is kind for o in fam)
+_ROUND = {Point, Disc}
+_BOX = {Point, AxisRect, Frame}
 
 
 def intersection_matrix(fam_a, fam_b) -> np.ndarray:
     """Boolean matrix M[i, j] = intersects(fam_a[i], fam_b[j]).
 
-    Uses vectorized paths for homogeneous disc/point/rect/frame families and
-    falls back to the scalar predicate otherwise.
+    The round kernel takes one side of discs against points or discs (a point
+    is a disc of radius 0); the box kernel takes points, rects and frames, or
+    segments, as closed, possibly degenerate boxes.  Other mixes fall back to
+    the scalar predicate.
     """
     if len(fam_a) == 0 or len(fam_b) == 0:
         return np.zeros((len(fam_a), len(fam_b)), dtype=bool)
-    if _all_type(fam_a, Disc) and _all_type(fam_b, Disc):
-        return _disc_disc_matrix(fam_a, fam_b)
-    if _all_type(fam_a, Point) and _all_type(fam_b, Disc):
-        return _point_disc_matrix(fam_a, fam_b)
-    if _all_type(fam_a, Disc) and _all_type(fam_b, Point):
-        return _point_disc_matrix(fam_b, fam_a).T
-    if _all_type(fam_a, AxisRect) and _all_type(fam_b, AxisRect):
-        return _rect_overlap_matrix(fam_a, fam_b)
-    if _all_type(fam_a, Frame) and _all_type(fam_b, Frame):
-        overlap = _rect_overlap_matrix(fam_a, fam_b)
-        a_in_b = _strict_inside_matrix(fam_a, fam_b)
-        b_in_a = _strict_inside_matrix(fam_b, fam_a).T
-        return overlap & ~a_in_b & ~b_in_a
+    kinds_a = {type(o) for o in fam_a}
+    kinds_b = {type(o) for o in fam_b}
+    if (kinds_a == {Disc} and kinds_b <= _ROUND) or (kinds_b == {Disc} and kinds_a <= _ROUND):
+        return _round_matrix(fam_a, fam_b)
+    if kinds_a | kinds_b <= _BOX or kinds_a | kinds_b == {Segment}:
+        return _box_matrix(fam_a, fam_b)
     mat = np.zeros((len(fam_a), len(fam_b)), dtype=bool)
     for i, a in enumerate(fam_a):
         for j, b in enumerate(fam_b):
@@ -220,60 +218,47 @@ def intersection_matrix(fam_a, fam_b) -> np.ndarray:
     return mat
 
 
-def _disc_disc_matrix(fam_a, fam_b) -> np.ndarray:
-    ax = np.array([d.center.x for d in fam_a])[:, None]
-    ay = np.array([d.center.y for d in fam_a])[:, None]
-    ar = np.array([d.radius for d in fam_a])[:, None]
-    bx = np.array([d.center.x for d in fam_b])[None, :]
-    by = np.array([d.center.y for d in fam_b])[None, :]
-    br = np.array([d.radius for d in fam_b])[None, :]
+def _round_fields(fam):
+    """Centre x, centre y and radius per object; a point has radius 0.0."""
+    rows = [(o.x, o.y, 0.0) if type(o) is Point else (o.center.x, o.center.y, o.radius) for o in fam]
+    return np.array(rows).T
+
+
+def _round_matrix(fam_a, fam_b) -> np.ndarray:
+    # Every pair holds a disc, so (ra + rb) * (1 + REL_TOL) is the scalar
+    # predicate's slack bit for bit: 0.0 + r == r, and (-dx)**2 == dx**2.
+    ax, ay, ar = (v[:, None] for v in _round_fields(fam_a))
+    bx, by, br = _round_fields(fam_b)
     dx = ax - bx
     dy = ay - by
     slack = (ar + br) * (1.0 + geometry.REL_TOL)
     return dx * dx + dy * dy <= slack * slack
 
 
-def _point_disc_matrix(pts, discs) -> np.ndarray:
-    px = np.array([p.x for p in pts])[:, None]
-    py = np.array([p.y for p in pts])[:, None]
-    cx = np.array([d.center.x for d in discs])[None, :]
-    cy = np.array([d.center.y for d in discs])[None, :]
-    r = np.array([d.radius for d in discs])[None, :]
-    dx = px - cx
-    dy = py - cy
-    slack = r * (1.0 + geometry.REL_TOL)
-    return dx * dx + dy * dy <= slack * slack
+def _box_fields(fam):
+    """x_lo, x_hi, y_lo, y_hi per object as a closed box, and the frame flags."""
+    rows = []
+    for o in fam:
+        if type(o) is Point:
+            rows.append((o.x, o.x, o.y, o.y))
+        elif type(o) is Segment:
+            ends, fixed = (o.lo, o.hi), (o.fixed, o.fixed)
+            rows.append(ends + fixed if o.orientation == "horizontal" else fixed + ends)
+        else:
+            rows.append((o.x_lo, o.x_hi, o.y_lo, o.y_hi))
+    return (*np.array(rows).T, np.array([type(o) is Frame for o in fam]))
 
 
-def _rect_fields(fam):
-    return (
-        np.array([r.x_lo for r in fam]),
-        np.array([r.x_hi for r in fam]),
-        np.array([r.y_lo for r in fam]),
-        np.array([r.y_hi for r in fam]),
-    )
-
-
-def _rect_overlap_matrix(fam_a, fam_b) -> np.ndarray:
-    axl, axh, ayl, ayh = _rect_fields(fam_a)
-    bxl, bxh, byl, byh = _rect_fields(fam_b)
-    return (
-        (axl[:, None] <= bxh[None, :])
-        & (bxl[None, :] <= axh[:, None])
-        & (ayl[:, None] <= byh[None, :])
-        & (byl[None, :] <= ayh[:, None])
-    )
-
-
-def _strict_inside_matrix(inner, outer) -> np.ndarray:
-    ixl, ixh, iyl, iyh = _rect_fields(inner)
-    oxl, oxh, oyl, oyh = _rect_fields(outer)
-    return (
-        (oxl[None, :] < ixl[:, None])
-        & (ixh[:, None] < oxh[None, :])
-        & (oyl[None, :] < iyl[:, None])
-        & (iyh[:, None] < oyh[None, :])
-    )
+def _box_matrix(fam_a, fam_b) -> np.ndarray:
+    """Closed boxes overlap, unless one lies strictly inside a frame's hole."""
+    axl, axh, ayl, ayh, a_frame = (v[:, None] for v in _box_fields(fam_a))
+    bxl, bxh, byl, byh, b_frame = _box_fields(fam_b)
+    mat = (axl <= bxh) & (bxl <= axh) & (ayl <= byh) & (byl <= ayh)
+    if a_frame.any():
+        mat &= ~(a_frame & (axl < bxl) & (bxh < axh) & (ayl < byl) & (byh < ayh))
+    if b_frame.any():
+        mat &= ~(b_frame & (bxl < axl) & (axh < bxh) & (byl < ayl) & (ayh < byh))
+    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,9 @@ import numpy as np
 from .errors import DegenerateInput, InequalityViolated, PreconditionViolated
 from .geometry import (
     IntersectionType,
-    Point,
     Segment,
     check_general_position,
     classify_rect_pair,
-    intersects,
-    point_in_rect,
     rect_corners,
     rect_horizontal_edges,
     rect_vertical_edges,
@@ -81,30 +78,26 @@ def vertical_edges_of(rects) -> list[Segment]:
 def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
     """Classify every intersecting (a, b) pair into exactly one of four types.
 
-    The partition identity total == number of intersecting pairs is enforced
-    against the plain intersection predicate.
+    Only the edges of the intersection graph are classified; an edge that
+    classifies as disjoint raises, so the partition identity total == |E|
+    holds by construction.
     """
     if not check_general_position(list(a_rects) + list(b_rects)):
         raise DegenerateInput("rectangle families share an edge line")
+    g = BipartiteIntersectionGraph.from_families(a_rects, b_rects)
     counts = {ity: 0 for ity in IntersectionType}
-    intersecting = 0
-    for a in a_rects:
-        for b in b_rects:
-            ity = classify_rect_pair(a, b)
-            crossing = intersects(a, b)
-            if (ity is not None) != crossing:
-                raise AssertionError(f"census classification disagrees for {a}, {b}")
-            if ity is not None:
-                intersecting += 1
-                counts[ity] += 1
-    result = IntersectionTypeCounts(
+    for i, j in g.edges:
+        a, b = g.side_a[i], g.side_b[j]
+        ity = classify_rect_pair(a, b)
+        if ity is None:
+            raise AssertionError(f"intersecting pair classifies as disjoint: {a}, {b}")
+        counts[ity] += 1
+    return IntersectionTypeCounts(
         type1=counts[IntersectionType.A_INSIDE_B],
         type2=counts[IntersectionType.B_INSIDE_A],
         type3=counts[IntersectionType.B_VERTICAL_CROSSES_A],
         type4=counts[IntersectionType.A_VERTICAL_CROSSES_B],
     )
-    assert result.total == intersecting
-    return result
 
 
 def corner_incidence_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
@@ -114,15 +107,8 @@ def corner_incidence_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
     is K_{t,t}-free this graph is K_{4t-3,4t-3}-free: 4t-3 corners span at
     least t distinct A-rectangles.
     """
-    corners: list[Point] = []
-    for r in a_rects:
-        corners.extend(rect_corners(r))
-    edges = set()
-    for i, c in enumerate(corners):
-        for j, b in enumerate(b_rects):
-            if point_in_rect(c, b):
-                edges.add((i, j))
-    return BipartiteIntersectionGraph(corners, list(b_rects), edges)
+    corners = [c for r in a_rects for c in rect_corners(r)]
+    return BipartiteIntersectionGraph.from_families(corners, b_rects)
 
 
 def corner_biclique_check(a_rects, b_rects, t: int, budget: Optional[int] = None):
@@ -133,14 +119,9 @@ def corner_biclique_check(a_rects, b_rects, t: int, budget: Optional[int] = None
 def crossing_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
     """Bipartite crossing graph: horizontal edges of A (side A) vs vertical
     edges of B (side B), with exactly two vertices per rectangle."""
-    hsegs = horizontal_edges_of(a_rects)
-    vsegs = vertical_edges_of(b_rects)
-    edges = set()
-    for j, v in enumerate(vsegs):
-        for i, h in enumerate(hsegs):
-            if h.lo <= v.fixed <= h.hi and v.lo <= h.fixed <= v.hi:
-                edges.add((i, j))
-    return BipartiteIntersectionGraph(hsegs, vsegs, edges)
+    return BipartiteIntersectionGraph.from_families(
+        horizontal_edges_of(a_rects), vertical_edges_of(b_rects)
+    )
 
 
 # ---------------------------------------------------------------------------

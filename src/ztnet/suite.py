@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .generators import GenParams, generate, prune_to_ktt_free
-from .geometry import Disc, Point
+from .geometry import Disc, Point, intersects
 from .hypergraph import (
     BipartiteIntersectionGraph,
     Hypergraph,
@@ -29,7 +29,6 @@ from .nets import (
     TNet,
     greedy_cover_t_net,
     heavy_dedup_edges,
-    heavy_threshold,
     min_t_net_bruteforce,
     pseudodisc_t_net,
     verify_t_net,
@@ -310,8 +309,7 @@ def check_net_soundness_and_cover(cfg: SuiteConfig) -> list[CheckRow]:
         fam_a, fam_b = disc_instance(cfg.net_n, seed, *cfg.net_radius)
         g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
         h = primal_hypergraph(g)
-        thr = heavy_threshold(cfg.net_eps, h.vertex_count)
-        heavy = [e for e in h.dedup_view() if len(e) >= thr]
+        heavy = heavy_dedup_edges(h, cfg.net_eps)
         for t in cfg.net_ts:
             runs += 1
             pd_net, trace = pseudodisc_t_net(h, cfg.net_eps, t, derive_seed(seed, t))
@@ -498,8 +496,7 @@ def check_census(cfg: SuiteConfig) -> list[CheckRow]:
         seed = derive_seed(cfg.seed, "census", i)
         fam_a, fam_b = rect_instance(cfg.census_n, seed, 0.05, 0.3)
         census = intersection_type_census(fam_a, fam_b)
-        g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
-        if census.total != len(g.edges):
+        if census.total != sum(intersects(a, b) for a in fam_a for b in fam_b):
             bad += 1
     return [
         CheckRow(

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztnet.generators import GenParams, generate
-from ztnet.geometry import REL_TOL, Disc, Point, intersects, point_in_disc
+from ztnet.geometry import (
+    REL_TOL,
+    AxisRect,
+    Disc,
+    Frame,
+    Point,
+    Segment,
+    intersects,
+    point_in_disc,
+)
 from ztnet.hypergraph import (
     BipartiteIntersectionGraph,
     Graph,
@@ -183,18 +192,50 @@ class TestSmallHyperedgeScaling:
 class TestIntersectionMatrix:
     def test_matches_scalar_predicate(self):
         rng = random.Random(3)
-        fams = {
-            "discs": generate("random_discs", 12, None, 5),
-            "points": generate("random_points", 12, None, 6),
-            "rects": generate("random_rects", 12, None, 7),
-            "frames": generate("random_frames", 12, GenParams(parity=1), 8),
+
+        def on_grid():  # a coarse shared grid: shared corners, touching boxes, tangency
+            return rng.randrange(5) * 0.25
+
+        def span():
+            lo, hi = sorted(rng.sample(range(5), 2))
+            return lo * 0.25, hi * 0.25
+
+        def unit_span():
+            return sorted((rng.random(), rng.random()))
+
+        discs = generate("random_discs", 12, None, 5)
+        points = generate("random_points", 12, None, 6)
+        rects = generate("random_rects", 12, None, 7)
+        frames = generate("random_frames", 12, GenParams(parity=1), 8)
+        grid_points = [Point(on_grid(), on_grid()) for _ in range(12)]
+        grid_discs = [Disc(Point(on_grid(), on_grid()), rng.choice((0.25, 0.5))) for _ in range(8)]
+        grid_rects = [AxisRect(*span(), *span()) for _ in range(8)]
+        grid_frames = [Frame(*span(), *span()) for _ in range(8)]
+        shapes = {
+            "discs": discs,
+            "points": points,
+            "rects": rects,
+            "frames": frames,
+            "point/rect/frame": points[:4] + rects[:4] + frames[:4],
+            "point/disc": points[:6] + discs[:6],
+            "grid points": grid_points,
+            "grid discs": grid_discs,
+            "grid point/disc": grid_points + grid_discs,
+            "grid point/rect/frame": grid_points + grid_rects + grid_frames,
         }
-        for fa in fams.values():
-            for fb in fams.values():
-                mat = intersection_matrix(fa, fb)
-                for i, a in enumerate(fa):
-                    for j, b in enumerate(fb):
-                        assert mat[i, j] == intersects(a, b), (a, b)
+        segments = {
+            "horizontal": [Segment("horizontal", rng.random(), *unit_span()) for _ in range(12)],
+            "vertical": [Segment("vertical", rng.random(), *unit_span()) for _ in range(12)],
+            "grid horizontal": [Segment("horizontal", on_grid(), *span()) for _ in range(10)],
+            "grid vertical": [Segment("vertical", on_grid(), *span()) for _ in range(10)],
+        }
+        for group in (shapes, segments):
+            for fa in group.values():
+                for fb in group.values():
+                    mat = intersection_matrix(fa, fb)
+                    for i, a in enumerate(fa):
+                        for j, b in enumerate(fb):
+                            assert mat[i, j] == intersects(a, b), (a, b)
 
     def test_point_disc_tangency_matches_scalar_predicate(self):
         # points at distance r * (1 + REL_TOL) from the centre and one ulp to

@@ -6,7 +6,14 @@ import pytest
 
 from ztnet.errors import DegenerateInput, PreconditionViolated
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
-from ztnet.geometry import AxisRect, Segment
+from ztnet.geometry import (
+    AxisRect,
+    Segment,
+    intersects,
+    point_in_rect,
+    rect_corners,
+    segments_cross,
+)
 from ztnet.hypergraph import (
     BipartiteIntersectionGraph,
     Graph,
@@ -24,6 +31,7 @@ from ztnet.rectangles import (
     intersection_type_census,
     rectangle_bound_report,
     segment_delaunay,
+    vertical_edges_of,
 )
 
 
@@ -53,10 +61,10 @@ class TestCensus:
     def test_partition_identity_and_symmetry(self):
         for seed in range(15):
             a, b = rect_families(25, seed)
-            g = BipartiteIntersectionGraph.from_families(a, b)
+            intersecting = sum(intersects(ra, rb) for ra in a for rb in b)
             fwd = intersection_type_census(a, b)
             rev = intersection_type_census(b, a)
-            assert fwd.total == len(g.edges) == rev.total
+            assert fwd.total == intersecting == rev.total
             assert fwd.type1 == rev.type2 and fwd.type2 == rev.type1
             assert fwd.type3 == rev.type4 and fwd.type4 == rev.type3
 
@@ -77,11 +85,33 @@ class TestCornerGraph:
         # K_{2,2}-free rectangles force a K_{5,5}-free corner graph (4t-3 = 5)
         assert corner_biclique_check(res.graph.side_a, res.graph.side_b, 2) is None
 
+    def test_edges_match_point_in_rect(self):
+        for seed in range(15):
+            a, b = rect_families(25, seed)
+            g = corner_incidence_graph(a, b)
+            corners = [c for r in a for c in rect_corners(r)]
+            assert g.side_a == corners and g.side_b == b
+            assert g.edges == {
+                (i, j) for i, c in enumerate(corners) for j, r in enumerate(b) if point_in_rect(c, r)
+            }
+
 
 class TestCrossingGraph:
     def test_cross_pair_contributes_four(self):
         k = crossing_graph([AxisRect(0, 3, 1, 2)], [AxisRect(1, 2, 0, 3)])
         assert len(k.edges) == 4
+
+    def test_edges_match_segments_cross(self):
+        for seed in range(15):
+            a, b = rect_families(25, seed)
+            k = crossing_graph(a, b)
+            assert k.side_a == horizontal_edges_of(a) and k.side_b == vertical_edges_of(b)
+            assert k.edges == {
+                (i, j)
+                for i, h in enumerate(k.side_a)
+                for j, v in enumerate(k.side_b)
+                if segments_cross(h, v)
+            }
 
     def test_nested_pair_contributes_none(self):
         k = crossing_graph([AxisRect(1, 2, 1, 2)], [AxisRect(0, 3, 0, 3)])

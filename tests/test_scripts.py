@@ -20,13 +20,24 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_exits_zero(script, args, tmp_path):
+    proc = _run(script, args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_net_size_scaling_rejects_small_size(tmp_path):
+    proc = _run("net_size_scaling.py", ["--sizes", "64,32", "--seeds", "1"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "size 32" in proc.stderr and "eps*n >= 2t" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _run(script, args, cwd):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=tmp_path,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
