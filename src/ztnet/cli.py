@@ -37,7 +37,7 @@ from .errors import (
 from .generators import GenParams, generate
 from .geometry import AxisRect, Disc, Frame, Point
 from .hypergraph import BipartiteIntersectionGraph, dual_hypergraph, primal_hypergraph
-from .nets import as_fraction, greedy_cover_t_net, pseudodisc_t_net, verify_t_net
+from .nets import as_fraction, verify_t_net
 from .points_pseudodiscs import counting_inequality_check, shrink_canonical_tuples
 from .rectangles import (
     canonical_segment_tuples,
@@ -47,6 +47,7 @@ from .rectangles import (
 )
 from .zarankiewicz import (
     NET_BUILDERS,
+    BoundReport,
     degree_cutoff_rule,
     find_ktt_witness,
     num_edges_bound,
@@ -239,10 +240,7 @@ def _cmd_net(args) -> int:
     _, _, g = _load_graph(args)
     h = primal_hypergraph(g) if args.side == "primal" else dual_hypergraph(g)
     eps = as_fraction(args.eps)
-    if args.method == "pseudodisc":
-        net, _ = pseudodisc_t_net(h, eps, args.t, args.seed)
-    else:
-        net = greedy_cover_t_net(h, eps, args.t)
+    net = NET_BUILDERS[args.method](h, eps, args.t, args.seed)
     witness = verify_t_net(h, eps, net)
     payload = {
         "method": args.method,
@@ -419,11 +417,7 @@ def _cmd_suite(args) -> int:
             )
         )
         (out_dir / "bound_levels.csv").write_text(
-            _csv_text(
-                ("instance", "rule", "level", "m", "n", "eps", "eps_prime", "s",
-                 "s_prime", "heavy_a", "heavy_b", "additive", "bound", "edges"),
-                result.bound_rows,
-            )
+            _csv_text(("instance", "rule") + BoundReport.CSV_COLUMNS, result.bound_rows)
         )
     for row in result.rows:
         status = "PASS" if row.passed else "FAIL"
@@ -468,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--eps", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=("pseudodisc", "greedy"), default="pseudodisc")
+    p.add_argument("--method", choices=sorted(NET_BUILDERS), default="pseudodisc")
     p.add_argument("--side", choices=("primal", "dual"), default="primal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

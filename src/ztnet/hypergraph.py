@@ -3,9 +3,8 @@
 A bipartite graph G on sides A (size m) and B (size n) induces a primal
 hypergraph on A whose hyperedges are the neighborhoods N(b), and a dual
 hypergraph on B built the same way from the N(a).  Hyperedge multiplicity is
-retained (each defining object stays a separate hyperedge, tracked through
-`source_labels`); `dedup_view` gives the distinct traces when counting wants
-sets rather than objects.
+retained (each defining object stays a separate hyperedge); `dedup_view`
+gives the distinct traces when counting wants sets rather than objects.
 
 Vertex subsets are manipulated as int bitmasks internally; the public data
 model stays frozensets.
@@ -20,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -141,7 +140,6 @@ class BipartiteIntersectionGraph:
 class Hypergraph:
     vertex_count: int
     hyperedges: list[frozenset[int]]
-    source_labels: Optional[list] = None
 
     def __post_init__(self):
         if self.hyperedges and self.vertex_count:
@@ -150,18 +148,10 @@ class Hypergraph:
                     raise ValueError(f"hyperedge {sorted(e)} out of range 0..{self.vertex_count - 1}")
         elif any(self.hyperedges) and not self.vertex_count:
             raise ValueError("nonempty hyperedge on an empty vertex set")
-        if self.source_labels is not None and len(self.source_labels) != len(self.hyperedges):
-            raise ValueError("source_labels must align with hyperedges")
 
     def dedup_view(self) -> list[frozenset[int]]:
         """Distinct hyperedge sets, in first-occurrence order."""
-        seen = set()
-        out = []
-        for e in self.hyperedges:
-            if e not in seen:
-                seen.add(e)
-                out.append(e)
-        return out
+        return list(dict.fromkeys(self.hyperedges))
 
     @cached_property
     def edge_masks(self) -> list[int]:
@@ -267,14 +257,14 @@ def _box_matrix(fam_a, fam_b) -> np.ndarray:
 
 def primal_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
     """Hypergraph on the A indices; one hyperedge N(b) per vertex b of B."""
-    h = Hypergraph(g.m, g.neighborhoods_of_b(), source_labels=list(range(g.n)))
+    h = Hypergraph(g.m, g.neighborhoods_of_b())
     h.edge_masks = list(g.adj_b)  # the graph's masks fill the hyperedge-mask cache
     return h
 
 
 def dual_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
     """Hypergraph on the B indices; one hyperedge N(a) per vertex a of A."""
-    h = Hypergraph(g.n, g.neighborhoods_of_a(), source_labels=list(range(g.m)))
+    h = Hypergraph(g.n, g.neighborhoods_of_a())
     h.edge_masks = list(g.adj_a)
     return h
 
@@ -286,25 +276,19 @@ def induced_subhypergraph(h: Hypergraph, keep: Iterable[int]) -> Hypergraph:
         raise ValueError("keep set not contained in the vertex set")
     remap = {old: new for new, old in enumerate(kept)}
     traces = [frozenset(remap[v] for v in e if v in remap) for e in h.hyperedges]
-    labels = list(h.source_labels) if h.source_labels is not None else None
-    return Hypergraph(len(kept), traces, source_labels=labels)
+    return Hypergraph(len(kept), traces)
 
 
 def delaunay_graph(h: Hypergraph) -> Graph:
     """Graph whose edges are the distinct hyperedges of cardinality exactly 2."""
-    edges = set()
-    for e in h.dedup_view():
-        if len(e) == 2:
-            i, j = sorted(e)
-            edges.add((i, j))
-    return Graph(h.vertex_count, edges)
+    return Graph(h.vertex_count, {tuple(sorted(e)) for e in h.hyperedges if len(e) == 2})
 
 
 def small_hyperedges(h: Hypergraph, t: int) -> set[frozenset[int]]:
     """Distinct nonempty hyperedges of size at most t."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return {e for e in h.dedup_view() if 1 <= len(e) <= t}
+    return {e for e in h.hyperedges if 1 <= len(e) <= t}
 
 
 def vc_dimension(h: Hypergraph, cap: int = 6) -> VCProfile:

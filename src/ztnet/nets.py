@@ -8,6 +8,10 @@ Epsilon is handled as an exact fraction throughout.  Float inputs are
 converted through their shortest decimal representation, so eps=0.1 means
 exactly 1/10 and a hyperedge of size 20 is heavy at eps=0.1, n=200.  All
 heavy/light cutoffs across the package go through `heavy_threshold`.
+
+Hyperedges are int bitmasks here: every verifier and constructor reads the
+one heavy view `_heavy_masks`, and the greedy and exhaustive nets share the
+one candidate table `_candidate_cover`.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 from .errors import BudgetExceeded, InfeasibleNet, PreconditionViolated
-from .hypergraph import Hypergraph, bits_of, induced_subhypergraph, mask_of
+from .hypergraph import Hypergraph, bits_of, induced_subhypergraph, mask_of, set_of
 
 EpsilonLike = Union[Fraction, float, int, str]
 
@@ -46,10 +48,15 @@ def heavy_threshold(eps: EpsilonLike, vertex_count: int) -> int:
     return max(1, math.ceil(e * vertex_count))
 
 
+def _heavy_masks(h: Hypergraph, eps: EpsilonLike) -> list[int]:
+    """Masks of the distinct hyperedges of size >= eps * n, first occurrence first."""
+    thr = heavy_threshold(eps, h.vertex_count)
+    return list(dict.fromkeys(em for em in h.edge_masks if em.bit_count() >= thr))
+
+
 def heavy_dedup_edges(h: Hypergraph, eps: EpsilonLike) -> list[frozenset[int]]:
     """Distinct hyperedges of size >= eps * n, in first-occurrence order."""
-    thr = heavy_threshold(eps, h.vertex_count)
-    return [e for e in h.dedup_view() if len(e) >= thr]
+    return [set_of(em) for em in _heavy_masks(h, eps)]
 
 
 @dataclass
@@ -96,35 +103,26 @@ def verify_epsilon_net(h: Hypergraph, eps: EpsilonLike, s) -> Optional[frozenset
     s = frozenset(s)
     if s and (min(s) < 0 or max(s) >= h.vertex_count):
         raise ValueError("net contains out-of-range vertex indices")
-    thr = heavy_threshold(eps, h.vertex_count)
     s_mask = mask_of(s)
-    seen = set()
-    for e, em in zip(h.hyperedges, h.edge_masks):
-        if len(e) >= thr and em not in seen:
-            seen.add(em)
-            if em & s_mask == 0:
-                return e
+    for em in _heavy_masks(h, eps):
+        if em & s_mask == 0:
+            return set_of(em)
     return None
 
 
 def verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[frozenset[int]]:
     """None if every heavy hyperedge contains some net tuple, else one witness.
 
-    Hyperedges with identical traces share coverage status, so each distinct
-    heavy hyperedge is checked once.
+    Each distinct heavy hyperedge is checked once, first occurrence first.
     """
     tuple_masks = []
     for tp in net.tuples:
         if min(tp) < 0 or max(tp) >= h.vertex_count:
             raise ValueError(f"net tuple {sorted(tp)} out of vertex range")
         tuple_masks.append(mask_of(tp))
-    thr = heavy_threshold(eps, h.vertex_count)
-    seen = set()
-    for e, em in zip(h.hyperedges, h.edge_masks):
-        if len(e) >= thr and em not in seen:
-            seen.add(em)
-            if not any(tm & em == tm for tm in tuple_masks):
-                return e
+    for em in _heavy_masks(h, eps):
+        if not any(tm & em == tm for tm in tuple_masks):
+            return set_of(em)
     return None
 
 
@@ -209,10 +207,7 @@ def pseudodisc_t_net(
     trace = stacked_cover_set(h, e, t, seed)
     remaining = sorted(trace.cover_set)
     remaining_mask = mask_of(remaining)
-    thr = heavy_threshold(e, h.vertex_count)
-    source_masks = [
-        em for edge, em in zip(h.hyperedges, h.edge_masks) if len(edge) >= thr
-    ]
+    source_masks = _heavy_masks(h, e)
     net_tuples: set[frozenset[int]] = set()
     while remaining:
         size_t_traces = set()
@@ -240,18 +235,20 @@ def pseudodisc_t_net(
 # greedy cover and the exhaustive minimum oracle
 
 
-def _candidate_tuples(heavy: list[frozenset[int]], t: int) -> list[tuple[int, ...]]:
-    """Sorted distinct t-subsets of the heavy hyperedges, lexicographic order."""
-    for e in heavy:
-        if len(e) < t:
+def _candidate_cover(heavy: list[int], t: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Distinct t-subsets of the heavy hyperedges in lexicographic order, and
+    for each one the mask of the heavy[j] that contain it."""
+    cover: dict[tuple[int, ...], int] = {}
+    for j, em in enumerate(heavy):
+        if em.bit_count() < t:
             raise InfeasibleNet(
-                f"heavy hyperedge {sorted(e)} has fewer than t={t} vertices; "
+                f"heavy hyperedge {list(bits_of(em))} has fewer than t={t} vertices; "
                 "no valid net exists"
             )
-    seen = set()
-    for e in heavy:
-        seen.update(itertools.combinations(sorted(e), t))
-    return sorted(seen)
+        for c in itertools.combinations(bits_of(em), t):
+            cover[c] = cover.get(c, 0) | (1 << j)
+    cands = sorted(cover)
+    return cands, [cover[c] for c in cands]
 
 
 def greedy_cover_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
@@ -264,24 +261,19 @@ def greedy_cover_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
     e = as_fraction(eps)
     if t < 1:
         raise ValueError("t must be >= 1")
-    heavy = heavy_dedup_edges(h, e)
+    heavy = _heavy_masks(h, e)
     if not heavy:
         return TNet(t=t, tuples=frozenset(), epsilon=e)
-    cands = _candidate_tuples(heavy, t)
-    cand_index = {c: k for k, c in enumerate(cands)}
-    inc = np.zeros((len(cands), len(heavy)), dtype=bool)
-    for j, edge in enumerate(heavy):
-        for c in itertools.combinations(sorted(edge), t):
-            inc[cand_index[c], j] = True
-    uncovered = np.ones(len(heavy), dtype=bool)
+    cands, cover = _candidate_cover(heavy, t)
+    uncovered = (1 << len(heavy)) - 1
     chosen: list[tuple[int, ...]] = []
-    while uncovered.any():
-        cov = (inc & uncovered[None, :]).sum(axis=1)
-        best = int(np.argmax(cov))
-        if cov[best] == 0:  # cannot happen: every uncovered edge has candidates
+    while uncovered:
+        # max keeps the first maximum: ties go to the smallest candidate
+        best = max(range(len(cands)), key=lambda k: (cover[k] & uncovered).bit_count())
+        if not cover[best] & uncovered:  # cannot happen: every uncovered edge has candidates
             raise AssertionError("greedy cover stalled")
         chosen.append(cands[best])
-        uncovered &= ~inc[best]
+        uncovered &= ~cover[best]
     return TNet(t=t, tuples=frozenset(frozenset(c) for c in chosen), epsilon=e)
 
 
@@ -297,15 +289,11 @@ def min_t_net_bruteforce(
     e = as_fraction(eps)
     if t < 1:
         raise ValueError("t must be >= 1")
-    heavy = heavy_dedup_edges(h, e)
+    heavy = _heavy_masks(h, e)
     if not heavy:
         return TNet(t=t, tuples=frozenset(), epsilon=e)
-    cands = _candidate_tuples(heavy, t)
+    cands, cover_masks = _candidate_cover(heavy, t)
     full = (1 << len(heavy)) - 1
-    cover_masks = []
-    for c in cands:
-        cs = set(c)
-        cover_masks.append(mask_of(j for j, edge in enumerate(heavy) if cs <= edge))
     examined = 0
     for k in range(1, len(cands) + 1):
         for combo in itertools.combinations(range(len(cands)), k):

@@ -84,7 +84,11 @@ def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
     """
     if not check_general_position(list(a_rects) + list(b_rects)):
         raise DegenerateInput("rectangle families share an edge line")
-    g = BipartiteIntersectionGraph.from_families(a_rects, b_rects)
+    return _classify_edges(BipartiteIntersectionGraph.from_families(a_rects, b_rects))
+
+
+def _classify_edges(g: BipartiteIntersectionGraph) -> IntersectionTypeCounts:
+    """Census of a rectangle intersection graph already in general position."""
     counts = {ity: 0 for ity in IntersectionType}
     for i, j in g.edges:
         a, b = g.side_a[i], g.side_b[j]
@@ -367,12 +371,12 @@ def rectangle_bound_report(
     b_rects = list(b_rects)
     if not check_general_position(a_rects + b_rects):
         raise DegenerateInput("rectangle families share an edge line")
+    g = BipartiteIntersectionGraph.from_families(a_rects, b_rects)
     if not assume_ktt_free:
-        g = BipartiteIntersectionGraph.from_families(a_rects, b_rects)
         witness = find_ktt_witness(g, t, budget)
         if witness is not None:
             raise PreconditionViolated(f"input graph contains K_{t},{t}: {witness}")
-    census = intersection_type_census(a_rects, b_rects)
+    census = _classify_edges(g)
     k_graph = crossing_graph(a_rects, b_rects)
     degrees = k_graph.degrees_b()
     fam = canonical_tuples_with_witness(k_graph.side_a, 2 * t - 1)

@@ -32,6 +32,7 @@ from .nets import (
     as_fraction,
     greedy_cover_t_net,
     heavy_threshold,
+    pseudodisc_t_net,
     verify_t_net,
 )
 
@@ -45,9 +46,12 @@ def resolve_budget(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return DEFAULT_ENUM_BUDGET
+    try:
         return int(env)
-    return DEFAULT_ENUM_BUDGET
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +207,11 @@ NetBuilder = Callable[..., TNet]
 EpsRule = Callable[[int, int, int], tuple[Fraction, Fraction]]
 
 
-def greedy_net_builder(h, eps, t, seed) -> TNet:
-    return greedy_cover_t_net(h, eps, t)
-
-
-def pseudodisc_net_builder(h, eps, t, seed) -> TNet:
-    from .nets import pseudodisc_t_net
-
-    net, _ = pseudodisc_t_net(h, eps, t, seed)
-    return net
-
-
+# (h, eps, t, seed) -> TNet.  The constructors are looked up by module-global
+# name at call time, so a wrapper installed on the module attribute sees calls.
 NET_BUILDERS: dict[str, NetBuilder] = {
-    "greedy": greedy_net_builder,
-    "pseudodisc": pseudodisc_net_builder,
+    "greedy": lambda h, eps, t, seed: greedy_cover_t_net(h, eps, t),
+    "pseudodisc": lambda h, eps, t, seed: pseudodisc_t_net(h, eps, t, seed)[0],
 }
 
 
@@ -315,7 +310,7 @@ class BoundReport:
 def num_edges_bound(
     g: BipartiteIntersectionGraph,
     t: int,
-    net_builder: NetBuilder = greedy_net_builder,
+    net_builder: NetBuilder = NET_BUILDERS["greedy"],
     eps_rule: Optional[EpsRule] = None,
     seed: int = 0,
 ) -> BoundReport:

@@ -79,6 +79,21 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert payload["valid"] is True
 
+    def test_pseudodisc_net_and_bound_run(self, tmp_path):
+        inst = tmp_path / "pd.json"
+        main(["generate", "--kind", "points-discs", "--n", "40", "--m", "20", "--seed", "1",
+              "--radius-lo", "0.2", "--radius-hi", "0.35", "--out", str(inst)])
+        net = tmp_path / "net.json"
+        assert main(["net", str(inst), "--eps", "0.25", "--t", "2",
+                     "--method", "pseudodisc", "--out", str(net)]) == 0
+        assert json.loads(net.read_text())["valid"] is True
+        out = tmp_path / "bound.json"
+        assert main(["bound", str(inst), "--t", "2", "--eps", "0.3", "--net", "pseudodisc",
+                     "--assume-free", "--format", "json", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["bound"] >= report["edges"]
+        assert report["levels"][0]["kind"] == "recurse"
+
     def test_bound_on_edgeless_instance(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         inst.write_text(emit_instance([Disc(Point(0, 0), 0.1)], [Disc(Point(5, 5), 0.1)]))

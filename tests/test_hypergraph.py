@@ -302,8 +302,6 @@ class TestGraphTypes:
     def test_hypergraph_validation(self):
         with pytest.raises(ValueError):
             Hypergraph(2, [fs(0, 5)])
-        with pytest.raises(ValueError):
-            Hypergraph(2, [fs(0)], source_labels=[1, 2])
 
     def test_induced_graph(self):
         g = BipartiteIntersectionGraph(

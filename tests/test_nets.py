@@ -68,6 +68,11 @@ class TestVerifiers:
         assert verify_epsilon_net(h, 0.5, set()) == fs(0, 1)
         h2 = Hypergraph(5, [fs(0, 1), fs(2, 3, 4)])
         assert verify_epsilon_net(h2, 1, set(range(5))) is None
+        # duplicates: the witness is the first heavy hyperedge missed, in input order
+        h3 = Hypergraph(6, [fs(3, 4, 5), fs(0, 1), fs(0, 1, 2), fs(3, 4, 5), fs(0, 1, 2)])
+        assert verify_epsilon_net(h3, 0.5, set()) == fs(3, 4, 5)
+        assert verify_epsilon_net(h3, 0.5, {4}) == fs(0, 1, 2)
+        assert verify_epsilon_net(h3, 0.5, {0, 4}) is None
 
     def test_t_net_examples(self):
         h = Hypergraph(3, [fs(0, 1, 2)])
@@ -78,6 +83,11 @@ class TestVerifiers:
         h4 = Hypergraph(4, [fs(0, 1, 2)])
         miss = TNet(2, frozenset({fs(0, 3)}), Fraction(3, 4))
         assert verify_t_net(h4, 0.75, miss) == fs(0, 1, 2)
+        h5 = Hypergraph(5, [fs(2, 3, 4), fs(0, 1), fs(0, 1, 2), fs(2, 3, 4), fs(0, 1, 2)])
+        assert verify_t_net(h5, 0.6, TNet(2, frozenset(), Fraction(3, 5))) == fs(2, 3, 4)
+        assert verify_t_net(h5, 0.6, TNet(2, frozenset({fs(3, 4)}), Fraction(3, 5))) == fs(0, 1, 2)
+        both = TNet(2, frozenset({fs(3, 4), fs(0, 2)}), Fraction(3, 5))
+        assert verify_t_net(h5, 0.6, both) is None
 
     def test_tuple_size_validated(self):
         with pytest.raises(ValueError):
@@ -236,6 +246,24 @@ class TestGreedy:
             assert verify_t_net(h, Fraction(1, 3), greedy) is None
             assert oracle.size() <= greedy.size()
             assert greedy.size() <= math.ceil(oracle.size() * (math.log(len(heavy)) + 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(hypergraphs(), st.integers(1, 3))
+    def test_matches_plain_greedy(self, h, t):
+        # frozenset greedy: most uncovered heavy edges, then lexicographically smallest
+        eps = Fraction(1, 2)
+        heavy = heavy_dedup_edges(h, eps)
+        if any(len(e) < t for e in heavy):
+            with pytest.raises(InfeasibleNet):
+                greedy_cover_t_net(h, eps, t)
+            return
+        cands = sorted({c for e in heavy for c in itertools.combinations(sorted(e), t)})
+        uncovered, chosen = list(heavy), set()
+        while uncovered:
+            best = min(cands, key=lambda c: (-sum(1 for e in uncovered if set(c) <= e), c))
+            chosen.add(frozenset(best))
+            uncovered = [e for e in uncovered if not set(best) <= e]
+        assert greedy_cover_t_net(h, eps, t).tuples == frozenset(chosen)
 
 
 class TestSizeScaling:

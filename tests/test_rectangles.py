@@ -306,14 +306,25 @@ class TestBoundReport:
         assert all(d == 2 for d in rep.degrees)
         assert all(x == 0 for x in rep.x_counts)
 
-    def test_chains_on_pruned_instances(self):
+    def test_chains_on_pruned_instances(self, monkeypatch):
+        builds = []
+        real = BipartiteIntersectionGraph.from_families.__func__
+
+        def counted(cls, fam_a, fam_b):
+            builds.append((len(fam_a), len(fam_b)))
+            return real(cls, fam_a, fam_b)
+
+        monkeypatch.setattr(BipartiteIntersectionGraph, "from_families", classmethod(counted))
         for seed in range(5):
             a, b = rect_families(40, seed)
             g = BipartiteIntersectionGraph.from_families(a, b)
             res = prune_to_ktt_free(g, 2)
+            builds.clear()
             rep = rectangle_bound_report(res.graph.side_a, res.graph.side_b, 2)
             assert rep.x_sum <= rep.x_upper
             assert rep.crossing_edges == sum(rep.degrees)
+            # the rectangle graph once (witness check and census), the crossing graph once
+            assert len(builds) == 2
 
     def test_non_free_input_rejected(self):
         a = [AxisRect(0, 10, 1, 2), AxisRect(0.5, 9, 2.5, 3.5)]

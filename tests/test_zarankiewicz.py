@@ -73,6 +73,9 @@ class TestWitnessSearch:
         g = bip(30, 30, set())
         with pytest.raises(BudgetExceeded):
             find_ktt_witness(g, 3)
+        monkeypatch.setenv("ZTNET_BUDGET", "abc")
+        with pytest.raises(ValueError, match="ZTNET_BUDGET.*'abc'"):
+            resolve_budget()
 
     def test_small_sides(self):
         assert find_ktt_witness(bip(1, 5, {(0, j) for j in range(5)}), 2) is None
