@@ -124,9 +124,19 @@ def _element_line(text: str, side: str, idx: int) -> Optional[int]:
         return None
     depth = 0
     count = -1
+    in_string = escaped = False
     for pos in range(start, len(text)):
         ch = text[pos]
-        if ch in "[{":
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
             if ch == "{" and depth == 1:
                 count += 1
                 if count == idx:
@@ -153,11 +163,15 @@ def parse_instance_text(text: str) -> tuple[list, list]:
             raise SchemaError(f'"{side}" must be an array')
         fam = []
         for idx, raw in enumerate(arr):
-            where = f"{side}[{idx}]"
-            line = _element_line(text, side, idx)
-            if line is not None:
-                where = f"{where} (line {line})"
-            fam.append(object_from_json(raw, where))
+            try:
+                fam.append(object_from_json(raw, f"{side}[{idx}]"))
+            except SchemaError:
+                # only a failing object pays for the line scan; decoding it
+                # again with the line in its label raises the labelled error
+                line = _element_line(text, side, idx)
+                if line is None:
+                    raise
+                object_from_json(raw, f"{side}[{idx}] (line {line})")
         fams.append(fam)
     return fams[0], fams[1]
 
@@ -187,6 +201,15 @@ def _csv_text(header, rows) -> str:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_payload(args, payload: dict) -> None:
+    """JSON, or a one-row CSV under --format csv."""
+    if args.format == "csv":
+        content = _csv_text(payload.keys(), [list(payload.values())])
+    else:
+        content = _json_text(payload)
+    _write_text(args.out, content)
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +244,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _load_graph(args) -> tuple[list, list, BipartiteIntersectionGraph]:
-    fam_a, fam_b = parse_instance(args.instance)
-    return fam_a, fam_b, BipartiteIntersectionGraph.from_families(fam_a, fam_b)
+def _load_graph(args) -> BipartiteIntersectionGraph:
+    return BipartiteIntersectionGraph.from_families(*parse_instance(args.instance))
 
 
 def _cmd_check_free(args) -> int:
-    _, _, g = _load_graph(args)
+    g = _load_graph(args)
     witness = find_ktt_witness(g, args.t, resolve_budget(args.budget))
     if witness is None:
         print("free")
@@ -237,7 +259,7 @@ def _cmd_check_free(args) -> int:
 
 
 def _cmd_net(args) -> int:
-    _, _, g = _load_graph(args)
+    g = _load_graph(args)
     h = primal_hypergraph(g) if args.side == "primal" else dual_hypergraph(g)
     eps = as_fraction(args.eps)
     net = NET_BUILDERS[args.method](h, eps, args.t, args.seed)
@@ -260,7 +282,7 @@ def _cmd_net(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    _, _, g = _load_graph(args)
+    g = _load_graph(args)
     if not args.assume_free:
         witness = find_ktt_witness(g, args.t, resolve_budget(args.budget))
         if witness is not None:
@@ -315,19 +337,7 @@ def _cmd_census(args) -> int:
     rects_a = _require_rects(fam_a, "a")
     rects_b = _require_rects(fam_b, "b")
     census = intersection_type_census(rects_a, rects_b)
-    payload = {
-        "type1": census.type1,
-        "type2": census.type2,
-        "type3": census.type3,
-        "type4": census.type4,
-        "total": census.total,
-        "edges": census.total,
-    }
-    if args.format == "csv":
-        content = _csv_text(payload.keys(), [list(payload.values())])
-    else:
-        content = _json_text(payload)
-    _write_text(args.out, content)
+    _write_payload(args, {**asdict(census), "total": census.total, "edges": census.total})
     return 0
 
 
@@ -363,11 +373,7 @@ def _cmd_shrink(args) -> int:
         "x_sum": report.x_sum,
         "x_upper": report.x_upper,
     }
-    if args.format == "csv":
-        content = _csv_text(payload.keys(), [list(payload.values())])
-    else:
-        content = _json_text(payload)
-    _write_text(args.out, content)
+    _write_payload(args, payload)
     return 0
 
 
@@ -403,15 +409,7 @@ def _cmd_suite(args) -> int:
             _json_text(
                 {
                     "config": result.config.to_json(),
-                    "checks": [
-                        {
-                            "check": row.check,
-                            "params": row.params,
-                            "observed": row.observed,
-                            "passed": row.passed,
-                        }
-                        for row in result.rows
-                    ],
+                    "checks": [asdict(row) for row in result.rows],
                     "all_passed": result.all_passed,
                 }
             )

@@ -15,7 +15,7 @@ import itertools
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -203,15 +203,27 @@ def heavy_count_check(
 # the recursive bound algorithm
 
 
-NetBuilder = Callable[..., TNet]
 EpsRule = Callable[[int, int, int], tuple[Fraction, Fraction]]
 
 
-# (h, eps, t, seed) -> TNet.  The constructors are looked up by module-global
-# name at call time, so a wrapper installed on the module attribute sees calls.
+@dataclass(frozen=True)
+class NetBuilder:
+    """A net constructor (h, eps, t, seed) -> TNet and the least heavy
+    hyperedge size eps * |V| it accepts, in multiples of t."""
+
+    build: Callable[..., TNet]
+    min_heavy: int
+
+    def __call__(self, h, eps, t, seed) -> TNet:
+        return self.build(h, eps, t, seed)
+
+
+# The constructors are looked up by module-global name at call time, so a
+# wrapper installed on the module attribute sees calls.  Any net needs heavy
+# hyperedges of t vertices; the pseudo-disc net's stacked cover needs 2t.
 NET_BUILDERS: dict[str, NetBuilder] = {
-    "greedy": lambda h, eps, t, seed: greedy_cover_t_net(h, eps, t),
-    "pseudodisc": lambda h, eps, t, seed: pseudodisc_t_net(h, eps, t, seed)[0],
+    "greedy": NetBuilder(lambda h, eps, t, seed: greedy_cover_t_net(h, eps, t), 1),
+    "pseudodisc": NetBuilder(lambda h, eps, t, seed: pseudodisc_t_net(h, eps, t, seed)[0], 2),
 }
 
 
@@ -270,41 +282,17 @@ class BoundReport:
     def level_count(self) -> int:
         return len(self.levels)
 
-    CSV_COLUMNS = (
-        "level",
-        "m",
-        "n",
-        "eps",
-        "eps_prime",
-        "s",
-        "s_prime",
-        "heavy_a",
-        "heavy_b",
-        "additive",
-        "bound",
-        "edges",
-    )
+    CSV_COLUMNS = (*(f.name for f in fields(BoundLevel) if f.name != "kind"), "bound", "edges")
 
     def csv_rows(self) -> list[list[str]]:
-        rows = []
-        for lv in self.levels:
-            rows.append(
-                [
-                    str(lv.level),
-                    str(lv.m),
-                    str(lv.n),
-                    "" if lv.eps is None else str(lv.eps),
-                    "" if lv.eps_prime is None else str(lv.eps_prime),
-                    "" if lv.s is None else str(lv.s),
-                    "" if lv.s_prime is None else str(lv.s_prime),
-                    str(lv.heavy_a),
-                    str(lv.heavy_b),
-                    str(lv.additive),
-                    str(self.bound),
-                    str(self.actual_edges),
-                ]
-            )
-        return rows
+        return [
+            [
+                "" if v is None else str(v)
+                for v in [getattr(lv, c) for c in self.CSV_COLUMNS[:-2]]
+                + [self.bound, self.actual_edges]
+            ]
+            for lv in self.levels
+        ]
 
 
 def num_edges_bound(
@@ -319,15 +307,16 @@ def num_edges_bound(
     Per level: choose (eps, eps'), partition into heavy/light, add the light
     contribution n*floor(eps*m) + m*floor(eps'*n), and recurse on the
     heavy-by-heavy subgraph.  Base cases: an empty side contributes 0; a side
-    smaller than t, or a heavy product that fails to shrink, contributes the
-    trivial m*n (no nets are built there).  On recursing levels and on the
-    final heavy-empty level the primal and dual nets are built and verified,
-    and their sizes recorded.
+    smaller than r*t (r is the builder's `min_heavy`), or a heavy product that
+    fails to shrink, contributes the trivial m*n (no nets are built there).
+    On recursing levels and on the final heavy-empty level the primal and
+    dual nets are built and verified, and their sizes recorded.
 
-    The epsilon choice is free, so a rule output below t/m (resp. t/n) is
-    raised to it: below that cutoff a heavy hyperedge could have fewer than t
-    vertices and no valid net would exist, while a larger epsilon only grows
-    the already-valid additive term.
+    The epsilon choice is free, so a rule output below r*t/m (resp. r*t/n) is
+    raised to it: below t/m a heavy hyperedge could have fewer than t
+    vertices and no valid net would exist, the pseudo-disc net (r = 2) needs
+    eps*m >= 2t for its stacked cover, and a larger epsilon only grows the
+    already-valid additive term.
 
     The caller is responsible for the K_{t,t}-freeness of `g`; the returned
     bound dominates |E| regardless, but the net-size analysis is only
@@ -336,6 +325,7 @@ def num_edges_bound(
     if t < 1:
         raise ValueError("t must be >= 1")
     rule = eps_rule if eps_rule is not None else degree_cutoff_rule()
+    floor = net_builder.min_heavy * t
     levels: list[BoundLevel] = []
     total = 0
     current = g
@@ -344,15 +334,15 @@ def num_edges_bound(
         m, n = current.m, current.n
         if m == 0 or n == 0:
             break
-        if m < t or n < t:
+        if m < floor or n < floor:
             levels.append(
                 BoundLevel(level, m, n, None, None, None, None, 0, 0, m * n, "base-trivial")
             )
             total += m * n
             break
         eps, eps_prime = rule(m, n, t)
-        eps = max(eps, Fraction(t, m))
-        eps_prime = max(eps_prime, Fraction(t, n))
+        eps = max(eps, Fraction(floor, m))
+        eps_prime = max(eps_prime, Fraction(floor, n))
         part = heavy_light_partition(current, eps, eps_prime)
         na, nb = len(part.heavy_a), len(part.heavy_b)
         if na * nb >= m * n:

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import ztnet.cli
 from ztnet.cli import emit_instance, main, parse_instance, parse_instance_text
 from ztnet.errors import SchemaError
 from ztnet.generators import generate
@@ -39,6 +42,27 @@ class TestInstanceIO:
         bad = text.replace('"cx": 2', '"cx": "east"', 1)
         with pytest.raises(SchemaError, match=r"b\[1\] \(line \d+\)"):
             parse_instance_text(bad)
+
+    def test_braces_inside_strings_do_not_shift_lines(self):
+        for note in ('"}}"', '"{"', '"\\"{"'):
+            text = (
+                '{"a": [\n'
+                f'  {{"kind": "point", "x": 0, "y": 0, "note": {note}}},\n'
+                '  {"kind": "point", "x": 1, "y": 1},\n'
+                '  {"kind": "point", "x": "bad", "y": 2}\n'
+                '], "b": []}\n'
+            )
+            with pytest.raises(SchemaError, match=r"^a\[2\] \(line 4\): field 'x'"):
+                parse_instance_text(text)
+
+    def test_valid_parse_never_scans_for_lines(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("line scan on a valid instance")
+
+        monkeypatch.setattr(ztnet.cli, "_element_line", no_scan)
+        fam_a = generate("random_discs", 1000, None, 1)
+        fam_b = generate("random_discs", 1000, None, 2)
+        assert parse_instance_text(emit_instance(fam_a, fam_b)) == (fam_a, fam_b)
 
     def test_invalid_json_reports_line(self):
         with pytest.raises(SchemaError, match="line"):
@@ -93,6 +117,18 @@ class TestCommands:
         report = json.loads(out.read_text())
         assert report["bound"] >= report["edges"]
         assert report["levels"][0]["kind"] == "recurse"
+
+    def test_pseudodisc_bound_with_small_heavy_side(self, tmp_path):
+        # level 1 keeps 9 heavy points, and the stacked cover needs eps*9 >= 4
+        inst = tmp_path / "pd.json"
+        main(["generate", "--kind", "points-discs", "--n", "40", "--m", "20", "--seed", "3",
+              "--radius-lo", "0.2", "--radius-hi", "0.35", "--out", str(inst)])
+        out = tmp_path / "bound.json"
+        assert main(["bound", str(inst), "--t", "2", "--net", "pseudodisc", "--eps", "0.25",
+                     "--assume-free", "--format", "json", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["bound"] >= report["edges"]
+        assert [lv["eps"] for lv in report["levels"]] == ["1/4", "4/9"]
 
     def test_bound_on_edgeless_instance(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
@@ -151,6 +187,161 @@ class TestCommands:
         fa, fb = parse_instance(inst)
         assert all(isinstance(p, Point) for p in fa)
         assert all(isinstance(r, AxisRect) for r in fb)
+
+
+# One small seeded instance per --kind, plus one with a malformed object; the
+# digests pin each command's (exit code, stdout, stderr) byte for byte.
+_PINNED_KINDS = {
+    "discs": ["--n", "24"],
+    "rects": ["--n", "24"],
+    "frames": ["--n", "24"],
+    "points-discs": ["--n", "30", "--m", "12", "--radius-lo", "0.05", "--radius-hi", "0.12"],
+    "points-dyadic": ["--n", "16", "--m", "10"],
+}
+_PINNED_COMMANDS = (
+    ["check-free", "--t", "2"],
+    ["bound", "--t", "2", "--assume-free"],
+    ["bound", "--t", "2", "--eps", "0.25", "--assume-free", "--format", "json"],
+    ["net", "--eps", "0.25", "--t", "2", "--method", "greedy"],
+    ["net", "--eps", "0.25", "--t", "2", "--method", "pseudodisc", "--side", "dual"],
+    ["census", "--format", "csv"],
+    ["canon", "--t", "2"],
+    ["shrink", "--t", "2"],
+    ["delaunay", "--format", "json"],
+)
+
+
+def _run_cli(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def cli_digests(tmp_dir) -> dict[str, str]:
+    digests = {}
+    for kind, size in _PINNED_KINDS.items():
+        inst = tmp_dir / f"{kind}.json"
+        gen = ["generate", "--kind", kind, "--seed", "1", *size]
+        digests[kind + " generate"] = _run_cli(gen)
+        main(gen + ["--out", str(inst)])
+        for cmd in _PINNED_COMMANDS:
+            digests[" ".join([kind, *cmd])] = _run_cli([cmd[0], str(inst), *cmd[1:]])
+    bad = tmp_dir / "bad.json"
+    bad.write_text((tmp_dir / "discs.json").read_text().replace('"r": ', '"r": -', 1))
+    digests["bad check-free"] = _run_cli(["check-free", str(bad), "--t", "2"])
+    return digests
+
+
+class TestCliBytes:
+    GOLDEN = {
+        "discs generate":
+            "3421c8b6ef09237de646ed917a3cc834e2c9031c38fb47a083cf9c17c98ce5d1",
+        "discs check-free --t 2":
+            "94cc42ccae58273113965102a004f5b291f57355081d54484cdf3a491c7d5740",
+        "discs bound --t 2 --assume-free":
+            "13c7c331966a8105fc313dc638b81e70da043ec4a23866bff5acfb7364e48a3c",
+        "discs bound --t 2 --eps 0.25 --assume-free --format json":
+            "307853518587f1967a9060e4a983c5358220a77f3a9892a43fead7aa129b6227",
+        "discs net --eps 0.25 --t 2 --method greedy":
+            "7f5e460f0d312715a23ae5e80a36919d89cf05d9b90561b38805e5d5578fc785",
+        "discs net --eps 0.25 --t 2 --method pseudodisc --side dual":
+            "84a3219056703ff966b2edb53065baf02b1e131d30f2cdc46ae02526ba301b20",
+        "discs census --format csv":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "discs canon --t 2":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "discs shrink --t 2":
+            "5d2ed94b78a7ffaa645a0e695faf192e0e44adab67df42e3aa64843c039a288f",
+        "discs delaunay --format json":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "rects generate":
+            "1677580257ed8eb13335e60e0ed50e12b0e644d9c037807795eac7f26dcbd7d0",
+        "rects check-free --t 2":
+            "6dfa5e3ab797a348495cd0a02465818538da065926ebbdb6cbf5668f5e262444",
+        "rects bound --t 2 --assume-free":
+            "7f2f3d3af99503c425deee7c135ae56399ae6721e6830069587a00454d9571b8",
+        "rects bound --t 2 --eps 0.25 --assume-free --format json":
+            "d94992ae9cd3cdcac178877faf57bd6b605f17b05d71c57c979c484d18e600a6",
+        "rects net --eps 0.25 --t 2 --method greedy":
+            "6619c3877b1b38b6a261efc3d903b0a27aba4a881b37d93193929bba04ebf820",
+        "rects net --eps 0.25 --t 2 --method pseudodisc --side dual":
+            "e7097bab3b36fd7f178382d1d834d2fe618ac702c6d0760005265d8367bd1b06",
+        "rects census --format csv":
+            "e958c4be68c3aea6408f442694375c0db6367a5e891f536ca27534de08ad6e1d",
+        "rects canon --t 2":
+            "31b361e726b7a3205bc5c1f10d604ed4e2d25db0ec0f5ce5717ded8d35c01822",
+        "rects shrink --t 2":
+            "5d2ed94b78a7ffaa645a0e695faf192e0e44adab67df42e3aa64843c039a288f",
+        "rects delaunay --format json":
+            "0b79434ea93e3e9529745324d870ace75c39c8e9aabd851833873ec9119c87b9",
+        "frames generate":
+            "e855eb393c14888a7fd172effa5b6ec3d3b398b83785d69a30d50e3d5129739f",
+        "frames check-free --t 2":
+            "6dfa5e3ab797a348495cd0a02465818538da065926ebbdb6cbf5668f5e262444",
+        "frames bound --t 2 --assume-free":
+            "d5fc85448edddd585eb4e115893c5915e24c646d2a1b19a417585ff6bc226d8e",
+        "frames bound --t 2 --eps 0.25 --assume-free --format json":
+            "487c1eadd133e52ce7049d7bc224b6cc0965f1b0613e951fdbd00ac89b5d5484",
+        "frames net --eps 0.25 --t 2 --method greedy":
+            "6619c3877b1b38b6a261efc3d903b0a27aba4a881b37d93193929bba04ebf820",
+        "frames net --eps 0.25 --t 2 --method pseudodisc --side dual":
+            "e7097bab3b36fd7f178382d1d834d2fe618ac702c6d0760005265d8367bd1b06",
+        "frames census --format csv":
+            "e958c4be68c3aea6408f442694375c0db6367a5e891f536ca27534de08ad6e1d",
+        "frames canon --t 2":
+            "31b361e726b7a3205bc5c1f10d604ed4e2d25db0ec0f5ce5717ded8d35c01822",
+        "frames shrink --t 2":
+            "5d2ed94b78a7ffaa645a0e695faf192e0e44adab67df42e3aa64843c039a288f",
+        "frames delaunay --format json":
+            "0b79434ea93e3e9529745324d870ace75c39c8e9aabd851833873ec9119c87b9",
+        "points-discs generate":
+            "4480598171f3e9eb0611fd75db121ccb9bbadab7c2dfc4be47f405c47d91414c",
+        "points-discs check-free --t 2":
+            "e4ec21d8818051553614008ce2ae61ed0d3174bd675434f8aa600d6e6ba8315e",
+        "points-discs bound --t 2 --assume-free":
+            "2bb646fb896cbce01e30f41a1318123896b15446c9e23baac7d7da2bf4c39262",
+        "points-discs bound --t 2 --eps 0.25 --assume-free --format json":
+            "c34a7541826e151ec15a49875810d9706583a9ff7b9089a5003ee276c8cd32b6",
+        "points-discs net --eps 0.25 --t 2 --method greedy":
+            "7f5e460f0d312715a23ae5e80a36919d89cf05d9b90561b38805e5d5578fc785",
+        "points-discs net --eps 0.25 --t 2 --method pseudodisc --side dual":
+            "c830038f49b3f988bf5441c251d75d8fbc6720748820c882ad4764d152bf4198",
+        "points-discs census --format csv":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "points-discs canon --t 2":
+            "83ad287f7a5839563e4645b4131636603f244bf823bd7679f1fa44657f1260d0",
+        "points-discs shrink --t 2":
+            "cdd4fb84f6fcca91fbaa49d2599510873aeced1c490b07c2f0d00d12cb345775",
+        "points-discs delaunay --format json":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "points-dyadic generate":
+            "19a2f4d1ab750376ab739bf5ab019b98a57821161057a382c8e74f08a3c10151",
+        "points-dyadic check-free --t 2":
+            "e4ec21d8818051553614008ce2ae61ed0d3174bd675434f8aa600d6e6ba8315e",
+        "points-dyadic bound --t 2 --assume-free":
+            "a9840875191fd01c1e5a535d7524aff45ed250101347aa0ad59d9662110b5634",
+        "points-dyadic bound --t 2 --eps 0.25 --assume-free --format json":
+            "0b09d73bb86e15ce89313b684f4e04aab375562b60e9f93abaf4503c648c46d8",
+        "points-dyadic net --eps 0.25 --t 2 --method greedy":
+            "7f5e460f0d312715a23ae5e80a36919d89cf05d9b90561b38805e5d5578fc785",
+        "points-dyadic net --eps 0.25 --t 2 --method pseudodisc --side dual":
+            "6741c5fe05cf1457c355471bb4c414591dba6f45e892a5b857adae27e736a6c9",
+        "points-dyadic census --format csv":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "points-dyadic canon --t 2":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "points-dyadic shrink --t 2":
+            "5d2ed94b78a7ffaa645a0e695faf192e0e44adab67df42e3aa64843c039a288f",
+        "points-dyadic delaunay --format json":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "bad check-free":
+            "7fcd9e8d43b670c88c32d39f137a7b36285bb072bd0e41aad2fc26ddae632e8e",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        assert cli_digests(tmp_path) == self.GOLDEN
 
 
 class TestSuiteCommand:

@@ -9,6 +9,7 @@ from ztnet.hypergraph import BipartiteIntersectionGraph, primal_hypergraph
 from ztnet.nets import TNet, pseudodisc_t_net
 from ztnet.suite import naive_ktt_free
 from ztnet.zarankiewicz import (
+    NET_BUILDERS,
     BoundReport,
     RecursiveBoundSpec,
     bounded_vc_rule,
@@ -163,6 +164,25 @@ class TestNumEdgesBound:
                 rep = num_edges_bound(g, 2, eps_rule=rule, seed=seed)
                 assert rep.bound >= rep.actual_edges
 
+    def test_pseudodisc_levels_meet_the_stacked_cover_floor(self):
+        # level 0 leaves heavy sides of fewer than 16 vertices, where eps = 1/4
+        # is below the stacked cover's 2t/m; the greedy net keeps t/m
+        rule = lambda m, n, t: (Fraction(1, 4), Fraction(1, 4))
+        for seed in range(6):
+            g = BipartiteIntersectionGraph.from_families(
+                generate("random_points", 40, None, 2 * seed),
+                generate("random_discs", 20, GenParams(radius_lo=0.2, radius_hi=0.35), 2 * seed + 1),
+            )
+            for method, floor in (("greedy", 2), ("pseudodisc", 4)):
+                rep = num_edges_bound(g, 2, NET_BUILDERS[method], eps_rule=rule, seed=seed)
+                assert rep.bound >= rep.actual_edges
+                for lv in rep.levels:
+                    if lv.eps is not None:
+                        assert lv.eps == max(Fraction(1, 4), Fraction(floor, lv.m))
+                        assert lv.eps_prime == max(Fraction(1, 4), Fraction(floor, lv.n))
+                    else:
+                        assert min(lv.m, lv.n) < floor
+
     def test_monotone_under_edge_deletion(self):
         g = prune_to_ktt_free(disc_graph(48, seed=9), 2).graph
         rule = lambda m, n, t: (Fraction(1, 4), Fraction(1, 4))
@@ -177,10 +197,17 @@ class TestNumEdgesBound:
             assert num_edges_bound(smaller, 2, eps_rule=rule, seed=0).bound <= base
 
     def test_csv_rows_schema(self):
+        assert BoundReport.CSV_COLUMNS == (
+            "level", "m", "n", "eps", "eps_prime", "s", "s_prime",
+            "heavy_a", "heavy_b", "additive", "bound", "edges",
+        )
         rep = num_edges_bound(bip(3, 3, {(0, 0)}), 2)
         rows = rep.csv_rows()
         assert len(rows) == rep.level_count
         assert len(rows[0]) == len(BoundReport.CSV_COLUMNS)
+        trivial = num_edges_bound(bip(1, 2, {(0, 0)}), 2)
+        assert trivial.levels[0].kind == "base-trivial"
+        assert trivial.csv_rows() == [["0", "1", "2", "", "", "", "", "0", "0", "2", "2", "1"]]
 
     def test_sound_unconditionally(self):
         # the light/heavy decomposition dominates |E| with or without any
