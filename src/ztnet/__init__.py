@@ -20,7 +20,6 @@ from .geometry import (
     Point,
     Segment,
     check_general_position,
-    circle_boundary_crossings,
     classify_rect_pair,
     intersects,
 )
@@ -33,7 +32,6 @@ from .hypergraph import (
     dual_hypergraph,
     induced_subhypergraph,
     primal_hypergraph,
-    small_hyperedges,
     vc_dimension,
 )
 from .nets import (
@@ -50,14 +48,10 @@ from .nets import (
 from .zarankiewicz import (
     BoundReport,
     HeavyLightPartition,
-    RecursiveBoundSpec,
     find_ktt_witness,
     heavy_count_check,
     heavy_light_partition,
-    is_ktt_free,
     num_edges_bound,
-    recursive_bound,
-    recursive_bound_min,
 )
 from .generators import GenParams, PruneResult, generate, prune_to_ktt_free
 from .rectangles import (

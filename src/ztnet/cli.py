@@ -48,7 +48,6 @@ from .rectangles import (
 from .zarankiewicz import (
     NET_BUILDERS,
     BoundReport,
-    degree_cutoff_rule,
     find_ktt_witness,
     num_edges_bound,
     resolve_budget,
@@ -261,7 +260,7 @@ def _cmd_check_free(args) -> int:
 def _cmd_net(args) -> int:
     g = _load_graph(args)
     h = primal_hypergraph(g) if args.side == "primal" else dual_hypergraph(g)
-    eps = as_fraction(args.eps)
+    eps = args.eps
     net = NET_BUILDERS[args.method](h, eps, args.t, args.seed)
     witness = verify_t_net(h, eps, net)
     payload = {
@@ -288,15 +287,14 @@ def _cmd_bound(args) -> int:
         if witness is not None:
             print(f"witness: a={list(witness[0])} b={list(witness[1])}", file=sys.stderr)
             return 2
+    rule = None  # the degree cutoff rule
     if args.eps is not None:
-        eps = as_fraction(args.eps)
-        eps_prime = as_fraction(args.eps_prime) if args.eps_prime is not None else eps
+        eps = args.eps
+        eps_prime = args.eps_prime if args.eps_prime is not None else eps
 
         def rule(m, n, t):
             return min(Fraction(1), eps), min(Fraction(1), eps_prime)
 
-    else:
-        rule = degree_cutoff_rule(args.chat)
     report = num_edges_bound(
         g, args.t, net_builder=NET_BUILDERS[args.net], eps_rule=rule, seed=args.seed
     )
@@ -434,6 +432,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_fraction(text: str) -> Fraction:
+    """An epsilon argument: an exact fraction such as 0.25 or 1/4, above 0."""
+    try:
+        eps = as_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+    if eps <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return eps
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ztnet", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -458,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("net", help="build and verify an epsilon-t-net")
     p.add_argument("instance")
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", type=_positive_fraction, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--method", choices=sorted(NET_BUILDERS), default="pseudodisc")
     p.add_argument("--side", choices=("primal", "dual"), default="primal")
@@ -469,9 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="recursive edge-count bound report")
     p.add_argument("instance")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--eps", default=None, help="fixed eps per level (default: degree cutoff rule)")
-    p.add_argument("--eps-prime", default=None)
-    p.add_argument("--chat", type=int, default=1, help="constant in the 2*chat*t^6 cutoff")
+    p.add_argument("--eps", type=_positive_fraction, default=None,
+                   help="fixed eps per level (default: degree cutoff rule)")
+    p.add_argument("--eps-prime", type=_positive_fraction, default=None,
+                   help="fixed eps' per level (default: --eps); needs --eps")
     p.add_argument("--net", choices=sorted(NET_BUILDERS), default="greedy")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None)
@@ -518,6 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bound" and args.eps_prime is not None and args.eps is None:
+        parser.error("--eps-prime requires --eps")
     try:
         return args.func(args)
     except InequalityViolated as exc:

@@ -1,11 +1,11 @@
 """Seeded instance generators and the biclique-freeness pruner.
 
-Rectangle coordinates are drawn without replacement from a grid of resolution
-2^-21 relative to the window, so every generated rectangle family is in
-general position by construction.  The `parity` parameter splits the grid
-into even and odd values: two families generated with opposite parity never
-share an edge coordinate, keeping their union in general position without
-shared state between the calls.
+Every kind fills the unit square.  Rectangle coordinates are drawn without
+replacement from a grid of resolution 2^-21, so every generated rectangle
+family is in general position by construction.  The `parity` parameter splits
+the grid into even and odd values: two families generated with opposite parity
+never share an edge coordinate, keeping their union in general position
+without shared state between the calls.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .zarankiewicz import _lex_witness, resolve_budget
 
 GRID_POW = 20
 _G = 1 << GRID_POW  # grid cells per axis; values are doubled and offset by parity
+DYADIC_MAX_LEVEL = 6  # dyadic_rects side lengths run from 2^-1 to 2^-6
 
 KINDS = (
     "random_discs",
@@ -37,25 +38,17 @@ KINDS = (
 class GenParams:
     """Knobs shared by the generator kinds; each kind reads the fields it needs."""
 
-    window: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0)
     radius_lo: float = 0.04
     radius_hi: float = 0.10
     extent_lo: float = 0.02
     extent_hi: float = 0.12
-    dyadic_min_level: int = 1
-    dyadic_max_level: int = 6
     parity: int = 0
 
     def __post_init__(self):
-        x0, x1, y0, y1 = self.window
-        if not (x0 < x1 and y0 < y1):
-            raise ParamOutOfRange(f"window must satisfy x0 < x1 and y0 < y1: {self.window}")
         if not 0 < self.radius_lo <= self.radius_hi:
             raise ParamOutOfRange("need 0 < radius_lo <= radius_hi")
         if not 0 < self.extent_lo <= self.extent_hi <= 1:
             raise ParamOutOfRange("need 0 < extent_lo <= extent_hi <= 1")
-        if not 1 <= self.dyadic_min_level <= self.dyadic_max_level <= 18:
-            raise ParamOutOfRange("dyadic levels must satisfy 1 <= min <= max <= 18")
         if self.parity not in (0, 1):
             raise ParamOutOfRange("parity must be 0 or 1")
 
@@ -68,20 +61,15 @@ def generate(kind: str, count: int, params: Optional[GenParams] = None, seed: in
         raise ParamOutOfRange("count must be >= 0")
     p = params if params is not None else GenParams()
     rng = random.Random(seed)
-    x0, x1, y0, y1 = p.window
-    wx, wy = x1 - x0, y1 - y0
 
     if kind == "random_discs":
         return [
-            Disc(
-                Point(x0 + rng.random() * wx, y0 + rng.random() * wy),
-                rng.uniform(p.radius_lo, p.radius_hi),
-            )
+            Disc(Point(rng.random(), rng.random()), rng.uniform(p.radius_lo, p.radius_hi))
             for _ in range(count)
         ]
 
     if kind == "random_points":
-        return [Point(x0 + rng.random() * wx, y0 + rng.random() * wy) for _ in range(count)]
+        return [Point(rng.random(), rng.random()) for _ in range(count)]
 
     if kind == "grid_points":
         if count == 0:
@@ -90,9 +78,7 @@ def generate(kind: str, count: int, params: Optional[GenParams] = None, seed: in
         pts = []
         for idx in range(count):
             i, j = divmod(idx, k)
-            pts.append(
-                Point(x0 + (j + 1) * wx / (k + 1), y0 + (i + 1) * wy / (k + 1))
-            )
+            pts.append(Point((j + 1) / (k + 1), (i + 1) / (k + 1)))
         return pts
 
     if kind in ("random_rects", "random_frames"):
@@ -101,30 +87,18 @@ def generate(kind: str, count: int, params: Optional[GenParams] = None, seed: in
         ys = _distinct_intervals(rng, count, p)
         scale = 1.0 / (2 * _G)
         return [
-            cls(
-                x0 + xs[i][0] * scale * wx,
-                x0 + xs[i][1] * scale * wx,
-                y0 + ys[i][0] * scale * wy,
-                y0 + ys[i][1] * scale * wy,
-            )
+            cls(xs[i][0] * scale, xs[i][1] * scale, ys[i][0] * scale, ys[i][1] * scale)
             for i in range(count)
         ]
 
-    # dyadic_rects: [a 2^-j, (a+1) 2^-j] x [b 2^-k, (b+1) 2^-k] inside the window
+    # dyadic_rects: [a 2^-j, (a+1) 2^-j] x [b 2^-k, (b+1) 2^-k]
     rects = []
     for _ in range(count):
-        j = rng.randint(p.dyadic_min_level, p.dyadic_max_level)
-        k = rng.randint(p.dyadic_min_level, p.dyadic_max_level)
+        j = rng.randint(1, DYADIC_MAX_LEVEL)
+        k = rng.randint(1, DYADIC_MAX_LEVEL)
         a = rng.randrange(1 << j)
         b = rng.randrange(1 << k)
-        rects.append(
-            AxisRect(
-                x0 + wx * a / (1 << j),
-                x0 + wx * (a + 1) / (1 << j),
-                y0 + wy * b / (1 << k),
-                y0 + wy * (b + 1) / (1 << k),
-            )
-        )
+        rects.append(AxisRect(a / (1 << j), (a + 1) / (1 << j), b / (1 << k), (b + 1) / (1 << k)))
     return rects
 
 

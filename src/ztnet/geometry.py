@@ -98,10 +98,6 @@ class IntersectionType(Enum):
 # scalar helpers
 
 
-def _dist(p: Point, q: Point) -> float:
-    return math.hypot(p.x - q.x, p.y - q.y)
-
-
 def _rects_overlap(a, b) -> bool:
     return a.x_lo <= b.x_hi and b.x_lo <= a.x_hi and a.y_lo <= b.y_hi and b.y_lo <= a.y_hi
 
@@ -269,22 +265,6 @@ def classify_rect_pair(a: AxisRect, b: AxisRect) -> Optional[IntersectionType]:
     # Overlapping rectangles whose boundaries never cross can only arise from
     # shared edge lines, which the general-position check already rejected.
     raise DegenerateInput(f"rectangle pair in unclassifiable contact: {a}, {b}")
-
-
-def circle_boundary_crossings(a: Disc, b: Disc) -> int:
-    """Number of points (0, 1 or 2) where the two circle boundaries meet."""
-    d = _dist(a.center, b.center)
-    rsum = a.radius + b.radius
-    rdiff = abs(a.radius - b.radius)
-    scale = max(rsum, d)
-    tol = REL_TOL * scale
-    if d <= tol and rdiff <= tol:
-        raise DegenerateInput("identical discs have coinciding boundaries")
-    if abs(d - rsum) <= tol or abs(d - rdiff) <= tol:
-        return 1
-    if d > rsum or d < rdiff:
-        return 0
-    return 2
 
 
 def check_general_position(rects) -> bool:

@@ -110,18 +110,6 @@ class BipartiteIntersectionGraph:
     def degrees_b(self) -> list[int]:
         return [mask.bit_count() for mask in self.adj_b]
 
-    def neighborhoods_of_b(self) -> list[frozenset[int]]:
-        """N(b) for every b in B, as subsets of A indices."""
-        return [set_of(mask) for mask in self.adj_b]
-
-    def neighborhoods_of_a(self) -> list[frozenset[int]]:
-        return [set_of(mask) for mask in self.adj_a]
-
-    def swapped(self) -> "BipartiteIntersectionGraph":
-        return BipartiteIntersectionGraph(
-            list(self.side_b), list(self.side_a), {(j, i) for i, j in self.edges}
-        )
-
     def induced(self, keep_a: Iterable[int], keep_b: Iterable[int]) -> "BipartiteIntersectionGraph":
         """Subgraph on the given vertex subsets, reindexed in sorted order."""
         ka = sorted(set(keep_a))
@@ -257,14 +245,14 @@ def _box_matrix(fam_a, fam_b) -> np.ndarray:
 
 def primal_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
     """Hypergraph on the A indices; one hyperedge N(b) per vertex b of B."""
-    h = Hypergraph(g.m, g.neighborhoods_of_b())
+    h = Hypergraph(g.m, [set_of(mask) for mask in g.adj_b])
     h.edge_masks = list(g.adj_b)  # the graph's masks fill the hyperedge-mask cache
     return h
 
 
 def dual_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
     """Hypergraph on the B indices; one hyperedge N(a) per vertex a of A."""
-    h = Hypergraph(g.n, g.neighborhoods_of_a())
+    h = Hypergraph(g.n, [set_of(mask) for mask in g.adj_a])
     h.edge_masks = list(g.adj_a)
     return h
 
@@ -282,13 +270,6 @@ def induced_subhypergraph(h: Hypergraph, keep: Iterable[int]) -> Hypergraph:
 def delaunay_graph(h: Hypergraph) -> Graph:
     """Graph whose edges are the distinct hyperedges of cardinality exactly 2."""
     return Graph(h.vertex_count, {tuple(sorted(e)) for e in h.hyperedges if len(e) == 2})
-
-
-def small_hyperedges(h: Hypergraph, t: int) -> set[frozenset[int]]:
-    """Distinct nonempty hyperedges of size at most t."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return {e for e in h.hyperedges if 1 <= len(e) <= t}
 
 
 def vc_dimension(h: Hypergraph, cap: int = 6) -> VCProfile:

@@ -115,11 +115,6 @@ def corner_incidence_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
     return BipartiteIntersectionGraph.from_families(corners, b_rects)
 
 
-def corner_biclique_check(a_rects, b_rects, t: int, budget: Optional[int] = None):
-    """Witness search for K_{4t-3,4t-3} in the corner incidence graph (None = free)."""
-    return find_ktt_witness(corner_incidence_graph(a_rects, b_rects), 4 * t - 3, budget)
-
-
 def crossing_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
     """Bipartite crossing graph: horizontal edges of A (side A) vs vertical
     edges of B (side B), with exactly two vertices per rectangle."""
@@ -164,16 +159,11 @@ def canonical_segment_tuples(hsegs, k: int) -> CanonicalTupleFamily:
     return CanonicalTupleFamily(k=k, tuples=frozenset(tuples))
 
 
-def canonical_tuples_with_witness(hsegs, k: int) -> dict[frozenset[int], float]:
-    """Canonical k-tuples mapped to one witness abscissa each (first found)."""
-    out: dict[frozenset[int], float] = {}
-    for run, witness in _interval_runs(hsegs, k):
-        out.setdefault(frozenset(run), witness)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # segment Delaunay graph and its planar drawing
+
+
+SVG_WIDTH = 640.0  # drawing width in SVG user units, padding excluded
 
 
 @dataclass
@@ -184,21 +174,62 @@ class SegmentDelaunay:
     graph: Graph
     witness_x: dict[tuple[int, int], float]
 
-    def to_svg(self, width: float = 640.0) -> str:
-        return _delaunay_svg(self, width)
+    def to_svg(self) -> str:
+        """Planar drawing: vertices at right endpoints, each edge a 3-leg path that
+        runs along one segment, jumps over the witness vertical, and follows the
+        other segment to its right endpoint."""
+        hsegs = self.hsegs
+        if not hsegs:
+            return '<svg xmlns="http://www.w3.org/2000/svg" width="16" height="16"/>'
+        xs = [s.lo for s in hsegs] + [s.hi for s in hsegs]
+        ys = [s.fixed for s in hsegs]
+        x_min, x_max = min(xs), max(xs)
+        y_min, y_max = min(ys), max(ys)
+        span_x = (x_max - x_min) or 1.0
+        span_y = (y_max - y_min) or 1.0
+
+        width = SVG_WIDTH
+        height = width * span_y / span_x
+        pad = 0.05 * width
+
+        def tx(x: float) -> float:
+            return pad + (x - x_min) / span_x * width
+
+        def ty(y: float) -> float:
+            return pad + (y_max - y) / span_y * height
+
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width + 2 * pad:.1f}" '
+            f'height="{height + 2 * pad:.1f}" '
+            f'viewBox="0 0 {width + 2 * pad:.1f} {height + 2 * pad:.1f}">'
+        ]
+        for s in hsegs:
+            parts.append(
+                f'<line x1="{tx(s.lo):.3f}" y1="{ty(s.fixed):.3f}" '
+                f'x2="{tx(s.hi):.3f}" y2="{ty(s.fixed):.3f}" '
+                'stroke="#bbbbbb" stroke-width="1.5"/>'
+            )
+        for pts in delaunay_drawing_paths(self).values():
+            coords = " ".join(f"{tx(x):.3f},{ty(y):.3f}" for x, y in pts)
+            parts.append(
+                f'<polyline points="{coords}" fill="none" stroke="#33678f" stroke-width="0.8"/>'
+            )
+        for s in hsegs:
+            parts.append(
+                f'<circle cx="{tx(s.hi):.3f}" cy="{ty(s.fixed):.3f}" r="2.2" fill="#222222"/>'
+            )
+        parts.append("</svg>")
+        return "\n".join(parts)
 
 
 def segment_delaunay(hsegs) -> SegmentDelaunay:
-    """Graph on the segments whose edges are the canonical pairs."""
-    witnesses = canonical_tuples_with_witness(hsegs, 2)
-    edges = set()
-    witness_x = {}
-    for pair, x in witnesses.items():
-        i, j = sorted(pair)
-        edges.add((i, j))
-        witness_x[(i, j)] = x
+    """Graph on the segments whose edges are the canonical pairs; each edge
+    keeps the first witness abscissa of the sweep."""
+    witness_x: dict[tuple[int, int], float] = {}
+    for run, x in _interval_runs(hsegs, 2):
+        witness_x.setdefault(tuple(sorted(run)), x)
     return SegmentDelaunay(
-        hsegs=list(hsegs), graph=Graph(len(hsegs), edges), witness_x=witness_x
+        hsegs=list(hsegs), graph=Graph(len(hsegs), set(witness_x)), witness_x=witness_x
     )
 
 
@@ -229,53 +260,6 @@ def delaunay_drawing_paths(dela: "SegmentDelaunay") -> dict[tuple[int, int], lis
             (hsegs[j].hi, yj),
         ]
     return paths
-
-
-def _delaunay_svg(dela: SegmentDelaunay, width: float) -> str:
-    """Planar drawing: vertices at right endpoints, each edge a 3-leg path that
-    runs along one segment, jumps over the witness vertical, and follows the
-    other segment to its right endpoint."""
-    hsegs = dela.hsegs
-    if not hsegs:
-        return '<svg xmlns="http://www.w3.org/2000/svg" width="16" height="16"/>'
-    xs = [s.lo for s in hsegs] + [s.hi for s in hsegs]
-    ys = [s.fixed for s in hsegs]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
-    span_x = (x_max - x_min) or 1.0
-    span_y = (y_max - y_min) or 1.0
-
-    height = width * span_y / span_x
-    pad = 0.05 * width
-
-    def tx(x: float) -> float:
-        return pad + (x - x_min) / span_x * width
-
-    def ty(y: float) -> float:
-        return pad + (y_max - y) / span_y * height
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width + 2 * pad:.1f}" '
-        f'height="{height + 2 * pad:.1f}" '
-        f'viewBox="0 0 {width + 2 * pad:.1f} {height + 2 * pad:.1f}">'
-    ]
-    for s in hsegs:
-        parts.append(
-            f'<line x1="{tx(s.lo):.3f}" y1="{ty(s.fixed):.3f}" '
-            f'x2="{tx(s.hi):.3f}" y2="{ty(s.fixed):.3f}" '
-            'stroke="#bbbbbb" stroke-width="1.5"/>'
-        )
-    for edge, pts in delaunay_drawing_paths(dela).items():
-        coords = " ".join(f"{tx(x):.3f},{ty(y):.3f}" for x, y in pts)
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="#33678f" stroke-width="0.8"/>'
-        )
-    for s in hsegs:
-        parts.append(
-            f'<circle cx="{tx(s.hi):.3f}" cy="{ty(s.fixed):.3f}" r="2.2" fill="#222222"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +363,7 @@ def rectangle_bound_report(
     census = _classify_edges(g)
     k_graph = crossing_graph(a_rects, b_rects)
     degrees = k_graph.degrees_b()
-    fam = canonical_tuples_with_witness(k_graph.side_a, 2 * t - 1)
+    fam = canonical_segment_tuples(k_graph.side_a, 2 * t - 1).tuples
     x_counts = contained_counts(fam, k_graph.adj_b)
     x_sum = sum(x_counts)
     x_upper = (2 * t - 2) * len(fam)

@@ -121,10 +121,6 @@ def find_ktt_witness(
     return None if found is None else (found[1], found[0])
 
 
-def is_ktt_free(g: BipartiteIntersectionGraph, t: int, budget: Optional[int] = None) -> bool:
-    return find_ktt_witness(g, t, budget) is None
-
-
 # ---------------------------------------------------------------------------
 # heavy/light partitioning
 
@@ -227,34 +223,10 @@ NET_BUILDERS: dict[str, NetBuilder] = {
 }
 
 
-def degree_cutoff_rule(chat: int = 1) -> EpsRule:
-    """Heavy-degree cutoff 2 * chat * t^6 on both sides, clamped to eps <= 1."""
-
-    def rule(m: int, n: int, t: int) -> tuple[Fraction, Fraction]:
-        cut = 2 * chat * t**6
-        eps = min(Fraction(1), Fraction(cut, m))
-        eps_prime = min(Fraction(1), Fraction(cut, n))
-        return eps, eps_prime
-
-    return rule
-
-
-def bounded_vc_rule(d: int, d_star: int, t: int, c1: float = 1.0) -> EpsRule:
-    """Epsilon choice c1^(1/d*) (t-1) / m^(1/d*) from the bounded-VC argument.
-
-    c1 is not pinned by any computation here; it defaults to 1 and is exposed
-    as a knob.  The produced bound is a report, not a guarantee.
-    """
-
-    def rule(m: int, n: int, t_: int) -> tuple[Fraction, Fraction]:
-        def eps_for(count: int) -> Fraction:
-            raw = (c1 ** (1.0 / d_star)) * (t_ - 1) / (count ** (1.0 / d_star))
-            frac = Fraction(repr(raw)).limit_denominator(10**9)
-            return min(Fraction(1), max(frac, Fraction(1, max(count, 1))))
-
-        return eps_for(m), eps_for(n)
-
-    return rule
+def degree_cutoff_rule(m: int, n: int, t: int) -> tuple[Fraction, Fraction]:
+    """Heavy-degree cutoff 2 * t^6 on both sides, clamped to eps <= 1."""
+    cut = 2 * t**6
+    return min(Fraction(1), Fraction(cut, m)), min(Fraction(1), Fraction(cut, n))
 
 
 @dataclass
@@ -277,10 +249,6 @@ class BoundReport:
     levels: list[BoundLevel]
     bound: int
     actual_edges: int
-
-    @property
-    def level_count(self) -> int:
-        return len(self.levels)
 
     CSV_COLUMNS = (*(f.name for f in fields(BoundLevel) if f.name != "kind"), "bound", "edges")
 
@@ -324,7 +292,7 @@ def num_edges_bound(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    rule = eps_rule if eps_rule is not None else degree_cutoff_rule()
+    rule = eps_rule if eps_rule is not None else degree_cutoff_rule
     floor = net_builder.min_heavy * t
     levels: list[BoundLevel] = []
     total = 0
@@ -374,64 +342,3 @@ def num_edges_bound(
         current = current.induced(part.heavy_a, part.heavy_b)
         level += 1
     return BoundReport(levels=levels, bound=total, actual_edges=len(g.edges))
-
-
-# ---------------------------------------------------------------------------
-# closed-form recursion of the net-size bound
-
-
-@dataclass
-class RecursiveBoundSpec:
-    """Net-size bounds driving the recursion.
-
-    f(m, k) bounds the minimum (k/m)-t-net of the primal hypergraph over all
-    instances with |A| = m; f_star(n, l) is the dual statement.  base_rule
-    decides when to stop: given (m, n, m_next, n_next) return True to fall
-    back to the trivial m*n bound.  The default stops as soon as either
-    argument fails to decrease strictly.
-    """
-
-    f: Callable[[int, int], float]
-    f_star: Callable[[int, int], float]
-    base_rule: Optional[Callable[[float, float, float, float], bool]] = None
-
-
-def recursive_bound(m: int, n: int, t: int, spec: RecursiveBoundSpec, k: int, ell: int):
-    """One (k, ell) evaluation of the recursive bound.
-
-    Value: (k-1) n + (ell-1) m + g(m', n') with m' = (t-1) f(m, k) and
-    n' = (t-1) f_star(n, ell), where g recurses with the same (k, ell), stops
-    per the base rule, and never exceeds the trivial m*n.
-    """
-    if not (1 <= k <= m - 1):
-        raise ValueError(f"need 1 <= k <= m-1, got k={k}, m={m}")
-    if not (1 <= ell <= n - 1):
-        raise ValueError(f"need 1 <= ell <= n-1, got ell={ell}, n={n}")
-    stop = spec.base_rule if spec.base_rule is not None else (
-        lambda m_, n_, m2, n2: m2 >= m_ or n2 >= n_
-    )
-
-    def g(m_, n_):
-        if m_ <= 0 or n_ <= 0:
-            return 0
-        trivial = m_ * n_
-        if k > m_ - 1 or ell > n_ - 1:
-            return trivial
-        m2 = (t - 1) * spec.f(m_, k)
-        n2 = (t - 1) * spec.f_star(n_, ell)
-        if stop(m_, n_, m2, n2):
-            return trivial
-        return min(trivial, (k - 1) * n_ + (ell - 1) * m_ + g(m2, n2))
-
-    return g(m, n)
-
-
-def recursive_bound_min(m: int, n: int, t: int, spec: RecursiveBoundSpec):
-    """Full minimum of the recursive bound over 1 <= k <= m-1, 1 <= ell <= n-1."""
-    if m < 2 or n < 2:
-        return m * n
-    return min(
-        recursive_bound(m, n, t, spec, k, ell)
-        for k in range(1, m)
-        for ell in range(1, n)
-    )

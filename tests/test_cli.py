@@ -180,6 +180,32 @@ class TestCommands:
             main(["net", "--eps", "oops"])
         assert exc.value.code == 1
 
+    def test_malformed_or_nonpositive_eps_exit_1(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        main(["generate", "--kind", "discs", "--n", "12", "--seed", "1", "--out", str(inst)])
+        bound = ["bound", str(inst), "--t", "2", "--assume-free"]
+        for argv in (
+            ["net", str(inst), "--t", "2", "--eps", "1/0"],
+            ["net", str(inst), "--t", "2", "--eps", "0"],
+            bound + ["--eps", "1/0"],
+            bound + ["--eps", "0"],
+            bound + ["--eps", "-1"],
+            bound + ["--eps", "0.25", "--eps-prime", "1/0"],
+            bound + ["--eps", "0.25", "--eps-prime", "-0.5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1, argv
+            assert "argument --eps" in capsys.readouterr().err, argv
+
+    def test_eps_prime_without_eps_exit_1(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        main(["generate", "--kind", "discs", "--n", "12", "--seed", "1", "--out", str(inst)])
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", str(inst), "--t", "2", "--assume-free", "--eps-prime", "0.3"])
+        assert exc.value.code == 1
+        assert "--eps-prime requires --eps" in capsys.readouterr().err
+
     def test_dyadic_generate(self, tmp_path):
         inst = tmp_path / "dy.json"
         assert main(["generate", "--kind", "points-dyadic", "--n", "16", "--m", "10",

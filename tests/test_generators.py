@@ -10,7 +10,7 @@ from ztnet.errors import ParamOutOfRange
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import AxisRect, Disc, Frame, Point, check_general_position
 from ztnet.hypergraph import BipartiteIntersectionGraph
-from ztnet.zarankiewicz import _combos_at_least, find_ktt_witness, is_ktt_free
+from ztnet.zarankiewicz import _combos_at_least, find_ktt_witness
 
 
 class TestGenerate:
@@ -60,8 +60,6 @@ class TestGenerate:
         with pytest.raises(ParamOutOfRange):
             GenParams(extent_lo=0.5, extent_hi=0.2)
         with pytest.raises(ParamOutOfRange):
-            GenParams(window=(1, 0, 0, 1))
-        with pytest.raises(ParamOutOfRange):
             GenParams(parity=2)
         with pytest.raises(ValueError):
             generate("mystery", 3, None, 0)
@@ -70,15 +68,6 @@ class TestGenerate:
         for d in generate("random_discs", 50, None, 1):
             assert 0 <= d.center.x <= 1 and 0 <= d.center.y <= 1
             assert 0.04 <= d.radius <= 0.10
-
-    def test_custom_window(self):
-        p = GenParams(window=(-5.0, 3.0, 2.0, 10.0))
-        rects = generate("random_rects", 25, p, 4)
-        assert check_general_position(rects)
-        for r in rects:
-            assert -5 <= r.x_lo < r.x_hi <= 3 and 2 <= r.y_lo < r.y_hi <= 10
-        for pt in generate("grid_points", 9, p, 0):
-            assert -5 <= pt.x <= 3 and 2 <= pt.y <= 10
 
 
 class TestCombosAtLeast:
@@ -148,7 +137,7 @@ class TestPrune:
         g = bip(2, 2, {(0, 0), (0, 1), (1, 0), (1, 1)})
         res = prune_to_ktt_free(g, 2)
         assert len(res.deleted_a) + len(res.deleted_b) == 1
-        assert is_ktt_free(res.graph, 2)
+        assert find_ktt_witness(res.graph, 2) is None
         # max-degree tie prefers the B side, then the lowest index
         assert res.deleted_b == [0]
 
@@ -170,7 +159,7 @@ class TestPrune:
         fam_b = generate("random_discs", 300, GenParams(radius_lo=0.02, radius_hi=0.05), 32)
         g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
         res = prune_to_ktt_free(g, 2)
-        assert is_ktt_free(res.graph, 2)
+        assert find_ktt_witness(res.graph, 2) is None
         assert res.graph.m + len(res.deleted_a) == 300
 
     def test_families_shrink_consistently(self):

@@ -11,7 +11,6 @@ from ztnet.geometry import (
     Point,
     Segment,
     check_general_position,
-    circle_boundary_crossings,
     classify_rect_pair,
     intersects,
     segments_cross,
@@ -141,31 +140,6 @@ class TestCrossingPatterns:
             return
         pattern = (len(_edge_crossings(b, a)), len(_edge_crossings(a, b)))
         assert pattern in {(2, 0), (0, 2), (4, 0), (0, 4), (1, 1)}
-
-
-class TestCircleCrossings:
-    def test_examples(self):
-        assert circle_boundary_crossings(Disc(Point(0, 0), 1), Disc(Point(1.5, 0), 1)) == 2
-        assert circle_boundary_crossings(Disc(Point(0, 0), 1), Disc(Point(2, 0), 1)) == 1
-        assert circle_boundary_crossings(Disc(Point(0, 0), 2), Disc(Point(0.5, 0), 1)) == 0
-
-    def test_identical_discs_rejected(self):
-        with pytest.raises(DegenerateInput):
-            circle_boundary_crossings(Disc(Point(0, 0), 1), Disc(Point(0, 0), 1))
-
-    def test_internal_tangency(self):
-        assert circle_boundary_crossings(Disc(Point(0, 0), 2), Disc(Point(1, 0), 1)) == 1
-
-    @settings(max_examples=200)
-    @given(coords, coords, radii, coords, coords, radii)
-    def test_pseudodisc_property(self, ax, ay, ar, bx, by, br):
-        a = Disc(Point(ax, ay), ar)
-        b = Disc(Point(bx, by), br)
-        try:
-            crossings = circle_boundary_crossings(a, b)
-        except DegenerateInput:
-            return
-        assert 0 <= crossings <= 2
 
 
 class TestGeneralPosition:

@@ -29,7 +29,6 @@ from ztnet.hypergraph import (
     mask_of,
     primal_hypergraph,
     set_of,
-    small_hyperedges,
     vc_dimension,
 )
 
@@ -75,7 +74,8 @@ class TestPrimalDual:
         pairs = [(i, j) for i in range(m) for j in range(n)]
         chosen = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
         g = BipartiteIntersectionGraph([None] * m, [None] * n, set(chosen))
-        assert dual_hypergraph(g).hyperedges == primal_hypergraph(g.swapped()).hyperedges
+        swapped = BipartiteIntersectionGraph([None] * n, [None] * m, {(j, i) for i, j in chosen})
+        assert dual_hypergraph(g).hyperedges == primal_hypergraph(swapped).hyperedges
 
 
 class TestInduced:
@@ -153,25 +153,6 @@ class TestVC:
             assert vc_dimension(primal_hypergraph(g), cap=6).vc_dim <= 4
 
 
-class TestSmallHyperedges:
-    def test_examples(self):
-        h = Hypergraph(3, [fs(0), fs(0, 1, 2), fs(1, 2)])
-        assert small_hyperedges(h, 2) == {fs(0), fs(1, 2)}
-        assert small_hyperedges(h, 3) == {fs(0), fs(0, 1, 2), fs(1, 2)}
-
-    def test_against_enumeration_oracle(self):
-        fam_a = generate("random_discs", 25, GenParams(radius_hi=0.25), 42)
-        fam_b = generate("random_discs", 25, GenParams(radius_hi=0.25), 43)
-        g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
-        h = primal_hypergraph(g)
-        for t in (1, 2, 3, 4):
-            oracle = set()
-            for e in h.hyperedges:
-                if 1 <= len(e) <= t and e not in oracle:
-                    oracle.add(e)
-            assert small_hyperedges(h, t) == oracle
-
-
 class TestSmallHyperedgeScaling:
     def test_ratio_bounded_across_doubling_sizes(self):
         # linear growth at fixed t: disc radii ~ 1/sqrt(n) keep the local
@@ -184,8 +165,8 @@ class TestSmallHyperedgeScaling:
             fam_a = generate("random_discs", n, GenParams(radius_lo=lo, radius_hi=hi), n)
             fam_b = generate("random_discs", n, GenParams(radius_lo=lo, radius_hi=hi), n + 1)
             g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
-            h = primal_hypergraph(g)
-            ratios.append(len(small_hyperedges(h, 3)) / n)
+            small = {e for e in primal_hypergraph(g).hyperedges if 1 <= len(e) <= 3}
+            ratios.append(len(small) / n)
         assert max(ratios) <= 2.5 * max(ratios[0], 0.5), ratios
 
 
@@ -281,8 +262,8 @@ class TestAdjacencyMasks:
     def test_masks_agree_with_edges(self, g):
         nbrs_a = [frozenset(j for i, j in g.edges if i == a) for a in range(g.m)]
         nbrs_b = [frozenset(i for i, j in g.edges if j == b) for b in range(g.n)]
-        assert [set_of(mask) for mask in g.adj_a] == nbrs_a == g.neighborhoods_of_a()
-        assert [set_of(mask) for mask in g.adj_b] == nbrs_b == g.neighborhoods_of_b()
+        assert [set_of(mask) for mask in g.adj_a] == nbrs_a == dual_hypergraph(g).hyperedges
+        assert [set_of(mask) for mask in g.adj_b] == nbrs_b == primal_hypergraph(g).hyperedges
         assert g.degrees_a() == [len(s) for s in nbrs_a]
         assert g.degrees_b() == [len(s) for s in nbrs_b]
 

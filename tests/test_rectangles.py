@@ -21,9 +21,8 @@ from ztnet.hypergraph import (
     delaunay_graph,
 )
 from ztnet.rectangles import (
+    _interval_runs,
     canonical_segment_tuples,
-    canonical_tuples_with_witness,
-    corner_biclique_check,
     corner_incidence_graph,
     crossing_graph,
     hereditary_planarity_check,
@@ -33,6 +32,7 @@ from ztnet.rectangles import (
     segment_delaunay,
     vertical_edges_of,
 )
+from ztnet.zarankiewicz import find_ktt_witness
 
 
 def hseg(y, lo, hi):
@@ -83,7 +83,8 @@ class TestCornerGraph:
         g = BipartiteIntersectionGraph.from_families(a, b)
         res = prune_to_ktt_free(g, 2)
         # K_{2,2}-free rectangles force a K_{5,5}-free corner graph (4t-3 = 5)
-        assert corner_biclique_check(res.graph.side_a, res.graph.side_b, 2) is None
+        corners = corner_incidence_graph(res.graph.side_a, res.graph.side_b)
+        assert find_ktt_witness(corners, 4 * 2 - 3) is None
 
     def test_edges_match_point_in_rect(self):
         for seed in range(15):
@@ -190,7 +191,7 @@ class TestCanonicalTuples:
 
     def test_consecutive_run_property(self):
         segs = horizontal_edges_of(generate("random_rects", 30, None, 12))
-        for tup, x in canonical_tuples_with_witness(segs, 3).items():
+        for tup, x in _interval_runs(segs, 3):
             active = sorted(
                 (s.fixed, i) for i, s in enumerate(segs) if s.lo <= x <= s.hi
             )
@@ -228,6 +229,35 @@ class TestSegmentDelaunay:
                     stab_sets.append(frozenset(order[i : j + 1]))
         j_hyper = Hypergraph(len(segs), stab_sets)
         assert segment_delaunay(segs).graph.edges == delaunay_graph(j_hyper).edges
+
+    def test_witness_is_first_interval_of_adjacency(self):
+        # oracle: scan the open intervals between endpoint abscissae in x
+        # order; a pair's witness is the midpoint of the first interval where
+        # the two segments are neighbours in the y-order of the spanning ones
+        rng = random.Random(8)
+        instances = [horizontal_edges_of(generate("random_rects", 25, None, 40 + s)) for s in range(4)]
+        for _ in range(4):
+            instances.append([
+                hseg(rng.uniform(0, 10) + i * 1e-6, lo, lo + rng.uniform(0.5, 4))
+                for i, lo in enumerate(rng.uniform(0, 8) for _ in range(rng.randint(2, 30)))
+            ])
+        for segs in instances:
+            xs = sorted({v for s in segs for v in (s.lo, s.hi)})
+            first = {}
+            for x0, x1 in zip(xs, xs[1:]):
+                order = [i for _, i in sorted(
+                    (s.fixed, i) for i, s in enumerate(segs) if s.lo <= x0 and x1 <= s.hi
+                )]
+                for i, j in zip(order, order[1:]):
+                    first.setdefault(tuple(sorted((i, j))), (x0 + x1) / 2.0)
+            dela = segment_delaunay(segs)
+            assert dela.witness_x == first
+            for (i, j), x in dela.witness_x.items():
+                y_lo, y_hi = sorted((segs[i].fixed, segs[j].fixed))
+                stabbed = {
+                    k for k, s in enumerate(segs) if s.lo <= x <= s.hi and y_lo <= s.fixed <= y_hi
+                }
+                assert stabbed == {i, j}
 
     def test_svg_is_wellformed_and_complete(self):
         segs = horizontal_edges_of(generate("random_rects", 15, None, 2))

@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("edge_density_sweep.py", ["--sizes", "32", "--seeds", "1"]),
         # the stacked cover needs eps * n >= 2t, which n = 32 misses at eps 0.1
         ("net_size_scaling.py", ["--sizes", "64", "--seeds", "1"]),
         ("prune_overhead_report.py", ["--trials", "2"]),
