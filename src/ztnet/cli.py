@@ -50,7 +50,6 @@ from .zarankiewicz import (
     BoundReport,
     find_ktt_witness,
     num_edges_bound,
-    resolve_budget,
 )
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ def _load_graph(args) -> BipartiteIntersectionGraph:
 
 def _cmd_check_free(args) -> int:
     g = _load_graph(args)
-    witness = find_ktt_witness(g, args.t, resolve_budget(args.budget))
+    witness = find_ktt_witness(g, args.t, args.budget)
     if witness is None:
         print("free")
         return 0
@@ -283,7 +282,7 @@ def _cmd_net(args) -> int:
 def _cmd_bound(args) -> int:
     g = _load_graph(args)
     if not args.assume_free:
-        witness = find_ktt_witness(g, args.t, resolve_budget(args.budget))
+        witness = find_ktt_witness(g, args.t, args.budget)
         if witness is not None:
             print(f"witness: a={list(witness[0])} b={list(witness[1])}", file=sys.stderr)
             return 2
@@ -362,7 +361,7 @@ def _cmd_shrink(args) -> int:
     fam_a, fam_b = parse_instance(args.instance)
     if not (all(isinstance(o, Point) for o in fam_a) and all(isinstance(o, Disc) for o in fam_b)):
         raise PreconditionViolated("shrink expects points in side a and discs in side b")
-    report = counting_inequality_check(fam_a, fam_b, args.t, budget=resolve_budget(args.budget))
+    report = counting_inequality_check(fam_a, fam_b, args.t, budget=args.budget)
     payload = {
         "t": report.t,
         "family_size": report.family_size,
@@ -443,6 +442,18 @@ def _positive_fraction(text: str) -> Fraction:
     return eps
 
 
+def _int_at_least(low: int):
+    """An integer argument type that rejects values below `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid integer value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ztnet", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -461,14 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-free", help="test K_{t,t}-freeness")
     p.add_argument("instance")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--t", type=_int_at_least(1), required=True)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_check_free)
 
     p = sub.add_parser("net", help="build and verify an epsilon-t-net")
     p.add_argument("instance")
     p.add_argument("--eps", type=_positive_fraction, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_at_least(1), required=True)
     p.add_argument("--method", choices=sorted(NET_BUILDERS), default="pseudodisc")
     p.add_argument("--side", choices=("primal", "dual"), default="primal")
     p.add_argument("--seed", type=int, default=0)
@@ -477,14 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="recursive edge-count bound report")
     p.add_argument("instance")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_at_least(1), required=True)
     p.add_argument("--eps", type=_positive_fraction, default=None,
                    help="fixed eps per level (default: degree cutoff rule)")
     p.add_argument("--eps-prime", type=_positive_fraction, default=None,
                    help="fixed eps' per level (default: --eps); needs --eps")
     p.add_argument("--net", choices=sorted(NET_BUILDERS), default="greedy")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.add_argument("--assume-free", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
@@ -498,14 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canon", help="canonical tuple family")
     p.add_argument("instance")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_at_least(1), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("shrink", help="point/disc counting-inequality report")
     p.add_argument("instance")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--t", type=_int_at_least(1), required=True)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_shrink)

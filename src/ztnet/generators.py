@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import ParamOutOfRange
 from .geometry import AxisRect, Disc, Frame, Point
 from .hypergraph import BipartiteIntersectionGraph, bits_of
-from .zarankiewicz import _lex_witness, resolve_budget
+from .zarankiewicz import BicliqueSearch, resolve_budget
 
 GRID_POW = 20
 _G = 1 << GRID_POW  # grid cells per axis; values are doubled and offset by parity
@@ -144,63 +144,42 @@ def prune_to_ktt_free(
 ) -> PruneResult:
     """Delete vertices until no complete t-by-t biclique remains.
 
-    Repeatedly find the first witness in the lexicographic scan order of the
-    smaller side (ties prefer A) and delete its vertex of maximum current
-    degree, tie-breaking toward the B side and then the lowest index.  The
-    heuristic is deterministic.
+    Repeatedly take the witness `find_ktt_witness` would return and delete
+    its vertex of maximum current degree, tie-breaking toward the B side and
+    then the lowest index.  The heuristic is deterministic.
 
-    Deletions only ever destroy bicliques, so the lexicographic scan never
-    needs to revisit positions before the last witness; the scan keeps one
-    resume cursor per side while remaining equivalent to a fresh scan after
-    every deletion.
+    Deletions only ever destroy bicliques, so the search resumes from one
+    cursor per side, at the side's last witness, and stays equivalent to a
+    fresh search after every deletion.  One `BicliqueSearch` serves the
+    whole prune, so `budget` bounds the steps of all its searches together.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
-    budget = resolve_budget(budget)
-    adj_a = list(g.adj_a)
-    adj_b = list(g.adj_b)
-    active_a = list(range(g.m))
-    active_b = list(range(g.n))
+    search = BicliqueSearch(t, resolve_budget(budget), "prune")
+    adj = {"A": list(g.adj_a), "B": list(g.adj_b)}
+    active = {"A": (1 << g.m) - 1, "B": (1 << g.n) - 1}
+    deleted: dict[str, list[int]] = {"A": [], "B": []}
     cursors: dict[str, Optional[tuple]] = {"A": None, "B": None}
-    deleted_a: list[int] = []
-    deleted_b: list[int] = []
-    witnesses = 0
-
-    def delete(side: str, v: int):
-        if side == "A":
-            for j in bits_of(adj_a[v]):
-                adj_b[j] &= ~(1 << v)
-            adj_a[v] = 0
-            active_a.remove(v)
-            deleted_a.append(v)
-        else:
-            for i in bits_of(adj_b[v]):
-                adj_a[i] &= ~(1 << v)
-            adj_b[v] = 0
-            active_b.remove(v)
-            deleted_b.append(v)
-
-    while len(active_a) >= t and len(active_b) >= t:
-        side = "A" if len(active_a) <= len(active_b) else "B"
-        pool, adj = (active_a, adj_a) if side == "A" else (active_b, adj_b)
-        found = _lex_witness(pool, adj, t, budget, cursors[side])
+    other = {"A": "B", "B": "A"}
+    while (left_a := active["A"].bit_count()) >= t and (left_b := active["B"].bit_count()) >= t:
+        side = "A" if left_a <= left_b else "B"
+        found = search.first(active[side], adj[side], adj[other[side]], cursors[side])
         if found is None:
             break
-        combo, partner = found
-        cursors[side] = combo
-        witnesses += 1
-        wit_a, wit_b = (combo, partner) if side == "A" else (partner, combo)
-        candidates = [("A", v, adj_a[v].bit_count()) for v in wit_a]
-        candidates += [("B", v, adj_b[v].bit_count()) for v in wit_b]
-        best = max(candidates, key=lambda sv: (sv[2], sv[0] == "B", -sv[1]))
-        delete(best[0], best[1])
+        cursors[side] = found[0]
+        witness = {side: found[0], other[side]: found[1]}
+        vside, v = max(
+            ((s, u) for s in "AB" for u in witness[s]),
+            key=lambda su: (adj[su[0]][su[1]].bit_count(), su[0] == "B", -su[1]),
+        )
+        for u in bits_of(adj[vside][v]):
+            adj[other[vside]][u] &= ~(1 << v)
+        adj[vside][v] = 0
+        active[vside] &= ~(1 << v)
+        deleted[vside].append(v)
 
-    pruned = g.induced(active_a, active_b)
+    kept_a, kept_b = list(bits_of(active["A"])), list(bits_of(active["B"]))
     return PruneResult(
-        graph=pruned,
-        kept_a=list(active_a),
-        kept_b=list(active_b),
-        deleted_a=deleted_a,
-        deleted_b=deleted_b,
-        witnesses_found=witnesses,
+        g.induced(kept_a, kept_b), kept_a, kept_b, deleted["A"], deleted["B"],
+        len(deleted["A"]) + len(deleted["B"]),  # one deletion per witness
     )

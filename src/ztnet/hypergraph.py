@@ -83,10 +83,14 @@ class BipartiteIntersectionGraph:
 
     @classmethod
     def from_families(cls, fam_a, fam_b) -> "BipartiteIntersectionGraph":
-        """Build the intersection graph: (i, j) is an edge iff the objects meet."""
-        mat = intersection_matrix(fam_a, fam_b)
-        edges = {(int(i), int(j)) for i, j in np.argwhere(mat)}
-        return cls(list(fam_a), list(fam_b), edges)
+        """Build the intersection graph: (i, j) is an edge iff the objects meet.
+        The matrix is built CHUNK_ROWS rows of A at a time, in O(n) memory."""
+        fam_a, fam_b = list(fam_a), list(fam_b)
+        edges: set[tuple[int, int]] = set()
+        for lo in range(0, len(fam_a), CHUNK_ROWS):
+            rows, cols = np.nonzero(intersection_matrix(fam_a[lo : lo + CHUNK_ROWS], fam_b))
+            edges.update(zip((rows + lo).tolist(), cols.tolist()))
+        return cls(fam_a, fam_b, edges)
 
     @cached_property
     def adj_a(self) -> list[int]:
@@ -169,6 +173,7 @@ class VCProfile:
 # ---------------------------------------------------------------------------
 # vectorized intersection matrices (agree bitwise with geometry.intersects)
 
+CHUNK_ROWS = 256  # rows of A per intersection_matrix call in from_families
 _ROUND = {Point, Disc}
 _BOX = {Point, AxisRect, Frame}
 

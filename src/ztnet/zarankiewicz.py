@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional
@@ -58,46 +57,52 @@ def resolve_budget(explicit: Optional[int] = None) -> int:
 # K_{t,t} detection
 
 
-def _combos_at_least(pool, t: int, lower: Optional[tuple]):
-    """t-combinations of sorted `pool` in lexicographic order, starting at the
-    first combination >= `lower` (inclusive).  `lower` may reference values no
-    longer in the pool."""
-    if lower is None:
-        return itertools.combinations(pool, t)
-    if t == 0:
-        return iter([()])
-    i = bisect_left(pool, lower[0])
-    head = ()
-    if i < len(pool) and pool[i] == lower[0] and len(pool) - i >= t:
-        rest_lower = tuple(lower[1:]) if len(lower) > 1 else None
-        head = ((lower[0],) + rest for rest in _combos_at_least(pool[i + 1 :], t - 1, rest_lower))
-        i += 1
-    return itertools.chain(head, itertools.combinations(pool[i:], t))
+class BicliqueSearch:
+    """Lexicographic depth-first search for K_{t,t} witnesses.
 
-
-def _lex_witness(
-    pool, masks: list[int], t: int, budget: int, lower: Optional[tuple] = None
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """First t-combination of sorted `pool`, in lexicographic order from the
-    cursor `lower` on, whose neighbour masks share at least t bits.
-
-    Returns the combination and the first t shared bits as its partner, or
-    None.  Raises BudgetExceeded when the pool has more than `budget`
-    t-subsets.
+    A prefix grows only while its common neighbourhood keeps t vertices, and
+    only by neighbours of that neighbourhood above its last vertex, so every
+    prefix of two or more lies inside some N(b).  Each tested extension is
+    one step, counted over all calls; step budget + 1 raises BudgetExceeded.
     """
-    if math.comb(len(pool), t) > budget:
-        raise BudgetExceeded(
-            f"C({len(pool)}, {t}) subsets exceed the enumeration budget {budget}"
-        )
-    for combo in _combos_at_least(pool, t, lower):
-        common = masks[combo[0]]
-        for v in combo[1:]:
-            common &= masks[v]
-            if not common:
-                break
-        if common.bit_count() >= t:
-            return combo, tuple(itertools.islice(bits_of(common), t))
-    return None
+
+    def __init__(self, t: int, budget: int, stage: str):
+        self.t, self.budget, self.stage, self.steps = t, budget, stage, 0
+
+    def first(self, active: int, masks: list[int], partner: list[int], lower=None):
+        """First t-subset of the bitmask `active`, in lexicographic order from
+        the cursor `lower` on, whose `masks` share at least t bits: the subset
+        and its first t shared bits, or None.  `partner` holds the other
+        side's masks; masks hold active vertices only, `lower` need not."""
+        t = self.t
+
+        def extend(prefix: tuple, common: int, cand: int, tight: bool):
+            k = len(prefix)
+            if tight:  # the prefix is the cursor's, so stay at or above it
+                cand = cand >> lower[k] << lower[k]
+            for v in bits_of(cand):
+                self.steps += 1
+                if self.steps > self.budget:
+                    inside = sum(math.comb(mask.bit_count(), t) for mask in partner)
+                    raise BudgetExceeded(
+                        f"{self.stage} stopped after {self.budget} search steps (budget "
+                        f"{self.budget}); the neighbourhoods hold sum_b C(deg b, {t}) = "
+                        f"{inside} {t}-subsets; raise --budget or {BUDGET_ENV_VAR}"
+                    )
+                shared = common & masks[v]
+                if shared.bit_count() < t:
+                    continue
+                if k + 1 == t:
+                    return prefix + (v,), tuple(itertools.islice(bits_of(shared), t))
+                hop = 0
+                for y in bits_of(shared):
+                    hop |= partner[y]
+                hop = hop >> (v + 1) << (v + 1)
+                if found := extend(prefix + (v,), shared, hop, tight and v == lower[k]):
+                    return found
+            return None
+
+        return extend((), -1, active, lower is not None)
 
 
 def find_ktt_witness(
@@ -105,19 +110,19 @@ def find_ktt_witness(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """First complete t-by-t biclique, or None if the graph is K_{t,t}-free.
 
-    Enumerates t-subsets of the smaller side (ties prefer A) in lexicographic
-    order and intersects neighborhoods; the witness partner is the first t
-    vertices of the common neighborhood.  Raises BudgetExceeded when the
-    enumeration would need more than `budget` subsets.
+    The lexicographically first t-subset of the smaller side (ties prefer A)
+    with t common neighbours, and the first t of those.  `BicliqueSearch`
+    looks only inside the neighbourhoods and raises BudgetExceeded after
+    `budget` search steps.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if min(g.m, g.n) < t:
         return None
-    budget = resolve_budget(budget)
+    search = BicliqueSearch(t, resolve_budget(budget), "witness search")
     if g.m <= g.n:
-        return _lex_witness(range(g.m), g.adj_a, t, budget)
-    found = _lex_witness(range(g.n), g.adj_b, t, budget)
+        return search.first((1 << g.m) - 1, g.adj_a, g.adj_b)
+    found = search.first((1 << g.n) - 1, g.adj_b, g.adj_a)
     return None if found is None else (found[1], found[0])
 
 

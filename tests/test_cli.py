@@ -9,8 +9,9 @@ import pytest
 import ztnet.cli
 from ztnet.cli import emit_instance, main, parse_instance, parse_instance_text
 from ztnet.errors import SchemaError
-from ztnet.generators import generate
+from ztnet.generators import generate, prune_to_ktt_free
 from ztnet.geometry import AxisRect, Disc, Frame, Point
+from ztnet.hypergraph import BipartiteIntersectionGraph
 
 
 class TestInstanceIO:
@@ -162,10 +163,37 @@ class TestCommands:
     def test_missing_file_exit_1(self):
         assert main(["check-free", "/nonexistent/path.json", "--t", "2"]) == 1
 
-    def test_budget_flag_exit_1(self, tmp_path):
+    def test_budget_flag_exit_1(self, tmp_path, capsys):
+        # a K_{2,2}-free instance, so the search runs to its end: 34 tests of
+        # single vertices and 4 of pairs
+        fam_a, fam_b = generate("random_discs", 40, None, 2), generate("random_discs", 40, None, 102)
+        pruned = prune_to_ktt_free(BipartiteIntersectionGraph.from_families(fam_a, fam_b), 2).graph
         inst = tmp_path / "i.json"
-        main(["generate", "--kind", "discs", "--n", "30", "--seed", "2", "--out", str(inst)])
-        assert main(["check-free", str(inst), "--t", "2", "--budget", "3"]) == 1
+        inst.write_text(emit_instance(pruned.side_a, pruned.side_b))
+        capsys.readouterr()
+        for budget in ("0", "3", "37"):
+            assert main(["check-free", str(inst), "--t", "2", "--budget", budget]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: witness search stopped after {budget} search steps "
+                                  f"(budget {budget}); the neighbourhoods hold sum_b C(deg b, 2) = ")
+        assert main(["check-free", str(inst), "--t", "2", "--budget", "38"]) == 0
+        assert capsys.readouterr().out == "free\n"
+
+    def test_t_and_budget_out_of_range_exit_1(self, tmp_path, capsys):
+        inst = tmp_path / "r.json"
+        main(["generate", "--kind", "rects", "--n", "10", "--seed", "1", "--out", str(inst)])
+        for cmd in (["check-free"], ["net", "--eps", "0.25"], ["bound"], ["canon"], ["shrink"]):
+            for t in ("0", "-2", "two"):
+                with pytest.raises(SystemExit) as exc:
+                    main(cmd + [str(inst), "--t", t])
+                assert exc.value.code == 1, (cmd, t)
+                assert "error: argument --t: " in capsys.readouterr().err, (cmd, t)
+        for cmd in ("check-free", "bound", "shrink"):
+            for budget in ("-1", "1.5"):
+                with pytest.raises(SystemExit) as exc:
+                    main([cmd, str(inst), "--t", "2", "--budget", budget])
+                assert exc.value.code == 1, (cmd, budget)
+                assert "error: argument --budget: " in capsys.readouterr().err, (cmd, budget)
 
     def test_net_dual_side(self, tmp_path):
         inst = tmp_path / "i.json"

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ztnet.errors import ParamOutOfRange
+from ztnet.errors import BudgetExceeded, ParamOutOfRange
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import AxisRect, Disc, Frame, Point, check_general_position
 from ztnet.hypergraph import BipartiteIntersectionGraph
-from ztnet.zarankiewicz import _combos_at_least, find_ktt_witness
+from ztnet.suite import scaled_disc_instance
+from ztnet.zarankiewicz import find_ktt_witness
+
+from ktt_oracle import _combos_at_least
 
 
 class TestGenerate:
@@ -169,6 +172,27 @@ class TestPrune:
         res = prune_to_ktt_free(g, 2)
         assert [fam_a[i] for i in res.kept_a] == res.graph.side_a
         assert [fam_b[j] for j in res.kept_b] == res.graph.side_b
+
+    def test_budget_counts_every_search_of_the_prune(self):
+        # ten disjoint K_{2,2}: each witness search fits in 10 steps, the
+        # prune's 30 together do not
+        g = bip(20, 20, {(2 * c + i, 2 * c + j) for c in range(10) for i in (0, 1) for j in (0, 1)})
+        assert find_ktt_witness(g, 2, budget=10) == ((0, 1), (0, 1))
+        with pytest.raises(BudgetExceeded) as exc:
+            prune_to_ktt_free(g, 2, budget=10)
+        assert str(exc.value).startswith("prune stopped after 10 search steps (budget 10); ")
+        res = prune_to_ktt_free(g, 2, budget=30)
+        assert res.deleted_b == list(range(0, 20, 2)) and res.witnesses_found == 10
+        with pytest.raises(BudgetExceeded, match="after 29 search steps"):
+            prune_to_ktt_free(g, 2, budget=29)
+
+    def test_t3_prune_at_n512_under_default_budget(self):
+        # C(512, 3) = 22,238,720 subsets used to exceed the 2^22 default; the
+        # search looks only inside the neighbourhoods
+        g = BipartiteIntersectionGraph.from_families(*scaled_disc_instance(512, 1))
+        res = prune_to_ktt_free(g, 3)
+        assert res.witnesses_found > 0
+        assert find_ktt_witness(res.graph, 3) is None
 
     def test_t_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from ztnet.geometry import (
     point_in_disc,
 )
 from ztnet.hypergraph import (
+    CHUNK_ROWS,
     BipartiteIntersectionGraph,
     Graph,
     Hypergraph,
@@ -233,6 +235,49 @@ class TestIntersectionMatrix:
         assert mat.tolist() == expected
         assert intersection_matrix(discs, pts).T.tolist() == expected
         assert mat.any() and not mat.all()
+
+    @pytest.mark.parametrize("m", [0, 1, 255, 256, 257, 513])
+    def test_chunked_build_matches_one_shot_matrix(self, m):
+        # from_families calls the kernels on CHUNK_ROWS rows of A at a time;
+        # its edges must be the one-shot dense matrix's, for both kernels.
+        # Rows either side of each chunk boundary touch b[0]: discs at
+        # distance (ra + rb) * (1 + REL_TOL) from it and one ulp beyond, and
+        # frames, rects and points on its edge.
+        rng = random.Random(m)
+
+        def unit_span():
+            return sorted((rng.random(), rng.random()))
+
+        touching = {0, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS} & set(range(m))
+        discs_b = [Disc(Point(0.0, 0.0), 0.05)]
+        discs_b += [Disc(Point(rng.random(), rng.random()), rng.uniform(0.01, 0.05)) for _ in range(29)]
+        discs_a = []
+        for i in range(m):
+            r = rng.uniform(0.01, 0.05)
+            reach = (r + 0.05) * (1.0 + REL_TOL)
+            centre = (
+                Point(reach if i % 2 == 0 else math.nextafter(reach, math.inf), 0.0)
+                if i in touching
+                else Point(rng.random(), rng.random())
+            )
+            discs_a.append(Disc(centre, r))
+        boxes_b = [AxisRect(0.25, 0.5, 0.25, 0.5)]
+        boxes_b += [AxisRect(*unit_span(), *unit_span()) for _ in range(29)]
+        boxes_a = [
+            ((Frame, AxisRect)[i % 2](0.5, 0.75, 0.3, 0.4) if i % 3 else Point(0.5, 0.5))
+            if i in touching
+            else (Frame, AxisRect)[i % 2](*unit_span(), *unit_span())
+            for i in range(m)
+        ]
+        # tangency at exactly (ra + rb) * (1 + REL_TOL) is an edge, one ulp
+        # beyond is not, and every touching box is an edge
+        tangent = {i for i in touching if i % 2 == 0}
+        for fa, fb, meet_b0 in ((discs_a, discs_b, tangent), (boxes_a, boxes_b, touching)):
+            dense = intersection_matrix(fa, fb)
+            edges = BipartiteIntersectionGraph.from_families(fa, fb).edges
+            assert edges == {(int(i), int(j)) for i, j in np.argwhere(dense)}
+            assert {i for i in touching if (i, 0) in edges} == meet_b0
+            assert all(((i, 0) in edges) == intersects(fa[i], fb[0]) for i in touching)
 
     def test_from_families_edges(self):
         fam_a = generate("random_discs", 10, None, 1)

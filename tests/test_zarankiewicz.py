@@ -1,15 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztnet.errors import BudgetExceeded, InvalidNet
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
-from ztnet.hypergraph import BipartiteIntersectionGraph, primal_hypergraph
+from ztnet.hypergraph import BipartiteIntersectionGraph, mask_of, primal_hypergraph
 from ztnet.nets import TNet, pseudodisc_t_net
 from ztnet.suite import naive_ktt_free
 from ztnet.zarankiewicz import (
     NET_BUILDERS,
+    BicliqueSearch,
     BoundReport,
     degree_cutoff_rule,
     find_ktt_witness,
@@ -17,6 +21,8 @@ from ztnet.zarankiewicz import (
     heavy_light_partition,
     num_edges_bound,
 )
+
+from ktt_oracle import _lex_witness
 
 
 def bip(m, n, edges):
@@ -56,22 +62,61 @@ class TestWitnessSearch:
                 assert (find_ktt_witness(g, t) is None) == naive_ktt_free(g, t)
 
     def test_budget(self):
-        g = bip(30, 30, set())
-        with pytest.raises(BudgetExceeded):
-            find_ktt_witness(g, 3, budget=10)
+        # K_{3,3}-free, so the search runs to the end: 28 tests of single
+        # vertices, 21 of longer prefixes inside the neighbourhoods
+        g = prune_to_ktt_free(disc_graph(30, 0), 3).graph
+        assert (g.m, g.n) == (28, 29)
+        inside = sum(math.comb(d, 3) for d in g.degrees_b())
+        assert find_ktt_witness(g, 3, budget=49) is None
+        with pytest.raises(BudgetExceeded) as exc:
+            find_ktt_witness(g, 3, budget=48)
+        assert str(exc.value) == (
+            "witness search stopped after 48 search steps (budget 48); the neighbourhoods "
+            f"hold sum_b C(deg b, 3) = {inside} 3-subsets; raise --budget or ZTNET_BUDGET"
+        )
+        # one step per tested extension: K_{2,2} takes two, none are skipped
+        k22 = bip(2, 2, {(0, 0), (0, 1), (1, 0), (1, 1)})
+        assert find_ktt_witness(k22, 2, budget=2) == ((0, 1), (0, 1))
+        with pytest.raises(BudgetExceeded, match="after 1 search steps"):
+            find_ktt_witness(k22, 2, budget=1)
 
     def test_budget_env_override(self, monkeypatch):
         from ztnet.zarankiewicz import resolve_budget
 
+        g = prune_to_ktt_free(disc_graph(30, 0), 3).graph  # 49 steps, as above
         monkeypatch.setenv("ZTNET_BUDGET", "17")
         assert resolve_budget() == 17
         assert resolve_budget(99) == 99  # explicit beats the environment
-        g = bip(30, 30, set())
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=r"after 17 search steps \(budget 17\)"):
             find_ktt_witness(g, 3)
+        monkeypatch.setenv("ZTNET_BUDGET", "49")
+        assert find_ktt_witness(g, 3) is None
         monkeypatch.setenv("ZTNET_BUDGET", "abc")
         with pytest.raises(ValueError, match="ZTNET_BUDGET.*'abc'"):
             resolve_budget()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_search_matches_lex_oracle(self, t, data):
+        # random active pools on both sides, with the deleted vertices cleared
+        # from every mask as the pruner leaves them, and cursors that may name
+        # deleted vertices
+        m, n = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+        pairs = [(i, j) for i in range(m) for j in range(n)]
+        drawn = data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+        edges = {pair for pair, keep in zip(pairs, drawn) if keep}
+        live_a = data.draw(st.sets(st.integers(0, m - 1)))
+        live_b = data.draw(st.sets(st.integers(0, n - 1)))
+        masks = [mask_of(j for i2, j in edges if i2 == i and j in live_b) if i in live_a else 0
+                 for i in range(m)]
+        partner = [mask_of(i for i, j2 in edges if j2 == j and i in live_a) if j in live_b else 0
+                   for j in range(n)]
+        lower = None
+        if m >= t and data.draw(st.booleans()):
+            lower = tuple(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=t, max_size=t))))
+        search = BicliqueSearch(t, 2**30, "witness search")
+        got = search.first(mask_of(live_a), masks, partner, lower)
+        assert got == _lex_witness(sorted(live_a), masks, t, lower)
 
     def test_small_sides(self):
         assert find_ktt_witness(bip(1, 5, {(0, j) for j in range(5)}), 2) is None
