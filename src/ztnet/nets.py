@@ -10,8 +10,8 @@ exactly 1/10 and a hyperedge of size 20 is heavy at eps=0.1, n=200.  All
 heavy/light cutoffs across the package go through `heavy_threshold`.
 
 Hyperedges are int bitmasks here: every verifier and constructor reads the
-one heavy view `_heavy_masks`, and the greedy and exhaustive nets share the
-one candidate table `_candidate_cover`.
+one heavy view `_heavy_masks`.  The greedy net walks per-vertex column masks;
+only the exhaustive minimum lists every candidate t-subset up front.
 """
 
 from __future__ import annotations
@@ -48,10 +48,18 @@ def heavy_threshold(eps: EpsilonLike, vertex_count: int) -> int:
     return max(1, math.ceil(e * vertex_count))
 
 
-def _heavy_masks(h: Hypergraph, eps: EpsilonLike) -> list[int]:
-    """Masks of the distinct hyperedges of size >= eps * n, first occurrence first."""
+def _heavy_masks(h: Hypergraph, eps: EpsilonLike, t: int = 1) -> list[int]:
+    """Masks of the distinct hyperedges of size >= eps * n, first occurrence
+    first.  Raises InfeasibleNet if one of them has fewer than t vertices."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
     thr = heavy_threshold(eps, h.vertex_count)
-    return list(dict.fromkeys(em for em in h.edge_masks if em.bit_count() >= thr))
+    heavy = list(dict.fromkeys(em for em in h.edge_masks if em.bit_count() >= thr))
+    for em in heavy:
+        if em.bit_count() < t:
+            raise InfeasibleNet(f"heavy hyperedge {list(bits_of(em))} has fewer than "
+                                f"t={t} vertices; no valid net exists")
+    return heavy
 
 
 def heavy_dedup_edges(h: Hypergraph, eps: EpsilonLike) -> list[frozenset[int]]:
@@ -210,19 +218,15 @@ def pseudodisc_t_net(
     source_masks = _heavy_masks(h, e)
     net_tuples: set[frozenset[int]] = set()
     while remaining:
-        size_t_traces = set()
-        for em in source_masks:
-            tm = em & remaining_mask
-            if tm and tm.bit_count() == t:
-                size_t_traces.add(tm)
+        traces = (em & remaining_mask for em in source_masks)
+        size_t_traces = {tm for tm in traces if tm.bit_count() == t}
         counts = {v: 0 for v in remaining}
         for tm in size_t_traces:
             for v in bits_of(tm):
                 counts[v] += 1
         chosen = min(remaining, key=lambda v: (counts[v], v))
         added = [tm for tm in size_t_traces if (tm >> chosen) & 1]
-        for tm in added:
-            net_tuples.add(frozenset(bits_of(tm)))
+        net_tuples.update(frozenset(bits_of(tm)) for tm in added)
         trace.removal_order.append(chosen)
         trace.per_step_tuple_counts.append(len(added))
         remaining.remove(chosen)
@@ -235,45 +239,45 @@ def pseudodisc_t_net(
 # greedy cover and the exhaustive minimum oracle
 
 
-def _candidate_cover(heavy: list[int], t: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Distinct t-subsets of the heavy hyperedges in lexicographic order, and
-    for each one the mask of the heavy[j] that contain it."""
-    cover: dict[tuple[int, ...], int] = {}
-    for j, em in enumerate(heavy):
-        if em.bit_count() < t:
-            raise InfeasibleNet(
-                f"heavy hyperedge {list(bits_of(em))} has fewer than t={t} vertices; "
-                "no valid net exists"
-            )
-        for c in itertools.combinations(bits_of(em), t):
-            cover[c] = cover.get(c, 0) | (1 << j)
-    cands = sorted(cover)
-    return cands, [cover[c] for c in cands]
-
-
 def greedy_cover_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
-    """Greedy set cover over candidate t-subsets of the heavy hyperedges.
+    """Greedy set cover over the t-subsets of the heavy hyperedges.
 
-    While some heavy hyperedge is uncovered, add the candidate contained in
-    the most uncovered heavy hyperedges (tie-break: lexicographically
-    smallest).  A candidate covers an edge iff it is a subset of it.
+    While some heavy hyperedge is uncovered, add the t-subset contained in the
+    most uncovered heavy hyperedges (tie-break: lexicographically smallest).
+    Each pick walks t-tuples of the vertices on uncovered edges depth-first in
+    lexicographic order, ANDing column masks (col[v]: heavy edges holding v).
+    It cuts prefixes counting <= the best so far (counts only fall as vertices
+    join; later tuples lose ties) and stops once it meets the previous pick's
+    count, since no pick can cover more edges than the pick before it.
     """
     e = as_fraction(eps)
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    heavy = _heavy_masks(h, e)
-    if not heavy:
-        return TNet(t=t, tuples=frozenset(), epsilon=e)
-    cands, cover = _candidate_cover(heavy, t)
-    uncovered = (1 << len(heavy)) - 1
-    chosen: list[tuple[int, ...]] = []
+    heavy = _heavy_masks(h, e, t)
+    col: dict[int, int] = {}
+    for j, em in enumerate(heavy):
+        for v in bits_of(em):
+            col[v] = col.get(v, 0) | (1 << j)
+
+    def walk(prefix: tuple[int, ...], mask: int, start: int) -> None:
+        nonlocal best, pick, pick_mask
+        for i in range(start, len(verts) - t + len(prefix) + 1):
+            m = mask & col[verts[i]]
+            if m.bit_count() > best:
+                if len(prefix) + 1 < t:
+                    walk(prefix + (verts[i],), m, i + 1)
+                else:
+                    best, pick, pick_mask = m.bit_count(), prefix + (verts[i],), m
+            if best == limit:
+                return
+
+    uncovered, limit, chosen, verts = (1 << len(heavy)) - 1, len(heavy), [], sorted(col)
     while uncovered:
-        # max keeps the first maximum: ties go to the smallest candidate
-        best = max(range(len(cands)), key=lambda k: (cover[k] & uncovered).bit_count())
-        if not cover[best] & uncovered:  # cannot happen: every uncovered edge has candidates
+        verts = [v for v in verts if col[v] & uncovered]
+        best, pick, pick_mask = 0, (), 0
+        walk((), uncovered, 0)
+        if not best:  # cannot happen: every uncovered edge holds a t-tuple
             raise AssertionError("greedy cover stalled")
-        chosen.append(cands[best])
-        uncovered &= ~cover[best]
+        chosen.append(pick)
+        uncovered, limit = uncovered & ~pick_mask, best
     return TNet(t=t, tuples=frozenset(frozenset(c) for c in chosen), epsilon=e)
 
 
@@ -287,28 +291,24 @@ def min_t_net_bruteforce(
     combinations would have to be examined.
     """
     e = as_fraction(eps)
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    heavy = _heavy_masks(h, e)
+    heavy = _heavy_masks(h, e, t)
     if not heavy:
         return TNet(t=t, tuples=frozenset(), epsilon=e)
-    cands, cover_masks = _candidate_cover(heavy, t)
+    cover: dict[tuple[int, ...], int] = {}  # candidate -> mask of the heavy[j] holding it
+    for j, em in enumerate(heavy):
+        for c in itertools.combinations(bits_of(em), t):
+            cover[c] = cover.get(c, 0) | (1 << j)
+    cands = sorted(cover)
     full = (1 << len(heavy)) - 1
     examined = 0
     for k in range(1, len(cands) + 1):
-        for combo in itertools.combinations(range(len(cands)), k):
+        for combo in itertools.combinations(cands, k):
             examined += 1
             if examined > budget:
-                raise BudgetExceeded(
-                    f"exhausted search budget {budget} at net size {k}"
-                )
+                raise BudgetExceeded(f"exhausted search budget {budget} at net size {k}")
             acc = 0
-            for ci in combo:
-                acc |= cover_masks[ci]
+            for c in combo:
+                acc |= cover[c]
             if acc == full:
-                return TNet(
-                    t=t,
-                    tuples=frozenset(frozenset(cands[ci]) for ci in combo),
-                    epsilon=e,
-                )
+                return TNet(t=t, tuples=frozenset(frozenset(c) for c in combo), epsilon=e)
     raise AssertionError("unreachable: the full candidate set is always a cover")

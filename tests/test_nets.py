@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ztnet import suite
 from ztnet.errors import BudgetExceeded, InfeasibleNet, PreconditionViolated
 from ztnet.generators import GenParams, generate
 from ztnet.hypergraph import BipartiteIntersectionGraph, Hypergraph, primal_hypergraph
@@ -23,6 +25,8 @@ from ztnet.nets import (
     verify_epsilon_net,
     verify_t_net,
 )
+
+from net_oracle import table_greedy_t_net
 
 
 def fs(*xs):
@@ -43,6 +47,23 @@ def hypergraphs(draw):
         frozenset(draw(st.sets(st.integers(0, n - 1), max_size=n))) for _ in range(n_edges)
     ]
     return Hypergraph(n, edges)
+
+
+@st.composite
+def net_inputs(draw):
+    """A hypergraph on k named vertices spread over up to 130 indices (masks
+    past bit 64), duplicate hyperedges, and eps = q * k / n for q in 1/8..8/8,
+    so the heavy cutoff is ceil(q * k) whatever the spread."""
+    k = draw(st.integers(2, 10))
+    n = draw(st.sampled_from([k, 70, 130]))
+    names = sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
+    edges = [
+        frozenset(names[i] for i in draw(st.sets(st.integers(0, k - 1))))
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    edges = draw(st.permutations(edges))
+    return Hypergraph(n, edges), Fraction(draw(st.integers(1, 8)), 8) * Fraction(k, n)
 
 
 class TestFractions:
@@ -264,6 +285,62 @@ class TestGreedy:
             chosen.add(frozenset(best))
             uncovered = [e for e in uncovered if not set(best) <= e]
         assert greedy_cover_t_net(h, eps, t).tuples == frozenset(chosen)
+
+    @settings(max_examples=400, deadline=None)
+    @given(net_inputs(), st.integers(1, 3))
+    def test_matches_table_greedy(self, inputs, t):
+        h, eps = inputs
+        try:
+            expected = table_greedy_t_net(h, eps, t)
+        except InfeasibleNet as err:
+            with pytest.raises(InfeasibleNet) as got:
+                greedy_cover_t_net(h, eps, t)
+            assert str(got.value) == str(err)
+            return
+        assert greedy_cover_t_net(h, eps, t) == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_table_greedy_on_suite_discs(self, seed):
+        # the suite's net-check discs: hundreds of heavy edges, big-int column masks
+        h = primal_hypergraph(
+            BipartiteIntersectionGraph.from_families(*suite.disc_instance(150, seed, 0.05, 0.12))
+        )
+        eps = Fraction(1, 10)
+        assert greedy_cover_t_net(h, eps, 3) == table_greedy_t_net(h, eps, 3)
+
+    def test_valid_at_n1200(self):
+        # 262 heavy edges holding 1.2e8 t=3 subsets (with repeats): past the candidate table
+        h = primal_hypergraph(
+            BipartiteIntersectionGraph.from_families(*suite.disc_instance(1200, 5, 0.05, 0.12))
+        )
+        net = greedy_cover_t_net(h, Fraction(1, 10), 3)
+        assert net.size() > 0
+        assert verify_t_net(h, Fraction(1, 10), net) is None
+
+    def test_later_picks_stop_at_previous_count(self):
+        # rows and columns of a k x k grid: two lines share at most one point,
+        # so every t=3 pick covers exactly one line.  The first pick walks
+        # about k^4 / 2 prefixes; each later one ends at its first full tuple.
+        # Walking on to the end at every pick takes over 4 k^4 popcounts.
+        k = 16
+        lines = [frozenset(r * k + c for c in range(k)) for r in range(k)]
+        lines += [frozenset(r * k + c for r in range(k)) for c in range(k)]
+        h = Hypergraph(k * k, lines)
+        popcounts = 0
+
+        def count(frame, event, arg):
+            nonlocal popcounts
+            if event == "c_call" and getattr(arg, "__name__", "") == "bit_count":
+                popcounts += 1
+
+        sys.setprofile(count)
+        try:
+            net = greedy_cover_t_net(h, Fraction(1, k), 3)
+        finally:
+            sys.setprofile(None)
+        assert net.size() == 2 * k
+        assert verify_t_net(h, Fraction(1, k), net) is None
+        assert popcounts <= k**4, popcounts
 
 
 class TestSizeScaling:

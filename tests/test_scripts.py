@@ -30,6 +30,33 @@ def test_net_size_scaling_rejects_small_size(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--t", "0"], "argument --t: must be >= 1, got '0'"),
+        (["--seeds", "0"], "argument --seeds: must be >= 1, got '0'"),
+        (["--eps", "2"], "argument --eps: must be <= 1, got '2'"),
+        (["--eps", "0"], "argument --eps: must be > 0, got '0'"),
+        (["--eps", "1/0"], "argument --eps: not a fraction: '1/0'"),
+        (["--sizes", "64,0"], "argument --sizes: must be >= 1, got '0'"),
+    ],
+    ids=["t-0", "seeds-0", "eps-2", "eps-0", "eps-1/0", "sizes-0"],
+)
+def test_net_size_scaling_rejects_invalid_arguments(args, message, tmp_path):
+    proc = _run("net_size_scaling.py", args, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"net_size_scaling.py: error: {message}"
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_net_size_scaling_prints_no_wall_time(tmp_path):
+    # the report is a function of the arguments alone
+    proc = _run("net_size_scaling.py", ["--sizes", "64", "--seeds", "1", "--t", "3"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split() == ["n", "structural", "greedy", "cover"]
+
+
 def _run(script, args, cwd):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
