@@ -7,6 +7,8 @@ what the heuristic actually deleted.  Reported, not asserted: the heuristic
 trades optimality for speed.
 
 Usage: python scripts/prune_overhead_report.py [--trials 60] [--t 2]
+
+--trials is an integer >= 1 and --t an integer >= 2 (the pruner's range).
 """
 
 import argparse
@@ -14,6 +16,7 @@ import itertools
 import random
 import sys
 
+from ztnet.cli import _int_at_least
 from ztnet.generators import prune_to_ktt_free
 from ztnet.hypergraph import BipartiteIntersectionGraph
 from ztnet.suite import naive_ktt_free
@@ -35,9 +38,10 @@ def min_deletions(g: BipartiteIntersectionGraph, t: int) -> int:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=60)
-    ap.add_argument("--t", type=int, default=2)
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--trials", type=_int_at_least(1), default=60)
+    ap.add_argument("--t", type=_int_at_least(2), default=2)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
     rng = random.Random(args.seed)

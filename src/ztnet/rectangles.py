@@ -7,14 +7,17 @@ meets exactly those k among all the segments.  Stab sets are constant on the
 open intervals between consecutive endpoint abscissae, and within one
 interval the realizable exact stab sets are precisely the runs of consecutive
 segments in the y-order of the active set, so a sweep over the interval
-decomposition enumerates the family exactly.
+decomposition enumerates the family exactly.  The sweep yields each run at
+least once, at the first interval where it is consecutive, by looking only
+at the windows around the segments each abscissa inserts or deletes: that
+costs O((n + |F|)·k) rather than O(n·|active|).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -128,13 +131,20 @@ def crossing_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
 
 
 def _interval_runs(hsegs, k: int):
-    """Yield (run, witness_x) for every length-k consecutive run of the y-sorted
-    active set on each open interval between consecutive endpoint abscissae."""
+    """Yield (run, witness_x) for the length-k consecutive runs of the y-sorted
+    active set on the open intervals between consecutive endpoint abscissae.
+
+    After an abscissa's deletions and insertions, only the windows that hold a
+    touched key are yielded: an inserted segment, or the still-active upper
+    neighbour of a deleted one.  A run that is new on an interval holds an
+    inserted key or spans the gap a deletion left, so every run is yielded at
+    least once, at the first interval where it is consecutive, in the full
+    sweep's order; some are yielded again later.  At most 2·k·n runs come out
+    (one key per deletion and one per insertion, k windows each), so the
+    sweep costs O((n + |F|)·k) beyond the bisects and list shifts of the
+    active list."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(hsegs)
-    if n == 0:
-        return
     starts: dict[float, list[int]] = {}
     ends: dict[float, list[int]] = {}
     for i, s in enumerate(hsegs):
@@ -144,12 +154,23 @@ def _interval_runs(hsegs, k: int):
     active: list[tuple[float, int]] = []  # (y, index), kept sorted by y
     for xi in range(len(abscissae) - 1):
         x = abscissae[xi]
+        touched = []
         for i in ends.get(x, ()):
-            active.remove((hsegs[i].fixed, i))
+            p = bisect_left(active, (hsegs[i].fixed, i))
+            del active[p]
+            touched.extend(active[p : p + 1])
         for i in starts.get(x, ()):
-            insort(active, (hsegs[i].fixed, i))
+            key = (hsegs[i].fixed, i)
+            insort(active, key)
+            touched.append(key)
+        last = len(active) - k
+        los = set()
+        for key in touched:
+            p = bisect_left(active, key)
+            if p < len(active) and active[p] == key:
+                los.update(range(max(p - k + 1, 0), min(p, last) + 1))
         witness = (x + abscissae[xi + 1]) / 2.0
-        for lo in range(len(active) - k + 1):
+        for lo in sorted(los):
             yield tuple(idx for _, idx in active[lo : lo + k]), witness
 
 

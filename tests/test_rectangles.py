@@ -3,6 +3,9 @@ import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from segment_oracle import _interval_runs as full_sweep_runs
 
 from ztnet.errors import DegenerateInput, PreconditionViolated
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
@@ -32,6 +35,7 @@ from ztnet.rectangles import (
     segment_delaunay,
     vertical_edges_of,
 )
+from ztnet.suite import segment_instance
 from ztnet.zarankiewicz import find_ktt_witness
 
 
@@ -169,6 +173,27 @@ def naive_canonical(hsegs, k):
     return out
 
 
+@st.composite
+def segment_families(draw):
+    """Horizontal segments on a small grid: abscissae and ordinates repeat, and
+    some segments come in pairs with one lo and hi, as a rectangle's bottom and
+    top edges do (dy = 0 gives equal y, where the index breaks the tie)."""
+    segs = []
+    shapes = st.tuples(st.integers(0, 6), st.integers(1, 4), st.integers(0, 5), st.integers(0, 3))
+    for lo, width, y, dy in draw(st.lists(shapes, max_size=10)):
+        segs.append(hseg(float(y), lo, lo + width))
+        if draw(st.booleans()):
+            segs.append(hseg(float(y + dy), lo, lo + width))
+    return segs
+
+
+def first_witnesses(runs):
+    first = {}
+    for run, x in runs:
+        first.setdefault(run, x)
+    return list(first.items())
+
+
 class TestCanonicalTuples:
     def test_three_stacked(self):
         segs = [hseg(0, 0, 10), hseg(1, 0, 10), hseg(2, 0, 10)]
@@ -199,6 +224,29 @@ class TestCanonicalTuples:
             positions = sorted(order.index(i) for i in tup)
             assert positions[-1] - positions[0] == len(tup) - 1
             assert set(tup) <= set(order)
+
+    @settings(max_examples=400, deadline=None)
+    @given(segs=segment_families(), k=st.integers(1, 4))
+    @example(segs=[], k=1)
+    @example(segs=[hseg(0.0, 0, 2), hseg(1.0, 0, 2)], k=3)
+    def test_matches_full_sweep(self, segs, k):
+        # same runs, and each run first yielded at the same interval and in
+        # the same order as the full sweep, so segment_delaunay's setdefault
+        # keeps the same witnesses in the same insertion order
+        runs = list(_interval_runs(segs, k))
+        oracle = list(full_sweep_runs(segs, k))
+        assert {run for run, _ in runs} == {run for run, _ in oracle}
+        assert first_witnesses(runs) == first_witnesses(oracle)
+        assert len(runs) <= 2 * k * len(segs)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_run_count_is_linear(self, seed):
+        # one touched key per deletion and one per insertion, with k windows
+        # each; the full sweep yields every window of every interval,
+        # O(n * |active|)
+        segs = segment_instance(3200, seed)
+        k = 3
+        assert sum(1 for _ in _interval_runs(segs, k)) <= 2 * k * len(segs)
 
 
 class TestSegmentDelaunay:

@@ -50,6 +50,23 @@ def test_net_size_scaling_rejects_invalid_arguments(args, message, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--trials", "0"], "argument --trials: must be >= 1, got '0'"),
+        (["--t", "1"], "argument --t: must be >= 2, got '1'"),
+        (["--t", "0"], "argument --t: must be >= 2, got '0'"),
+    ],
+    ids=["trials-0", "t-1", "t-0"],
+)
+def test_prune_overhead_report_rejects_invalid_arguments(args, message, tmp_path):
+    proc = _run("prune_overhead_report.py", args, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"prune_overhead_report.py: error: {message}"
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_net_size_scaling_prints_no_wall_time(tmp_path):
     # the report is a function of the arguments alone
     proc = _run("net_size_scaling.py", ["--sizes", "64", "--seeds", "1", "--t", "3"], tmp_path)
