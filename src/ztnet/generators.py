@@ -45,8 +45,8 @@ class GenParams:
     parity: int = 0
 
     def __post_init__(self):
-        if not 0 < self.radius_lo <= self.radius_hi:
-            raise ParamOutOfRange("need 0 < radius_lo <= radius_hi")
+        if not 0 < self.radius_lo <= self.radius_hi < math.inf:
+            raise ParamOutOfRange("need 0 < radius_lo <= radius_hi < inf")
         if not 0 < self.extent_lo <= self.extent_hi <= 1:
             raise ParamOutOfRange("need 0 < extent_lo <= extent_hi <= 1")
         if self.parity not in (0, 1):

@@ -30,8 +30,8 @@ class Disc:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"disc radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"disc radius must be positive and finite, got {self.radius}")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ Vertex subsets are manipulated as int bitmasks internally; the public data
 model stays frozensets.
 
 `BipartiteIntersectionGraph.from_families` is the one way two families become
-a graph; `intersection_matrix` behind it has a round and a box kernel, both
-bitwise equal to `geometry.intersects`.
+a graph.  Behind it a uniform-grid round kernel and a chunked box kernel are
+both bitwise equal to `geometry.intersects`.
 """
 
 from __future__ import annotations
@@ -84,12 +84,12 @@ class BipartiteIntersectionGraph:
     @classmethod
     def from_families(cls, fam_a, fam_b) -> "BipartiteIntersectionGraph":
         """Build the intersection graph: (i, j) is an edge iff the objects meet.
-        The matrix is built CHUNK_ROWS rows of A at a time, in O(n) memory."""
+        Edges are inserted in row-major order, block by block of A."""
         fam_a, fam_b = list(fam_a), list(fam_b)
         edges: set[tuple[int, int]] = set()
-        for lo in range(0, len(fam_a), CHUNK_ROWS):
-            rows, cols = np.nonzero(intersection_matrix(fam_a[lo : lo + CHUNK_ROWS], fam_b))
-            edges.update(zip((rows + lo).tolist(), cols.tolist()))
+        index = np.arange(max(len(fam_a), len(fam_b))).astype(object)  # one int per index, shared by the edge tuples
+        for rows, cols in _edge_blocks(fam_a, fam_b):
+            edges.update(zip(index[rows].tolist(), index[cols].tolist()))
         return cls(fam_a, fam_b, edges)
 
     @cached_property
@@ -171,28 +171,38 @@ class VCProfile:
 
 
 # ---------------------------------------------------------------------------
-# vectorized intersection matrices (agree bitwise with geometry.intersects)
+# intersection kernels (agree bitwise with geometry.intersects)
 
 CHUNK_ROWS = 256  # rows of A per intersection_matrix call in from_families
-_ROUND = {Point, Disc}
+GRID_PAIRS = 1 << 17  # candidate pairs per block of A in the round grid
+_GRID_CELLS = 1 << 20  # cells per axis at most, so cell keys fit in int64
 _BOX = {Point, AxisRect, Frame}
+
+
+def _edge_blocks(fam_a, fam_b):
+    """Yield the edges as (rows, cols) arrays, row-major: the round grid for one
+    side of discs against points or discs, else CHUNK_ROWS rows of A at a time."""
+    if not fam_a or not fam_b:
+        return
+    kinds_a, kinds_b = ({type(o) for o in fam} for fam in (fam_a, fam_b))
+    if (kinds_a == {Disc} and kinds_b <= {Point, Disc}) or (kinds_b == {Disc} and kinds_a <= {Point, Disc}):
+        yield from _round_grid(fam_a, fam_b)
+        return
+    for lo in range(0, len(fam_a), CHUNK_ROWS):
+        rows, cols = np.nonzero(intersection_matrix(fam_a[lo : lo + CHUNK_ROWS], fam_b))
+        yield rows + lo, cols
 
 
 def intersection_matrix(fam_a, fam_b) -> np.ndarray:
     """Boolean matrix M[i, j] = intersects(fam_a[i], fam_b[j]).
 
-    The round kernel takes one side of discs against points or discs (a point
-    is a disc of radius 0); the box kernel takes points, rects and frames, or
-    segments, as closed, possibly degenerate boxes.  Other mixes fall back to
-    the scalar predicate.
+    The box kernel takes points, rects and frames, or segments, as closed,
+    possibly degenerate boxes; other mixes fall back to the scalar predicate.
     """
     if len(fam_a) == 0 or len(fam_b) == 0:
         return np.zeros((len(fam_a), len(fam_b)), dtype=bool)
-    kinds_a = {type(o) for o in fam_a}
-    kinds_b = {type(o) for o in fam_b}
-    if (kinds_a == {Disc} and kinds_b <= _ROUND) or (kinds_b == {Disc} and kinds_a <= _ROUND):
-        return _round_matrix(fam_a, fam_b)
-    if kinds_a | kinds_b <= _BOX or kinds_a | kinds_b == {Segment}:
+    kinds = {type(o) for o in fam_a} | {type(o) for o in fam_b}
+    if kinds <= _BOX or kinds == {Segment}:
         return _box_matrix(fam_a, fam_b)
     mat = np.zeros((len(fam_a), len(fam_b)), dtype=bool)
     for i, a in enumerate(fam_a):
@@ -203,19 +213,49 @@ def intersection_matrix(fam_a, fam_b) -> np.ndarray:
 
 def _round_fields(fam):
     """Centre x, centre y and radius per object; a point has radius 0.0."""
-    rows = [(o.x, o.y, 0.0) if type(o) is Point else (o.center.x, o.center.y, o.radius) for o in fam]
-    return np.array(rows).T
+    return np.array([[o.x if type(o) is Point else o.center.x for o in fam],
+                     [o.y if type(o) is Point else o.center.y for o in fam],
+                     [0.0 if type(o) is Point else o.radius for o in fam]])
 
 
-def _round_matrix(fam_a, fam_b) -> np.ndarray:
-    # Every pair holds a disc, so (ra + rb) * (1 + REL_TOL) is the scalar
-    # predicate's slack bit for bit: 0.0 + r == r, and (-dx)**2 == dx**2.
-    ax, ay, ar = (v[:, None] for v in _round_fields(fam_a))
+def _round_grid(fam_a, fam_b):
+    """Round kernel (a point is a disc of radius 0) on a uniform grid of side w >=
+    (max ra + max rb) * (1 + 4 * REL_TOL): objects that meet are at most one cell
+    apart per axis, as 3 * REL_TOL outweighs the rounding of cell coordinates below
+    _GRID_CELLS.  B is sorted by key cx * ny + cy, so a neighbouring column of three
+    cells is one key range; A goes in blocks of <= GRID_PAIRS pairs (or one row)."""
+    ax, ay, ar = _round_fields(fam_a)
     bx, by, br = _round_fields(fam_b)
-    dx = ax - bx
-    dy = ay - by
-    slack = (ar + br) * (1.0 + geometry.REL_TOL)
-    return dx * dx + dy * dy <= slack * slack
+    xs, ys = np.concatenate((ax, bx)), np.concatenate((ay, by))
+    x0, y0, span = xs.min(), ys.min(), np.maximum(np.ptp(xs), np.ptp(ys))
+    w = np.maximum((ar.max() + br.max()) * (1.0 + 4 * geometry.REL_TOL), span / _GRID_CELLS)
+    # if a radius sum or a span overflows, or a centre is not finite, w is inf
+    # or nan, every quotient is 0 or nan, and nan_to_num puts all in cell 0
+    cells = ((ax, x0), (ay, y0), (bx, x0), (by, y0))
+    acx, acy, bcx, bcy = (np.nan_to_num(np.floor((v - o) / w)).astype(np.int64) for v, o in cells)
+    ny = max(acy.max(), bcy.max()) + 2  # keys cy - 1 and cy + 1 stay off occupied cells
+    order = np.argsort(bcx * ny + bcy, kind="stable")
+    keys, akey = (bcx * ny + bcy)[order], acx * ny + acy
+    starts = np.stack([np.searchsorted(keys, akey + d - 1) for d in (-ny, 0, ny)], axis=1).ravel()
+    stops = np.stack([np.searchsorted(keys, akey + d + 1, "right") for d in (-ny, 0, ny)], axis=1).ravel()
+    lengths = stops - starts  # three column ranges per row of A, in row order
+    counts = lengths.reshape(-1, 3).sum(axis=1)
+    row_end = np.concatenate(([0], np.cumsum(counts)))
+    n, lo = len(bx), 0
+    while lo < len(ax):
+        hi = max(lo + 1, int(np.searchsorted(row_end, row_end[lo] + GRID_PAIRS, "right")) - 1)
+        st, ln = starts[3 * lo : 3 * hi], lengths[3 * lo : 3 * hi]
+        i = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        j = order[np.arange(len(i)) - np.repeat(np.cumsum(ln) - ln - st, ln)]
+        # Every pair holds a disc, so (ra + rb) * (1 + REL_TOL) is the scalar
+        # predicate's slack bit for bit: 0.0 + r == r, and (-dx)**2 == dx**2.
+        dx = ax[i] - bx[j]
+        dy = ay[i] - by[j]
+        slack = (ar[i] + br[j]) * (1.0 + geometry.REL_TOL)
+        hit = dx * dx + dy * dy <= slack * slack
+        key = np.sort(i[hit] * n + j[hit])  # row-major, as the edges are inserted
+        yield key // n, key % n
+        lo = hi
 
 
 def _box_fields(fam):

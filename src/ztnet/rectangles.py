@@ -15,7 +15,6 @@ costs O((n + |F|)·k) rather than O(n·|active|).
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -292,7 +291,6 @@ class PlanarityReport:
     passed: bool
     violations: int
     samples_checked: int
-    worst_ratio: float
 
 
 def _euler_bound(k: int) -> int:
@@ -311,19 +309,12 @@ def hereditary_planarity_check(g: Graph, samples: int, seed: int) -> PlanarityRe
     else:
         eu = ev = np.zeros(0, dtype=np.int64)
     violations = 0
-    worst = 0.0
     checked = 0
 
     def check(count: int, k: int):
-        nonlocal violations, worst, checked
+        nonlocal violations, checked
         checked += 1
-        bound = _euler_bound(k)
-        if bound == 0:
-            ratio = 0.0 if count == 0 else math.inf
-        else:
-            ratio = count / bound
-        worst = max(worst, ratio)
-        if count > bound:
+        if count > _euler_bound(k):
             violations += 1
 
     check(len(g.edges), n)
@@ -339,7 +330,6 @@ def hereditary_planarity_check(g: Graph, samples: int, seed: int) -> PlanarityRe
         passed=violations == 0,
         violations=violations,
         samples_checked=checked,
-        worst_ratio=worst,
     )
 
 

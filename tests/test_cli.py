@@ -87,6 +87,17 @@ class TestCommands:
         code = main(["check-free", str(inst), "--t", "2"])
         assert code in (0, 2)
 
+    @pytest.mark.parametrize("kind, radii", [
+        ("discs", ["--radius-hi", "inf"]),
+        ("discs", ["--radius-lo", "inf", "--radius-hi", "inf"]),
+        ("points-discs", ["--radius-hi", "inf"]),
+    ])
+    def test_generate_rejects_infinite_radius(self, tmp_path, capsys, kind, radii):
+        inst = tmp_path / "i.json"
+        assert main(["generate", "--kind", kind, "--n", "3", *radii, "--out", str(inst)]) == 1
+        assert "error: need 0 < radius_lo <= radius_hi < inf" in capsys.readouterr().err
+        assert not inst.exists()
+
     def test_net_precondition_exit_1(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         main(["generate", "--kind", "discs", "--n", "10", "--seed", "1", "--out", str(inst)])

@@ -60,6 +60,9 @@ class TestGenerate:
             generate("random_discs", -1, None, 0)
         with pytest.raises(ParamOutOfRange):
             GenParams(radius_lo=0.0)
+        for lo, hi in ((0.04, math.inf), (math.inf, math.inf), (0.04, math.nan), (math.nan, 0.1)):
+            with pytest.raises(ParamOutOfRange, match="radius_hi < inf"):
+                GenParams(radius_lo=lo, radius_hi=hi)
         with pytest.raises(ParamOutOfRange):
             GenParams(extent_lo=0.5, extent_hi=0.2)
         with pytest.raises(ParamOutOfRange):

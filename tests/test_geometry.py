@@ -175,8 +175,9 @@ class TestSegments:
 
 
 def test_invalid_shapes_rejected():
-    with pytest.raises(ValueError):
-        Disc(Point(0, 0), 0)
+    for radius in (0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Disc(Point(0, 0), radius)
     with pytest.raises(ValueError):
         AxisRect(1, 0, 0, 1)
     with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 import itertools
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from round_oracle import dense_edges, round_matrix
 
+from ztnet import hypergraph
 from ztnet.generators import GenParams, generate
 from ztnet.geometry import (
     REL_TOL,
@@ -33,6 +37,7 @@ from ztnet.hypergraph import (
     set_of,
     vc_dimension,
 )
+from ztnet.suite import scaled_disc_instance
 
 
 def fs(*xs):
@@ -216,9 +221,12 @@ class TestIntersectionMatrix:
             for fa in group.values():
                 for fb in group.values():
                     mat = intersection_matrix(fa, fb)
+                    edges = BipartiteIntersectionGraph.from_families(fa, fb).edges
+                    round_objects = {type(o) for o in fa + fb} <= {Point, Disc}
+                    oracle = round_matrix(fa, fb) if round_objects else mat
                     for i, a in enumerate(fa):
                         for j, b in enumerate(fb):
-                            assert mat[i, j] == intersects(a, b), (a, b)
+                            assert mat[i, j] == oracle[i, j] == ((i, j) in edges) == intersects(a, b), (a, b)
 
     def test_point_disc_tangency_matches_scalar_predicate(self):
         # points at distance r * (1 + REL_TOL) from the centre and one ulp to
@@ -230,16 +238,19 @@ class TestIntersectionMatrix:
             reach = d.radius * (1.0 + REL_TOL)
             for r in (math.nextafter(reach, 0.0), reach, math.nextafter(reach, math.inf)):
                 pts += [Point(d.center.x + r, d.center.y), Point(d.center.x, d.center.y - r)]
-        mat = intersection_matrix(pts, discs)
         expected = [[point_in_disc(p, d) for d in discs] for p in pts]
-        assert mat.tolist() == expected
-        assert intersection_matrix(discs, pts).T.tolist() == expected
-        assert mat.any() and not mat.all()
+        transposed = [list(col) for col in zip(*expected)]
+        for fa, fb, want in ((pts, discs, expected), (discs, pts, transposed)):
+            edges = BipartiteIntersectionGraph.from_families(fa, fb).edges
+            got = [[(i, j) in edges for j in range(len(fb))] for i in range(len(fa))]
+            assert got == want == round_matrix(fa, fb).tolist()
+        assert np.any(expected) and not np.all(expected)
 
     @pytest.mark.parametrize("m", [0, 1, 255, 256, 257, 513])
     def test_chunked_build_matches_one_shot_matrix(self, m):
-        # from_families calls the kernels on CHUNK_ROWS rows of A at a time;
-        # its edges must be the one-shot dense matrix's, for both kernels.
+        # from_families calls the box kernel on CHUNK_ROWS rows of A at a
+        # time, and the round grid on blocks of A; its edges must be the
+        # one-shot dense matrix's, for both kernels, in the dense build's order.
         # Rows either side of each chunk boundary touch b[0]: discs at
         # distance (ra + rb) * (1 + REL_TOL) from it and one ulp beyond, and
         # frames, rects and points on its edge.
@@ -273,9 +284,11 @@ class TestIntersectionMatrix:
         # beyond is not, and every touching box is an edge
         tangent = {i for i in touching if i % 2 == 0}
         for fa, fb, meet_b0 in ((discs_a, discs_b, tangent), (boxes_a, boxes_b, touching)):
-            dense = intersection_matrix(fa, fb)
+            dense = round_matrix(fa, fb) if fa is discs_a else intersection_matrix(fa, fb)
             edges = BipartiteIntersectionGraph.from_families(fa, fb).edges
             assert edges == {(int(i), int(j)) for i, j in np.argwhere(dense)}
+            if fa is discs_a:
+                assert list(edges) == list(dense_edges(fa, fb))
             assert {i for i in touching if (i, 0) in edges} == meet_b0
             assert all(((i, 0) in edges) == intersects(fa[i], fb[0]) for i in touching)
 
@@ -290,6 +303,126 @@ class TestIntersectionMatrix:
             if intersects(a, b)
         }
         assert g.edges == expected
+
+
+@st.composite
+def round_families(draw):
+    """A side of discs and a side of points, discs or both, either way round.
+
+    Centres sit on a lattice of step 1/4, 1 or the grid's own cell side,
+    negative ones included, or anywhere in [-5, 5], sometimes scaled by 1e15
+    or 1e300, past _GRID_CELLS cells of side max ra + max rb; some discs are far larger
+    than the rest, up to r = 1e308, where the cell side overflows; some pairs
+    sit at exactly (ra + rb) * (1 + REL_TOL) along an axis, or one ulp beyond.
+    """
+    radius = st.one_of(st.sampled_from([0.125, 0.25, 1 / 3, 0.5, 1.0]), st.floats(1e-3, 2.0))
+    disc_r = draw(st.lists(radius, max_size=12))
+    other_r = draw(st.lists(st.one_of(st.just(0.0), radius), max_size=12))
+    huge = draw(st.sampled_from([None, 40.0, 1e308]))
+    if huge is not None:
+        disc_r.insert(draw(st.integers(0, len(disc_r))), huge)
+    side = (max(disc_r, default=0.0) + max(other_r, default=0.0)) * (1 + 4 * REL_TOL)
+    step = draw(st.sampled_from([0.25, 1.0] + ([side] if 0 < side < math.inf else [])))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e15, 1e300]))  # span/side past _GRID_CELLS
+    coord = st.one_of(st.integers(-6, 6).map(lambda k: k * step), st.floats(-5.0, 5.0)).map(lambda c: c * scale)
+    centres_d = [[draw(coord), draw(coord)] for _ in disc_r]
+    centres_o = [[draw(coord), draw(coord)] for _ in other_r]
+    for _ in range(draw(st.integers(0, 4)) if disc_r and other_r else 0):
+        i = draw(st.integers(0, len(disc_r) - 1))
+        j = draw(st.integers(0, len(other_r) - 1))
+        reach = (disc_r[i] + other_r[j]) * (1.0 + REL_TOL)
+        reach = draw(st.sampled_from([reach, math.nextafter(reach, math.inf)]))
+        axis, sign = draw(st.integers(0, 1)), draw(st.sampled_from([-1.0, 1.0]))
+        centres_d[i][axis] = 0.0
+        centres_o[j] = list(centres_d[i])
+        centres_o[j][axis] = sign * reach
+    discs = [Disc(Point(*c), r) for c, r in zip(centres_d, disc_r)]
+    others = [Point(*c) if r == 0.0 else Disc(Point(*c), r) for c, r in zip(centres_o, other_r)]
+    return (discs, others) if draw(st.booleans()) else (others, discs)
+
+
+# huge coordinates and radii overflow dx * dx to inf, in the grid as in the oracle
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestRoundGrid:
+    @settings(max_examples=400, deadline=None)
+    @given(round_families(), st.sampled_from([1, 2, 7, hypergraph.GRID_PAIRS]))
+    def test_matches_dense_oracle(self, fams, block):
+        # small GRID_PAIRS values put block boundaries inside the instance
+        with mock.patch.object(hypergraph, "GRID_PAIRS", block):
+            g = BipartiteIntersectionGraph.from_families(*fams)
+            inserted = [(i, j) for rows, cols in hypergraph._edge_blocks(*fams)
+                        for i, j in zip(rows.tolist(), cols.tolist())]
+        dense = dense_edges(*fams)
+        assert g.edges == dense
+        assert list(g.edges) == list(dense)
+        # the iteration order of a set of small int pairs rarely shows a
+        # permutation within one row, so pin the insertion order itself
+        assert inserted == sorted(dense)
+
+    def test_tangency_across_two_cell_boundaries(self):
+        # A point a hair under ra + rb left of the disc puts the disc just
+        # below a boundary of a grid of side ra + rb, and its tangent partner
+        # two cells on; the 4 * REL_TOL in the cell side keeps them adjacent.
+        ra, rb = 0.3, 0.2
+        reach = (ra + rb) * (1.0 + REL_TOL)
+        origin = -(ra + rb) * (1.0 - REL_TOL / 2)
+        for flip in (False, True):
+            def at(x):
+                return Point(0.0, x) if flip else Point(x, 0.0)
+
+            for far in (reach, math.nextafter(reach, math.inf)):
+                fa, fb = [Disc(at(0.0), ra)], [Disc(at(far), rb), at(origin)]
+                g = BipartiteIntersectionGraph.from_families(fa, fb)
+                assert ((0, 0) in g.edges) == (far == reach)
+                assert list(g.edges) == list(dense_edges(fa, fb))
+
+    def test_overflowing_cell_side(self):
+        # r = 1e308 makes (max ra + max rb) overflow to inf with finite radii:
+        # every object shares one cell, and every pair with the huge disc
+        # meets.  A centre that is not finite also puts all in one cell.
+        small = [Disc(Point(float(k), -float(k)), 0.5) for k in range(-3, 4)]
+        pts = [Point(1e300, -1e300), Point(0.0, 0.0), Point(-7.5, 2.0)]
+        odd = [Point(math.nan, 0.0), Point(-math.inf, 1.0), Disc(Point(math.inf, 0.0), 1.0)]
+        for fa, fb in ((small + [Disc(Point(0.0, 0.0), 1e308)], pts + small),
+                       (pts, [Disc(Point(1.0, 1.0), 1e308)] * 2),
+                       (small, pts + odd)):
+            for a, b in ((fa, fb), (fb, fa)):
+                g = BipartiteIntersectionGraph.from_families(a, b)
+                assert g.edges == dense_edges(a, b)
+                assert list(g.edges) == list(dense_edges(a, b))
+                huge = [i for i, o in enumerate(a) if type(o) is Disc and o.radius == 1e308]
+                assert all((i, j) in g.edges for i in huge for j in range(len(b)))
+
+
+def _build_peak(build, *fams):
+    """What `build(*fams)` returns, and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return build(*fams), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRoundGridMemory:
+    def test_scaled_instance_peak(self):
+        # the dense build peaks at about 43 MiB here
+        fams = scaled_disc_instance(4096, 9001)
+        g, peak = _build_peak(BipartiteIntersectionGraph.from_families, *fams)
+        assert peak < 16 * 2**20
+        assert list(g.edges) == list(dense_edges(*fams))
+
+    def test_one_cell_peak_at_most_dense(self):
+        # one radius-5 disc per side puts every object in one cell, so every
+        # pair is a candidate; blocks of GRID_PAIRS keep the peak at the
+        # dense chunked build's, not m*n candidates at once
+        fam_a, fam_b = scaled_disc_instance(2047, 9001)
+        big = Disc(Point(0.5, 0.5), 5.0)
+        fams = ([big] + fam_a, [big] + fam_b)
+        g, grid_peak = _build_peak(BipartiteIntersectionGraph.from_families, *fams)
+        dense, dense_peak = _build_peak(dense_edges, *fams)
+        assert grid_peak <= dense_peak
+        assert list(g.edges) == list(dense)
 
 
 @st.composite
