@@ -17,7 +17,6 @@ size are integers >= 1.
 import argparse
 import statistics
 import sys
-from fractions import Fraction
 
 from ztnet.cli import _int_at_least, _positive_fraction
 from ztnet.generators import GenParams, generate
@@ -30,18 +29,11 @@ def sizes(text: str) -> list[int]:
     return [_int_at_least(1)(s) for s in text.split(",")]
 
 
-def epsilon(text: str) -> Fraction:
-    eps = _positive_fraction(text)
-    if eps > 1:
-        raise argparse.ArgumentTypeError(f"must be <= 1, got {text!r}")
-    return eps
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=sizes, default="128,256,512,1024")
-    ap.add_argument("--eps", type=epsilon, default="0.1")
+    ap.add_argument("--eps", type=_positive_fraction, default="0.1")
     ap.add_argument("--t", type=_int_at_least(1), default=2)
     ap.add_argument("--seeds", type=_int_at_least(1), default=3)
     ap.add_argument("--seed", type=int, default=7)

@@ -30,7 +30,6 @@ from .hypergraph import (
     VCProfile,
     delaunay_graph,
     dual_hypergraph,
-    induced_subhypergraph,
     primal_hypergraph,
     vc_dimension,
 )

@@ -292,7 +292,7 @@ def _cmd_bound(args) -> int:
         eps_prime = args.eps_prime if args.eps_prime is not None else eps
 
         def rule(m, n, t):
-            return min(Fraction(1), eps), min(Fraction(1), eps_prime)
+            return eps, eps_prime
 
     report = num_edges_bound(
         g, args.t, net_builder=NET_BUILDERS[args.net], eps_rule=rule, seed=args.seed
@@ -432,13 +432,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_fraction(text: str) -> Fraction:
-    """An epsilon argument: an exact fraction such as 0.25 or 1/4, above 0."""
+    """An epsilon argument: an exact fraction in (0, 1] such as 0.25 or 1/4."""
     try:
         eps = as_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
     if eps <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    if eps > 1:
+        raise argparse.ArgumentTypeError(f"must be <= 1, got {text!r}")
     return eps
 
 
@@ -460,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a seeded instance file")
     p.add_argument("--kind", choices=_INSTANCE_KINDS, default="discs")
-    p.add_argument("--n", type=int, required=True, help="size of side a")
-    p.add_argument("--m", type=int, default=None, help="size of side b (default: n)")
+    p.add_argument("--n", type=_int_at_least(0), required=True, help="size of side a")
+    p.add_argument("--m", type=_int_at_least(0), default=None, help="size of side b (default: n)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--radius-lo", type=float, default=0.04)
     p.add_argument("--radius-hi", type=float, default=0.10)

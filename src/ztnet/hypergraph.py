@@ -302,16 +302,6 @@ def dual_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
     return h
 
 
-def induced_subhypergraph(h: Hypergraph, keep: Iterable[int]) -> Hypergraph:
-    """Traces e & keep, with vertices reindexed over sorted(keep)."""
-    kept = sorted(set(keep))
-    if kept and (kept[0] < 0 or kept[-1] >= h.vertex_count):
-        raise ValueError("keep set not contained in the vertex set")
-    remap = {old: new for new, old in enumerate(kept)}
-    traces = [frozenset(remap[v] for v in e if v in remap) for e in h.hyperedges]
-    return Hypergraph(len(kept), traces)
-
-
 def delaunay_graph(h: Hypergraph) -> Graph:
     """Graph whose edges are the distinct hyperedges of cardinality exactly 2."""
     return Graph(h.vertex_count, {tuple(sorted(e)) for e in h.hyperedges if len(e) == 2})

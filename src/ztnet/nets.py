@@ -10,8 +10,11 @@ exactly 1/10 and a hyperedge of size 20 is heavy at eps=0.1, n=200.  All
 heavy/light cutoffs across the package go through `heavy_threshold`.
 
 Hyperedges are int bitmasks here: every verifier and constructor reads the
-one heavy view `_heavy_masks`.  The greedy net walks per-vertex column masks;
-only the exhaustive minimum lists every candidate t-subset up front.
+one heavy view `_heavy_masks`.  The stacked cover samples each layer from the
+parent hypergraph's masks, traced over the unused vertices; the structural
+net's vertex removal ends with the last heavy trace of >= t cover vertices.
+The greedy net walks per-vertex column masks; only the exhaustive minimum
+lists every candidate t-subset up front.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceeded, InfeasibleNet, PreconditionViolated
-from .hypergraph import Hypergraph, bits_of, induced_subhypergraph, mask_of, set_of
+from .hypergraph import Hypergraph, bits_of, mask_of, set_of
 
 EpsilonLike = Union[Fraction, float, int, str]
 
@@ -48,13 +51,20 @@ def heavy_threshold(eps: EpsilonLike, vertex_count: int) -> int:
     return max(1, math.ceil(e * vertex_count))
 
 
-def _heavy_masks(h: Hypergraph, eps: EpsilonLike, t: int = 1) -> list[int]:
+def _heavy_masks(
+    h: Hypergraph, eps: EpsilonLike, t: int = 1, pool: Optional[list[int]] = None
+) -> list[int]:
     """Masks of the distinct hyperedges of size >= eps * n, first occurrence
-    first.  Raises InfeasibleNet if one of them has fewer than t vertices."""
+    first; given a vertex list `pool`, of the distinct traces over it of size
+    >= eps * |pool|.  Raises InfeasibleNet if one has fewer than t vertices."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    thr = heavy_threshold(eps, h.vertex_count)
-    heavy = list(dict.fromkeys(em for em in h.edge_masks if em.bit_count() >= thr))
+    masks = h.edge_masks
+    if pool is not None:
+        pool_mask = mask_of(pool)
+        masks = (em & pool_mask for em in masks)
+    thr = heavy_threshold(eps, h.vertex_count if pool is None else len(pool))
+    heavy = list(dict.fromkeys(em for em in masks if em.bit_count() >= thr))
     for em in heavy:
         if em.bit_count() < t:
             raise InfeasibleNet(f"heavy hyperedge {list(bits_of(em))} has fewer than "
@@ -88,18 +98,11 @@ class TNet:
 
 @dataclass
 class NetBuildTrace:
-    """Intermediate state of the two-stage net construction.
-
-    `cover_set` is the union of the pairwise-disjoint `layer_nets`.  The
-    removal fields stay empty until the vertex-removal stage runs; then
-    `per_step_tuple_counts[i]` is the number of distinct size-t traces
-    containing the vertex removed at step i.
-    """
+    """The stacked cover set of the two-stage net construction: `cover_set` is
+    the union of the pairwise-disjoint `layer_nets`."""
 
     cover_set: frozenset[int]
     layer_nets: list[frozenset[int]]
-    removal_order: list[int] = field(default_factory=list)
-    per_step_tuple_counts: list[int] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -146,30 +149,36 @@ def sampled_epsilon_net(h: Hypergraph, eps: EpsilonLike, seed: int) -> frozenset
     set stabs every nonempty hyperedge).
     """
     e = as_fraction(eps)
-    if not 0 < e <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {e}")
-    n = h.vertex_count
-    if n == 0:
+    heavy = _heavy_masks(h, e)
+    if h.vertex_count == 0:
         raise PreconditionViolated("sampled_epsilon_net needs a nonempty vertex set")
+    return _sampled_net(heavy, range(h.vertex_count), e, seed)
+
+
+def _sampled_net(heavy: list[int], pool: Sequence[int], e: Fraction, seed: int) -> frozenset[int]:
+    """`sampled_epsilon_net` over the vertex sequence `pool`, given the heavy
+    masks to stab.  `random.sample` picks its indices from len(pool) alone, so
+    a pool samples as its positions would, mapped through it."""
     ef = float(e)
-    size = min(n, math.ceil((8.0 / ef) * math.log(4.0 / ef)) + 8)
+    size = min(len(pool), math.ceil((8.0 / ef) * math.log(4.0 / ef)) + 8)
     rng = random.Random(seed)
-    while True:
-        if size >= n:
-            return frozenset(range(n))
-        candidate = frozenset(rng.sample(range(n), size))
-        if verify_epsilon_net(h, e, candidate) is None:
-            return candidate
-        size = min(2 * size, n)
+    while size < len(pool):
+        sample = rng.sample(pool, size)
+        sample_mask = mask_of(sample)
+        if all(em & sample_mask for em in heavy):
+            return frozenset(sample)
+        size = min(2 * size, len(pool))
+    return frozenset(pool)
 
 
 def stacked_cover_set(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> NetBuildTrace:
     """Layered cover set: every heavy hyperedge contains >= t of its vertices.
 
     The first layer is an eps-net of the hypergraph; each later layer is an
-    (eps/2)-net of the hypergraph induced on the vertices not yet used.
-    Requires eps * n >= 2t, which makes a heavy hyperedge, minus up to t-1
-    already-covered vertices, still heavy at eps/2 in every later layer.
+    (eps/2)-net of the traces on the vertices not yet used, drawn from the
+    hypergraph's own masks.  Requires eps * n >= 2t, which makes a heavy
+    hyperedge, minus up to t-1 already-covered vertices, still heavy at eps/2
+    in every later layer.
     """
     e = as_fraction(eps)
     if t < 1:
@@ -180,21 +189,17 @@ def stacked_cover_set(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> Net
             f"stacked cover needs eps*n >= 2t; got {e} * {n} < {2 * t}"
         )
     rng = random.Random(seed)
-    remaining = set(range(n))
+    pool = list(range(n))  # the unused vertices, sorted
     layers: list[frozenset[int]] = []
     for i in range(t):
         layer_eps = e if i == 0 else e / 2
-        if not remaining:
-            layers.append(frozenset())
-            continue
-        kept = sorted(remaining)
-        sub = induced_subhypergraph(h, kept)
-        sub_net = sampled_epsilon_net(sub, layer_eps, rng.randrange(2**32))
-        layer = frozenset(kept[v] for v in sub_net)
+        layer = frozenset()
+        if pool:
+            heavy = _heavy_masks(h, layer_eps, pool=pool)
+            layer = _sampled_net(heavy, pool, layer_eps, rng.randrange(2**32))
+            pool = [v for v in pool if v not in layer]
         layers.append(layer)
-        remaining -= layer
-    cover = frozenset().union(*layers) if layers else frozenset()
-    return NetBuildTrace(cover_set=cover, layer_nets=layers)
+    return NetBuildTrace(cover_set=frozenset().union(*layers), layer_nets=layers)
 
 
 def pseudodisc_t_net(
@@ -208,30 +213,32 @@ def pseudodisc_t_net(
     delete it.  Every heavy hyperedge keeps >= t cover vertices until some
     step reduces its trace from size t to t-1, and at that step the trace
     enters the net, so the output is valid regardless of the selection order.
-    Light hyperedges need no coverage and contribute no tuples; with no heavy
-    hyperedge at all the net is empty.
+
+    A trace below t vertices never again has size t, so it is dropped, and
+    only vertices of traces that start with >= t are candidates: any other
+    vertex has count 0 throughout, and removing it changes nothing.  The loop
+    ends with the last trace; with no heavy hyperedge it never runs.
     """
     e = as_fraction(eps)
     trace = stacked_cover_set(h, e, t, seed)
-    remaining = sorted(trace.cover_set)
-    remaining_mask = mask_of(remaining)
-    source_masks = _heavy_masks(h, e)
-    net_tuples: set[frozenset[int]] = set()
-    while remaining:
-        traces = (em & remaining_mask for em in source_masks)
-        size_t_traces = {tm for tm in traces if tm.bit_count() == t}
-        counts = {v: 0 for v in remaining}
-        for tm in size_t_traces:
+    cover_mask = mask_of(trace.cover_set)
+    traces = {tm for em in _heavy_masks(h, e) if (tm := em & cover_mask).bit_count() >= t}
+    candidates = sorted({v for tm in traces for v in bits_of(tm)})
+    net_masks: set[int] = set()
+    while traces:
+        size_t = [tm for tm in traces if tm.bit_count() == t]
+        counts = dict.fromkeys(candidates, 0)
+        for tm in size_t:
             for v in bits_of(tm):
                 counts[v] += 1
-        chosen = min(remaining, key=lambda v: (counts[v], v))
-        added = [tm for tm in size_t_traces if (tm >> chosen) & 1]
-        net_tuples.update(frozenset(bits_of(tm)) for tm in added)
-        trace.removal_order.append(chosen)
-        trace.per_step_tuple_counts.append(len(added))
-        remaining.remove(chosen)
-        remaining_mask &= ~(1 << chosen)
-    net = TNet(t=t, tuples=frozenset(net_tuples), epsilon=e)
+        chosen = min(candidates, key=counts.__getitem__)  # first minimum: lowest index
+        bit = 1 << chosen
+        net_masks.update(tm for tm in size_t if tm & bit)
+        candidates.remove(chosen)
+        hit = [tm for tm in traces if tm & bit]
+        traces.difference_update(hit)
+        traces.update(rest for tm in hit if (rest := tm ^ bit).bit_count() >= t)
+    net = TNet(t=t, tuples=frozenset(set_of(tm) for tm in net_masks), epsilon=e)
     return net, trace
 
 

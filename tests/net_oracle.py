@@ -1,12 +1,30 @@
-"""The candidate-table greedy that `greedy_cover_t_net`'s branch-and-bound
-walk replaced, kept as its test oracle: it lists every t-subset of every heavy
-hyperedge up front, then takes the big-int `max` over the whole table."""
+"""Test oracles for the net constructors.
+
+The candidate-table greedy that `greedy_cover_t_net`'s branch-and-bound walk
+replaced: it lists every t-subset of every heavy hyperedge up front, then takes
+the big-int `max` over the whole table.
+
+The structural net as it was before its cover layers were drawn on the parent's
+masks: every layer samples an eps-net of the induced subhypergraph on the
+unused vertices, and the removal loop rescans the whole cover until it is
+empty.  Only the unread per-step removal log is left out.
+"""
 
 import itertools
+import math
+import random
+from typing import Iterable
 
-from ztnet.errors import InfeasibleNet
-from ztnet.hypergraph import Hypergraph, bits_of
-from ztnet.nets import EpsilonLike, TNet, _heavy_masks, as_fraction
+from ztnet.errors import InfeasibleNet, PreconditionViolated
+from ztnet.hypergraph import Hypergraph, bits_of, mask_of
+from ztnet.nets import (
+    EpsilonLike,
+    NetBuildTrace,
+    TNet,
+    _heavy_masks,
+    as_fraction,
+    verify_epsilon_net,
+)
 
 
 def _candidate_cover(heavy: list[int], t: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -45,3 +63,108 @@ def table_greedy_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
         chosen.append(cands[best])
         uncovered &= ~cover[best]
     return TNet(t=t, tuples=frozenset(frozenset(c) for c in chosen), epsilon=e)
+
+
+def induced_subhypergraph(h: Hypergraph, keep: Iterable[int]) -> Hypergraph:
+    """Traces e & keep, with vertices reindexed over sorted(keep)."""
+    kept = sorted(set(keep))
+    if kept and (kept[0] < 0 or kept[-1] >= h.vertex_count):
+        raise ValueError("keep set not contained in the vertex set")
+    remap = {old: new for new, old in enumerate(kept)}
+    traces = [frozenset(remap[v] for v in e if v in remap) for e in h.hyperedges]
+    return Hypergraph(len(kept), traces)
+
+
+def sampled_epsilon_net(h: Hypergraph, eps: EpsilonLike, seed: int) -> frozenset[int]:
+    """Verify-and-retry random epsilon-net.
+
+    Sample size starts at ceil((8/eps) ln(4/eps)) + 8, doubles on each
+    verification failure, and is capped at the vertex count (the full vertex
+    set stabs every nonempty hyperedge).
+    """
+    e = as_fraction(eps)
+    if not 0 < e <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {e}")
+    n = h.vertex_count
+    if n == 0:
+        raise PreconditionViolated("sampled_epsilon_net needs a nonempty vertex set")
+    ef = float(e)
+    size = min(n, math.ceil((8.0 / ef) * math.log(4.0 / ef)) + 8)
+    rng = random.Random(seed)
+    while True:
+        if size >= n:
+            return frozenset(range(n))
+        candidate = frozenset(rng.sample(range(n), size))
+        if verify_epsilon_net(h, e, candidate) is None:
+            return candidate
+        size = min(2 * size, n)
+
+
+def stacked_cover_set(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> NetBuildTrace:
+    """Layered cover set: every heavy hyperedge contains >= t of its vertices.
+
+    The first layer is an eps-net of the hypergraph; each later layer is an
+    (eps/2)-net of the hypergraph induced on the vertices not yet used.
+    Requires eps * n >= 2t, which makes a heavy hyperedge, minus up to t-1
+    already-covered vertices, still heavy at eps/2 in every later layer.
+    """
+    e = as_fraction(eps)
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    n = h.vertex_count
+    if e * n < 2 * t:
+        raise PreconditionViolated(
+            f"stacked cover needs eps*n >= 2t; got {e} * {n} < {2 * t}"
+        )
+    rng = random.Random(seed)
+    remaining = set(range(n))
+    layers: list[frozenset[int]] = []
+    for i in range(t):
+        layer_eps = e if i == 0 else e / 2
+        if not remaining:
+            layers.append(frozenset())
+            continue
+        kept = sorted(remaining)
+        sub = induced_subhypergraph(h, kept)
+        sub_net = sampled_epsilon_net(sub, layer_eps, rng.randrange(2**32))
+        layer = frozenset(kept[v] for v in sub_net)
+        layers.append(layer)
+        remaining -= layer
+    cover = frozenset().union(*layers) if layers else frozenset()
+    return NetBuildTrace(cover_set=cover, layer_nets=layers)
+
+
+def pseudodisc_t_net(
+    h: Hypergraph, eps: EpsilonLike, t: int, seed: int
+) -> tuple[TNet, NetBuildTrace]:
+    """Structural epsilon-t-net: stacked cover set, then greedy vertex removal.
+
+    On the heavy hyperedges' traces over the cover set, repeatedly pick the
+    vertex contained in the fewest distinct size-exactly-t traces (tie-break:
+    lowest index), add every size-t trace containing it to the net, and
+    delete it.  Every heavy hyperedge keeps >= t cover vertices until some
+    step reduces its trace from size t to t-1, and at that step the trace
+    enters the net, so the output is valid regardless of the selection order.
+    Light hyperedges need no coverage and contribute no tuples; with no heavy
+    hyperedge at all the net is empty.
+    """
+    e = as_fraction(eps)
+    trace = stacked_cover_set(h, e, t, seed)
+    remaining = sorted(trace.cover_set)
+    remaining_mask = mask_of(remaining)
+    source_masks = _heavy_masks(h, e)
+    net_tuples: set[frozenset[int]] = set()
+    while remaining:
+        traces = (em & remaining_mask for em in source_masks)
+        size_t_traces = {tm for tm in traces if tm.bit_count() == t}
+        counts = {v: 0 for v in remaining}
+        for tm in size_t_traces:
+            for v in bits_of(tm):
+                counts[v] += 1
+        chosen = min(remaining, key=lambda v: (counts[v], v))
+        added = [tm for tm in size_t_traces if (tm >> chosen) & 1]
+        net_tuples.update(frozenset(bits_of(tm)) for tm in added)
+        remaining.remove(chosen)
+        remaining_mask &= ~(1 << chosen)
+    net = TNet(t=t, tuples=frozenset(net_tuples), epsilon=e)
+    return net, trace

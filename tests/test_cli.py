@@ -98,6 +98,15 @@ class TestCommands:
         assert "error: need 0 < radius_lo <= radius_hi < inf" in capsys.readouterr().err
         assert not inst.exists()
 
+    @pytest.mark.parametrize("size", [["--n", "-1"], ["--n", "4", "--m", "-2"], ["--n", "x"]])
+    def test_generate_rejects_negative_sizes(self, tmp_path, capsys, size):
+        inst = tmp_path / "i.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--kind", "discs", *size, "--out", str(inst)])
+        assert exc.value.code == 1
+        assert f"error: argument {size[-2]}: " in capsys.readouterr().err
+        assert not inst.exists()
+
     def test_net_precondition_exit_1(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         main(["generate", "--kind", "discs", "--n", "10", "--seed", "1", "--out", str(inst)])
@@ -231,11 +240,20 @@ class TestCommands:
             bound + ["--eps", "-1"],
             bound + ["--eps", "0.25", "--eps-prime", "1/0"],
             bound + ["--eps", "0.25", "--eps-prime", "-0.5"],
+            ["net", str(inst), "--t", "2", "--eps", "2"],
+            ["net", str(inst), "--t", "2", "--eps", "3/2"],
+            bound + ["--eps", "2"],
+            bound + ["--eps", "3/2"],
+            bound + ["--eps", "0.25", "--eps-prime", "2"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 1, argv
             assert "argument --eps" in capsys.readouterr().err, argv
+        for argv in (["net", str(inst), "--t", "2", "--eps", "2"], bound + ["--eps", "2"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert "error: argument --eps: must be <= 1, got '2'" in capsys.readouterr().err
 
     def test_eps_prime_without_eps_exit_1(self, tmp_path, capsys):
         inst = tmp_path / "i.json"

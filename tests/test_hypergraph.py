@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from net_oracle import induced_subhypergraph
 from round_oracle import dense_edges, round_matrix
 
 from ztnet import hypergraph
@@ -30,7 +31,6 @@ from ztnet.hypergraph import (
     contained_counts,
     delaunay_graph,
     dual_hypergraph,
-    induced_subhypergraph,
     intersection_matrix,
     mask_of,
     primal_hypergraph,

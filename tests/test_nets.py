@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -26,6 +27,7 @@ from ztnet.nets import (
     verify_t_net,
 )
 
+import net_oracle
 from net_oracle import table_greedy_t_net
 
 
@@ -52,8 +54,8 @@ def hypergraphs(draw):
 @st.composite
 def net_inputs(draw):
     """A hypergraph on k named vertices spread over up to 130 indices (masks
-    past bit 64), duplicate hyperedges, and eps = q * k / n for q in 1/8..8/8,
-    so the heavy cutoff is ceil(q * k) whatever the spread."""
+    past bit 64), empty and duplicate hyperedges, and eps = q * k / n for q in
+    1/8..8/8, so the heavy cutoff is ceil(q * k) whatever the spread."""
     k = draw(st.integers(2, 10))
     n = draw(st.sampled_from([k, 70, 130]))
     names = sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
@@ -206,8 +208,8 @@ class TestPseudodiscNet:
         net, trace = pseudodisc_t_net(h, 1, 2, seed=0)
         assert all(tp <= fs(0, 1, 2, 3) for tp in net.tuples)
         assert verify_t_net(h, 1, net) is None
-        assert sorted(trace.removal_order) == [0, 1, 2, 3]
-        assert len(trace.per_step_tuple_counts) == len(trace.removal_order)
+        assert trace.cover_set == fs(0, 1, 2, 3)
+        assert net.tuples == net_oracle.pseudodisc_t_net(h, 1, 2, seed=0)[0].tuples
 
     def test_sound_on_abstract_hypergraphs(self):
         rng = random.Random(0)
@@ -236,6 +238,62 @@ class TestPseudodiscNet:
             assert verify_t_net(h, eps, net) is None
             assert net.size() >= oracle.size()
             assert net.size() <= oracle.size() * 10 + 8
+
+
+@functools.cache
+def wide_discs_1500() -> Hypergraph:
+    return primal_hypergraph(
+        BipartiteIntersectionGraph.from_families(*suite.disc_instance(1500, 1, 0.01, 0.35))
+    )
+
+
+def structural_outcome(build, h, eps, t, seed):
+    """The (net, trace) pair `build` returns, or the type and text it raises."""
+    try:
+        return build(h, eps, t, seed)
+    except (PreconditionViolated, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestStructuralOracle:
+    # the structural net against its pre-mask oracle: the same layers, cover
+    # and tuples, or the same error, for every seed
+
+    @settings(max_examples=400, deadline=None)
+    @given(net_inputs(), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, None, None, Fraction(0), Fraction(-1, 2),
+                            Fraction(3, 2), Fraction(2)]))
+    def test_matches_oracle(self, inputs, t, seed, bad_eps):
+        h, eps = inputs
+        if bad_eps is not None:
+            eps = bad_eps
+        expected = structural_outcome(net_oracle.pseudodisc_t_net, h, eps, t, seed)
+        assert structural_outcome(pseudodisc_t_net, h, eps, t, seed) == expected
+
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
+    def test_matches_oracle_on_sampled_layers(self, eps, t):
+        # (8/eps) ln(4/eps) + 8 < n, so every layer is a proper sample of its
+        # pool, and the wide radii leave heavy hyperedges at each eps
+        h = wide_discs_1500()
+        assert heavy_dedup_edges(h, eps)
+        got = pseudodisc_t_net(h, eps, t, seed=5)
+        assert got == net_oracle.pseudodisc_t_net(h, eps, t, seed=5)
+        assert got[0].size() > 0
+        pool = h.vertex_count
+        for layer in got[1].layer_nets:
+            assert len(layer) < pool
+            pool -= len(layer)
+
+    @pytest.mark.parametrize("instance", range(50))
+    def test_matches_oracle_on_suite_net_checks(self, instance):
+        cfg = suite.SuiteConfig()
+        seed = suite.derive_seed(cfg.seed, "net", instance)
+        h = primal_hypergraph(BipartiteIntersectionGraph.from_families(
+            *suite.disc_instance(cfg.net_n, seed, *cfg.net_radius)))
+        for t in cfg.net_ts:
+            got = pseudodisc_t_net(h, cfg.net_eps, t, suite.derive_seed(seed, t))
+            assert got == net_oracle.pseudodisc_t_net(h, cfg.net_eps, t, suite.derive_seed(seed, t))
 
 
 class TestGreedy:
