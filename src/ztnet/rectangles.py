@@ -299,37 +299,47 @@ def _euler_bound(k: int) -> int:
     return (0, 0, 1)[k]
 
 
-def hereditary_planarity_check(g: Graph, samples: int, seed: int) -> PlanarityReport:
-    """Euler bound |E| <= 3|V|-6 on the full graph and random induced subgraphs."""
-    rng = random.Random(seed)
+BLOCK_ROWS = 64  # samples drawn and counted per numpy block
+
+
+def _sample_blocks(g: Graph, samples: int, rng: random.Random):
+    """Random induced subgraphs of `g`, BLOCK_ROWS at a time, as pairs
+    (keep, counts): keep[r] marks the vertices sample r keeps and counts[r]
+    is its number of induced edges.
+
+    Sample r draws its size with rng.randint(0, n) and one uint32 key per
+    vertex, and keeps the vertices whose key is at most the size-th smallest;
+    a key tied with that one keeps its vertex too, so a row can keep more
+    than its size, and the caller reads the kept count from keep.sum()."""
     n = g.vertex_count
-    if g.edges:
-        eu = np.fromiter((e[0] for e in sorted(g.edges)), dtype=np.int64)
-        ev = np.fromiter((e[1] for e in sorted(g.edges)), dtype=np.int64)
-    else:
-        eu = ev = np.zeros(0, dtype=np.int64)
-    violations = 0
-    checked = 0
+    eu, ev = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
+    for lo in range(0, samples, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, samples - lo)
+        sizes = np.array([rng.randint(0, n) for _ in range(rows)])
+        keys = np.frombuffer(rng.randbytes(4 * rows * n), dtype="<u4").reshape(rows, n)
+        if n:
+            nth = np.maximum(sizes - 1, 0)[:, None]
+            threshold = np.take_along_axis(np.sort(keys, axis=1), nth, axis=1)
+            keep = (keys <= threshold) & (sizes > 0)[:, None]
+        else:
+            keep = np.zeros((rows, 0), dtype=bool)
+        yield keep, (keep[:, eu] & keep[:, ev]).sum(axis=1)
 
-    def check(count: int, k: int):
-        nonlocal violations, checked
-        checked += 1
-        if count > _euler_bound(k):
-            violations += 1
 
-    check(len(g.edges), n)
-    keep = np.zeros(n, dtype=bool)
-    for _ in range(samples):
-        size = rng.randint(0, n)
-        keep[:] = False
-        if size:
-            keep[rng.sample(range(n), size)] = True
-        count = int((keep[eu] & keep[ev]).sum()) if len(eu) else 0
-        check(count, size)
+def hereditary_planarity_check(g: Graph, samples: int, seed: int) -> PlanarityReport:
+    """Euler bound |E| <= 3|V|-6 on the full graph and on `samples` random
+    induced subgraphs, drawn from random.Random(seed) and counted in numpy
+    blocks of BLOCK_ROWS samples (see `_sample_blocks`).  Each count is held
+    against the bound for the number of vertices its sample really kept."""
+    n = g.vertex_count
+    bound = np.array([_euler_bound(k) for k in range(n + 1)])
+    violations = int(len(g.edges) > bound[n])
+    for keep, counts in _sample_blocks(g, samples, random.Random(seed)):
+        violations += int((counts > bound[keep.sum(axis=1)]).sum())
     return PlanarityReport(
         passed=violations == 0,
         violations=violations,
-        samples_checked=checked,
+        samples_checked=max(samples, 0) + 1,
     )
 
 

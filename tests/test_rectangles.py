@@ -1,12 +1,16 @@
 import itertools
 import random
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from planarity_oracle import hereditary_planarity_check as sample_by_sample_check
 from segment_oracle import _interval_runs as full_sweep_runs
 
+from ztnet import rectangles
 from ztnet.errors import DegenerateInput, PreconditionViolated
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import (
@@ -24,7 +28,9 @@ from ztnet.hypergraph import (
     delaunay_graph,
 )
 from ztnet.rectangles import (
+    BLOCK_ROWS,
     _interval_runs,
+    _sample_blocks,
     canonical_segment_tuples,
     corner_incidence_graph,
     crossing_graph,
@@ -35,7 +41,7 @@ from ztnet.rectangles import (
     segment_delaunay,
     vertical_edges_of,
 )
-from ztnet.suite import segment_instance
+from ztnet.suite import derive_seed, segment_instance
 from ztnet.zarankiewicz import find_ktt_witness
 
 
@@ -327,33 +333,65 @@ class TestSegmentDelaunay:
         # witness vertical's exact stab set)
         from ztnet.rectangles import delaunay_drawing_paths
 
-        def axis_segments(path):
-            return list(zip(path, path[1:]))
+        def box(points):
+            xs, ys = zip(*points)
+            return min(xs), max(xs), min(ys), max(ys)
 
-        def segs_intersect(p, q):
-            (x1, y1), (x2, y2) = p
-            (x3, y3), (x4, y4) = q
-            lo1x, hi1x = sorted((x1, x2))
-            lo1y, hi1y = sorted((y1, y2))
-            lo2x, hi2x = sorted((x3, x4))
-            lo2y, hi2y = sorted((y3, y4))
-            return lo1x <= hi2x and lo2x <= hi1x and lo1y <= hi2y and lo2y <= hi1y
+        def boxes_meet(p, q):
+            return p[0] <= q[1] and q[0] <= p[1] and p[2] <= q[3] and q[2] <= p[3]
 
-        for seed in (3, 14, 28):
-            segs = horizontal_edges_of(
+        families = [
+            horizontal_edges_of(
                 generate("random_rects", 40, GenParams(extent_lo=0.1, extent_hi=0.4), seed)
             )
+            for seed in (3, 14, 28)
+        ]
+        # one instance of the shape `ztnet suite --quick` samples for its
+        # delaunay-planarity row, so that row's planarity is pinned exactly
+        families.append(segment_instance(120, derive_seed(7, "segments", 120, 0)))
+        for segs in families:
             dela = segment_delaunay(segs)
             paths = delaunay_drawing_paths(dela)
             edges = sorted(paths)
+            # each leg is axis-parallel, so it is its own bounding box; two
+            # paths whose boxes miss each other cannot have legs that meet
+            legs = {e: [box(leg) for leg in zip(p, p[1:])] for e, p in paths.items()}
+            hull = {e: box(p) for e, p in paths.items()}
             for a_idx in range(len(edges)):
                 for b_idx in range(a_idx + 1, len(edges)):
                     ea, eb = edges[a_idx], edges[b_idx]
-                    if set(ea) & set(eb):
+                    if set(ea) & set(eb) or not boxes_meet(hull[ea], hull[eb]):
                         continue
-                    for sa in axis_segments(paths[ea]):
-                        for sb in axis_segments(paths[eb]):
-                            assert not segs_intersect(sa, sb), (ea, eb)
+                    for la in legs[ea]:
+                        for lb in legs[eb]:
+                            assert not boxes_meet(la, lb), (ea, eb)
+
+
+def complete_plus_isolated(k, isolated):
+    """K_k on vertices 0..k-1 plus `isolated` vertices of degree 0."""
+    return Graph(k + isolated, set(itertools.combinations(range(k), 2)))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, draw(st.sets(st.sampled_from(pairs))) if pairs else set())
+
+
+@st.composite
+def planar_graphs(draw):
+    """Edge subsets of a stacked triangulation: each vertex after the first
+    three joins the three corners of a face and splits it into three."""
+    n = draw(st.integers(0, 14))
+    edges = set(itertools.combinations(range(min(n, 3)), 2))
+    faces = [(0, 1, 2)] if n >= 3 else []
+    for v in range(3, n):
+        a, b, c = faces.pop(draw(st.integers(0, len(faces) - 1)))
+        edges |= {(a, v), (b, v), (c, v)}
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    kept = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return Graph(n, {e for e, k in zip(sorted(edges), kept) if k})
 
 
 class TestPlanarityCheck:
@@ -370,6 +408,76 @@ class TestPlanarityCheck:
         g = Graph(4, set())
         rep = hereditary_planarity_check(g, 25, seed=3)
         assert rep.samples_checked == 26  # full graph + samples
+
+    @pytest.mark.parametrize("samples", [0, 1, 63, 64, 65, 1000])
+    def test_checks_every_sample_across_block_edges(self, samples):
+        g = Graph(6, {(0, 1), (1, 2), (2, 3)})
+        assert hereditary_planarity_check(g, samples, seed=2).samples_checked == samples + 1
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_graphs(self, n):
+        g = Graph(n, {(0, 1)} if n == 2 else set())
+        rep = hereditary_planarity_check(g, 70, seed=4)
+        assert rep.passed and rep.samples_checked == 71
+
+    def test_same_seed_same_report(self):
+        g = complete_plus_isolated(6, 2)
+        rep = hereditary_planarity_check(g, 300, seed=9)
+        assert rep.violations > 0
+        assert rep == hereditary_planarity_check(g, 300, seed=9)
+
+    def test_tied_keys_raise_no_false_violation(self, monkeypatch):
+        # every key ties, so a sample of any size >= 1 keeps all n vertices of
+        # a maximal planar graph: only the bound for n, not for the drawn
+        # size, is the right one to hold its 3n - 6 edges against
+        class TiedRandom(random.Random):
+            def randbytes(self, k):
+                return bytes(k)
+
+        monkeypatch.setattr(rectangles, "random", SimpleNamespace(Random=TiedRandom))
+        n = 9
+        edges = {(0, 1)} | {(0, v) for v in range(2, n)} | {(1, v) for v in range(2, n)}
+        g = Graph(n, edges | {(v - 1, v) for v in range(3, n)})
+        assert len(g.edges) == 3 * n - 6
+        rep = hereditary_planarity_check(g, 200, seed=5)
+        assert rep.passed and rep.samples_checked == 201
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=small_graphs(), samples=st.integers(0, 150), seed=st.integers(0, 2**32))
+    @example(g=complete_plus_isolated(5, 0), samples=130, seed=1)
+    @example(g=complete_plus_isolated(6, 0), samples=64, seed=2)
+    @example(g=complete_plus_isolated(5, 4), samples=65, seed=3)
+    @example(g=complete_plus_isolated(0, 3), samples=1, seed=4)
+    def test_block_counts_match_a_recount(self, g, samples, seed):
+        # replay the draw in pure Python from a second generator on the same
+        # seed: per block, one randint size per row, then 4 bytes per vertex
+        n = g.vertex_count
+        replay = random.Random(seed)
+        total = 0
+        for keep, counts in _sample_blocks(g, samples, random.Random(seed)):
+            rows = len(counts)
+            assert keep.shape == (rows, n) and rows <= BLOCK_ROWS
+            sizes = [replay.randint(0, n) for _ in range(rows)]
+            raw = replay.randbytes(4 * rows * n)
+            for r, (row, count) in enumerate(zip(keep, counts)):
+                at = 4 * r * n
+                keys = [int.from_bytes(raw[at + 4 * v : at + 4 * v + 4], "little") for v in range(n)]
+                cut = sorted(keys)[sizes[r] - 1] if sizes[r] else -1
+                kept = {v for v in range(n) if keys[v] <= cut}
+                assert set(np.flatnonzero(row).tolist()) == kept and len(kept) >= sizes[r]
+                assert count == sum(u in kept and v in kept for u, v in g.edges)
+            total += rows
+        assert total == samples
+        rep = hereditary_planarity_check(g, samples, seed)
+        assert rep.samples_checked == sample_by_sample_check(g, samples, seed).samples_checked
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=planar_graphs(), samples=st.integers(0, 150), seed=st.integers(0, 2**32))
+    def test_agrees_with_oracle_on_planar_graphs(self, g, samples, seed):
+        rep = hereditary_planarity_check(g, samples, seed)
+        ref = sample_by_sample_check(g, samples, seed)
+        assert rep.passed == ref.passed
+        assert rep.samples_checked == ref.samples_checked
 
 
 class TestBoundReport:
