@@ -49,10 +49,34 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits_of(mask))
 
 
+def containing_rows(tuples, rows: list[int]):
+    """Yield (tuple, held) for each index tuple, where the bitmask `held` marks
+    the rows (bitmasks over the indices) that contain the whole tuple.
+
+    The rows are transposed once into one row mask per index, and a tuple's
+    mask is the AND of its members' masks, so the cost is O(sum |row| +
+    |tuples| * k) big-int operations, not one subset test per (tuple, row)
+    pair.  The empty tuple lies in every row."""
+    holders: dict[int, int] = {}
+    for r, row in enumerate(rows):
+        bit = 1 << r
+        for v in bits_of(row):
+            holders[v] = holders.get(v, 0) | bit
+    every_row = (1 << len(rows)) - 1
+    for tp in tuples:
+        held = every_row
+        for v in tp:
+            held &= holders.get(v, 0)
+        yield tp, held
+
+
 def contained_counts(tuples, rows: list[int]) -> list[int]:
     """For every row bitmask, how many of the index `tuples` lie inside it."""
-    tuple_masks = [mask_of(tp) for tp in tuples]
-    return [sum(1 for tm in tuple_masks if tm & row == tm) for row in rows]
+    counts = [0] * len(rows)
+    for _, held in containing_rows(tuples, rows):
+        for r in bits_of(held):
+            counts[r] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

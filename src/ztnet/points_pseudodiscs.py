@@ -17,7 +17,13 @@ from typing import Optional
 
 from .errors import InequalityViolated, PreconditionViolated
 from .geometry import Disc, Point, point_in_disc
-from .hypergraph import BipartiteIntersectionGraph, bits_of, contained_counts, mask_of
+from .hypergraph import (
+    BipartiteIntersectionGraph,
+    bits_of,
+    contained_counts,
+    containing_rows,
+    mask_of,
+)
 from .rectangles import CanonicalTupleFamily
 from .zarankiewicz import find_ktt_witness
 
@@ -144,17 +150,23 @@ def coverage_violations(a_pts, b_discs, t: int) -> list[tuple[int, int]]:
     toward the point passes through a contained set of size exactly t.
     """
     g = BipartiteIntersectionGraph.from_families(a_pts, b_discs)
-    fam = _shrink_tuples(g, t)
-    tuple_masks = [mask_of(tp) for tp in fam.tuples]
-    bad = []
-    for j, cm in enumerate(g.adj_b):
-        if cm.bit_count() < t:
-            continue
-        inside = [tm for tm in tuple_masks if tm & cm == tm]
-        for i in bits_of(cm):
-            if not any((tm >> i) & 1 for tm in inside):
-                bad.append((j, i))
-    return bad
+    return _uncovered(_shrink_tuples(g, t).tuples, g.adj_b, t)
+
+
+def _uncovered(tuples, rows: list[int], t: int) -> list[tuple[int, int]]:
+    """(row, index) pairs, in row-major order, where a row of at least t
+    indices holds the index but none of the `tuples` that lie inside it does."""
+    covered = [0] * len(rows)  # per row, the union of the tuples inside it
+    for tp, held in containing_rows(tuples, rows):
+        tm = mask_of(tp)
+        for j in bits_of(held):
+            covered[j] |= tm
+    return [
+        (j, i)
+        for j, row in enumerate(rows)
+        if row.bit_count() >= t
+        for i in bits_of(row & ~covered[j])
+    ]
 
 
 @dataclass

@@ -2,6 +2,11 @@
 canonical segment tuples, the segment Delaunay graph with its planar drawing,
 and the counting-inequality report.
 
+The census classifies the intersection graph's edges in numpy, straight from
+the box kernel's (rows, cols) edge arrays, one block of rows of A at a time,
+and builds no graph.  The counting chains count tuple containment from the
+tuple side (`hypergraph.contained_counts`).
+
 A k-tuple of horizontal segments is canonical when some vertical segment
 meets exactly those k among all the segments.  Stab sets are constant on the
 open intervals between consecutive endpoint abscissae, and within one
@@ -24,15 +29,13 @@ import numpy as np
 
 from .errors import DegenerateInput, InequalityViolated, PreconditionViolated
 from .geometry import (
-    IntersectionType,
     Segment,
     check_general_position,
-    classify_rect_pair,
     rect_corners,
     rect_horizontal_edges,
     rect_vertical_edges,
 )
-from .hypergraph import BipartiteIntersectionGraph, Graph, contained_counts
+from .hypergraph import BipartiteIntersectionGraph, Graph, _edge_blocks, contained_counts
 from .zarankiewicz import find_ktt_witness
 
 
@@ -84,26 +87,59 @@ def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
     classifies as disjoint raises, so the partition identity total == |E|
     holds by construction.
     """
-    if not check_general_position(list(a_rects) + list(b_rects)):
+    a_rects, b_rects = list(a_rects), list(b_rects)
+    if not check_general_position(a_rects + b_rects):
         raise DegenerateInput("rectangle families share an edge line")
-    return _classify_edges(BipartiteIntersectionGraph.from_families(a_rects, b_rects))
+    return _census(a_rects, b_rects)
 
 
-def _classify_edges(g: BipartiteIntersectionGraph) -> IntersectionTypeCounts:
-    """Census of a rectangle intersection graph already in general position."""
-    counts = {ity: 0 for ity in IntersectionType}
-    for i, j in g.edges:
-        a, b = g.side_a[i], g.side_b[j]
-        ity = classify_rect_pair(a, b)
-        if ity is None:
-            raise AssertionError(f"intersecting pair classifies as disjoint: {a}, {b}")
-        counts[ity] += 1
-    return IntersectionTypeCounts(
-        type1=counts[IntersectionType.A_INSIDE_B],
-        type2=counts[IntersectionType.B_INSIDE_A],
-        type3=counts[IntersectionType.B_VERTICAL_CROSSES_A],
-        type4=counts[IntersectionType.A_VERTICAL_CROSSES_B],
-    )
+def _box_coords(rects) -> np.ndarray:
+    """x_lo, x_hi, y_lo, y_hi of every rectangle, as the four rows of an array."""
+    return np.array([(r.x_lo, r.x_hi, r.y_lo, r.y_hi) for r in rects]).reshape(-1, 4).T
+
+
+def _census(a_rects: list, b_rects: list) -> IntersectionTypeCounts:
+    """Census of two rectangle families already in general position.
+
+    The edges come as (rows, cols) arrays from `_edge_blocks`, CHUNK_ROWS rows
+    of A at a time, and each block is classified with numpy comparisons by
+    `classify_rect_pair`'s rule.  The crossings of b's vertical edges with a's
+    horizontal edges form the product of the verticals that lie in a's x-span
+    and the horizontals that lie in b's y-span (type 3), and the other way
+    round for type 4.  When both exist, the lexicographically smaller leftmost
+    crossing wins; its abscissa is a coordinate of b for type 3 and of a for
+    type 4, and no two edge lines coincide, so x alone decides.
+    """
+    counts = [0, 0, 0, 0]
+    a_box, b_box = _box_coords(a_rects), _box_coords(b_rects)
+    for rows, cols in _edge_blocks(a_rects, b_rects):
+        axl, axh, ayl, ayh = a_box[:, rows]
+        bxl, bxh, byl, byh = b_box[:, cols]
+        overlap = (axl <= bxh) & (bxl <= axh) & (ayl <= byh) & (byl <= ayh)
+        a_in_b = (bxl < axl) & (axh < bxh) & (byl < ayl) & (ayh < byh)
+        b_in_a = (axl < bxl) & (bxh < axh) & (ayl < byl) & (byh < ayh)
+        b_left_in, b_right_in = (axl <= bxl) & (bxl <= axh), (axl <= bxh) & (bxh <= axh)
+        a_left_in, a_right_in = (bxl <= axl) & (axl <= bxh), (bxl <= axh) & (axh <= bxh)
+        a_rows_in = ((byl <= ayl) & (ayl <= byh)) | ((byl <= ayh) & (ayh <= byh))
+        b_rows_in = ((ayl <= byl) & (byl <= ayh)) | ((ayl <= byh) & (byh <= ayh))
+        crosses3 = (b_left_in | b_right_in) & a_rows_in
+        crosses4 = (a_left_in | a_right_in) & b_rows_in
+        x3 = np.where(b_left_in, bxl, bxh)  # leftmost type-3 crossing, where one exists
+        x4 = np.where(a_left_in, axl, axh)
+        crossing = overlap & ~a_in_b & ~b_in_a
+        type3 = crossing & crosses3 & (~crosses4 | (x3 < x4))
+        type4 = crossing & crosses4 & ~type3
+        unclassified = crossing & ~crosses3 & ~crosses4
+        for bad, error, message in (
+            (~overlap, AssertionError, "intersecting pair classifies as disjoint"),
+            (unclassified, DegenerateInput, "rectangle pair in unclassifiable contact"),
+        ):
+            if bad.any():
+                e = int(np.flatnonzero(bad)[0])
+                raise error(f"{message}: {a_rects[rows[e]]}, {b_rects[cols[e]]}")
+        for k, mask in enumerate((a_in_b, b_in_a, type3, type4)):
+            counts[k] += int(mask.sum())
+    return IntersectionTypeCounts(*counts)
 
 
 def corner_incidence_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
@@ -376,12 +412,11 @@ def rectangle_bound_report(
     b_rects = list(b_rects)
     if not check_general_position(a_rects + b_rects):
         raise DegenerateInput("rectangle families share an edge line")
-    g = BipartiteIntersectionGraph.from_families(a_rects, b_rects)
     if not assume_ktt_free:
-        witness = find_ktt_witness(g, t, budget)
+        witness = find_ktt_witness(BipartiteIntersectionGraph.from_families(a_rects, b_rects), t, budget)
         if witness is not None:
             raise PreconditionViolated(f"input graph contains K_{t},{t}: {witness}")
-    census = _classify_edges(g)
+    census = _census(a_rects, b_rects)
     k_graph = crossing_graph(a_rects, b_rects)
     degrees = k_graph.degrees_b()
     fam = canonical_segment_tuples(k_graph.side_a, 2 * t - 1).tuples

@@ -1,0 +1,26 @@
+"""The row-side containment scans that `hypergraph.contained_counts` and
+`points_pseudodiscs._uncovered` replaced, kept as their test oracles: each
+tests every tuple against every row."""
+
+from ztnet.hypergraph import bits_of, mask_of
+
+
+def contained_counts(tuples, rows: list[int]) -> list[int]:
+    """For every row bitmask, how many of the index `tuples` lie inside it."""
+    tuple_masks = [mask_of(tp) for tp in tuples]
+    return [sum(1 for tm in tuple_masks if tm & row == tm) for row in rows]
+
+
+def uncovered(tuples, rows: list[int], t: int) -> list[tuple[int, int]]:
+    """(row, index) pairs where a row of at least t indices holds the index
+    but none of the tuples inside the row does."""
+    tuple_masks = [mask_of(tp) for tp in tuples]
+    bad = []
+    for j, row in enumerate(rows):
+        if row.bit_count() < t:
+            continue
+        inside = [tm for tm in tuple_masks if tm & row == tm]
+        for i in bits_of(row):
+            if not any((tm >> i) & 1 for tm in inside):
+                bad.append((j, i))
+    return bad

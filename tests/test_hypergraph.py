@@ -6,8 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from containment_oracle import contained_counts as row_side_counts
 from net_oracle import induced_subhypergraph
 from round_oracle import dense_edges, round_matrix
 
@@ -449,6 +450,20 @@ class TestAdjacencyMasks:
         rows = [mask_of([0, 1, 2]), mask_of([0, 1]), mask_of([2]), 0]
         assert contained_counts([(0, 1), fs(1, 2)], rows) == [2, 1, 0, 0]
         assert contained_counts([], rows) == [0, 0, 0, 0]
+
+
+class TestContainment:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 9), max_size=4).map(tuple), max_size=12),
+        st.lists(st.integers(0, (1 << 8) - 1), max_size=10),  # indices 8 and 9 in no row
+    )
+    @example([()], [0b101, 0])  # the empty tuple lies in every row, an empty one too
+    @example([(0, 1), (1, 0), (0, 1)], [0b11, 0b1])  # duplicates count once each
+    @example([(9,), (8, 0)], [0xFF])  # indices that no row holds
+    @example([(0,), ()], [])  # no rows
+    def test_contained_counts_match_row_side_scan(self, tuples, rows):
+        assert contained_counts(tuples, rows) == row_side_counts(tuples, rows)
 
 
 class TestGraphTypes:

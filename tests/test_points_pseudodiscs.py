@@ -2,12 +2,16 @@ import math
 import random
 
 import pytest
+from containment_oracle import uncovered as row_side_uncovered
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ztnet.errors import PreconditionViolated
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import Disc, Point, point_in_disc
 from ztnet.hypergraph import BipartiteIntersectionGraph
 from ztnet.points_pseudodiscs import (
+    _uncovered,
     counting_inequality_check,
     coverage_violations,
     shrink_canonical_tuples,
@@ -136,6 +140,21 @@ class TestCanonicalTuples:
             pts, discs = pd_instance(40, 15, seed)
             assert coverage_violations(pts, discs, 2) == []
             assert coverage_violations(pts, discs, 3) == []
+
+
+class TestCoverage:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 9), max_size=4).map(tuple), max_size=12),
+        st.lists(st.integers(0, (1 << 8) - 1), max_size=10),  # indices 8 and 9 in no row
+        st.integers(0, 4),
+    )
+    @example([()], [0b111, 0], 0)  # the empty tuple covers no index
+    @example([(0, 1), (0, 1)], [0b111, 0b11], 2)  # a duplicated tuple
+    @example([(0, 9)], [0b11], 2)  # a tuple with an index that no row holds
+    @example([(0, 1)], [], 2)  # no rows
+    def test_uncovered_matches_row_side_scan(self, tuples, rows, t):
+        assert _uncovered(tuples, rows, t) == row_side_uncovered(tuples, rows, t)
 
 
 class TestCountingChains:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from census_oracle import intersection_type_census as per_edge_census
 from planarity_oracle import hereditary_planarity_check as sample_by_sample_check
 from segment_oracle import _interval_runs as full_sweep_runs
 
@@ -15,13 +17,16 @@ from ztnet.errors import DegenerateInput, PreconditionViolated
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import (
     AxisRect,
+    Frame,
     Segment,
+    check_general_position,
     intersects,
     point_in_rect,
     rect_corners,
     segments_cross,
 )
 from ztnet.hypergraph import (
+    CHUNK_ROWS,
     BipartiteIntersectionGraph,
     Graph,
     Hypergraph,
@@ -55,7 +60,91 @@ def rect_families(n, seed, lo=0.05, hi=0.3):
     return a, b
 
 
+@st.composite
+def rect_pair_families(draw, shared_lines=False):
+    """Two small families of rects or frames on a quarter-unit grid.  With
+    shared_lines False, every edge line is distinct (general position);
+    otherwise coordinates come from a grid so coarse that lines often meet."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    if shared_lines:
+        def span():
+            lo = draw(st.integers(0, 6))
+            return [lo, lo + draw(st.integers(1, 4))]
+
+        xs = [v for _ in range(m + n) for v in span()]
+        ys = [v for _ in range(m + n) for v in span()]
+    else:
+        xs = draw(st.permutations(range(2 * (m + n))))
+        ys = draw(st.permutations(range(2 * (m + n))))
+    boxes = [
+        (*sorted(xs[2 * i : 2 * i + 2]), *sorted(ys[2 * i : 2 * i + 2])) for i in range(m + n)
+    ]
+    kind_a, kind_b = draw(st.sampled_from([AxisRect, Frame])), draw(st.sampled_from([AxisRect, Frame]))
+    to_grid = lambda box: [0.25 * v for v in box]  # noqa: E731
+    return [kind_a(*to_grid(box)) for box in boxes[:m]], [kind_b(*to_grid(box)) for box in boxes[m:]]
+
+
+def census_outcome(census, a, b):
+    try:
+        return census(a, b)
+    except DegenerateInput as exc:
+        return ("DegenerateInput", str(exc))
+
+
 class TestCensus:
+    @settings(max_examples=300, deadline=None)
+    @given(rect_pair_families())
+    @example(([AxisRect(1, 2, 1, 2)], [AxisRect(0, 3, 0, 3)]))  # a strictly inside b
+    @example(([AxisRect(0, 3, 0, 3)], [AxisRect(1, 2, 1, 2)]))  # b strictly inside a
+    @example(([AxisRect(0, 2, 0, 2)], [AxisRect(1, 3, 1, 3)]))  # corner overlap, type 3 by x
+    @example(([AxisRect(1, 3, 0, 2)], [AxisRect(0, 2, 1, 3)]))  # corner overlap, type 4 by x
+    @example(([], [AxisRect(0, 1, 0, 1)]))
+    @example(([AxisRect(0, 1, 0, 1)], []))
+    def test_matches_per_edge_oracle_and_swaps(self, fams):
+        a, b = fams
+        fwd = intersection_type_census(a, b)
+        assert fwd == per_edge_census(a, b)
+        rev = intersection_type_census(b, a)
+        assert (rev.type1, rev.type2, rev.type3, rev.type4) == (fwd.type2, fwd.type1, fwd.type4, fwd.type3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rect_pair_families(shared_lines=True))
+    def test_shared_edge_lines_raise_as_the_oracle_does(self, fams):
+        a, b = fams
+        outcome = census_outcome(intersection_type_census, a, b)
+        assert outcome == census_outcome(per_edge_census, a, b)
+        if not check_general_position(a + b):
+            assert outcome == ("DegenerateInput", "rectangle families share an edge line")
+
+    def test_more_than_one_block(self):
+        a, _ = rect_families(CHUNK_ROWS + 44, 5)
+        _, b = rect_families(80, 6)
+        census = intersection_type_census(a, b)
+        assert census == per_edge_census(a, b) and census.total > 0
+
+    def test_one_shot_iterables(self):
+        c = intersection_type_census(iter([AxisRect(1, 2, 1, 2)]), iter([AxisRect(0, 3, 0, 3)]))
+        assert (c.type1, c.type2, c.type3, c.type4) == (1, 0, 0, 0)
+        a, b = rect_families(25, 3)
+        assert intersection_type_census((r for r in a), (r for r in b)) == intersection_type_census(a, b)
+
+    def test_builds_no_graph(self, monkeypatch):
+        def no_graph(*args):
+            raise AssertionError("the census built a graph")
+
+        monkeypatch.setattr(BipartiteIntersectionGraph, "from_families", no_graph)
+        a, b = rect_families(25, 4)
+        assert intersection_type_census(a, b).total > 0
+
+    def test_edge_classified_as_disjoint_raises(self, monkeypatch):
+        def fake_blocks(fam_a, fam_b):
+            yield np.array([0]), np.array([0])
+
+        monkeypatch.setattr(rectangles, "_edge_blocks", fake_blocks)
+        a, b = AxisRect(0, 1, 0, 1), AxisRect(5, 6, 5, 6)
+        with pytest.raises(AssertionError, match=re.escape(f"intersecting pair classifies as disjoint: {a}, {b}")):
+            intersection_type_census([a], [b])
+
     def test_examples(self):
         c = intersection_type_census([AxisRect(1, 2, 1, 2)], [AxisRect(0, 3, 0, 3)])
         assert (c.type1, c.type2, c.type3, c.type4) == (1, 0, 0, 0)
