@@ -12,13 +12,14 @@ heavy/light cutoffs across the package go through `heavy_threshold`.
 Hyperedges are int bitmasks here: every verifier and constructor reads the
 one heavy view `_heavy_masks`.  The stacked cover samples each layer from the
 parent hypergraph's masks, traced over the unused vertices; the structural
-net's vertex removal ends with the last heavy trace of >= t cover vertices.
-The greedy net walks per-vertex column masks; only the exhaustive minimum
-lists every candidate t-subset up front.
+net's vertex removal is a smallest-last order kept incrementally, in
+O(sum |e & cover|) plus heap operations.  The greedy net walks per-vertex
+column masks; only the exhaustive minimum lists every candidate t-subset.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -180,7 +181,11 @@ def stacked_cover_set(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> Net
     hyperedge, minus up to t-1 already-covered vertices, still heavy at eps/2
     in every later layer.
     """
-    e = as_fraction(eps)
+    return _stacked_cover(h, as_fraction(eps), t, seed)[0]
+
+
+def _stacked_cover(h: Hypergraph, e: Fraction, t: int, seed: int) -> tuple[NetBuildTrace, list[int]]:
+    """`stacked_cover_set` and its first layer's heavy masks, `_heavy_masks(h, e)`."""
     if t < 1:
         raise ValueError("t must be >= 1")
     n = h.vertex_count
@@ -189,17 +194,18 @@ def stacked_cover_set(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> Net
             f"stacked cover needs eps*n >= 2t; got {e} * {n} < {2 * t}"
         )
     rng = random.Random(seed)
+    top = _heavy_masks(h, e)
     pool = list(range(n))  # the unused vertices, sorted
     layers: list[frozenset[int]] = []
     for i in range(t):
         layer_eps = e if i == 0 else e / 2
         layer = frozenset()
         if pool:
-            heavy = _heavy_masks(h, layer_eps, pool=pool)
+            heavy = top if i == 0 else _heavy_masks(h, layer_eps, pool=pool)
             layer = _sampled_net(heavy, pool, layer_eps, rng.randrange(2**32))
             pool = [v for v in pool if v not in layer]
         layers.append(layer)
-    return NetBuildTrace(cover_set=frozenset().union(*layers), layer_nets=layers)
+    return NetBuildTrace(cover_set=frozenset().union(*layers), layer_nets=layers), top
 
 
 def pseudodisc_t_net(
@@ -213,33 +219,60 @@ def pseudodisc_t_net(
     delete it.  Every heavy hyperedge keeps >= t cover vertices until some
     step reduces its trace from size t to t-1, and at that step the trace
     enters the net, so the output is valid regardless of the selection order.
-
-    A trace below t vertices never again has size t, so it is dropped, and
-    only vertices of traces that start with >= t are candidates: any other
-    vertex has count 0 throughout, and removing it changes nothing.  The loop
-    ends with the last trace; with no heavy hyperedge it never runs.
+    Only vertices of traces of >= t cover vertices are candidates: any other
+    has count 0 throughout.
     """
     e = as_fraction(eps)
-    trace = stacked_cover_set(h, e, t, seed)
-    cover_mask = mask_of(trace.cover_set)
-    traces = {tm for em in _heavy_masks(h, e) if (tm := em & cover_mask).bit_count() >= t}
-    candidates = sorted({v for tm in traces for v in bits_of(tm)})
-    net_masks: set[int] = set()
-    while traces:
-        size_t = [tm for tm in traces if tm.bit_count() == t]
-        counts = dict.fromkeys(candidates, 0)
-        for tm in size_t:
-            for v in bits_of(tm):
-                counts[v] += 1
-        chosen = min(candidates, key=counts.__getitem__)  # first minimum: lowest index
-        bit = 1 << chosen
-        net_masks.update(tm for tm in size_t if tm & bit)
-        candidates.remove(chosen)
-        hit = [tm for tm in traces if tm & bit]
-        traces.difference_update(hit)
-        traces.update(rest for tm in hit if (rest := tm ^ bit).bit_count() >= t)
-    net = TNet(t=t, tuples=frozenset(set_of(tm) for tm in net_masks), epsilon=e)
-    return net, trace
+    trace, heavy = _stacked_cover(h, e, t, seed)
+    return TNet(t=t, tuples=_removal_net(heavy, trace.cover_set, t), epsilon=e), trace
+
+
+def _removal_net(heavy: list[int], cover: frozenset[int], t: int) -> frozenset[frozenset[int]]:
+    """The structural net's tuples, by a smallest-last order (Matula & Beck).
+
+    Removing v shrinks only the traces over the cover that hold v, so this
+    costs O(sum |e & cover|) plus heap operations.  A trace's tuple is read
+    when its size reaches t and when it drops below, and `mult` counts the
+    traces behind each distinct size-t tuple, so a vertex's count moves only
+    when a tuple appears or goes.  Stale (count, v) heap entries are skipped;
+    ties go to the lowest index.
+    """
+    cover_mask = mask_of(cover)
+    traces = [tuple(bits_of(tm)) for em in heavy if (tm := em & cover_mask).bit_count() >= t]
+    sizes = [len(vs) for vs in traces]
+    holders: dict[int, list[int]] = {}
+    for k, vs in enumerate(traces):
+        for v in vs:
+            holders.setdefault(v, []).append(k)
+    count = dict.fromkeys(holders, 0)  # the live candidates
+    mult: dict[tuple[int, ...], int] = {}
+    heap = [(0, v) for v in count]  # heapified once the size-t traces are in
+
+    def move(key: tuple[int, ...], step: int) -> None:
+        mult[key] = mult.get(key, 0) + step
+        if mult[key] == (step > 0):  # 0 -> 1 or 1 -> 0
+            for u in filter(count.__contains__, key):
+                count[u] += step
+                heapq.heappush(heap, (count[u], u))
+
+    for vs in traces:
+        if len(vs) == t:
+            move(vs, 1)
+    heapq.heapify(heap)
+    net = set()
+    while heap:
+        c, v = heapq.heappop(heap)
+        if count.get(v) != c:
+            continue  # stale: v is gone or its count moved
+        del count[v]
+        for k in holders[v]:
+            sizes[k] -= 1
+            if sizes[k] == t:
+                move(tuple(filter(count.__contains__, traces[k])), 1)
+            elif sizes[k] == t - 1:
+                net.add(key := tuple(u for u in traces[k] if u == v or u in count))
+                move(key, -1)
+    return frozenset(map(frozenset, net))
 
 
 # ---------------------------------------------------------------------------

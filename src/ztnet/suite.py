@@ -251,11 +251,10 @@ def build_suite_instances(cfg: SuiteConfig) -> list[SuiteInstance]:
 
 
 def naive_ktt_free(g: BipartiteIntersectionGraph, t: int) -> bool:
-    """All-pairs-of-subsets biclique search; quadratic reference oracle."""
+    """Biclique oracle on the edge set alone: does a t-subset of A have t common neighbours?"""
     for sa in itertools.combinations(range(g.m), t):
-        for sb in itertools.combinations(range(g.n), t):
-            if all((i, j) in g.edges for i in sa for j in sb):
-                return False
+        if sum(all((i, j) in g.edges for i in sa) for j in range(g.n)) >= t:
+            return False
     return True
 
 

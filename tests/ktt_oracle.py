@@ -1,6 +1,9 @@
 """The lexicographic t-subset scan that `BicliqueSearch` replaced, kept as its
 test oracle: it walks every t-subset of the pool, not only those inside a
-neighbourhood."""
+neighbourhood.
+
+The all-pairs form of the suite's `naive_ktt_free`, which now counts common
+neighbours per t-subset of A instead, kept as its oracle."""
 
 import itertools
 from bisect import bisect_left
@@ -44,3 +47,13 @@ def _lex_witness(
         if common.bit_count() >= t:
             return combo, tuple(itertools.islice(bits_of(common), t))
     return None
+
+
+def all_pairs_ktt_free(g, t: int) -> bool:
+    """The all-pairs form of `suite.naive_ktt_free`: every (A t-subset,
+    B t-subset) pair is tested against the edge set."""
+    for sa in itertools.combinations(range(g.m), t):
+        for sb in itertools.combinations(range(g.n), t):
+            if all((i, j) in g.edges for i in sa for j in sb):
+                return False
+    return True

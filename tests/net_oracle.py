@@ -6,8 +6,13 @@ the big-int `max` over the whole table.
 
 The structural net as it was before its cover layers were drawn on the parent's
 masks: every layer samples an eps-net of the induced subhypergraph on the
-unused vertices, and the removal loop rescans the whole cover until it is
-empty.  Only the unread per-step removal log is left out.
+unused vertices, and the removal loop (`rescan_removal`) rescans the whole
+cover until it is empty.  Only the unread per-step removal log is left out.
+
+The structural net's removal loop as it was before the smallest-last order was
+kept incrementally (`mask_removal`, and `mask_loop_t_net` on the library's
+cover): each step recounts every live trace of >= t cover vertices over every
+candidate, and the loop ends with the last such trace.
 """
 
 import itertools
@@ -16,7 +21,7 @@ import random
 from typing import Iterable
 
 from ztnet.errors import InfeasibleNet, PreconditionViolated
-from ztnet.hypergraph import Hypergraph, bits_of, mask_of
+from ztnet.hypergraph import Hypergraph, bits_of, mask_of, set_of
 from ztnet.nets import (
     EpsilonLike,
     NetBuildTrace,
@@ -25,6 +30,7 @@ from ztnet.nets import (
     as_fraction,
     verify_epsilon_net,
 )
+from ztnet.nets import stacked_cover_set as library_cover_set
 
 
 def _candidate_cover(heavy: list[int], t: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -150,9 +156,15 @@ def pseudodisc_t_net(
     """
     e = as_fraction(eps)
     trace = stacked_cover_set(h, e, t, seed)
-    remaining = sorted(trace.cover_set)
+    net = TNet(t=t, tuples=rescan_removal(_heavy_masks(h, e), trace.cover_set, t), epsilon=e)
+    return net, trace
+
+
+def rescan_removal(source_masks: list[int], cover: frozenset[int], t: int) -> frozenset[frozenset[int]]:
+    """Remove every cover vertex in turn, recounting the distinct size-t traces
+    of `source_masks` over the remaining cover at each step."""
+    remaining = sorted(cover)
     remaining_mask = mask_of(remaining)
-    source_masks = _heavy_masks(h, e)
     net_tuples: set[frozenset[int]] = set()
     while remaining:
         traces = (em & remaining_mask for em in source_masks)
@@ -166,5 +178,38 @@ def pseudodisc_t_net(
         net_tuples.update(frozenset(bits_of(tm)) for tm in added)
         remaining.remove(chosen)
         remaining_mask &= ~(1 << chosen)
-    net = TNet(t=t, tuples=frozenset(net_tuples), epsilon=e)
+    return frozenset(net_tuples)
+
+
+def mask_loop_t_net(
+    h: Hypergraph, eps: EpsilonLike, t: int, seed: int
+) -> tuple[TNet, NetBuildTrace]:
+    """The library's cover set, then the per-step recount `mask_removal`."""
+    e = as_fraction(eps)
+    trace = library_cover_set(h, e, t, seed)
+    net = TNet(t=t, tuples=mask_removal(_heavy_masks(h, e), trace.cover_set, t), epsilon=e)
     return net, trace
+
+
+def mask_removal(heavy: list[int], cover: frozenset[int], t: int) -> frozenset[frozenset[int]]:
+    """Keep the traces of >= t cover vertices as masks; at each step count the
+    size-t ones over the candidates, remove the first minimum, and drop the
+    traces that fall below t."""
+    cover_mask = mask_of(cover)
+    traces = {tm for em in heavy if (tm := em & cover_mask).bit_count() >= t}
+    candidates = sorted({v for tm in traces for v in bits_of(tm)})
+    net_masks: set[int] = set()
+    while traces:
+        size_t = [tm for tm in traces if tm.bit_count() == t]
+        counts = dict.fromkeys(candidates, 0)
+        for tm in size_t:
+            for v in bits_of(tm):
+                counts[v] += 1
+        chosen = min(candidates, key=counts.__getitem__)  # first minimum: lowest index
+        bit = 1 << chosen
+        net_masks.update(tm for tm in size_t if tm & bit)
+        candidates.remove(chosen)
+        hit = [tm for tm in traces if tm & bit]
+        traces.difference_update(hit)
+        traces.update(rest for tm in hit if (rest := tm ^ bit).bit_count() >= t)
+    return frozenset(set_of(tm) for tm in net_masks)

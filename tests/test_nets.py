@@ -6,15 +6,16 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ztnet import suite
 from ztnet.errors import BudgetExceeded, InfeasibleNet, PreconditionViolated
 from ztnet.generators import GenParams, generate
-from ztnet.hypergraph import BipartiteIntersectionGraph, Hypergraph, primal_hypergraph
+from ztnet.hypergraph import BipartiteIntersectionGraph, Hypergraph, mask_of, primal_hypergraph, set_of
 from ztnet.nets import (
     TNet,
+    _removal_net,
     as_fraction,
     greedy_cover_t_net,
     heavy_dedup_edges,
@@ -247,6 +248,16 @@ def wide_discs_1500() -> Hypergraph:
     )
 
 
+@functools.cache
+def suite_net_check(instance: int) -> tuple[Hypergraph, int]:
+    """The full suite's net-check hypergraph number `instance`, and its seed."""
+    cfg = suite.SuiteConfig()
+    seed = suite.derive_seed(cfg.seed, "net", instance)
+    h = primal_hypergraph(BipartiteIntersectionGraph.from_families(
+        *suite.disc_instance(cfg.net_n, seed, *cfg.net_radius)))
+    return h, seed
+
+
 def structural_outcome(build, h, eps, t, seed):
     """The (net, trace) pair `build` returns, or the type and text it raises."""
     try:
@@ -255,9 +266,45 @@ def structural_outcome(build, h, eps, t, seed):
         return type(err), str(err)
 
 
+@st.composite
+def removal_inputs(draw):
+    """Heavy masks, a cover and t for the removal order alone.  Each drawn trace
+    over the cover is carried by 1-3 distinct hyperedges that differ only off
+    the cover, so traces coincide from the start at every size; a trace may
+    also get a sibling that swaps one vertex, which it equals once both
+    swapped vertices are gone.  Exact duplicates repeat some masks, and traces
+    below t cover vertices or an empty cover leave the net empty."""
+    t = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 14))
+    cover = sorted(draw(st.sets(st.integers(0, n - 1))))
+    outside = sorted(set(range(n)).difference(cover))
+    heavy = []
+    for _ in range(draw(st.integers(0, 8))):
+        trace = sorted(draw(st.sets(st.sampled_from(cover)))) if cover else []
+        others = [v for v in cover if v not in trace]
+        if trace and others and draw(st.booleans()):
+            heavy.append(mask_of(trace[1:] + [draw(st.sampled_from(others))]))
+        for _ in range(draw(st.integers(1, 3))):
+            off = draw(st.sets(st.sampled_from(outside))) if outside else set()
+            heavy.append(mask_of(trace + sorted(off)))
+    if heavy:
+        heavy += draw(st.lists(st.sampled_from(heavy), max_size=3))
+    return draw(st.permutations(heavy)), frozenset(cover), t
+
+
+def assert_tuples_in_traces(net, heavy, cover, t):
+    """Every tuple lies in a heavy trace over the cover, and there are at most
+    as many tuples as distinct traces of >= t cover vertices: each contributes
+    the last t of its vertices in removal order."""
+    traces = {e & cover for e in heavy}
+    assert all(any(tp <= tr for tr in traces) for tp in net)
+    assert len(net) <= len({tr for tr in traces if len(tr) >= t})
+
+
 class TestStructuralOracle:
-    # the structural net against its pre-mask oracle: the same layers, cover
-    # and tuples, or the same error, for every seed
+    # the structural net against its pre-mask oracle and the per-step mask
+    # recount: the same layers, cover and tuples, or the same error, for
+    # every seed
 
     @settings(max_examples=400, deadline=None)
     @given(net_inputs(), st.integers(1, 4), st.integers(0, 2**32 - 1),
@@ -267,8 +314,28 @@ class TestStructuralOracle:
         h, eps = inputs
         if bad_eps is not None:
             eps = bad_eps
-        expected = structural_outcome(net_oracle.pseudodisc_t_net, h, eps, t, seed)
-        assert structural_outcome(pseudodisc_t_net, h, eps, t, seed) == expected
+        got = structural_outcome(pseudodisc_t_net, h, eps, t, seed)
+        assert got == structural_outcome(net_oracle.pseudodisc_t_net, h, eps, t, seed)
+        assert got == structural_outcome(net_oracle.mask_loop_t_net, h, eps, t, seed)
+
+    @settings(max_examples=600, deadline=None)
+    @given(removal_inputs())
+    @example(([0b1111, 0b1111], frozenset(range(4)), 2))  # duplicates
+    @example(([0b11, 0b1000011], frozenset(range(4)), 2))  # equal at size t
+    @example(([0b1111, 0b11001111], frozenset(range(4)), 2))  # equal above t
+    @example(([0b10111, 0b11011], frozenset(range(5)), 2))  # equal after removals
+    @example(([0b1, 0b110], frozenset(range(3)), 3))  # empty net
+    @example(([], frozenset(range(3)), 1))  # no hyperedge
+    # traces that merge mid-order, and a duplicated size-t trace that drops,
+    # each where counting the tuple once per trace changes the order
+    @example(([0b1110100, 0b101001, 0b101100, 0b1010101], frozenset(range(7)), 2))
+    @example(([0b111100, 0b1010010, 0b101101, 0b1010010, 0b1010100], frozenset(range(7)), 3))
+    def test_removal_order_matches_both_loops(self, inputs):
+        heavy, cover, t = inputs
+        got = _removal_net(heavy, cover, t)
+        assert got == net_oracle.rescan_removal(heavy, cover, t)
+        assert got == net_oracle.mask_removal(heavy, cover, t)
+        assert_tuples_in_traces(got, [set_of(em) for em in heavy], cover, t)
 
     @pytest.mark.parametrize("t", [2, 3])
     @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
@@ -279,6 +346,7 @@ class TestStructuralOracle:
         assert heavy_dedup_edges(h, eps)
         got = pseudodisc_t_net(h, eps, t, seed=5)
         assert got == net_oracle.pseudodisc_t_net(h, eps, t, seed=5)
+        assert got == net_oracle.mask_loop_t_net(h, eps, t, seed=5)
         assert got[0].size() > 0
         pool = h.vertex_count
         for layer in got[1].layer_nets:
@@ -287,13 +355,22 @@ class TestStructuralOracle:
 
     @pytest.mark.parametrize("instance", range(50))
     def test_matches_oracle_on_suite_net_checks(self, instance):
+        h, seed = suite_net_check(instance)
         cfg = suite.SuiteConfig()
-        seed = suite.derive_seed(cfg.seed, "net", instance)
-        h = primal_hypergraph(BipartiteIntersectionGraph.from_families(
-            *suite.disc_instance(cfg.net_n, seed, *cfg.net_radius)))
         for t in cfg.net_ts:
             got = pseudodisc_t_net(h, cfg.net_eps, t, suite.derive_seed(seed, t))
             assert got == net_oracle.pseudodisc_t_net(h, cfg.net_eps, t, suite.derive_seed(seed, t))
+            assert got == net_oracle.mask_loop_t_net(h, cfg.net_eps, t, suite.derive_seed(seed, t))
+
+    @pytest.mark.parametrize("instance", range(50))
+    def test_tuples_lie_in_heavy_traces_on_suite_net_checks(self, instance):
+        h, seed = suite_net_check(instance)
+        cfg = suite.SuiteConfig()
+        heavy = heavy_dedup_edges(h, cfg.net_eps)
+        for t in (2, 3):
+            net, trace = pseudodisc_t_net(h, cfg.net_eps, t, suite.derive_seed(seed, t))
+            assert net.size() > 0
+            assert_tuples_in_traces(net.tuples, heavy, trace.cover_set, t)
 
 
 class TestGreedy:

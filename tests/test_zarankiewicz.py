@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ztnet import suite
 from ztnet.errors import BudgetExceeded, InvalidNet
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.hypergraph import BipartiteIntersectionGraph, mask_of, primal_hypergraph
@@ -22,7 +23,7 @@ from ztnet.zarankiewicz import (
     num_edges_bound,
 )
 
-from ktt_oracle import _lex_witness
+from ktt_oracle import _lex_witness, all_pairs_ktt_free
 
 
 def bip(m, n, edges):
@@ -60,6 +61,32 @@ class TestWitnessSearch:
             g = bip(m, n, {(i, j) for i in range(m) for j in range(n) if rng.random() < p})
             for t in (2, 3):
                 assert (find_ktt_witness(g, t) is None) == naive_ktt_free(g, t)
+
+    @pytest.mark.parametrize("seed", [7, 9001])
+    def test_naive_oracle_matches_all_pairs_on_suite_graphs(self, seed):
+        # the suite's oracle-ktt graphs, drawn as check_oracles draws them
+        rng = random.Random(suite.derive_seed(seed, "oracle-g"))
+        answers = set()
+        for _ in range(suite.SuiteConfig().oracle_graphs):
+            g = suite.random_bipartite_graph(rng, 8, 8, rng.uniform(0.2, 0.6))
+            for t in (2, 3):
+                free = naive_ktt_free(g, t)
+                answers.add(free)
+                assert free == all_pairs_ktt_free(g, t)
+        assert answers == {True, False}
+
+    def test_naive_oracle_matches_all_pairs_on_random_graphs(self):
+        rng = random.Random(3)
+        answers = set()
+        for _ in range(150):
+            m, n = rng.randint(2, 12), rng.randint(2, 12)
+            p = rng.uniform(0.2, 0.7)
+            g = bip(m, n, {(i, j) for i in range(m) for j in range(n) if rng.random() < p})
+            for t in (2, 3):
+                free = naive_ktt_free(g, t)
+                answers.add(free)
+                assert free == all_pairs_ktt_free(g, t)
+        assert answers == {True, False}
 
     def test_budget(self):
         # K_{3,3}-free, so the search runs to the end: 28 tests of single
