@@ -51,8 +51,8 @@ def main() -> int:
     for trial in range(args.trials):
         m, n = rng.randint(3, 6), rng.randint(3, 6)
         p = rng.uniform(0.4, 0.8)
-        edges = {(i, j) for i in range(m) for j in range(n) if rng.random() < p}
-        g = BipartiteIntersectionGraph([None] * m, [None] * n, edges)
+        edges = [(i, j) for i in range(m) for j in range(n) if rng.random() < p]
+        g = BipartiteIntersectionGraph.from_edges([None] * m, [None] * n, edges)
         res = prune_to_ktt_free(g, args.t)
         heuristic = len(res.deleted_a) + len(res.deleted_b)
         minimum = min_deletions(g, args.t)

@@ -74,9 +74,13 @@ def _number(raw: dict, key: str, where: str) -> float:
     val = raw[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(f"{where}: field {key!r} must be a number, got {val!r}")
+    try:
+        val = float(val)
+    except OverflowError:  # a JSON integer beyond the float range
+        val = math.inf
     if not math.isfinite(val):
         raise SchemaError(f"{where}: field {key!r} must be finite")
-    return float(val)
+    return val
 
 
 def object_from_json(raw, where: str):

@@ -3,11 +3,12 @@
 A bipartite graph G on sides A (size m) and B (size n) induces a primal
 hypergraph on A whose hyperedges are the neighborhoods N(b), and a dual
 hypergraph on B built the same way from the N(a).  Hyperedge multiplicity is
-retained (each defining object stays a separate hyperedge); `dedup_view`
-gives the distinct traces when counting wants sets rather than objects.
+retained (each defining object stays a separate hyperedge).
 
-Vertex subsets are manipulated as int bitmasks internally; the public data
-model stays frozensets.
+The graph stores its edges once, as row-major (rows, cols) index arrays; its
+neighbour bitmasks are derived from them, and the primal and dual hypergraphs
+hold those mask lists themselves.  Hyperedges and vertex subsets are int
+bitmasks throughout.
 
 `BipartiteIntersectionGraph.from_families` is the one way two families become
 a graph.  Behind it a uniform-grid round kernel and a chunked box kernel are
@@ -83,19 +84,21 @@ def contained_counts(tuples, rows: list[int]) -> list[int]:
 # data types
 
 
-@dataclass
+@dataclass(eq=False)
 class BipartiteIntersectionGraph:
-    """Two object families plus the edge set E as index pairs (i in A, j in B).
+    """Two object families plus the edges (rows[k], cols[k]), i in A and j in
+    B, as int64 arrays in row-major order without repeats.
 
-    `edges` is the constructor input and the public view.  The neighbour
-    bitmasks `adj_a` / `adj_b` are derived from it once and cached, and every
-    degree and neighbourhood is read from them, so callers must not mutate
-    `edges` after construction.
+    The arrays are the one stored adjacency form: the neighbour bitmasks
+    `adj_a` / `adj_b`, the degrees and the `edges` view are derived from them,
+    and the masks and the view are cached, so callers must not mutate them.
+    `from_families` and `from_edges` build the arrays.
     """
 
     side_a: list
     side_b: list
-    edges: set[tuple[int, int]]
+    rows: np.ndarray
+    cols: np.ndarray
 
     @property
     def m(self) -> int:
@@ -105,73 +108,75 @@ class BipartiteIntersectionGraph:
     def n(self) -> int:
         return len(self.side_b)
 
+    @property
+    def edge_count(self) -> int:
+        return len(self.rows)
+
     @classmethod
     def from_families(cls, fam_a, fam_b) -> "BipartiteIntersectionGraph":
         """Build the intersection graph: (i, j) is an edge iff the objects meet.
-        Edges are inserted in row-major order, block by block of A."""
+        The kernels yield the edges row-major, block by block of A."""
         fam_a, fam_b = list(fam_a), list(fam_b)
-        edges: set[tuple[int, int]] = set()
-        index = np.arange(max(len(fam_a), len(fam_b))).astype(object)  # one int per index, shared by the edge tuples
-        for rows, cols in _edge_blocks(fam_a, fam_b):
-            edges.update(zip(index[rows].tolist(), index[cols].tolist()))
-        return cls(fam_a, fam_b, edges)
+        blocks = [np.zeros((2, 0), np.int64), *map(np.stack, _edge_blocks(fam_a, fam_b))]
+        return cls(fam_a, fam_b, *np.concatenate(blocks, axis=1))
+
+    @classmethod
+    def from_edges(cls, side_a, side_b, pairs: Iterable[tuple[int, int]]) -> "BipartiteIntersectionGraph":
+        """Graph on the given sides with the explicit index pairs (i, j), i in A
+        and j in B; repeats count once.  Out-of-range pairs raise ValueError."""
+        side_a, side_b = list(side_a), list(side_b)
+        ij = np.array(sorted(set(pairs)), dtype=np.int64).reshape(-1, 2)
+        bad = ((ij < 0) | (ij >= [len(side_a), len(side_b)])).any(axis=1)
+        if bad.any():
+            raise ValueError(f"edge {tuple(ij[bad][0].tolist())} out of range for a {len(side_a)} x {len(side_b)} graph")
+        return cls(side_a, side_b, *ij.T)
 
     @cached_property
-    def adj_a(self) -> list[int]:
-        """Bitmask of N(a) over the B indices, for every a in A."""
-        adj = [0] * self.m
-        for i, j in self.edges:
-            adj[i] |= 1 << j
-        return adj
+    def _masks(self) -> tuple[list[int], list[int]]:
+        """`adj_a`, the bitmask of N(a) over the B indices for every a in A,
+        and `adj_b`, of N(b) over the A indices for every b in B, in one pass."""
+        adj_a, adj_b = [0] * self.m, [0] * self.n
+        for i, j in zip(self.rows.tolist(), self.cols.tolist()):
+            adj_a[i] |= 1 << j
+            adj_b[j] |= 1 << i
+        return adj_a, adj_b
+
+    adj_a = property(lambda self: self._masks[0])
+    adj_b = property(lambda self: self._masks[1])
 
     @cached_property
-    def adj_b(self) -> list[int]:
-        """Bitmask of N(b) over the A indices, for every b in B."""
-        adj = [0] * self.n
-        for i, j in self.edges:
-            adj[j] |= 1 << i
-        return adj
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as a set of (i, j) index pairs, a view of the arrays."""
+        return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
 
     def degrees_a(self) -> list[int]:
-        return [mask.bit_count() for mask in self.adj_a]
+        return np.bincount(self.rows, minlength=self.m).tolist()
 
     def degrees_b(self) -> list[int]:
-        return [mask.bit_count() for mask in self.adj_b]
+        return np.bincount(self.cols, minlength=self.n).tolist()
 
     def induced(self, keep_a: Iterable[int], keep_b: Iterable[int]) -> "BipartiteIntersectionGraph":
         """Subgraph on the given vertex subsets, reindexed in sorted order."""
-        ka = sorted(set(keep_a))
-        kb = sorted(set(keep_b))
-        amap = {old: new for new, old in enumerate(ka)}
-        bmap = {old: new for new, old in enumerate(kb)}
-        edges = {
-            (amap[i], bmap[j]) for i, j in self.edges if i in amap and j in bmap
-        }
-        return BipartiteIntersectionGraph(
-            [self.side_a[i] for i in ka], [self.side_b[j] for j in kb], edges
-        )
+        ka = np.unique(np.fromiter(keep_a, dtype=np.int64))
+        kb = np.unique(np.fromiter(keep_b, dtype=np.int64))
+        new_a, new_b = np.full(self.m, -1), np.full(self.n, -1)
+        new_a[ka], new_b[kb] = np.arange(len(ka)), np.arange(len(kb))
+        rows, cols = new_a[self.rows], new_b[self.cols]
+        kept = (rows >= 0) & (cols >= 0)
+        sides = [self.side_a[i] for i in ka.tolist()], [self.side_b[j] for j in kb.tolist()]
+        return BipartiteIntersectionGraph(*sides, rows[kept], cols[kept])
 
 
 @dataclass
 class Hypergraph:
+    """Hyperedge k is the bitmask edge_masks[k] over 0..vertex_count-1."""
+
     vertex_count: int
-    hyperedges: list[frozenset[int]]
+    edge_masks: list[int]
 
     def __post_init__(self):
-        if self.hyperedges and self.vertex_count:
-            for e in self.hyperedges:
-                if e and (min(e) < 0 or max(e) >= self.vertex_count):
-                    raise ValueError(f"hyperedge {sorted(e)} out of range 0..{self.vertex_count - 1}")
-        elif any(self.hyperedges) and not self.vertex_count:
-            raise ValueError("nonempty hyperedge on an empty vertex set")
-
-    def dedup_view(self) -> list[frozenset[int]]:
-        """Distinct hyperedge sets, in first-occurrence order."""
-        return list(dict.fromkeys(self.hyperedges))
-
-    @cached_property
-    def edge_masks(self) -> list[int]:
-        return [mask_of(e) for e in self.hyperedges]
+        if self.edge_masks and (min(self.edge_masks) < 0 or max(self.edge_masks) >> self.vertex_count):
+            raise ValueError(f"hyperedge mask out of range 0..{self.vertex_count - 1}")
 
 
 @dataclass
@@ -313,22 +318,18 @@ def _box_matrix(fam_a, fam_b) -> np.ndarray:
 
 
 def primal_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
-    """Hypergraph on the A indices; one hyperedge N(b) per vertex b of B."""
-    h = Hypergraph(g.m, [set_of(mask) for mask in g.adj_b])
-    h.edge_masks = list(g.adj_b)  # the graph's masks fill the hyperedge-mask cache
-    return h
+    """Hypergraph on the A indices holding the graph's N(b) masks, `adj_b`."""
+    return Hypergraph(g.m, g.adj_b)
 
 
 def dual_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
-    """Hypergraph on the B indices; one hyperedge N(a) per vertex a of A."""
-    h = Hypergraph(g.n, [set_of(mask) for mask in g.adj_a])
-    h.edge_masks = list(g.adj_a)
-    return h
+    """Hypergraph on the B indices holding the graph's N(a) masks, `adj_a`."""
+    return Hypergraph(g.n, g.adj_a)
 
 
 def delaunay_graph(h: Hypergraph) -> Graph:
     """Graph whose edges are the distinct hyperedges of cardinality exactly 2."""
-    return Graph(h.vertex_count, {tuple(sorted(e)) for e in h.hyperedges if len(e) == 2})
+    return Graph(h.vertex_count, {tuple(bits_of(em)) for em in h.edge_masks if em.bit_count() == 2})
 
 
 def vc_dimension(h: Hypergraph, cap: int = 6) -> VCProfile:

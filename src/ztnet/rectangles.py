@@ -436,7 +436,7 @@ def rectangle_bound_report(
         t=t,
         census=census,
         family_size=len(fam),
-        crossing_edges=len(k_graph.edges),
+        crossing_edges=k_graph.edge_count,
         x_sum=x_sum,
         x_upper=x_upper,
         degrees=degrees,

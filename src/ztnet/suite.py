@@ -21,12 +21,12 @@ from .geometry import Disc, Point, intersects
 from .hypergraph import (
     BipartiteIntersectionGraph,
     Hypergraph,
+    mask_of,
     primal_hypergraph,
     dual_hypergraph,
     vc_dimension,
 )
 from .nets import (
-    TNet,
     greedy_cover_t_net,
     heavy_dedup_edges,
     min_t_net_bruteforce,
@@ -282,15 +282,12 @@ def bisection_exit_oracle(d: Disc, anchor: Point, p: Point, iters: int = 100) ->
 def random_tiny_hypergraph(rng: random.Random) -> Hypergraph:
     n = rng.randint(6, 12)
     n_edges = rng.randint(3, 8)
-    edges = []
-    for _ in range(n_edges):
-        edges.append(frozenset(v for v in range(n) if rng.random() < 0.45))
-    return Hypergraph(n, edges)
+    return Hypergraph(n, [mask_of(v for v in range(n) if rng.random() < 0.45) for _ in range(n_edges)])
 
 
 def random_bipartite_graph(rng: random.Random, m: int, n: int, p: float):
-    edges = {(i, j) for i in range(m) for j in range(n) if rng.random() < p}
-    return BipartiteIntersectionGraph([None] * m, [None] * n, edges)
+    edges = [(i, j) for i in range(m) for j in range(n) if rng.random() < p]
+    return BipartiteIntersectionGraph.from_edges([None] * m, [None] * n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +351,16 @@ def check_oracles(cfg: SuiteConfig) -> list[CheckRow]:
         if verify_t_net(h, eps, bf) is not None:
             bf_bad += 1
             continue
-        # independent minimality check: every smaller candidate subset fails
+        # independent minimality check: every smaller candidate subset leaves
+        # some heavy hyperedge without a tuple inside it
         cands = sorted(
             {c for e in heavy for c in itertools.combinations(sorted(e), t)}
         )
         k = bf.size()
         if k > 0 and math.comb(len(cands), k - 1) <= 20000:
             minimality_checked += 1
-            for combo in itertools.combinations(cands, k - 1):
-                smaller = TNet(
-                    t=t, tuples=frozenset(frozenset(c) for c in combo), epsilon=eps
-                )
-                if verify_t_net(h, eps, smaller) is None:
+            for combo in itertools.combinations(map(frozenset, cands), k - 1):
+                if all(any(c <= e for c in combo) for e in heavy):
                     bf_bad += 1
                     break
         greedy = greedy_cover_t_net(h, eps, t)
@@ -476,7 +471,7 @@ def check_scaling(cfg: SuiteConfig) -> list[CheckRow]:
             fam_a, fam_b = scaled_disc_instance(n, seed)
             g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
             pruned = prune_to_ktt_free(g, 2).graph
-            ratios.append(len(pruned.edges) / n)
+            ratios.append(pruned.edge_count / n)
         medians.append(statistics.median(ratios))
     base = medians[0]
     ok = all(m <= 2 * base for m in medians) and base > 0

@@ -346,4 +346,4 @@ def num_edges_bound(
             break
         current = current.induced(part.heavy_a, part.heavy_b)
         level += 1
-    return BoundReport(levels=levels, bound=total, actual_edges=len(g.edges))
+    return BoundReport(levels=levels, bound=total, actual_edges=g.edge_count)

@@ -77,7 +77,7 @@ def induced_subhypergraph(h: Hypergraph, keep: Iterable[int]) -> Hypergraph:
     if kept and (kept[0] < 0 or kept[-1] >= h.vertex_count):
         raise ValueError("keep set not contained in the vertex set")
     remap = {old: new for new, old in enumerate(kept)}
-    traces = [frozenset(remap[v] for v in e if v in remap) for e in h.hyperedges]
+    traces = [mask_of(remap[v] for v in bits_of(em) if v in remap) for em in h.edge_masks]
     return Hypergraph(len(kept), traces)
 
 

@@ -77,6 +77,12 @@ class TestInstanceIO:
         with pytest.raises(SchemaError, match="unknown kind"):
             parse_instance_text('{"a": [{"kind": "blob"}], "b": []}')
 
+    @pytest.mark.parametrize("value", ["1" + "0" * 400, "-" + "9" * 309, str(2**1024)])
+    def test_integer_beyond_float_range_is_not_finite(self, value):
+        text = '{"a": [], "b": [\n{"kind": "disc", "cx": 0, "cy": %s, "r": 1}]}' % value
+        with pytest.raises(SchemaError, match=r"^b\[0\] \(line 2\): field 'cy' must be finite$"):
+            parse_instance_text(text)
+
 
 class TestCommands:
     def test_generate_then_check_free(self, tmp_path):
@@ -97,6 +103,13 @@ class TestCommands:
         assert main(["generate", "--kind", kind, "--n", "3", *radii, "--out", str(inst)]) == 1
         assert "error: need 0 < radius_lo <= radius_hi < inf" in capsys.readouterr().err
         assert not inst.exists()
+
+    @pytest.mark.parametrize("command", [["census"], ["check-free", "--t", "2"]])
+    def test_huge_integer_coordinate_exits_1(self, tmp_path, capsys, command):
+        inst = tmp_path / "i.json"
+        inst.write_text('{"a": [{"kind": "point", "x": 1' + "0" * 400 + ', "y": 0}], "b": []}')
+        assert main([command[0], str(inst), *command[1:]]) == 1
+        assert capsys.readouterr().err == "error: a[0] (line 1): field 'x' must be finite\n"
 
     @pytest.mark.parametrize("size", [["--n", "-1"], ["--n", "4", "--m", "-2"], ["--n", "x"]])
     def test_generate_rejects_negative_sizes(self, tmp_path, capsys, size):

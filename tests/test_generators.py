@@ -96,8 +96,8 @@ class TestCombosAtLeast:
 
 
 def bip(m, n, edges):
-    return BipartiteIntersectionGraph([f"a{i}" for i in range(m)],
-                                      [f"b{j}" for j in range(n)], set(edges))
+    return BipartiteIntersectionGraph.from_edges([f"a{i}" for i in range(m)],
+                                                 [f"b{j}" for j in range(n)], edges)
 
 
 def naive_prune(g, t):
@@ -110,7 +110,7 @@ def naive_prune(g, t):
         amap = {v: i for i, v in enumerate(side_a)}
         bmap = {v: j for j, v in enumerate(side_b)}
         cur = {(amap[i], bmap[j]) for i, j in edges if i in amap and j in bmap}
-        return BipartiteIntersectionGraph([None] * len(side_a), [None] * len(side_b), cur)
+        return BipartiteIntersectionGraph.from_edges([None] * len(side_a), [None] * len(side_b), cur)
 
     while True:
         cur = current_graph()

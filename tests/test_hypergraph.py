@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from containment_oracle import contained_counts as row_side_counts
+from graph_oracle import TupleGraph, hyperedges, hypergraph_of
 from net_oracle import induced_subhypergraph
 from round_oracle import dense_edges, round_matrix
 
@@ -52,56 +53,64 @@ def hypergraphs(draw):
     edges = [
         frozenset(draw(st.sets(st.integers(0, n - 1), max_size=n))) for _ in range(n_edges)
     ]
-    return Hypergraph(n, edges)
+    return hypergraph_of(n, edges)
+
+
+def bip(m, n, edges):
+    return BipartiteIntersectionGraph.from_edges([None] * m, [None] * n, edges)
+
+
+def pairs(g):
+    """The graph's edges in stored (row-major) order."""
+    return list(zip(g.rows.tolist(), g.cols.tolist()))
 
 
 class TestPrimalDual:
     def test_primal_examples(self):
-        g = BipartiteIntersectionGraph([None] * 2, [None], {(0, 0), (1, 0)})
-        assert primal_hypergraph(g).hyperedges == [fs(0, 1)]
-        g2 = BipartiteIntersectionGraph([None] * 3, [None] * 2, set())
-        assert primal_hypergraph(g2).hyperedges == [frozenset(), frozenset()]
-        g3 = BipartiteIntersectionGraph(
-            [None] * 2, [None] * 2, {(0, 0), (0, 1), (1, 0), (1, 1)}
-        )
+        g = bip(2, 1, {(0, 0), (1, 0)})
+        assert hyperedges(primal_hypergraph(g)) == [fs(0, 1)]
+        g2 = bip(3, 2, set())
+        assert hyperedges(primal_hypergraph(g2)) == [frozenset(), frozenset()]
+        g3 = bip(2, 2, {(0, 0), (0, 1), (1, 0), (1, 1)})
         h3 = primal_hypergraph(g3)
-        assert h3.hyperedges == [fs(0, 1), fs(0, 1)]
-        assert h3.dedup_view() == [fs(0, 1)]
+        assert hyperedges(h3) == [fs(0, 1), fs(0, 1)]
 
     def test_dual_examples(self):
-        g = BipartiteIntersectionGraph([None], [None] * 2, {(0, 0), (0, 1)})
-        assert dual_hypergraph(g).hyperedges == [fs(0, 1)]
-        g3 = BipartiteIntersectionGraph(
-            [None] * 3, [None] * 2, {(i, j) for i in range(3) for j in range(2)}
-        )
-        assert dual_hypergraph(g3).hyperedges == [fs(0, 1)] * 3
+        g = bip(1, 2, {(0, 0), (0, 1)})
+        assert hyperedges(dual_hypergraph(g)) == [fs(0, 1)]
+        g3 = bip(3, 2, {(i, j) for i in range(3) for j in range(2)})
+        assert hyperedges(dual_hypergraph(g3)) == [fs(0, 1)] * 3
+
+    def test_hypergraphs_hold_the_graph_masks(self):
+        g = bip(3, 2, {(0, 1), (2, 1), (1, 0)})
+        assert primal_hypergraph(g).edge_masks is g.adj_b
+        assert dual_hypergraph(g).edge_masks is g.adj_a
 
     @settings(max_examples=100)
     @given(st.integers(0, 5), st.integers(0, 5), st.data())
     def test_duality(self, m, n, data):
         pairs = [(i, j) for i in range(m) for j in range(n)]
         chosen = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-        g = BipartiteIntersectionGraph([None] * m, [None] * n, set(chosen))
-        swapped = BipartiteIntersectionGraph([None] * n, [None] * m, {(j, i) for i, j in chosen})
-        assert dual_hypergraph(g).hyperedges == primal_hypergraph(swapped).hyperedges
+        g = bip(m, n, chosen)
+        swapped = bip(n, m, {(j, i) for i, j in chosen})
+        assert dual_hypergraph(g).edge_masks == primal_hypergraph(swapped).edge_masks
 
 
 class TestInduced:
     def test_examples(self):
-        h = Hypergraph(3, [fs(0, 1, 2)])
-        assert induced_subhypergraph(h, {0, 1}).hyperedges == [fs(0, 1)]
+        h = hypergraph_of(3, [fs(0, 1, 2)])
+        assert hyperedges(induced_subhypergraph(h, {0, 1})) == [fs(0, 1)]
         empty = induced_subhypergraph(h, set())
-        assert empty.vertex_count == 0 and empty.hyperedges == [frozenset()]
-        h2 = Hypergraph(3, [fs(0, 1), fs(1, 2)])
+        assert empty.vertex_count == 0 and hyperedges(empty) == [frozenset()]
+        h2 = hypergraph_of(3, [fs(0, 1), fs(1, 2)])
         sub = induced_subhypergraph(h2, {1})
-        assert sub.hyperedges == [fs(0), fs(0)]
-        assert sub.dedup_view() == [fs(0)]
+        assert hyperedges(sub) == [fs(0), fs(0)]
 
     def test_reindexing_is_sorted(self):
-        h = Hypergraph(5, [fs(1, 4), fs(2)])
+        h = hypergraph_of(5, [fs(1, 4), fs(2)])
         sub = induced_subhypergraph(h, {4, 1})
         assert sub.vertex_count == 2
-        assert sub.hyperedges == [fs(0, 1), frozenset()]
+        assert hyperedges(sub) == [fs(0, 1), frozenset()]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -117,10 +126,10 @@ class TestInduced:
 
 class TestDelaunay:
     def test_examples(self):
-        h = Hypergraph(3, [fs(0, 1), fs(0, 1, 2), fs(2)])
+        h = hypergraph_of(3, [fs(0, 1), fs(0, 1, 2), fs(2)])
         assert delaunay_graph(h).edges == {(0, 1)}
-        assert delaunay_graph(Hypergraph(3, [fs(0), fs(0, 1, 2)])).edges == set()
-        h2 = Hypergraph(3, [fs(0, 1), fs(1, 2), fs(0, 1)])
+        assert delaunay_graph(hypergraph_of(3, [fs(0), fs(0, 1, 2)])).edges == set()
+        h2 = hypergraph_of(3, [fs(0, 1), fs(1, 2), fs(0, 1)])
         assert delaunay_graph(h2).edges == {(0, 1), (1, 2)}
 
     def test_disc_delaunay_euler_hereditarily(self):
@@ -140,17 +149,17 @@ class TestDelaunay:
 
 class TestVC:
     def test_examples(self):
-        prof = vc_dimension(Hypergraph(2, [fs(0), fs(0, 1)]))
+        prof = vc_dimension(hypergraph_of(2, [fs(0), fs(0, 1)]))
         assert prof.vc_dim == 1 and not prof.cap_reached
-        all_subsets = Hypergraph(2, [frozenset(), fs(0), fs(1), fs(0, 1)])
+        all_subsets = hypergraph_of(2, [frozenset(), fs(0), fs(1), fs(0, 1)])
         assert vc_dimension(all_subsets).vc_dim == 2
         assert vc_dimension(all_subsets, cap=2).cap_reached
 
     def test_witness_is_shattered(self):
-        h = Hypergraph(4, [frozenset(s) for s in itertools.chain.from_iterable(
-            itertools.combinations(range(3), k) for k in range(4))])
+        h = hypergraph_of(4, itertools.chain.from_iterable(
+            itertools.combinations(range(3), k) for k in range(4)))
         prof = vc_dimension(h)
-        traces = {e & prof.witness_shattered_set for e in h.hyperedges}
+        traces = {e & prof.witness_shattered_set for e in hyperedges(h)}
         assert len(traces) == 2 ** prof.vc_dim
 
     def test_disc_disc_vc_at_most_4(self):
@@ -173,7 +182,7 @@ class TestSmallHyperedgeScaling:
             fam_a = generate("random_discs", n, GenParams(radius_lo=lo, radius_hi=hi), n)
             fam_b = generate("random_discs", n, GenParams(radius_lo=lo, radius_hi=hi), n + 1)
             g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
-            small = {e for e in primal_hypergraph(g).hyperedges if 1 <= len(e) <= 3}
+            small = {em for em in g.adj_b if 1 <= em.bit_count() <= 3}
             ratios.append(len(small) / n)
         assert max(ratios) <= 2.5 * max(ratios[0], 0.5), ratios
 
@@ -288,8 +297,7 @@ class TestIntersectionMatrix:
             dense = round_matrix(fa, fb) if fa is discs_a else intersection_matrix(fa, fb)
             edges = BipartiteIntersectionGraph.from_families(fa, fb).edges
             assert edges == {(int(i), int(j)) for i, j in np.argwhere(dense)}
-            if fa is discs_a:
-                assert list(edges) == list(dense_edges(fa, fb))
+            assert pairs(BipartiteIntersectionGraph.from_families(fa, fb)) == sorted(edges)
             assert {i for i in touching if (i, 0) in edges} == meet_b0
             assert all(((i, 0) in edges) == intersects(fa[i], fb[0]) for i in touching)
 
@@ -352,14 +360,9 @@ class TestRoundGrid:
         # small GRID_PAIRS values put block boundaries inside the instance
         with mock.patch.object(hypergraph, "GRID_PAIRS", block):
             g = BipartiteIntersectionGraph.from_families(*fams)
-            inserted = [(i, j) for rows, cols in hypergraph._edge_blocks(*fams)
-                        for i, j in zip(rows.tolist(), cols.tolist())]
         dense = dense_edges(*fams)
         assert g.edges == dense
-        assert list(g.edges) == list(dense)
-        # the iteration order of a set of small int pairs rarely shows a
-        # permutation within one row, so pin the insertion order itself
-        assert inserted == sorted(dense)
+        assert pairs(g) == sorted(dense)  # the stored order is row-major
 
     def test_tangency_across_two_cell_boundaries(self):
         # A point a hair under ra + rb left of the disc puts the disc just
@@ -376,7 +379,7 @@ class TestRoundGrid:
                 fa, fb = [Disc(at(0.0), ra)], [Disc(at(far), rb), at(origin)]
                 g = BipartiteIntersectionGraph.from_families(fa, fb)
                 assert ((0, 0) in g.edges) == (far == reach)
-                assert list(g.edges) == list(dense_edges(fa, fb))
+                assert pairs(g) == sorted(dense_edges(fa, fb))
 
     def test_overflowing_cell_side(self):
         # r = 1e308 makes (max ra + max rb) overflow to inf with finite radii:
@@ -390,8 +393,7 @@ class TestRoundGrid:
                        (small, pts + odd)):
             for a, b in ((fa, fb), (fb, fa)):
                 g = BipartiteIntersectionGraph.from_families(a, b)
-                assert g.edges == dense_edges(a, b)
-                assert list(g.edges) == list(dense_edges(a, b))
+                assert pairs(g) == sorted(dense_edges(a, b))
                 huge = [i for i, o in enumerate(a) if type(o) is Disc and o.radius == 1e308]
                 assert all((i, j) in g.edges for i in huge for j in range(len(b)))
 
@@ -411,7 +413,7 @@ class TestRoundGridMemory:
         fams = scaled_disc_instance(4096, 9001)
         g, peak = _build_peak(BipartiteIntersectionGraph.from_families, *fams)
         assert peak < 16 * 2**20
-        assert list(g.edges) == list(dense_edges(*fams))
+        assert pairs(g) == sorted(dense_edges(*fams))
 
     def test_one_cell_peak_at_most_dense(self):
         # one radius-5 disc per side puts every object in one cell, so every
@@ -423,16 +425,71 @@ class TestRoundGridMemory:
         g, grid_peak = _build_peak(BipartiteIntersectionGraph.from_families, *fams)
         dense, dense_peak = _build_peak(dense_edges, *fams)
         assert grid_peak <= dense_peak
-        assert list(g.edges) == list(dense)
+        assert pairs(g) == sorted(dense)
 
 
 @st.composite
 def bipartite_graphs(draw):
     m = draw(st.integers(0, 7))
     n = draw(st.integers(0, 7))
-    pairs = [(i, j) for i in range(m) for j in range(n)]
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return BipartiteIntersectionGraph([None] * m, [None] * n, edges)
+    every = [(i, j) for i in range(m) for j in range(n)]
+    edges = draw(st.sets(st.sampled_from(every))) if every else set()
+    return bip(m, n, edges)
+
+
+def assert_same_graph(g, oracle):
+    """The array graph `g` agrees with the tuple-set `oracle` on every view."""
+    assert g.side_a == oracle.side_a and g.side_b == oracle.side_b
+    assert g.rows.dtype == g.cols.dtype == np.int64
+    assert pairs(g) == sorted(oracle.edges)
+    assert g.edges == oracle.edges and isinstance(g.edges, frozenset)
+    assert all(type(i) is int and type(j) is int for i, j in g.edges)
+    assert g.edge_count == len(oracle.edges)
+    assert g.adj_a == oracle.adj_a and g.adj_b == oracle.adj_b
+    assert g.degrees_a() == oracle.degrees_a() and g.degrees_b() == oracle.degrees_b()
+
+
+@st.composite
+def keep_lists(draw, size):
+    """Unsorted vertex lists with repeats, empty ones included."""
+    return draw(st.lists(st.integers(0, size - 1), max_size=2 * size)) if size else []
+
+
+class TestArrayGraphOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 7), st.integers(0, 7), st.data())
+    def test_from_edges_and_induced_match_tuple_graph(self, m, n, data):
+        every = [(i, j) for i in range(m) for j in range(n)]
+        chosen = data.draw(st.lists(st.sampled_from(every))) if every else []  # repeats too
+        side_a, side_b = [f"a{i}" for i in range(m)], [f"b{j}" for j in range(n)]
+        g = BipartiteIntersectionGraph.from_edges(side_a, side_b, chosen)
+        oracle = TupleGraph(side_a, side_b, set(chosen))
+        assert_same_graph(g, oracle)
+        for _ in range(3):
+            keep_a, keep_b = data.draw(keep_lists(m)), data.draw(keep_lists(n))
+            assert_same_graph(g.induced(keep_a, keep_b), oracle.induced(keep_a, keep_b))
+            assert_same_graph(g.induced(set(keep_a), iter(keep_b)), oracle.induced(keep_a, keep_b))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(round_families())
+    def test_from_families_matches_tuple_graph(self, fams):
+        g = BipartiteIntersectionGraph.from_families(*fams)
+        oracle = TupleGraph.from_families(*fams)
+        assert_same_graph(g, oracle)
+        keep_a, keep_b = range(0, g.m, 2), range(g.n - 1, -1, -3)
+        assert_same_graph(g.induced(keep_a, keep_b), oracle.induced(keep_a, keep_b))
+
+    def test_from_edges_rejects_out_of_range_pairs(self):
+        with pytest.raises(ValueError, match=r"\(-1, 0\)"):
+            BipartiteIntersectionGraph.from_edges([None] * 3, [None] * 3, [(0, 1), (-1, 0)])
+        with pytest.raises(ValueError, match=r"\(0, 5\)"):
+            BipartiteIntersectionGraph.from_edges([None] * 2, [None] * 2, [(0, 5)])
+        with pytest.raises(ValueError):
+            BipartiteIntersectionGraph.from_edges([None] * 2, [], [(0, 0)])
+        with pytest.raises(ValueError):
+            BipartiteIntersectionGraph.from_edges([None], [None], [(0, -1)])
 
 
 class TestAdjacencyMasks:
@@ -441,8 +498,8 @@ class TestAdjacencyMasks:
     def test_masks_agree_with_edges(self, g):
         nbrs_a = [frozenset(j for i, j in g.edges if i == a) for a in range(g.m)]
         nbrs_b = [frozenset(i for i, j in g.edges if j == b) for b in range(g.n)]
-        assert [set_of(mask) for mask in g.adj_a] == nbrs_a == dual_hypergraph(g).hyperedges
-        assert [set_of(mask) for mask in g.adj_b] == nbrs_b == primal_hypergraph(g).hyperedges
+        assert [set_of(mask) for mask in g.adj_a] == nbrs_a == hyperedges(dual_hypergraph(g))
+        assert [set_of(mask) for mask in g.adj_b] == nbrs_b == hyperedges(primal_hypergraph(g))
         assert g.degrees_a() == [len(s) for s in nbrs_a]
         assert g.degrees_b() == [len(s) for s in nbrs_b]
 
@@ -475,10 +532,14 @@ class TestGraphTypes:
 
     def test_hypergraph_validation(self):
         with pytest.raises(ValueError):
-            Hypergraph(2, [fs(0, 5)])
+            Hypergraph(2, [mask_of([0, 5])])
+        with pytest.raises(ValueError):
+            Hypergraph(2, [0b11, -1])
+        with pytest.raises(ValueError):
+            Hypergraph(0, [0b1])
 
     def test_induced_graph(self):
-        g = BipartiteIntersectionGraph(
+        g = BipartiteIntersectionGraph.from_edges(
             ["a0", "a1", "a2"], ["b0", "b1"], {(0, 0), (2, 1), (1, 1)}
         )
         sub = g.induced([0, 2], [1])

@@ -29,6 +29,7 @@ from ztnet.nets import (
 )
 
 import net_oracle
+from graph_oracle import distinct_hyperedges, hypergraph_of
 from net_oracle import table_greedy_t_net
 
 
@@ -49,7 +50,7 @@ def hypergraphs(draw):
     edges = [
         frozenset(draw(st.sets(st.integers(0, n - 1), max_size=n))) for _ in range(n_edges)
     ]
-    return Hypergraph(n, edges)
+    return hypergraph_of(n, edges)
 
 
 @st.composite
@@ -66,7 +67,7 @@ def net_inputs(draw):
     ]
     edges += draw(st.lists(st.sampled_from(edges), max_size=4))
     edges = draw(st.permutations(edges))
-    return Hypergraph(n, edges), Fraction(draw(st.integers(1, 8)), 8) * Fraction(k, n)
+    return hypergraph_of(n, edges), Fraction(draw(st.integers(1, 8)), 8) * Fraction(k, n)
 
 
 class TestFractions:
@@ -87,27 +88,27 @@ class TestFractions:
 
 class TestVerifiers:
     def test_epsilon_net_examples(self):
-        h = Hypergraph(2, [fs(0, 1)])
+        h = hypergraph_of(2, [fs(0, 1)])
         assert verify_epsilon_net(h, 0.5, {0}) is None
         assert verify_epsilon_net(h, 0.5, set()) == fs(0, 1)
-        h2 = Hypergraph(5, [fs(0, 1), fs(2, 3, 4)])
+        h2 = hypergraph_of(5, [fs(0, 1), fs(2, 3, 4)])
         assert verify_epsilon_net(h2, 1, set(range(5))) is None
         # duplicates: the witness is the first heavy hyperedge missed, in input order
-        h3 = Hypergraph(6, [fs(3, 4, 5), fs(0, 1), fs(0, 1, 2), fs(3, 4, 5), fs(0, 1, 2)])
+        h3 = hypergraph_of(6, [fs(3, 4, 5), fs(0, 1), fs(0, 1, 2), fs(3, 4, 5), fs(0, 1, 2)])
         assert verify_epsilon_net(h3, 0.5, set()) == fs(3, 4, 5)
         assert verify_epsilon_net(h3, 0.5, {4}) == fs(0, 1, 2)
         assert verify_epsilon_net(h3, 0.5, {0, 4}) is None
 
     def test_t_net_examples(self):
-        h = Hypergraph(3, [fs(0, 1, 2)])
+        h = hypergraph_of(3, [fs(0, 1, 2)])
         good = TNet(2, frozenset({fs(0, 1)}), Fraction(1))
         assert verify_t_net(h, 1, good) is None
         with pytest.raises(ValueError):
             verify_t_net(h, 1, TNet(2, frozenset({fs(0, 4)}), Fraction(1)))
-        h4 = Hypergraph(4, [fs(0, 1, 2)])
+        h4 = hypergraph_of(4, [fs(0, 1, 2)])
         miss = TNet(2, frozenset({fs(0, 3)}), Fraction(3, 4))
         assert verify_t_net(h4, 0.75, miss) == fs(0, 1, 2)
-        h5 = Hypergraph(5, [fs(2, 3, 4), fs(0, 1), fs(0, 1, 2), fs(2, 3, 4), fs(0, 1, 2)])
+        h5 = hypergraph_of(5, [fs(2, 3, 4), fs(0, 1), fs(0, 1, 2), fs(2, 3, 4), fs(0, 1, 2)])
         assert verify_t_net(h5, 0.6, TNet(2, frozenset(), Fraction(3, 5))) == fs(2, 3, 4)
         assert verify_t_net(h5, 0.6, TNet(2, frozenset({fs(3, 4)}), Fraction(3, 5))) == fs(0, 1, 2)
         both = TNet(2, frozenset({fs(3, 4), fs(0, 2)}), Fraction(3, 5))
@@ -120,10 +121,10 @@ class TestVerifiers:
 
 class TestSampledNet:
     def test_forced_and_vacuous(self):
-        h = Hypergraph(4, [fs(0, 1, 2, 3)])
+        h = hypergraph_of(4, [fs(0, 1, 2, 3)])
         net = sampled_epsilon_net(h, 1, seed=0)
         assert net & fs(0, 1, 2, 3)
-        h2 = Hypergraph(10, [fs(0)])
+        h2 = hypergraph_of(10, [fs(0)])
         assert verify_epsilon_net(h2, 0.5, sampled_epsilon_net(h2, 0.5, seed=1)) is None
 
     def test_verifier_accepts_on_seeded_runs(self):
@@ -141,7 +142,7 @@ class TestSampledNet:
 
     def test_empty_hypergraph_rejected(self):
         with pytest.raises(PreconditionViolated):
-            sampled_epsilon_net(Hypergraph(0, []), 0.5, 0)
+            sampled_epsilon_net(hypergraph_of(0, []), 0.5, 0)
 
 
 class TestStackedCover:
@@ -152,12 +153,12 @@ class TestStackedCover:
         assert verify_epsilon_net(h, 0.5, trace.cover_set) is None
 
     def test_forced_depth(self):
-        h = Hypergraph(10, [frozenset(range(10))])
+        h = hypergraph_of(10, [frozenset(range(10))])
         trace = stacked_cover_set(h, 1, 3, seed=0)
         assert len(trace.cover_set & frozenset(range(10))) >= 3
 
     def test_precondition(self):
-        h = Hypergraph(10, [frozenset(range(10))])
+        h = hypergraph_of(10, [frozenset(range(10))])
         with pytest.raises(PreconditionViolated):
             stacked_cover_set(h, 0.1, 3, seed=0)
 
@@ -175,7 +176,7 @@ class TestStackedCover:
             h = disc_hypergraph(200, seed=seed)
             trace = stacked_cover_set(h, 0.1, 3, seed=seed)
             thr = heavy_threshold(0.1, h.vertex_count)
-            for e in h.dedup_view():
+            for e in distinct_hyperedges(h):
                 if len(e) >= thr:
                     assert len(e & trace.cover_set) >= 3
 
@@ -189,23 +190,23 @@ class TestStackedCover:
                 frozenset(v for v in range(n) if rng.random() < rng.uniform(0.3, 0.9))
                 for _ in range(rng.randint(1, 8))
             ]
-            h = Hypergraph(n, edges)
+            h = hypergraph_of(n, edges)
             trace = stacked_cover_set(h, Fraction(1, 2), t, seed=rng.randrange(10**6))
             thr = heavy_threshold(Fraction(1, 2), n)
-            for e in h.dedup_view():
+            for e in distinct_hyperedges(h):
                 if len(e) >= thr:
                     assert len(e & trace.cover_set) >= t
 
 
 class TestPseudodiscNet:
     def test_all_light_gives_empty_net(self):
-        h = Hypergraph(20, [fs(0, 1)])
+        h = hypergraph_of(20, [fs(0, 1)])
         net, _ = pseudodisc_t_net(h, 0.5, 2, seed=0)
         assert net.tuples == frozenset()
         assert verify_t_net(h, 0.5, net) is None
 
     def test_forced(self):
-        h = Hypergraph(4, [fs(0, 1, 2, 3)])
+        h = hypergraph_of(4, [fs(0, 1, 2, 3)])
         net, trace = pseudodisc_t_net(h, 1, 2, seed=0)
         assert all(tp <= fs(0, 1, 2, 3) for tp in net.tuples)
         assert verify_t_net(h, 1, net) is None
@@ -220,7 +221,7 @@ class TestPseudodiscNet:
                 frozenset(v for v in range(n) if rng.random() < 0.5)
                 for _ in range(rng.randint(2, 7))
             ]
-            h = Hypergraph(n, edges)
+            h = hypergraph_of(n, edges)
             t = rng.choice((2, 3))
             if Fraction(1, 2) * n < 2 * t:
                 continue
@@ -375,13 +376,13 @@ class TestStructuralOracle:
 
 class TestGreedy:
     def test_examples(self):
-        assert greedy_cover_t_net(Hypergraph(3, [fs(0)]), 1, 2).tuples == frozenset()
-        h = Hypergraph(3, [fs(0, 1), fs(0, 1, 2)])
+        assert greedy_cover_t_net(hypergraph_of(3, [fs(0)]), 1, 2).tuples == frozenset()
+        h = hypergraph_of(3, [fs(0, 1), fs(0, 1, 2)])
         net = greedy_cover_t_net(h, Fraction(2, 3), 2)
         assert net.tuples == frozenset({fs(0, 1)})
 
     def test_infeasible(self):
-        h = Hypergraph(4, [fs(0)])
+        h = hypergraph_of(4, [fs(0)])
         with pytest.raises(InfeasibleNet):
             greedy_cover_t_net(h, Fraction(1, 4), 2)
 
@@ -392,7 +393,7 @@ class TestGreedy:
                 frozenset(v for v in range(12) if rng.random() < 0.5)
                 for _ in range(rng.randint(2, 6))
             ]
-            h = Hypergraph(12, edges)
+            h = hypergraph_of(12, edges)
             t = 2
             heavy = heavy_dedup_edges(h, Fraction(1, 3))
             if not heavy or any(len(e) < t for e in heavy):
@@ -460,7 +461,7 @@ class TestGreedy:
         k = 16
         lines = [frozenset(r * k + c for c in range(k)) for r in range(k)]
         lines += [frozenset(r * k + c for r in range(k)) for c in range(k)]
-        h = Hypergraph(k * k, lines)
+        h = hypergraph_of(k * k, lines)
         popcounts = 0
 
         def count(frame, event, arg):
@@ -498,15 +499,15 @@ class TestSizeScaling:
 
 class TestBruteforce:
     def test_examples(self):
-        assert min_t_net_bruteforce(Hypergraph(3, [fs(0)]), 1, 2).size() == 0
-        two = min_t_net_bruteforce(Hypergraph(4, [fs(0, 1), fs(2, 3)]), 0.5, 1)
+        assert min_t_net_bruteforce(hypergraph_of(3, [fs(0)]), 1, 2).size() == 0
+        two = min_t_net_bruteforce(hypergraph_of(4, [fs(0, 1), fs(2, 3)]), 0.5, 1)
         assert two.size() == 2
-        one = min_t_net_bruteforce(Hypergraph(4, [fs(0, 1, 2), fs(1, 2, 3)]), 0.75, 2)
+        one = min_t_net_bruteforce(hypergraph_of(4, [fs(0, 1, 2), fs(1, 2, 3)]), 0.75, 2)
         assert one.size() == 1 and one.tuples == frozenset({fs(1, 2)})
 
     def test_budget(self):
         edges = [frozenset({i, j, (i + j) % 9}) for i in range(9) for j in range(i + 1, 9)]
-        h = Hypergraph(9, edges)
+        h = hypergraph_of(9, edges)
         with pytest.raises(BudgetExceeded):
             min_t_net_bruteforce(h, Fraction(1, 9), 2, budget=5)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from census_oracle import intersection_type_census as per_edge_census
+from graph_oracle import hypergraph_of
 from planarity_oracle import hereditary_planarity_check as sample_by_sample_check
 from segment_oracle import _interval_runs as full_sweep_runs
 
@@ -29,7 +30,6 @@ from ztnet.hypergraph import (
     CHUNK_ROWS,
     BipartiteIntersectionGraph,
     Graph,
-    Hypergraph,
     delaunay_graph,
 )
 from ztnet.rectangles import (
@@ -370,7 +370,7 @@ class TestSegmentDelaunay:
             for i in range(len(order)):
                 for j in range(i, len(order)):
                     stab_sets.append(frozenset(order[i : j + 1]))
-        j_hyper = Hypergraph(len(segs), stab_sets)
+        j_hyper = hypergraph_of(len(segs), stab_sets)
         assert segment_delaunay(segs).graph.edges == delaunay_graph(j_hyper).edges
 
     def test_witness_is_first_interval_of_adjacency(self):

@@ -27,7 +27,7 @@ from ktt_oracle import _lex_witness, all_pairs_ktt_free
 
 
 def bip(m, n, edges):
-    return BipartiteIntersectionGraph([None] * m, [None] * n, set(edges))
+    return BipartiteIntersectionGraph.from_edges([None] * m, [None] * n, edges)
 
 
 def disc_graph(n, seed, radius=(0.05, 0.12)):
@@ -175,7 +175,7 @@ class TestPartition:
 
     def test_isolated_vertices_never_heavy(self):
         # ceil(eps * 0) = 0 would make every degree-0 vertex heavy
-        g = BipartiteIntersectionGraph([], [None, None], set())
+        g = BipartiteIntersectionGraph.from_edges([], [None, None], [])
         part = heavy_light_partition(g, "1/2", "1/2")
         assert part.heavy_b == frozenset() and part.threshold_b == 1
         part = heavy_light_partition(bip(2, 0, set()), "1/2", "1/2")
@@ -258,8 +258,8 @@ class TestNumEdgesBound:
         edges = sorted(g.edges)
         for _ in range(min(10, len(edges))):
             removed = rng.choice(edges)
-            smaller = BipartiteIntersectionGraph(
-                g.side_a, g.side_b, set(g.edges) - {removed}
+            smaller = BipartiteIntersectionGraph.from_edges(
+                g.side_a, g.side_b, g.edges - {removed}
             )
             assert num_edges_bound(smaller, 2, eps_rule=rule, seed=0).bound <= base
 
