@@ -16,11 +16,9 @@ from .geometry import (
     Disc,
     Frame,
     GeomObject,
-    IntersectionType,
     Point,
     Segment,
     check_general_position,
-    classify_rect_pair,
     intersects,
 )
 from .hypergraph import (

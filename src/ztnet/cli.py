@@ -35,7 +35,7 @@ from .errors import (
     SchemaError,
 )
 from .generators import GenParams, generate
-from .geometry import AxisRect, Disc, Frame, Point
+from .geometry import AxisRect, Disc, Frame, Point, check_general_position
 from .hypergraph import BipartiteIntersectionGraph, dual_hypergraph, primal_hypergraph
 from .nets import as_fraction, verify_t_net
 from .points_pseudodiscs import counting_inequality_check, shrink_canonical_tuples
@@ -333,6 +333,16 @@ def _require_rects(fam, side: str) -> list:
     return rects
 
 
+def _segments_of(fam_a) -> list:
+    """Horizontal edges of side a's rects, which must share no edge line: the
+    sweep sees open intervals only, so it misses a segment ending where another
+    starts."""
+    rects = _require_rects(fam_a, "a")
+    if not check_general_position(rects):
+        raise DegenerateInput("side a rectangles share an edge line")
+    return horizontal_edges_of(rects)
+
+
 def _cmd_census(args) -> int:
     fam_a, fam_b = parse_instance(args.instance)
     rects_a = _require_rects(fam_a, "a")
@@ -348,8 +358,7 @@ def _cmd_canon(args) -> int:
         fam = shrink_canonical_tuples(fam_a, fam_b, args.t)
         mode = "shrink"
     else:
-        hsegs = horizontal_edges_of(_require_rects(fam_a, "a"))
-        fam = canonical_segment_tuples(hsegs, 2 * args.t - 1)
+        fam = canonical_segment_tuples(_segments_of(fam_a), 2 * args.t - 1)
         mode = "segments"
     payload = {
         "mode": mode,
@@ -380,16 +389,13 @@ def _cmd_shrink(args) -> int:
 
 def _cmd_delaunay(args) -> int:
     fam_a, _ = parse_instance(args.instance)
-    hsegs = horizontal_edges_of(_require_rects(fam_a, "a"))
-    dela = segment_delaunay(hsegs)
+    dela = segment_delaunay(_segments_of(fam_a))
     if args.format == "svg":
         _write_text(args.out, dela.to_svg())
     else:
-        payload = {
-            "vertices": dela.graph.vertex_count,
-            "edges": sorted(list(e) for e in dela.graph.edges),
-        }
-        _write_text(args.out, _json_text(payload))
+        g = dela.graph
+        edges = [list(e) for e in zip(g.rows.tolist(), g.cols.tolist())]
+        _write_text(args.out, _json_text({"vertices": g.vertex_count, "edges": edges}))
     return 0
 
 

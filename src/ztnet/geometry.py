@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Union
-
-from .errors import DegenerateInput
+from typing import Union
 
 REL_TOL = 1e-9
 
@@ -83,15 +80,6 @@ class Segment:
 
 
 GeomObject = Union[Point, Disc, AxisRect, Frame]
-
-
-class IntersectionType(Enum):
-    """The four ways a pair of intersecting axis-parallel rectangles can meet."""
-
-    A_INSIDE_B = 1
-    B_INSIDE_A = 2
-    B_VERTICAL_CROSSES_A = 3
-    A_VERTICAL_CROSSES_B = 4
 
 
 # ---------------------------------------------------------------------------
@@ -215,56 +203,7 @@ _DISPATCH = {
 
 
 # ---------------------------------------------------------------------------
-# rectangle pair classification
-
-
-def _pair_general_position(a, b) -> bool:
-    xs = (a.x_lo, a.x_hi, b.x_lo, b.x_hi)
-    ys = (a.y_lo, a.y_hi, b.y_lo, b.y_hi)
-    return len(set(xs)) == 4 and len(set(ys)) == 4
-
-
-def _edge_crossings(outer, inner):
-    """Crossing points of `outer`'s vertical edges with `inner`'s horizontal edges."""
-    pts = []
-    for xv in (outer.x_lo, outer.x_hi):
-        if inner.x_lo <= xv <= inner.x_hi:
-            for yh in (inner.y_lo, inner.y_hi):
-                if outer.y_lo <= yh <= outer.y_hi:
-                    pts.append((xv, yh))
-    return pts
-
-
-def classify_rect_pair(a: AxisRect, b: AxisRect) -> Optional[IntersectionType]:
-    """Classify an intersecting rectangle pair into exactly one of four types.
-
-    Returns None for disjoint pairs.  Containment is strict.  A pair touching
-    both ways (a vertical edge of b crosses a horizontal edge of a *and* vice
-    versa, the corner-overlap configuration) is split by comparing the two
-    crossing points lexicographically, so that swapping the roles of a and b
-    swaps types 3 and 4.
-    """
-    if not _pair_general_position(a, b):
-        raise DegenerateInput(f"rectangle pair shares an edge line: {a}, {b}")
-    if not _rects_overlap(a, b):
-        return None
-    if _strictly_inside(a, b):
-        return IntersectionType.A_INSIDE_B
-    if _strictly_inside(b, a):
-        return IntersectionType.B_INSIDE_A
-    pts3 = _edge_crossings(b, a)  # vertical edge of b x horizontal edge of a
-    pts4 = _edge_crossings(a, b)  # vertical edge of a x horizontal edge of b
-    if pts3 and not pts4:
-        return IntersectionType.B_VERTICAL_CROSSES_A
-    if pts4 and not pts3:
-        return IntersectionType.A_VERTICAL_CROSSES_B
-    if pts3 and pts4:
-        if min(pts3) < min(pts4):
-            return IntersectionType.B_VERTICAL_CROSSES_A
-        return IntersectionType.A_VERTICAL_CROSSES_B
-    # Overlapping rectangles whose boundaries never cross can only arise from
-    # shared edge lines, which the general-position check already rejected.
-    raise DegenerateInput(f"rectangle pair in unclassifiable contact: {a}, {b}")
+# general position of rectangle families
 
 
 def check_general_position(rects) -> bool:

@@ -5,10 +5,10 @@ hypergraph on A whose hyperedges are the neighborhoods N(b), and a dual
 hypergraph on B built the same way from the N(a).  Hyperedge multiplicity is
 retained (each defining object stays a separate hyperedge).
 
-The graph stores its edges once, as row-major (rows, cols) index arrays; its
-neighbour bitmasks are derived from them, and the primal and dual hypergraphs
-hold those mask lists themselves.  Hyperedges and vertex subsets are int
-bitmasks throughout.
+Both graph types store their edges once, as row-major (rows, cols) index
+arrays; the bipartite graph's neighbour bitmasks are derived from them, and
+the primal and dual hypergraphs hold those mask lists themselves.
+Hyperedges and vertex subsets are int bitmasks throughout.
 
 `BipartiteIntersectionGraph.from_families` is the one way two families become
 a graph.  Behind it a uniform-grid round kernel and a chunked box kernel are
@@ -50,20 +50,24 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits_of(mask))
 
 
+def holder_masks(rows: list[int]) -> dict[int, int]:
+    """The transpose of the row bitmasks: each index held by some row maps to
+    the bitmask of the rows that hold it."""
+    holders: dict[int, int] = {}
+    for r, row in enumerate(rows):
+        for v in bits_of(row):
+            holders[v] = holders.get(v, 0) | 1 << r
+    return holders
+
+
 def containing_rows(tuples, rows: list[int]):
     """Yield (tuple, held) for each index tuple, where the bitmask `held` marks
     the rows (bitmasks over the indices) that contain the whole tuple.
 
-    The rows are transposed once into one row mask per index, and a tuple's
-    mask is the AND of its members' masks, so the cost is O(sum |row| +
-    |tuples| * k) big-int operations, not one subset test per (tuple, row)
-    pair.  The empty tuple lies in every row."""
-    holders: dict[int, int] = {}
-    for r, row in enumerate(rows):
-        bit = 1 << r
-        for v in bits_of(row):
-            holders[v] = holders.get(v, 0) | bit
-    every_row = (1 << len(rows)) - 1
+    A tuple's mask is the AND of its members' `holder_masks`, so the cost is
+    O(sum |row| + |tuples| * k) big-int operations, not one subset test per
+    (tuple, row) pair.  The empty tuple lies in every row."""
+    holders, every_row = holder_masks(rows), (1 << len(rows)) - 1
     for tp in tuples:
         held = every_row
         for v in tp:
@@ -146,7 +150,8 @@ class BipartiteIntersectionGraph:
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
-        """The edges as a set of (i, j) index pairs, a view of the arrays."""
+        """The edges as a set of (i, j) index pairs: a view of the arrays kept
+        for the benchmark harness and the tests, as the package reads the arrays."""
         return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
 
     def degrees_a(self) -> list[int]:
@@ -179,17 +184,24 @@ class Hypergraph:
             raise ValueError(f"hyperedge mask out of range 0..{self.vertex_count - 1}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Graph:
-    """Plain graph; edges are unordered index pairs stored as (i, j) with i < j."""
+    """Plain graph: the edges (rows[k], cols[k]), rows[k] < cols[k], as int64
+    arrays in row-major order without repeats, built by `from_edges`."""
 
     vertex_count: int
-    edges: set[tuple[int, int]]
+    rows: np.ndarray
+    cols: np.ndarray
 
-    def __post_init__(self):
-        for i, j in self.edges:
-            if not (0 <= i < j < self.vertex_count):
-                raise ValueError(f"bad edge ({i}, {j}) on {self.vertex_count} vertices")
+    @classmethod
+    def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
+        """Graph on n vertices with the index pairs (i, j); repeats count once.
+        A pair out of range, or with i >= j, raises ValueError."""
+        ij = np.array(sorted(set(pairs)), dtype=np.int64).reshape(-1, 2)
+        bad = (ij[:, 0] < 0) | (ij[:, 0] >= ij[:, 1]) | (ij[:, 1] >= n)
+        if bad.any():
+            raise ValueError(f"bad edge {tuple(ij[bad][0].tolist())} on {n} vertices")
+        return cls(n, *ij.T)
 
 
 @dataclass
@@ -329,7 +341,7 @@ def dual_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
 
 def delaunay_graph(h: Hypergraph) -> Graph:
     """Graph whose edges are the distinct hyperedges of cardinality exactly 2."""
-    return Graph(h.vertex_count, {tuple(bits_of(em)) for em in h.edge_masks if em.bit_count() == 2})
+    return Graph.from_edges(h.vertex_count, (tuple(bits_of(em)) for em in h.edge_masks if em.bit_count() == 2))
 
 
 def vc_dimension(h: Hypergraph, cap: int = 6) -> VCProfile:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceeded, InfeasibleNet, PreconditionViolated
-from .hypergraph import Hypergraph, bits_of, mask_of, set_of
+from .hypergraph import Hypergraph, bits_of, containing_rows, holder_masks, mask_of, set_of
 
 EpsilonLike = Union[Fraction, float, int, str]
 
@@ -292,10 +292,7 @@ def greedy_cover_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
     """
     e = as_fraction(eps)
     heavy = _heavy_masks(h, e, t)
-    col: dict[int, int] = {}
-    for j, em in enumerate(heavy):
-        for v in bits_of(em):
-            col[v] = col.get(v, 0) | (1 << j)
+    col = holder_masks(heavy)
 
     def walk(prefix: tuple[int, ...], mask: int, start: int) -> None:
         nonlocal best, pick, pick_mask
@@ -334,11 +331,8 @@ def min_t_net_bruteforce(
     heavy = _heavy_masks(h, e, t)
     if not heavy:
         return TNet(t=t, tuples=frozenset(), epsilon=e)
-    cover: dict[tuple[int, ...], int] = {}  # candidate -> mask of the heavy[j] holding it
-    for j, em in enumerate(heavy):
-        for c in itertools.combinations(bits_of(em), t):
-            cover[c] = cover.get(c, 0) | (1 << j)
-    cands = sorted(cover)
+    cands = sorted({c for em in heavy for c in itertools.combinations(bits_of(em), t)})
+    cover = dict(containing_rows(cands, heavy))  # candidate -> mask of the heavy[j] holding it
     full = (1 << len(heavy)) - 1
     examined = 0
     for k in range(1, len(cands) + 1):

@@ -80,36 +80,29 @@ def vertical_edges_of(rects) -> list[Segment]:
 # census and incidence graphs
 
 
-def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
-    """Classify every intersecting (a, b) pair into exactly one of four types.
-
-    Only the edges of the intersection graph are classified; an edge that
-    classifies as disjoint raises, so the partition identity total == |E|
-    holds by construction.
-    """
-    a_rects, b_rects = list(a_rects), list(b_rects)
-    if not check_general_position(a_rects + b_rects):
-        raise DegenerateInput("rectangle families share an edge line")
-    return _census(a_rects, b_rects)
-
-
 def _box_coords(rects) -> np.ndarray:
     """x_lo, x_hi, y_lo, y_hi of every rectangle, as the four rows of an array."""
     return np.array([(r.x_lo, r.x_hi, r.y_lo, r.y_hi) for r in rects]).reshape(-1, 4).T
 
 
-def _census(a_rects: list, b_rects: list) -> IntersectionTypeCounts:
-    """Census of two rectangle families already in general position.
+def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
+    """Classify every intersecting (a, b) pair into exactly one of four types.
 
-    The edges come as (rows, cols) arrays from `_edge_blocks`, CHUNK_ROWS rows
-    of A at a time, and each block is classified with numpy comparisons by
-    `classify_rect_pair`'s rule.  The crossings of b's vertical edges with a's
-    horizontal edges form the product of the verticals that lie in a's x-span
-    and the horizontals that lie in b's y-span (type 3), and the other way
-    round for type 4.  When both exist, the lexicographically smaller leftmost
-    crossing wins; its abscissa is a coordinate of b for type 3 and of a for
-    type 4, and no two edge lines coincide, so x alone decides.
+    Families with two edges on one line raise DegenerateInput.  Only the
+    edges are classified, with no graph built: `_edge_blocks` yields them as
+    (rows, cols) arrays, CHUNK_ROWS rows of A at a time, and numpy compares
+    each block by the per-pair rule of `tests/census_oracle.py`.  The
+    crossings of b's vertical edges with a's horizontal edges form the product
+    of the verticals that lie in a's x-span and the horizontals that lie in
+    b's y-span (type 3), and the other way round for type 4.  When both exist,
+    the lexicographically smaller leftmost crossing wins; its abscissa is a
+    coordinate of b for type 3 and of a for type 4, and no two edge lines
+    coincide, so x alone decides.  An edge that classifies as disjoint raises,
+    so the partition identity total == |E| holds by construction.
     """
+    a_rects, b_rects = list(a_rects), list(b_rects)
+    if not check_general_position(a_rects + b_rects):
+        raise DegenerateInput("rectangle families share an edge line")
     counts = [0, 0, 0, 0]
     a_box, b_box = _box_coords(a_rects), _box_coords(b_rects)
     for rows, cols in _edge_blocks(a_rects, b_rects):
@@ -210,7 +203,12 @@ def _interval_runs(hsegs, k: int):
 
 
 def canonical_segment_tuples(hsegs, k: int) -> CanonicalTupleFamily:
-    """All k-subsets realizable as the exact stab set of some vertical segment."""
+    """All k-subsets realizable as the exact stab set of some vertical segment.
+
+    No segment may end at an abscissa where another starts: the sweep sees
+    only the open intervals between endpoint abscissae, so it misses the stab
+    sets of a vertical there.  The edges of rectangles in general position
+    (`geometry.check_general_position`) meet this."""
     tuples = {frozenset(run) for run, _ in _interval_runs(hsegs, k)}
     return CanonicalTupleFamily(k=k, tuples=frozenset(tuples))
 
@@ -280,13 +278,12 @@ class SegmentDelaunay:
 
 def segment_delaunay(hsegs) -> SegmentDelaunay:
     """Graph on the segments whose edges are the canonical pairs; each edge
-    keeps the first witness abscissa of the sweep."""
+    keeps the first witness abscissa of the sweep.  It has the precondition
+    of `canonical_segment_tuples`: no segment ends where another starts."""
     witness_x: dict[tuple[int, int], float] = {}
     for run, x in _interval_runs(hsegs, 2):
         witness_x.setdefault(tuple(sorted(run)), x)
-    return SegmentDelaunay(
-        hsegs=list(hsegs), graph=Graph(len(hsegs), set(witness_x)), witness_x=witness_x
-    )
+    return SegmentDelaunay(list(hsegs), Graph.from_edges(len(hsegs), witness_x), witness_x)
 
 
 def delaunay_drawing_paths(dela: "SegmentDelaunay") -> dict[tuple[int, int], list[tuple[float, float]]]:
@@ -305,7 +302,7 @@ def delaunay_drawing_paths(dela: "SegmentDelaunay") -> dict[tuple[int, int], lis
     gaps = [b - a for a, b in zip(ys, ys[1:])]
     eps_draw = (min(gaps) / 10.0) if gaps else 0.01
     paths = {}
-    for rank, (i, j) in enumerate(sorted(dela.graph.edges)):
+    for rank, (i, j) in enumerate(zip(dela.graph.rows.tolist(), dela.graph.cols.tolist())):
         off = eps_draw * (1 + rank % 7) / 7.0
         xw = dela.witness_x[(i, j)]
         yi, yj = hsegs[i].fixed + off, hsegs[j].fixed + off
@@ -348,7 +345,6 @@ def _sample_blocks(g: Graph, samples: int, rng: random.Random):
     a key tied with that one keeps its vertex too, so a row can keep more
     than its size, and the caller reads the kept count from keep.sum()."""
     n = g.vertex_count
-    eu, ev = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
     for lo in range(0, samples, BLOCK_ROWS):
         rows = min(BLOCK_ROWS, samples - lo)
         sizes = np.array([rng.randint(0, n) for _ in range(rows)])
@@ -359,7 +355,7 @@ def _sample_blocks(g: Graph, samples: int, rng: random.Random):
             keep = (keys <= threshold) & (sizes > 0)[:, None]
         else:
             keep = np.zeros((rows, 0), dtype=bool)
-        yield keep, (keep[:, eu] & keep[:, ev]).sum(axis=1)
+        yield keep, (keep[:, g.rows] & keep[:, g.cols]).sum(axis=1)
 
 
 def hereditary_planarity_check(g: Graph, samples: int, seed: int) -> PlanarityReport:
@@ -369,7 +365,7 @@ def hereditary_planarity_check(g: Graph, samples: int, seed: int) -> PlanarityRe
     against the bound for the number of vertices its sample really kept."""
     n = g.vertex_count
     bound = np.array([_euler_bound(k) for k in range(n + 1)])
-    violations = int(len(g.edges) > bound[n])
+    violations = int(len(g.rows) > bound[n])
     for keep, counts in _sample_blocks(g, samples, random.Random(seed)):
         violations += int((counts > bound[keep.sum(axis=1)]).sum())
     return PlanarityReport(
@@ -408,15 +404,12 @@ def rectangle_bound_report(
     """
     if t < 2:
         raise ValueError("t must be >= 2")
-    a_rects = list(a_rects)
-    b_rects = list(b_rects)
-    if not check_general_position(a_rects + b_rects):
-        raise DegenerateInput("rectangle families share an edge line")
+    a_rects, b_rects = list(a_rects), list(b_rects)
+    census = intersection_type_census(a_rects, b_rects)  # raises DegenerateInput first
     if not assume_ktt_free:
         witness = find_ktt_witness(BipartiteIntersectionGraph.from_families(a_rects, b_rects), t, budget)
         if witness is not None:
             raise PreconditionViolated(f"input graph contains K_{t},{t}: {witness}")
-    census = _census(a_rects, b_rects)
     k_graph = crossing_graph(a_rects, b_rects)
     degrees = k_graph.degrees_b()
     fam = canonical_segment_tuples(k_graph.side_a, 2 * t - 1).tuples

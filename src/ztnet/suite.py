@@ -252,8 +252,9 @@ def build_suite_instances(cfg: SuiteConfig) -> list[SuiteInstance]:
 
 def naive_ktt_free(g: BipartiteIntersectionGraph, t: int) -> bool:
     """Biclique oracle on the edge set alone: does a t-subset of A have t common neighbours?"""
+    edges = set(zip(g.rows.tolist(), g.cols.tolist()))
     for sa in itertools.combinations(range(g.m), t):
-        if sum(all((i, j) in g.edges for i in sa) for j in range(g.n)) >= t:
+        if sum(all((i, j) in edges for i in sa) for j in range(g.n)) >= t:
             return False
     return True
 

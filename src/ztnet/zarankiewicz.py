@@ -41,16 +41,21 @@ BUDGET_ENV_VAR = "ZTNET_BUDGET"
 
 
 def resolve_budget(explicit: Optional[int] = None) -> int:
-    """Explicit budget, else the ZTNET_BUDGET env var, else the default."""
+    """Explicit budget, else the ZTNET_BUDGET env var, else the default; a
+    negative budget raises ValueError naming its source."""
     if explicit is not None:
-        return explicit
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is None:
-        return DEFAULT_ENUM_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+        name, budget = "budget", explicit
+    else:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if env is None:
+            return DEFAULT_ENUM_BUDGET
+        try:
+            name, budget = BUDGET_ENV_VAR, int(env)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise ValueError(f"{name} must be >= 0, got {budget}")
+    return budget
 
 
 # ---------------------------------------------------------------------------

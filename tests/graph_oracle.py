@@ -1,8 +1,9 @@
-"""The tuple-set bipartite graph that `BipartiteIntersectionGraph`'s row-major
-index arrays replaced, kept as its test oracle: the edge set is the stored form,
-`induced` relabels it through dicts, and the neighbour masks are ORed from the
-tuples.  Also the frozenset view of hyperedges that `Hypergraph`'s masks
-replaced, as helpers for tests that state hyperedges as sets."""
+"""The tuple-set graphs that the row-major index arrays of
+`BipartiteIntersectionGraph` and of the plain `Graph` replaced, kept as their
+test oracles: the edge set is the stored form, `induced` relabels it through
+dicts, and the neighbour masks are ORed from the tuples.  Also the frozenset
+view of hyperedges that `Hypergraph`'s masks replaced, as helpers for tests
+that state hyperedges as sets."""
 
 from dataclasses import dataclass
 
@@ -58,6 +59,24 @@ class TupleGraph:
         bmap = {old: new for new, old in enumerate(kb)}
         edges = {(amap[i], bmap[j]) for i, j in self.edges if i in amap and j in bmap}
         return TupleGraph([self.side_a[i] for i in ka], [self.side_b[j] for j in kb], edges)
+
+
+@dataclass
+class TupleSetGraph:
+    """Plain graph; edges are unordered index pairs stored as (i, j) with i < j."""
+
+    vertex_count: int
+    edges: set[tuple[int, int]]
+
+    def __post_init__(self):
+        for i, j in self.edges:
+            if not (0 <= i < j < self.vertex_count):
+                raise ValueError(f"bad edge ({i}, {j}) on {self.vertex_count} vertices")
+
+
+def edge_set(g) -> set[tuple[int, int]]:
+    """The edges of an array-backed graph as a set of (i, j) index pairs."""
+    return set(zip(g.rows.tolist(), g.cols.tolist()))
 
 
 def hypergraph_of(vertex_count: int, edges) -> Hypergraph:

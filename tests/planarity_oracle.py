@@ -13,11 +13,7 @@ def hereditary_planarity_check(g, samples: int, seed: int) -> PlanarityReport:
     """Euler bound |E| <= 3|V|-6 on the full graph and random induced subgraphs."""
     rng = random.Random(seed)
     n = g.vertex_count
-    if g.edges:
-        eu = np.fromiter((e[0] for e in sorted(g.edges)), dtype=np.int64)
-        ev = np.fromiter((e[1] for e in sorted(g.edges)), dtype=np.int64)
-    else:
-        eu = ev = np.zeros(0, dtype=np.int64)
+    eu, ev = g.rows, g.cols
     violations = 0
     checked = 0
 
@@ -27,7 +23,7 @@ def hereditary_planarity_check(g, samples: int, seed: int) -> PlanarityReport:
         if count > _euler_bound(k):
             violations += 1
 
-    check(len(g.edges), n)
+    check(len(eu), n)
     keep = np.zeros(n, dtype=bool)
     for _ in range(samples):
         size = rng.randint(0, n)

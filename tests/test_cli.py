@@ -236,6 +236,30 @@ class TestCommands:
                      "--method", "greedy", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["side"] == "dual"
 
+    def test_shared_edge_line_exits_1(self, tmp_path, capsys):
+        # a vertical at x = 1 over [0, 1] meets segments {0, 2, 1}, which the
+        # open-interval sweep cannot see, so canon and delaunay refuse the
+        # file as census does rather than print an incomplete result
+        inst = tmp_path / "shared.json"
+        inst.write_text(emit_instance([AxisRect(0, 1, 0, 1), AxisRect(1, 2, 0.5, 1.5)], [AxisRect(5, 6, 5, 6)]))
+        for cmd, message in (
+            (["canon", "--t", "2"], "side a rectangles share an edge line"),
+            (["delaunay"], "side a rectangles share an edge line"),
+            (["delaunay", "--format", "json"], "side a rectangles share an edge line"),
+            (["census"], "rectangle families share an edge line"),
+        ):
+            assert main([cmd[0], str(inst), *cmd[1:]]) == 1, cmd
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == f"error: {message}\n", cmd
+
+    def test_negative_budget_env_exits_1(self, tmp_path, capsys, monkeypatch):
+        inst = tmp_path / "r.json"
+        main(["generate", "--kind", "rects", "--n", "10", "--seed", "1", "--out", str(inst)])
+        monkeypatch.setenv("ZTNET_BUDGET", "-5")
+        for cmd in ("check-free", "bound"):
+            assert main([cmd, str(inst), "--t", "2"]) == 1, cmd
+            assert capsys.readouterr().err == "error: ZTNET_BUDGET must be >= 0, got -5\n", cmd
+
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["net", "--eps", "oops"])
@@ -304,6 +328,7 @@ _PINNED_COMMANDS = (
     ["canon", "--t", "2"],
     ["shrink", "--t", "2"],
     ["delaunay", "--format", "json"],
+    ["delaunay"],
 )
 
 
@@ -352,6 +377,8 @@ class TestCliBytes:
             "5d2ed94b78a7ffaa645a0e695faf192e0e44adab67df42e3aa64843c039a288f",
         "discs delaunay --format json":
             "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "discs delaunay":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
         "rects generate":
             "1677580257ed8eb13335e60e0ed50e12b0e644d9c037807795eac7f26dcbd7d0",
         "rects check-free --t 2":
@@ -372,6 +399,8 @@ class TestCliBytes:
             "5d2ed94b78a7ffaa645a0e695faf192e0e44adab67df42e3aa64843c039a288f",
         "rects delaunay --format json":
             "0b79434ea93e3e9529745324d870ace75c39c8e9aabd851833873ec9119c87b9",
+        "rects delaunay":
+            "73524bc68d88374d5d2b696df7276704922eef95261eabdebb6b7ddde1b0acdf",
         "frames generate":
             "e855eb393c14888a7fd172effa5b6ec3d3b398b83785d69a30d50e3d5129739f",
         "frames check-free --t 2":
@@ -392,6 +421,8 @@ class TestCliBytes:
             "5d2ed94b78a7ffaa645a0e695faf192e0e44adab67df42e3aa64843c039a288f",
         "frames delaunay --format json":
             "0b79434ea93e3e9529745324d870ace75c39c8e9aabd851833873ec9119c87b9",
+        "frames delaunay":
+            "73524bc68d88374d5d2b696df7276704922eef95261eabdebb6b7ddde1b0acdf",
         "points-discs generate":
             "4480598171f3e9eb0611fd75db121ccb9bbadab7c2dfc4be47f405c47d91414c",
         "points-discs check-free --t 2":
@@ -412,6 +443,8 @@ class TestCliBytes:
             "cdd4fb84f6fcca91fbaa49d2599510873aeced1c490b07c2f0d00d12cb345775",
         "points-discs delaunay --format json":
             "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "points-discs delaunay":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
         "points-dyadic generate":
             "19a2f4d1ab750376ab739bf5ab019b98a57821161057a382c8e74f08a3c10151",
         "points-dyadic check-free --t 2":
@@ -431,6 +464,8 @@ class TestCliBytes:
         "points-dyadic shrink --t 2":
             "5d2ed94b78a7ffaa645a0e695faf192e0e44adab67df42e3aa64843c039a288f",
         "points-dyadic delaunay --format json":
+            "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
+        "points-dyadic delaunay":
             "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
         "bad check-free":
             "7fcd9e8d43b670c88c32d39f137a7b36285bb072bd0e41aad2fc26ddae632e8e",

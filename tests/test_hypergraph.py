@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from containment_oracle import contained_counts as row_side_counts
-from graph_oracle import TupleGraph, hyperedges, hypergraph_of
+from graph_oracle import TupleGraph, TupleSetGraph, edge_set, hyperedges, hypergraph_of
 from net_oracle import induced_subhypergraph
 from round_oracle import dense_edges, round_matrix
 
@@ -127,10 +128,10 @@ class TestInduced:
 class TestDelaunay:
     def test_examples(self):
         h = hypergraph_of(3, [fs(0, 1), fs(0, 1, 2), fs(2)])
-        assert delaunay_graph(h).edges == {(0, 1)}
-        assert delaunay_graph(hypergraph_of(3, [fs(0), fs(0, 1, 2)])).edges == set()
+        assert edge_set(delaunay_graph(h)) == {(0, 1)}
+        assert edge_set(delaunay_graph(hypergraph_of(3, [fs(0), fs(0, 1, 2)]))) == set()
         h2 = hypergraph_of(3, [fs(0, 1), fs(1, 2), fs(0, 1)])
-        assert delaunay_graph(h2).edges == {(0, 1), (1, 2)}
+        assert edge_set(delaunay_graph(h2)) == {(0, 1), (1, 2)}
 
     def test_disc_delaunay_euler_hereditarily(self):
         # the planarity hypothesis with C=3 on sampled induced subhypergraphs
@@ -144,7 +145,7 @@ class TestDelaunay:
                 keep = rng.sample(range(30), rng.randint(0, 30))
                 sub = induced_subhypergraph(h, keep)
                 graph = delaunay_graph(sub)
-                assert len(graph.edges) < 3 * max(len(keep), 1)
+                assert len(graph.rows) < 3 * max(len(keep), 1)
 
 
 class TestVC:
@@ -523,12 +524,38 @@ class TestContainment:
         assert contained_counts(tuples, rows) == row_side_counts(tuples, rows)
 
 
+class TestPlainGraphOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 8), st.lists(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=30))
+    @example(0, [])  # the empty graph
+    @example(4, [(2, 3), (0, 1), (2, 3), (0, 1)])  # repeats count once, in sorted order
+    @example(3, [(1, 1)])  # a loop
+    @example(3, [(2, 1)])  # a pair with i > j
+    @example(3, [(0, 3)])  # j out of range
+    @example(3, [(-1, 2)])  # i out of range
+    def test_from_edges_matches_tuple_set_graph(self, n, pairs):
+        try:
+            oracle = TupleSetGraph(n, set(pairs))
+        except ValueError:
+            with pytest.raises(ValueError) as exc:
+                Graph.from_edges(n, pairs)
+            named = re.fullmatch(rf"bad edge \((-?\d+), (-?\d+)\) on {n} vertices", str(exc.value))
+            i, j = int(named[1]), int(named[2])
+            assert (i, j) in pairs and not 0 <= i < j < n
+            return
+        g = Graph.from_edges(n, iter(pairs))
+        assert g.vertex_count == n
+        assert g.rows.dtype == g.cols.dtype == np.int64
+        assert list(zip(g.rows.tolist(), g.cols.tolist())) == sorted(oracle.edges)
+        assert edge_set(g) == oracle.edges and len(g.rows) == len(g.cols) == len(oracle.edges)
+
+
 class TestGraphTypes:
     def test_graph_validation(self):
         with pytest.raises(ValueError):
-            Graph(2, {(0, 0)})
+            Graph.from_edges(2, {(0, 0)})
         with pytest.raises(ValueError):
-            Graph(2, {(1, 0)})
+            Graph.from_edges(2, {(1, 0)})
 
     def test_hypergraph_validation(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from census_oracle import intersection_type_census as per_edge_census
-from graph_oracle import hypergraph_of
+from census_oracle import IntersectionType, classify_rect_pair, intersection_type_census as per_edge_census
+from graph_oracle import edge_set, hypergraph_of
 from planarity_oracle import hereditary_planarity_check as sample_by_sample_check
 from segment_oracle import _interval_runs as full_sweep_runs
 
@@ -235,8 +235,6 @@ class TestCrossingGraph:
 
     def test_frames_realize_only_crossing_types(self):
         # boundary curves meet exactly when the solid pair is of type 3 or 4
-        from ztnet.geometry import Frame, classify_rect_pair, intersects, IntersectionType
-
         for seed in range(6):
             a, b = rect_families(15, seed)
             for ra in a:
@@ -347,16 +345,16 @@ class TestCanonicalTuples:
 class TestSegmentDelaunay:
     def test_stacked_and_disjoint(self):
         segs = [hseg(0, 0, 10), hseg(1, 0, 10), hseg(2, 0, 10)]
-        assert segment_delaunay(segs).graph.edges == {(0, 1), (1, 2)}
+        assert edge_set(segment_delaunay(segs).graph) == {(0, 1), (1, 2)}
         apart = [hseg(0, 0, 1), hseg(1, 2, 3), hseg(2, 4, 5)]
-        assert segment_delaunay(apart).graph.edges == set()
+        assert edge_set(segment_delaunay(apart).graph) == set()
 
     def test_euler_bound_on_random_segments(self):
         segs = horizontal_edges_of(
             generate("random_rects", 100, GenParams(extent_lo=0.1, extent_hi=0.4), 21)
         )
         dela = segment_delaunay(segs)
-        assert len(dela.graph.edges) <= 3 * len(segs) - 6
+        assert len(dela.graph.rows) <= 3 * len(segs) - 6
 
     def test_equals_delaunay_of_explicit_stab_hypergraph(self):
         segs = horizontal_edges_of(generate("random_rects", 12, None, 33))
@@ -371,7 +369,7 @@ class TestSegmentDelaunay:
                 for j in range(i, len(order)):
                     stab_sets.append(frozenset(order[i : j + 1]))
         j_hyper = hypergraph_of(len(segs), stab_sets)
-        assert segment_delaunay(segs).graph.edges == delaunay_graph(j_hyper).edges
+        assert edge_set(segment_delaunay(segs).graph) == edge_set(delaunay_graph(j_hyper))
 
     def test_witness_is_first_interval_of_adjacency(self):
         # oracle: scan the open intervals between endpoint abscissae in x
@@ -410,7 +408,7 @@ class TestSegmentDelaunay:
         local = lambda el: el.tag.rsplit("}", 1)[-1]
         polylines = [el for el in root.iter() if local(el) == "polyline"]
         lines = [el for el in root.iter() if local(el) == "line"]
-        assert len(polylines) == len(dela.graph.edges)
+        assert len(polylines) == len(dela.graph.rows)
         assert len(lines) == len(segs)
 
     def test_svg_empty_input(self):
@@ -458,14 +456,14 @@ class TestSegmentDelaunay:
 
 def complete_plus_isolated(k, isolated):
     """K_k on vertices 0..k-1 plus `isolated` vertices of degree 0."""
-    return Graph(k + isolated, set(itertools.combinations(range(k), 2)))
+    return Graph.from_edges(k + isolated, set(itertools.combinations(range(k), 2)))
 
 
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(0, 12))
     pairs = list(itertools.combinations(range(n), 2))
-    return Graph(n, draw(st.sets(st.sampled_from(pairs))) if pairs else set())
+    return Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))) if pairs else set())
 
 
 @st.composite
@@ -480,32 +478,32 @@ def planar_graphs(draw):
         edges |= {(a, v), (b, v), (c, v)}
         faces += [(a, b, v), (a, c, v), (b, c, v)]
     kept = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-    return Graph(n, {e for e, k in zip(sorted(edges), kept) if k})
+    return Graph.from_edges(n, {e for e, k in zip(sorted(edges), kept) if k})
 
 
 class TestPlanarityCheck:
     def test_triangle_passes(self):
-        g = Graph(3, {(0, 1), (0, 2), (1, 2)})
+        g = Graph.from_edges(3, {(0, 1), (0, 2), (1, 2)})
         assert hereditary_planarity_check(g, 50, seed=1).passed
 
     def test_k5_fails(self):
-        g = Graph(5, set(itertools.combinations(range(5), 2)))
+        g = Graph.from_edges(5, set(itertools.combinations(range(5), 2)))
         rep = hereditary_planarity_check(g, 0, seed=1)
         assert not rep.passed and rep.violations == 1
 
     def test_sample_count(self):
-        g = Graph(4, set())
+        g = Graph.from_edges(4, set())
         rep = hereditary_planarity_check(g, 25, seed=3)
         assert rep.samples_checked == 26  # full graph + samples
 
     @pytest.mark.parametrize("samples", [0, 1, 63, 64, 65, 1000])
     def test_checks_every_sample_across_block_edges(self, samples):
-        g = Graph(6, {(0, 1), (1, 2), (2, 3)})
+        g = Graph.from_edges(6, {(0, 1), (1, 2), (2, 3)})
         assert hereditary_planarity_check(g, samples, seed=2).samples_checked == samples + 1
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_tiny_graphs(self, n):
-        g = Graph(n, {(0, 1)} if n == 2 else set())
+        g = Graph.from_edges(n, {(0, 1)} if n == 2 else set())
         rep = hereditary_planarity_check(g, 70, seed=4)
         assert rep.passed and rep.samples_checked == 71
 
@@ -526,8 +524,8 @@ class TestPlanarityCheck:
         monkeypatch.setattr(rectangles, "random", SimpleNamespace(Random=TiedRandom))
         n = 9
         edges = {(0, 1)} | {(0, v) for v in range(2, n)} | {(1, v) for v in range(2, n)}
-        g = Graph(n, edges | {(v - 1, v) for v in range(3, n)})
-        assert len(g.edges) == 3 * n - 6
+        g = Graph.from_edges(n, edges | {(v - 1, v) for v in range(3, n)})
+        assert len(g.rows) == 3 * n - 6
         rep = hereditary_planarity_check(g, 200, seed=5)
         assert rep.passed and rep.samples_checked == 201
 
@@ -554,7 +552,7 @@ class TestPlanarityCheck:
                 cut = sorted(keys)[sizes[r] - 1] if sizes[r] else -1
                 kept = {v for v in range(n) if keys[v] <= cut}
                 assert set(np.flatnonzero(row).tolist()) == kept and len(kept) >= sizes[r]
-                assert count == sum(u in kept and v in kept for u, v in g.edges)
+                assert count == sum(u in kept and v in kept for u, v in edge_set(g))
             total += rows
         assert total == samples
         rep = hereditary_planarity_check(g, samples, seed)
@@ -606,3 +604,14 @@ class TestBoundReport:
         b = [AxisRect(1, 2.25, 0, 5), AxisRect(3, 4, 0.25, 4.75)]
         with pytest.raises(PreconditionViolated):
             rectangle_bound_report(a, b, 2)
+
+    def test_shared_edge_line_rejected_before_witness_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("witness search ran on a degenerate input")
+
+        monkeypatch.setattr(rectangles, "find_ktt_witness", no_search)
+        a = [AxisRect(0, 1, 0, 1), AxisRect(1, 2, 0.5, 1.5)]
+        with pytest.raises(DegenerateInput, match="share an edge line"):
+            rectangle_bound_report(a, [AxisRect(5, 6, 5, 6)], 2)
+        with pytest.raises(DegenerateInput, match="share an edge line"):
+            rectangle_bound_report(iter(a), iter([AxisRect(5, 6, 5, 6)]), 2)

@@ -122,6 +122,22 @@ class TestWitnessSearch:
         with pytest.raises(ValueError, match="ZTNET_BUDGET.*'abc'"):
             resolve_budget()
 
+    def test_negative_budget_rejected(self, monkeypatch):
+        from ztnet.zarankiewicz import resolve_budget
+
+        k22 = bip(2, 2, {(0, 0), (0, 1), (1, 0), (1, 1)})
+        monkeypatch.setenv("ZTNET_BUDGET", "-5")
+        with pytest.raises(ValueError, match=r"^ZTNET_BUDGET must be >= 0, got -5$"):
+            resolve_budget()
+        with pytest.raises(ValueError, match=r"^ZTNET_BUDGET must be >= 0, got -5$"):
+            find_ktt_witness(k22, 2)
+        assert resolve_budget(0) == 0  # an explicit budget beats the environment
+        monkeypatch.delenv("ZTNET_BUDGET")
+        with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+            resolve_budget(-1)
+        with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+            find_ktt_witness(k22, 2, budget=-1)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 3), st.data())
     def test_search_matches_lex_oracle(self, t, data):
