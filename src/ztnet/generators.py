@@ -6,10 +6,15 @@ family is in general position by construction.  The `parity` parameter splits
 the grid into even and odd values: two families generated with opposite parity
 never share an edge coordinate, keeping their union in general position
 without shared state between the calls.
+
+The pruner deletes witness vertices until no K_{t,t} remains.  It keeps alive
+flags and live degrees over the graph's neighbour lists, so a deletion costs
+the deleted vertex's degree, not a pass over side-long masks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -17,7 +22,7 @@ from typing import Optional
 
 from .errors import ParamOutOfRange
 from .geometry import AxisRect, Disc, Frame, Point
-from .hypergraph import BipartiteIntersectionGraph, bits_of
+from .hypergraph import BipartiteIntersectionGraph
 from .zarankiewicz import BicliqueSearch, resolve_budget
 
 GRID_POW = 20
@@ -156,29 +161,32 @@ def prune_to_ktt_free(
     if t < 2:
         raise ValueError("t must be >= 2")
     search = BicliqueSearch(t, resolve_budget(budget), "prune")
-    adj = {"A": list(g.adj_a), "B": list(g.adj_b)}
-    active = {"A": (1 << g.m) - 1, "B": (1 << g.n) - 1}
+    nbrs = {"A": g.nbrs_a, "B": g.nbrs_b}
+    alive = {"A": bytearray(b"\x01") * g.m, "B": bytearray(b"\x01") * g.n}
+    degree = {s: [len(row) for row in nbrs[s]] for s in "AB"}  # live degrees
+    left = {"A": g.m, "B": g.n}
     deleted: dict[str, list[int]] = {"A": [], "B": []}
     cursors: dict[str, Optional[tuple]] = {"A": None, "B": None}
     other = {"A": "B", "B": "A"}
-    while (left_a := active["A"].bit_count()) >= t and (left_b := active["B"].bit_count()) >= t:
-        side = "A" if left_a <= left_b else "B"
-        found = search.first(active[side], adj[side], adj[other[side]], cursors[side])
+    while left["A"] >= t and left["B"] >= t:
+        side = "A" if left["A"] <= left["B"] else "B"
+        found = search.first(nbrs[side], nbrs[other[side]], alive[side], alive[other[side]],
+                             cursors[side])
         if found is None:
             break
         cursors[side] = found[0]
         witness = {side: found[0], other[side]: found[1]}
         vside, v = max(
             ((s, u) for s in "AB" for u in witness[s]),
-            key=lambda su: (adj[su[0]][su[1]].bit_count(), su[0] == "B", -su[1]),
+            key=lambda su: (degree[su[0]][su[1]], su[0] == "B", -su[1]),
         )
-        for u in bits_of(adj[vside][v]):
-            adj[other[vside]][u] &= ~(1 << v)
-        adj[vside][v] = 0
-        active[vside] &= ~(1 << v)
+        alive[vside][v] = 0
+        for u in nbrs[vside][v]:
+            degree[other[vside]][u] -= 1
+        left[vside] -= 1
         deleted[vside].append(v)
 
-    kept_a, kept_b = list(bits_of(active["A"])), list(bits_of(active["B"]))
+    kept_a, kept_b = (list(itertools.compress(range(len(f)), f)) for f in (alive["A"], alive["B"]))
     return PruneResult(
         g.induced(kept_a, kept_b), kept_a, kept_b, deleted["A"], deleted["B"],
         len(deleted["A"]) + len(deleted["B"]),  # one deletion per witness

@@ -6,9 +6,11 @@ hypergraph on B built the same way from the N(a).  Hyperedge multiplicity is
 retained (each defining object stays a separate hyperedge).
 
 Both graph types store their edges once, as row-major (rows, cols) index
-arrays; the bipartite graph's neighbour bitmasks are derived from them, and
-the primal and dual hypergraphs hold those mask lists themselves.
-Hyperedges and vertex subsets are int bitmasks throughout.
+arrays.  The bipartite graph derives two cached views from them: ascending
+neighbour lists, which the K_{t,t} witness search and the pruner read, and
+neighbour bitmasks over a whole side, which the primal and dual hypergraphs
+hold as their hyperedges.  In the hypergraphs, the nets and the tuple counts,
+hyperedges and vertex subsets are int bitmasks.
 
 `BipartiteIntersectionGraph.from_families` is the one way two families become
 a graph.  Behind it a uniform-grid round kernel and a chunked box kernel are
@@ -93,9 +95,10 @@ class BipartiteIntersectionGraph:
     """Two object families plus the edges (rows[k], cols[k]), i in A and j in
     B, as int64 arrays in row-major order without repeats.
 
-    The arrays are the one stored adjacency form: the neighbour bitmasks
-    `adj_a` / `adj_b`, the degrees and the `edges` view are derived from them,
-    and the masks and the view are cached, so callers must not mutate them.
+    The arrays are the one stored adjacency form: the neighbour lists
+    `nbrs_a` / `nbrs_b`, the neighbour bitmasks `adj_a` / `adj_b`, the degrees
+    and the `edges` view are derived from them, and the lists, the masks and
+    the view are cached, so callers must not mutate them.
     `from_families` and `from_edges` build the arrays.
     """
 
@@ -147,6 +150,20 @@ class BipartiteIntersectionGraph:
 
     adj_a = property(lambda self: self._masks[0])
     adj_b = property(lambda self: self._masks[1])
+
+    @cached_property
+    def _lists(self) -> tuple[list[list[int]], list[list[int]]]:
+        """`nbrs_a`, the ascending list of N(a) for every a in A, and `nbrs_b`,
+        of N(b) for every b in B, in one pass: row-major order sorts both."""
+        nbrs_a: list[list[int]] = [[] for _ in range(self.m)]
+        nbrs_b: list[list[int]] = [[] for _ in range(self.n)]
+        for i, j in zip(self.rows.tolist(), self.cols.tolist()):
+            nbrs_a[i].append(j)
+            nbrs_b[j].append(i)
+        return nbrs_a, nbrs_b
+
+    nbrs_a = property(lambda self: self._lists[0])
+    nbrs_b = property(lambda self: self._lists[1])
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:

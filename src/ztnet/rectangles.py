@@ -170,7 +170,8 @@ def _interval_runs(hsegs, k: int):
     sweep's order; some are yielded again later.  At most 2·k·n runs come out
     (one key per deletion and one per insertion, k windows each), so the
     sweep costs O((n + |F|)·k) beyond the bisects and list shifts of the
-    active list."""
+    active list.  An abscissa where one segment ends and another starts
+    raises DegenerateInput naming it."""
     if k < 1:
         raise ValueError("k must be >= 1")
     starts: dict[float, list[int]] = {}
@@ -178,6 +179,11 @@ def _interval_runs(hsegs, k: int):
     for i, s in enumerate(hsegs):
         starts.setdefault(s.lo, []).append(i)
         ends.setdefault(s.hi, []).append(i)
+    if shared := starts.keys() & ends.keys():
+        raise DegenerateInput(
+            f"a segment ends at x = {min(shared)!r} where another starts; the sweep "
+            "needs distinct start and end abscissae"
+        )
     abscissae = sorted(set(starts) | set(ends))
     active: list[tuple[float, int]] = []  # (y, index), kept sorted by y
     for xi in range(len(abscissae) - 1):
@@ -206,8 +212,9 @@ def canonical_segment_tuples(hsegs, k: int) -> CanonicalTupleFamily:
     """All k-subsets realizable as the exact stab set of some vertical segment.
 
     No segment may end at an abscissa where another starts: the sweep sees
-    only the open intervals between endpoint abscissae, so it misses the stab
-    sets of a vertical there.  The edges of rectangles in general position
+    only the open intervals between endpoint abscissae, so it would miss the
+    stab sets of a vertical there, and such input raises DegenerateInput.
+    The edges of rectangles in general position
     (`geometry.check_general_position`) meet this."""
     tuples = {frozenset(run) for run, _ in _interval_runs(hsegs, k)}
     return CanonicalTupleFamily(k=k, tuples=frozenset(tuples))
@@ -279,7 +286,8 @@ class SegmentDelaunay:
 def segment_delaunay(hsegs) -> SegmentDelaunay:
     """Graph on the segments whose edges are the canonical pairs; each edge
     keeps the first witness abscissa of the sweep.  It has the precondition
-    of `canonical_segment_tuples`: no segment ends where another starts."""
+    of `canonical_segment_tuples`: no segment ends where another starts, else
+    DegenerateInput."""
     witness_x: dict[tuple[int, int], float] = {}
     for run, x in _interval_runs(hsegs, 2):
         witness_x.setdefault(tuple(sorted(run)), x)

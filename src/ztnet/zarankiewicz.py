@@ -7,6 +7,10 @@ on the heavy-by-heavy subgraph.  The additive term is a valid upper bound for
 the light contribution regardless of any freeness or net assumption, so the
 final bound dominates |E| unconditionally; nets are built per level to report
 the sizes that drive the heavy-set analysis.
+
+The K_{t,t} witness search reads the graph's ascending neighbour lists and
+alive flags, never a mask as long as a side: each first vertex of a prefix
+relabels its alive neighbourhood into a local bit universe of its own.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional
@@ -63,51 +68,80 @@ def resolve_budget(explicit: Optional[int] = None) -> int:
 
 
 class BicliqueSearch:
-    """Lexicographic depth-first search for K_{t,t} witnesses.
+    """Lexicographic depth-first search for K_{t,t} witnesses on neighbour lists.
 
     A prefix grows only while its common neighbourhood keeps t vertices, and
     only by neighbours of that neighbourhood above its last vertex, so every
-    prefix of two or more lies inside some N(b).  Each tested extension is
-    one step, counted over all calls; step budget + 1 raises BudgetExceeded.
+    prefix of two or more lies inside some N(b).  The prefixes of a first
+    vertex v work in a local universe (Eppstein's bounded-arboricity biclique
+    listing): the alive N(v) relabelled to bits 0..d-1 in ascending order,
+    and for every alive vertex above v two hops away, the small mask of the
+    N(v) it sees.  Each tested extension is one step, counted over all
+    calls; step budget + 1 raises BudgetExceeded.
     """
 
     def __init__(self, t: int, budget: int, stage: str):
         self.t, self.budget, self.stage, self.steps = t, budget, stage, 0
 
-    def first(self, active: int, masks: list[int], partner: list[int], lower=None):
-        """First t-subset of the bitmask `active`, in lexicographic order from
-        the cursor `lower` on, whose `masks` share at least t bits: the subset
-        and its first t shared bits, or None.  `partner` holds the other
-        side's masks; masks hold active vertices only, `lower` need not."""
+    def first(self, nbrs: list[list[int]], partner: list[list[int]], alive, partner_alive,
+              lower=None):
+        """First t-subset of the `alive` vertices, in lexicographic order from
+        the cursor `lower` on, whose alive neighbours share at least t: the
+        subset and its first t shared neighbours, or None.  `nbrs` and
+        `partner` hold the ascending neighbour lists of this side and of the
+        other, and `partner_alive` flags the other side's alive vertices;
+        `lower` may name vertices no longer alive."""
         t = self.t
 
-        def extend(prefix: tuple, common: int, cand: int, tight: bool):
+        def step():
+            self.steps += 1
+            if self.steps > self.budget:
+                inside = sum(math.comb(sum(1 for u in row if alive[u]), t)
+                             for b, row in enumerate(partner) if partner_alive[b])
+                raise BudgetExceeded(
+                    f"{self.stage} stopped after {self.budget} search steps (budget "
+                    f"{self.budget}); the neighbourhoods hold sum_b C(deg b, {t}) = "
+                    f"{inside} {t}-subsets; raise --budget or {BUDGET_ENV_VAR}"
+                )
+
+        def extend(prefix: tuple, common: int, cand: list[int], tight: bool):
             k = len(prefix)
             if tight:  # the prefix is the cursor's, so stay at or above it
-                cand = cand >> lower[k] << lower[k]
-            for v in bits_of(cand):
-                self.steps += 1
-                if self.steps > self.budget:
-                    inside = sum(math.comb(mask.bit_count(), t) for mask in partner)
-                    raise BudgetExceeded(
-                        f"{self.stage} stopped after {self.budget} search steps (budget "
-                        f"{self.budget}); the neighbourhoods hold sum_b C(deg b, {t}) = "
-                        f"{inside} {t}-subsets; raise --budget or {BUDGET_ENV_VAR}"
-                    )
+                cand = cand[bisect_left(cand, lower[k]):]
+            for v in cand:
+                step()
                 shared = common & masks[v]
                 if shared.bit_count() < t:
                     continue
                 if k + 1 == t:
-                    return prefix + (v,), tuple(itertools.islice(bits_of(shared), t))
-                hop = 0
-                for y in bits_of(shared):
-                    hop |= partner[y]
-                hop = hop >> (v + 1) << (v + 1)
+                    return prefix + (v,), shared
+                hop = [u for u in above[bisect_right(above, v):] if masks[u] & shared]
                 if found := extend(prefix + (v,), shared, hop, tight and v == lower[k]):
                     return found
             return None
 
-        return extend((), -1, active, lower is not None)
+        tight = lower is not None
+        for v in range(lower[0] if tight else 0, len(nbrs)):
+            if not alive[v]:
+                continue
+            step()
+            local = [y for y in nbrs[v] if partner_alive[y]]
+            if len(local) < t:
+                continue
+            if t == 1:
+                return (v,), (local[0],)
+            masks: dict[int, int] = {}
+            bit = 1
+            for y in local:
+                for u in partner[y]:
+                    if u > v and alive[u]:
+                        masks[u] = masks.get(u, 0) | bit
+                bit <<= 1
+            above = sorted(masks)
+            if found := extend((v,), (1 << len(local)) - 1, above, tight and v == lower[0]):
+                prefix, shared = found
+                return prefix, tuple(local[b] for b in itertools.islice(bits_of(shared), t))
+        return None
 
 
 def find_ktt_witness(
@@ -125,9 +159,10 @@ def find_ktt_witness(
     if min(g.m, g.n) < t:
         return None
     search = BicliqueSearch(t, resolve_budget(budget), "witness search")
+    every_a, every_b = b"\x01" * g.m, b"\x01" * g.n
     if g.m <= g.n:
-        return search.first((1 << g.m) - 1, g.adj_a, g.adj_b)
-    found = search.first((1 << g.n) - 1, g.adj_b, g.adj_a)
+        return search.first(g.nbrs_a, g.nbrs_b, every_a, every_b)
+    found = search.first(g.nbrs_b, g.nbrs_a, every_b, every_a)
     return None if found is None else (found[1], found[0])
 
 

@@ -12,6 +12,7 @@ from ztnet.errors import SchemaError
 from ztnet.generators import generate, prune_to_ktt_free
 from ztnet.geometry import AxisRect, Disc, Frame, Point
 from ztnet.hypergraph import BipartiteIntersectionGraph
+from ztnet.zarankiewicz import find_ktt_witness
 
 
 class TestInstanceIO:
@@ -192,6 +193,20 @@ class TestCommands:
               "--out", str(inst)])
         code = main(["shrink", str(inst), "--t", "2", "--out", str(tmp_path / "s.json")])
         assert code in (0, 1)  # 1 when the random instance is not K_{2,2}-free
+
+    def test_check_free_builds_no_side_long_masks(self, tmp_path, monkeypatch, capsys):
+        graphs = []
+
+        def recording(g, *args):
+            graphs.append(g)
+            return find_ktt_witness(g, *args)
+
+        monkeypatch.setattr(ztnet.cli, "find_ktt_witness", recording)
+        inst = tmp_path / "i.json"
+        inst.write_text(emit_instance(generate("random_discs", 60, None, 3),
+                                      generate("random_discs", 60, None, 4)))
+        assert main(["check-free", str(inst), "--t", "2"]) == 2
+        assert len(graphs) == 1 and "_masks" not in graphs[0].__dict__
 
     def test_missing_file_exit_1(self):
         assert main(["check-free", "/nonexistent/path.json", "--t", "2"]) == 1

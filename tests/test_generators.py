@@ -13,7 +13,7 @@ from ztnet.hypergraph import BipartiteIntersectionGraph
 from ztnet.suite import scaled_disc_instance
 from ztnet.zarankiewicz import find_ktt_witness
 
-from ktt_oracle import _combos_at_least
+from ktt_oracle import _combos_at_least, mask_prune
 
 
 class TestGenerate:
@@ -159,6 +159,38 @@ class TestPrune:
             slow = naive_prune(g, t)
             assert fast.graph.edges == slow.edges, (trial, m, n, t)
             assert (fast.graph.m, fast.graph.n) == (slow.m, slow.n)
+
+    def test_matches_mask_oracle_on_random_graphs(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            m, n = rng.randint(2, 16), rng.randint(2, 16)
+            p = rng.uniform(0.2, 0.8)
+            g = bip(m, n, {(i, j) for i in range(m) for j in range(n) if rng.random() < p})
+            for t in (2, 3, 4):
+                res = prune_to_ktt_free(g, t)
+                deleted_a, deleted_b, witnesses, steps = mask_prune(g, t)
+                assert (res.deleted_a, res.deleted_b, res.witnesses_found) == (
+                    deleted_a, deleted_b, witnesses)
+                if steps:
+                    with pytest.raises(BudgetExceeded) as exc:
+                        prune_to_ktt_free(g, t, budget=steps - 1)
+                    with pytest.raises(BudgetExceeded) as expected:
+                        mask_prune(g, t, budget=steps - 1)
+                    assert str(exc.value) == str(expected.value)
+                prune_to_ktt_free(g, t, budget=steps)
+
+    @pytest.mark.parametrize("t, n", [(2, 512), (2, 1024), (2, 2048), (3, 128), (3, 256), (3, 512)])
+    def test_matches_mask_oracle_on_scaled_discs(self, t, n):
+        g = BipartiteIntersectionGraph.from_families(*scaled_disc_instance(n, 3))
+        res = prune_to_ktt_free(g, t)
+        deleted_a, deleted_b, witnesses, steps = mask_prune(g, t)
+        assert res.witnesses_found > 0
+        assert (res.deleted_a, res.deleted_b, res.witnesses_found) == (deleted_a, deleted_b, witnesses)
+        with pytest.raises(BudgetExceeded) as exc:
+            prune_to_ktt_free(g, t, budget=steps - 1)
+        with pytest.raises(BudgetExceeded) as expected:
+            mask_prune(g, t, budget=steps - 1)
+        assert str(exc.value) == str(expected.value)
 
     def test_large_disc_instance_is_free_after_prune(self):
         fam_a = generate("random_discs", 300, GenParams(radius_lo=0.02, radius_hi=0.05), 31)

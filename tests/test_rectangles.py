@@ -270,13 +270,17 @@ def naive_canonical(hsegs, k):
 def segment_families(draw):
     """Horizontal segments on a small grid: abscissae and ordinates repeat, and
     some segments come in pairs with one lo and hi, as a rectangle's bottom and
-    top edges do (dy = 0 gives equal y, where the index breaks the tie)."""
+    top edges do (dy = 0 gives equal y, where the index breaks the tie).  Half
+    the families start on even and end on odd abscissae, so no segment ends
+    where another starts; on the other half that often happens."""
     segs = []
     shapes = st.tuples(st.integers(0, 6), st.integers(1, 4), st.integers(0, 5), st.integers(0, 3))
+    apart = draw(st.booleans())
     for lo, width, y, dy in draw(st.lists(shapes, max_size=10)):
-        segs.append(hseg(float(y), lo, lo + width))
+        x_lo, x_hi = (2 * lo, 2 * (lo + width) - 1) if apart else (lo, lo + width)
+        segs.append(hseg(float(y), x_lo, x_hi))
         if draw(st.booleans()):
-            segs.append(hseg(float(y + dy), lo, lo + width))
+            segs.append(hseg(float(y + dy), x_lo, x_hi))
     return segs
 
 
@@ -325,12 +329,27 @@ class TestCanonicalTuples:
     def test_matches_full_sweep(self, segs, k):
         # same runs, and each run first yielded at the same interval and in
         # the same order as the full sweep, so segment_delaunay's setdefault
-        # keeps the same witnesses in the same insertion order
+        # keeps the same witnesses in the same insertion order; a segment
+        # ending where another starts is refused instead
+        if {s.lo for s in segs} & {s.hi for s in segs}:
+            with pytest.raises(DegenerateInput, match="where another starts"):
+                list(_interval_runs(segs, k))
+            return
         runs = list(_interval_runs(segs, k))
         oracle = list(full_sweep_runs(segs, k))
         assert {run for run, _ in runs} == {run for run, _ in oracle}
         assert first_witnesses(runs) == first_witnesses(oracle)
         assert len(runs) <= 2 * k * len(segs)
+
+    def test_segment_ending_where_another_starts_is_refused(self):
+        # a vertical at x = 1 over y in [0, 1] meets exactly segments {0, 2, 1},
+        # which the sweep's open intervals never see
+        segs = horizontal_edges_of([AxisRect(0, 1, 0, 1), AxisRect(1, 2, 0.5, 1.5)])
+        message = r"^a segment ends at x = 1 where another starts; "
+        with pytest.raises(DegenerateInput, match=message):
+            canonical_segment_tuples(segs, 3)
+        with pytest.raises(DegenerateInput, match=message):
+            segment_delaunay(segs)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_run_count_is_linear(self, seed):

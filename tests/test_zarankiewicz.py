@@ -23,11 +23,37 @@ from ztnet.zarankiewicz import (
     num_edges_bound,
 )
 
-from ktt_oracle import _lex_witness, all_pairs_ktt_free
+from ktt_oracle import MaskBicliqueSearch, _lex_witness, all_pairs_ktt_free, mask_find_ktt_witness
 
 
 def bip(m, n, edges):
     return BipartiteIntersectionGraph.from_edges([None] * m, [None] * n, edges)
+
+
+def _draw_pool(data, t, dense=False):
+    """A random bipartite graph, alive subsets of both sides and a cursor
+    (None, or a sorted t-subset of side A that may name dead vertices)."""
+    m, n = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(m) for j in range(n)]
+    keep = st.sampled_from([True, True, True, False]) if dense else st.booleans()
+    drawn = data.draw(st.lists(keep, min_size=m * n, max_size=m * n))
+    edges = {pair for pair, kept in zip(pairs, drawn) if kept}
+    live_a = data.draw(st.sets(st.integers(0, m - 1)))
+    live_b = data.draw(st.sets(st.integers(0, n - 1)))
+    lower = None
+    if m >= t and data.draw(st.booleans()):
+        lower = tuple(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=t, max_size=t))))
+    return m, n, edges, live_a, live_b, lower
+
+
+def _lists_and_flags(m, n, edges, live_a, live_b):
+    """`BicliqueSearch.first`'s arguments: both sides' full neighbour lists
+    and both alive flag arrays."""
+    nbrs = [sorted(j for i2, j in edges if i2 == i) for i in range(m)]
+    partner = [sorted(i for i, j2 in edges if j2 == j) for j in range(n)]
+    alive = bytearray(i in live_a for i in range(m))
+    partner_alive = bytearray(j in live_b for j in range(n))
+    return nbrs, partner, alive, partner_alive
 
 
 def disc_graph(n, seed, radius=(0.05, 0.12)):
@@ -141,25 +167,60 @@ class TestWitnessSearch:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 3), st.data())
     def test_search_matches_lex_oracle(self, t, data):
-        # random active pools on both sides, with the deleted vertices cleared
-        # from every mask as the pruner leaves them, and cursors that may name
-        # deleted vertices
-        m, n = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
-        pairs = [(i, j) for i in range(m) for j in range(n)]
-        drawn = data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
-        edges = {pair for pair, keep in zip(pairs, drawn) if keep}
-        live_a = data.draw(st.sets(st.integers(0, m - 1)))
-        live_b = data.draw(st.sets(st.integers(0, n - 1)))
+        # random alive pools on both sides, flagged as the pruner flags them
+        # over the full neighbour lists, and cursors that may name dead vertices
+        m, n, edges, live_a, live_b, lower = _draw_pool(data, t)
+        masks = [mask_of(j for i2, j in edges if i2 == i and j in live_b) if i in live_a else 0
+                 for i in range(m)]
+        search = BicliqueSearch(t, 2**30, "witness search")
+        got = search.first(*_lists_and_flags(m, n, edges, live_a, live_b), lower)
+        assert got == _lex_witness(sorted(live_a), masks, t, lower)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_search_matches_mask_oracle(self, t, data):
+        # same witness and step count as the search on side-long bitmasks,
+        # and the budget one below those steps raises the same message
+        m, n, edges, live_a, live_b, lower = _draw_pool(data, t, dense=True)
         masks = [mask_of(j for i2, j in edges if i2 == i and j in live_b) if i in live_a else 0
                  for i in range(m)]
         partner = [mask_of(i for i, j2 in edges if j2 == j and i in live_a) if j in live_b else 0
                    for j in range(n)]
-        lower = None
-        if m >= t and data.draw(st.booleans()):
-            lower = tuple(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=t, max_size=t))))
-        search = BicliqueSearch(t, 2**30, "witness search")
-        got = search.first(mask_of(live_a), masks, partner, lower)
-        assert got == _lex_witness(sorted(live_a), masks, t, lower)
+        args = _lists_and_flags(m, n, edges, live_a, live_b)
+        search, oracle = BicliqueSearch(t, 2**30, "prune"), MaskBicliqueSearch(t, 2**30, "prune")
+        got = search.first(*args, lower)
+        assert got == oracle.first(mask_of(live_a), masks, partner, lower)
+        assert search.steps == oracle.steps
+        if search.steps:
+            budget = search.steps - 1
+            with pytest.raises(BudgetExceeded) as exc:
+                BicliqueSearch(t, budget, "prune").first(*args, lower)
+            with pytest.raises(BudgetExceeded) as expected:
+                MaskBicliqueSearch(t, budget, "prune").first(mask_of(live_a), masks, partner, lower)
+            assert str(exc.value) == str(expected.value)
+
+    def test_steps_and_witness_match_mask_oracle_on_graphs(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            m, n = rng.randint(1, 14), rng.randint(1, 14)
+            p = rng.uniform(0.1, 0.8)
+            g = bip(m, n, {(i, j) for i in range(m) for j in range(n) if rng.random() < p})
+            for t in (1, 2, 3, 4):
+                witness, steps = mask_find_ktt_witness(g, t)
+                assert find_ktt_witness(g, t) == witness
+                if steps:
+                    with pytest.raises(BudgetExceeded) as exc:
+                        find_ktt_witness(g, t, budget=steps - 1)
+                    with pytest.raises(BudgetExceeded) as expected:
+                        mask_find_ktt_witness(g, t, budget=steps - 1)
+                    assert str(exc.value) == str(expected.value)
+                assert find_ktt_witness(g, t, budget=steps) == witness
+
+    def test_search_builds_no_side_long_masks(self):
+        g = disc_graph(60, 4)
+        find_ktt_witness(g, 2)
+        prune_to_ktt_free(g, 2)
+        assert "_masks" not in g.__dict__
 
     def test_small_sides(self):
         assert find_ktt_witness(bip(1, 5, {(0, j) for j in range(5)}), 2) is None
