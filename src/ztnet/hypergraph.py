@@ -6,11 +6,11 @@ hypergraph on B built the same way from the N(a).  Hyperedge multiplicity is
 retained (each defining object stays a separate hyperedge).
 
 Both graph types store their edges once, as row-major (rows, cols) index
-arrays.  The bipartite graph derives two cached views from them: ascending
-neighbour lists, which the K_{t,t} witness search and the pruner read, and
-neighbour bitmasks over a whole side, which the primal and dual hypergraphs
-hold as their hyperedges.  In the hypergraphs, the nets and the tuple counts,
-hyperedges and vertex subsets are int bitmasks.
+arrays.  The bipartite graph derives one cached adjacency view from them:
+ascending neighbour lists, which the K_{t,t} witness search, the pruner and
+the tuple counts read, and which the primal and dual hypergraphs hold as
+their hyperedges.  Bitmasks appear only over local universes: the rows of a
+transpose (`holder_masks`), or a search's own relabelled vertices.
 
 `BipartiteIntersectionGraph.from_families` is the one way two families become
 a graph.  Behind it a uniform-grid round kernel and a chunked box kernel are
@@ -20,9 +20,10 @@ both bitwise equal to `geometry.intersects`.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,13 +34,6 @@ from .geometry import AxisRect, Disc, Frame, Point, Segment, intersects
 # bitmask helpers
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def bits_of(mask: int):
     """Yield the set bit positions of `mask` in increasing order."""
     while mask:
@@ -48,23 +42,20 @@ def bits_of(mask: int):
         mask ^= low
 
 
-def set_of(mask: int) -> frozenset[int]:
-    return frozenset(bits_of(mask))
-
-
-def holder_masks(rows: list[int]) -> dict[int, int]:
-    """The transpose of the row bitmasks: each index held by some row maps to
-    the bitmask of the rows that hold it."""
+def holder_masks(rows: Sequence[Sequence[int]]) -> dict[int, int]:
+    """The transpose of the rows (lists of indices): each index held by some
+    row maps to the bitmask of the rows that hold it."""
     holders: dict[int, int] = {}
     for r, row in enumerate(rows):
-        for v in bits_of(row):
-            holders[v] = holders.get(v, 0) | 1 << r
+        bit = 1 << r
+        for v in row:
+            holders[v] = holders.get(v, 0) | bit
     return holders
 
 
-def containing_rows(tuples, rows: list[int]):
+def containing_rows(tuples, rows: Sequence[Sequence[int]]):
     """Yield (tuple, held) for each index tuple, where the bitmask `held` marks
-    the rows (bitmasks over the indices) that contain the whole tuple.
+    the rows (lists of indices) that contain the whole tuple.
 
     A tuple's mask is the AND of its members' `holder_masks`, so the cost is
     O(sum |row| + |tuples| * k) big-int operations, not one subset test per
@@ -77,8 +68,9 @@ def containing_rows(tuples, rows: list[int]):
         yield tp, held
 
 
-def contained_counts(tuples, rows: list[int]) -> list[int]:
-    """For every row bitmask, how many of the index `tuples` lie inside it."""
+def contained_counts(tuples, rows: Sequence[Sequence[int]]) -> list[int]:
+    """For every row (a list of indices), how many of the index `tuples` lie
+    inside it."""
     counts = [0] * len(rows)
     for _, held in containing_rows(tuples, rows):
         for r in bits_of(held):
@@ -96,9 +88,9 @@ class BipartiteIntersectionGraph:
     B, as int64 arrays in row-major order without repeats.
 
     The arrays are the one stored adjacency form: the neighbour lists
-    `nbrs_a` / `nbrs_b`, the neighbour bitmasks `adj_a` / `adj_b`, the degrees
-    and the `edges` view are derived from them, and the lists, the masks and
-    the view are cached, so callers must not mutate them.
+    `nbrs_a` / `nbrs_b`, the degrees and the `edges` view are derived from
+    them, and the lists and the view are cached, so callers must not mutate
+    them.
     `from_families` and `from_edges` build the arrays.
     """
 
@@ -137,19 +129,6 @@ class BipartiteIntersectionGraph:
         if bad.any():
             raise ValueError(f"edge {tuple(ij[bad][0].tolist())} out of range for a {len(side_a)} x {len(side_b)} graph")
         return cls(side_a, side_b, *ij.T)
-
-    @cached_property
-    def _masks(self) -> tuple[list[int], list[int]]:
-        """`adj_a`, the bitmask of N(a) over the B indices for every a in A,
-        and `adj_b`, of N(b) over the A indices for every b in B, in one pass."""
-        adj_a, adj_b = [0] * self.m, [0] * self.n
-        for i, j in zip(self.rows.tolist(), self.cols.tolist()):
-            adj_a[i] |= 1 << j
-            adj_b[j] |= 1 << i
-        return adj_a, adj_b
-
-    adj_a = property(lambda self: self._masks[0])
-    adj_b = property(lambda self: self._masks[1])
 
     @cached_property
     def _lists(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -191,14 +170,19 @@ class BipartiteIntersectionGraph:
 
 @dataclass
 class Hypergraph:
-    """Hyperedge k is the bitmask edge_masks[k] over 0..vertex_count-1."""
+    """Hyperedge k is the strictly ascending vertex list edges[k] over
+    0..vertex_count-1.  The primal and dual hypergraphs hold their graph's
+    neighbour lists, so callers must not mutate them."""
 
     vertex_count: int
-    edge_masks: list[int]
+    edges: list[list[int]]
 
     def __post_init__(self):
-        if self.edge_masks and (min(self.edge_masks) < 0 or max(self.edge_masks) >> self.vertex_count):
-            raise ValueError(f"hyperedge mask out of range 0..{self.vertex_count - 1}")
+        for e in self.edges:
+            if not all(map(operator.lt, e, itertools.islice(e, 1, None))):
+                raise ValueError(f"hyperedge {list(e)} is not a strictly ascending vertex list")
+            if e and (e[0] < 0 or e[-1] >= self.vertex_count):
+                raise ValueError(f"hyperedge {list(e)} out of range 0..{self.vertex_count - 1}")
 
 
 @dataclass(eq=False)
@@ -347,45 +331,50 @@ def _box_matrix(fam_a, fam_b) -> np.ndarray:
 
 
 def primal_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
-    """Hypergraph on the A indices holding the graph's N(b) masks, `adj_b`."""
-    return Hypergraph(g.m, g.adj_b)
+    """Hypergraph on the A indices holding the graph's N(b) lists, `nbrs_b`."""
+    return Hypergraph(g.m, g.nbrs_b)
 
 
 def dual_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
-    """Hypergraph on the B indices holding the graph's N(a) masks, `adj_a`."""
-    return Hypergraph(g.n, g.adj_a)
+    """Hypergraph on the B indices holding the graph's N(a) lists, `nbrs_a`."""
+    return Hypergraph(g.n, g.nbrs_a)
 
 
 def delaunay_graph(h: Hypergraph) -> Graph:
     """Graph whose edges are the distinct hyperedges of cardinality exactly 2."""
-    return Graph.from_edges(h.vertex_count, (tuple(bits_of(em)) for em in h.edge_masks if em.bit_count() == 2))
+    return Graph.from_edges(h.vertex_count, (tuple(e) for e in h.edges if len(e) == 2))
 
 
 def vc_dimension(h: Hypergraph, cap: int = 6) -> VCProfile:
     """Exact VC-dimension by subset enumeration, clipped at `cap`.
+
+    A vertex combo is shattered when splitting the distinct hyperedges by
+    each combo vertex in turn (holding it or not) never leaves a part empty:
+    the final parts are the hyperedges of each of the 2^size traces.  Parts
+    are bitmasks over the distinct hyperedges, split by `holder_masks`.
 
     If the returned dimension equals `cap`, larger shattered sets were not
     ruled out and `cap_reached` is set.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    distinct_masks = list(set(h.edge_masks))
+    distinct = list(set(map(tuple, h.edges)))
+    col, every = holder_masks(distinct), (1 << len(distinct)) - 1
     best = 0
     witness: frozenset[int] = frozenset()
     n = h.vertex_count
     for size in range(1, min(cap, n) + 1):
         found = None
-        needed = 1 << size
-        if len(distinct_masks) < needed:
+        if len(distinct) < 1 << size:
             break
         for combo in itertools.combinations(range(n), size):
-            s_mask = mask_of(combo)
-            traces = set()
-            for em in distinct_masks:
-                traces.add(em & s_mask)
-                if len(traces) == needed:
+            parts = [every]
+            for v in combo:
+                held = col.get(v, 0)
+                parts = [p for part in parts for p in (part & held, part & ~held)]
+                if not all(parts):
                     break
-            if len(traces) == needed:
+            else:
                 found = combo
                 break
         if found is None:
@@ -393,4 +382,3 @@ def vc_dimension(h: Hypergraph, cap: int = 6) -> VCProfile:
         best = size
         witness = frozenset(found)
     return VCProfile(vc_dim=best, witness_shattered_set=witness, cap_reached=best == cap)
-

@@ -9,12 +9,15 @@ converted through their shortest decimal representation, so eps=0.1 means
 exactly 1/10 and a hyperedge of size 20 is heavy at eps=0.1, n=200.  All
 heavy/light cutoffs across the package go through `heavy_threshold`.
 
-Hyperedges are int bitmasks here: every verifier and constructor reads the
-one heavy view `_heavy_masks`.  The stacked cover samples each layer from the
-parent hypergraph's masks, traced over the unused vertices; the structural
-net's vertex removal is a smallest-last order kept incrementally, in
-O(sum |e & cover|) plus heap operations.  The greedy net walks per-vertex
-column masks; only the exhaustive minimum lists every candidate t-subset.
+Hyperedges are ascending vertex lists here: every verifier and constructor
+reads the one heavy view `_heavy_edges`, the distinct heavy hyperedges as
+tuples.  The stacked cover samples each layer from the parent hypergraph's
+lists, traced over the unused vertices by a membership filter; the
+structural net's vertex removal is a smallest-last order kept incrementally,
+in O(sum |e & cover|) plus heap operations.  Bitmasks run only over heavy
+edge positions: the greedy net walks per-vertex column masks, and the
+verifier ORs the rows each net tuple lies in.  Only the exhaustive minimum
+lists every candidate t-subset.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceeded, InfeasibleNet, PreconditionViolated
-from .hypergraph import Hypergraph, bits_of, containing_rows, holder_masks, mask_of, set_of
+from .hypergraph import Hypergraph, containing_rows, holder_masks
 
 EpsilonLike = Union[Fraction, float, int, str]
 
@@ -52,30 +55,31 @@ def heavy_threshold(eps: EpsilonLike, vertex_count: int) -> int:
     return max(1, math.ceil(e * vertex_count))
 
 
-def _heavy_masks(
+def _heavy_edges(
     h: Hypergraph, eps: EpsilonLike, t: int = 1, pool: Optional[list[int]] = None
-) -> list[int]:
-    """Masks of the distinct hyperedges of size >= eps * n, first occurrence
-    first; given a vertex list `pool`, of the distinct traces over it of size
-    >= eps * |pool|.  Raises InfeasibleNet if one has fewer than t vertices."""
+) -> list[tuple[int, ...]]:
+    """The distinct hyperedges of size >= eps * n, as ascending tuples, first
+    occurrence first; given a vertex list `pool`, the distinct traces over it
+    of size >= eps * |pool|.  Raises InfeasibleNet if one has fewer than t
+    vertices."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    masks = h.edge_masks
+    edges = h.edges
     if pool is not None:
-        pool_mask = mask_of(pool)
-        masks = (em & pool_mask for em in masks)
+        in_pool = set(pool)
+        edges = (tuple(filter(in_pool.__contains__, e)) for e in edges)
     thr = heavy_threshold(eps, h.vertex_count if pool is None else len(pool))
-    heavy = list(dict.fromkeys(em for em in masks if em.bit_count() >= thr))
-    for em in heavy:
-        if em.bit_count() < t:
-            raise InfeasibleNet(f"heavy hyperedge {list(bits_of(em))} has fewer than "
+    heavy = list(dict.fromkeys(tuple(e) for e in edges if len(e) >= thr))
+    for e in heavy:
+        if len(e) < t:
+            raise InfeasibleNet(f"heavy hyperedge {list(e)} has fewer than "
                                 f"t={t} vertices; no valid net exists")
     return heavy
 
 
 def heavy_dedup_edges(h: Hypergraph, eps: EpsilonLike) -> list[frozenset[int]]:
     """Distinct hyperedges of size >= eps * n, in first-occurrence order."""
-    return [set_of(em) for em in _heavy_masks(h, eps)]
+    return [frozenset(e) for e in _heavy_edges(h, eps)]
 
 
 @dataclass
@@ -110,32 +114,30 @@ class NetBuildTrace:
 # verification
 
 
-def verify_epsilon_net(h: Hypergraph, eps: EpsilonLike, s) -> Optional[frozenset[int]]:
-    """None if `s` stabs every heavy hyperedge, else one missed heavy hyperedge."""
+def verify_epsilon_net(h: Hypergraph, eps: EpsilonLike, s) -> Optional[tuple[int, ...]]:
+    """None if `s` stabs every heavy hyperedge, else the first missed heavy
+    hyperedge as an ascending tuple."""
     s = frozenset(s)
     if s and (min(s) < 0 or max(s) >= h.vertex_count):
         raise ValueError("net contains out-of-range vertex indices")
-    s_mask = mask_of(s)
-    for em in _heavy_masks(h, eps):
-        if em & s_mask == 0:
-            return set_of(em)
-    return None
+    return next((e for e in _heavy_edges(h, eps) if s.isdisjoint(e)), None)
 
 
-def verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[frozenset[int]]:
-    """None if every heavy hyperedge contains some net tuple, else one witness.
+def verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[tuple[int, ...]]:
+    """None if every heavy hyperedge contains some net tuple, else the first
+    distinct heavy hyperedge that contains none, as an ascending tuple.
 
-    Each distinct heavy hyperedge is checked once, first occurrence first.
-    """
-    tuple_masks = []
+    The rows each tuple lies in come from `containing_rows` over the heavy
+    edges; their OR marks the covered ones."""
     for tp in net.tuples:
         if min(tp) < 0 or max(tp) >= h.vertex_count:
             raise ValueError(f"net tuple {sorted(tp)} out of vertex range")
-        tuple_masks.append(mask_of(tp))
-    for em in _heavy_masks(h, eps):
-        if not any(tm & em == tm for tm in tuple_masks):
-            return set_of(em)
-    return None
+    heavy = _heavy_edges(h, eps)
+    covered = 0
+    for _, held in containing_rows(net.tuples, heavy):
+        covered |= held
+    missed = ~covered & ((1 << len(heavy)) - 1)
+    return heavy[(missed & -missed).bit_length() - 1] if missed else None
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +152,23 @@ def sampled_epsilon_net(h: Hypergraph, eps: EpsilonLike, seed: int) -> frozenset
     set stabs every nonempty hyperedge).
     """
     e = as_fraction(eps)
-    heavy = _heavy_masks(h, e)
+    heavy = _heavy_edges(h, e)
     if h.vertex_count == 0:
         raise PreconditionViolated("sampled_epsilon_net needs a nonempty vertex set")
     return _sampled_net(heavy, range(h.vertex_count), e, seed)
 
 
-def _sampled_net(heavy: list[int], pool: Sequence[int], e: Fraction, seed: int) -> frozenset[int]:
+def _sampled_net(heavy: list[tuple[int, ...]], pool: Sequence[int], e: Fraction, seed: int) -> frozenset[int]:
     """`sampled_epsilon_net` over the vertex sequence `pool`, given the heavy
-    masks to stab.  `random.sample` picks its indices from len(pool) alone, so
+    edges to stab.  `random.sample` picks its indices from len(pool) alone, so
     a pool samples as its positions would, mapped through it."""
     ef = float(e)
     size = min(len(pool), math.ceil((8.0 / ef) * math.log(4.0 / ef)) + 8)
     rng = random.Random(seed)
     while size < len(pool):
-        sample = rng.sample(pool, size)
-        sample_mask = mask_of(sample)
-        if all(em & sample_mask for em in heavy):
-            return frozenset(sample)
+        sample = frozenset(rng.sample(pool, size))
+        if not any(sample.isdisjoint(e) for e in heavy):
+            return sample
         size = min(2 * size, len(pool))
     return frozenset(pool)
 
@@ -177,15 +178,15 @@ def stacked_cover_set(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> Net
 
     The first layer is an eps-net of the hypergraph; each later layer is an
     (eps/2)-net of the traces on the vertices not yet used, drawn from the
-    hypergraph's own masks.  Requires eps * n >= 2t, which makes a heavy
+    hypergraph's own lists.  Requires eps * n >= 2t, which makes a heavy
     hyperedge, minus up to t-1 already-covered vertices, still heavy at eps/2
     in every later layer.
     """
     return _stacked_cover(h, as_fraction(eps), t, seed)[0]
 
 
-def _stacked_cover(h: Hypergraph, e: Fraction, t: int, seed: int) -> tuple[NetBuildTrace, list[int]]:
-    """`stacked_cover_set` and its first layer's heavy masks, `_heavy_masks(h, e)`."""
+def _stacked_cover(h: Hypergraph, e: Fraction, t: int, seed: int) -> tuple[NetBuildTrace, list[tuple[int, ...]]]:
+    """`stacked_cover_set` and its first layer's heavy edges, `_heavy_edges(h, e)`."""
     if t < 1:
         raise ValueError("t must be >= 1")
     n = h.vertex_count
@@ -194,14 +195,14 @@ def _stacked_cover(h: Hypergraph, e: Fraction, t: int, seed: int) -> tuple[NetBu
             f"stacked cover needs eps*n >= 2t; got {e} * {n} < {2 * t}"
         )
     rng = random.Random(seed)
-    top = _heavy_masks(h, e)
+    top = _heavy_edges(h, e)
     pool = list(range(n))  # the unused vertices, sorted
     layers: list[frozenset[int]] = []
     for i in range(t):
         layer_eps = e if i == 0 else e / 2
         layer = frozenset()
         if pool:
-            heavy = top if i == 0 else _heavy_masks(h, layer_eps, pool=pool)
+            heavy = top if i == 0 else _heavy_edges(h, layer_eps, pool=pool)
             layer = _sampled_net(heavy, pool, layer_eps, rng.randrange(2**32))
             pool = [v for v in pool if v not in layer]
         layers.append(layer)
@@ -227,7 +228,7 @@ def pseudodisc_t_net(
     return TNet(t=t, tuples=_removal_net(heavy, trace.cover_set, t), epsilon=e), trace
 
 
-def _removal_net(heavy: list[int], cover: frozenset[int], t: int) -> frozenset[frozenset[int]]:
+def _removal_net(heavy: list[tuple[int, ...]], cover: frozenset[int], t: int) -> frozenset[frozenset[int]]:
     """The structural net's tuples, by a smallest-last order (Matula & Beck).
 
     Removing v shrinks only the traces over the cover that hold v, so this
@@ -237,8 +238,7 @@ def _removal_net(heavy: list[int], cover: frozenset[int], t: int) -> frozenset[f
     when a tuple appears or goes.  Stale (count, v) heap entries are skipped;
     ties go to the lowest index.
     """
-    cover_mask = mask_of(cover)
-    traces = [tuple(bits_of(tm)) for em in heavy if (tm := em & cover_mask).bit_count() >= t]
+    traces = [tr for e in heavy if len(tr := tuple(filter(cover.__contains__, e))) >= t]
     sizes = [len(vs) for vs in traces]
     holders: dict[int, list[int]] = {}
     for k, vs in enumerate(traces):
@@ -291,7 +291,7 @@ def greedy_cover_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
     count, since no pick can cover more edges than the pick before it.
     """
     e = as_fraction(eps)
-    heavy = _heavy_masks(h, e, t)
+    heavy = _heavy_edges(h, e, t)
     col = holder_masks(heavy)
 
     def walk(prefix: tuple[int, ...], mask: int, start: int) -> None:
@@ -328,10 +328,10 @@ def min_t_net_bruteforce(
     combinations would have to be examined.
     """
     e = as_fraction(eps)
-    heavy = _heavy_masks(h, e, t)
+    heavy = _heavy_edges(h, e, t)
     if not heavy:
         return TNet(t=t, tuples=frozenset(), epsilon=e)
-    cands = sorted({c for em in heavy for c in itertools.combinations(bits_of(em), t)})
+    cands = sorted({c for edge in heavy for c in itertools.combinations(edge, t)})
     cover = dict(containing_rows(cands, heavy))  # candidate -> mask of the heavy[j] holding it
     full = (1 << len(heavy)) - 1
     examined = 0

@@ -17,13 +17,7 @@ from typing import Optional
 
 from .errors import InequalityViolated, PreconditionViolated
 from .geometry import Disc, Point, point_in_disc
-from .hypergraph import (
-    BipartiteIntersectionGraph,
-    bits_of,
-    contained_counts,
-    containing_rows,
-    mask_of,
-)
+from .hypergraph import BipartiteIntersectionGraph, bits_of, contained_counts, containing_rows
 from .rectangles import CanonicalTupleFamily
 from .zarankiewicz import find_ktt_witness
 
@@ -123,10 +117,9 @@ def _shrink_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalTupleFamil
     if t < 1:
         raise ValueError("t must be >= 1")
     encountered: set[frozenset[int]] = set()
-    for b, cm in zip(g.side_b, g.adj_b):
-        if not cm:
+    for b, contained in zip(g.side_b, g.nbrs_b):
+        if not contained:
             continue
-        contained = list(bits_of(cm))
         encountered.add(frozenset(contained))
         local_pts = [g.side_a[i] for i in contained]
         for anchor in local_pts:
@@ -150,23 +143,18 @@ def coverage_violations(a_pts, b_discs, t: int) -> list[tuple[int, int]]:
     toward the point passes through a contained set of size exactly t.
     """
     g = BipartiteIntersectionGraph.from_families(a_pts, b_discs)
-    return _uncovered(_shrink_tuples(g, t).tuples, g.adj_b, t)
+    return _uncovered(_shrink_tuples(g, t).tuples, g.nbrs_b, t)
 
 
-def _uncovered(tuples, rows: list[int], t: int) -> list[tuple[int, int]]:
+def _uncovered(tuples, rows: list[list[int]], t: int) -> list[tuple[int, int]]:
     """(row, index) pairs, in row-major order, where a row of at least t
-    indices holds the index but none of the `tuples` that lie inside it does."""
-    covered = [0] * len(rows)  # per row, the union of the tuples inside it
+    ascending indices holds the index but none of the `tuples` that lie
+    inside it does."""
+    covered = [set() for _ in rows]  # per row, the union of the tuples inside it
     for tp, held in containing_rows(tuples, rows):
-        tm = mask_of(tp)
         for j in bits_of(held):
-            covered[j] |= tm
-    return [
-        (j, i)
-        for j, row in enumerate(rows)
-        if row.bit_count() >= t
-        for i in bits_of(row & ~covered[j])
-    ]
+            covered[j].update(tp)
+    return [(j, i) for j, row in enumerate(rows) if len(row) >= t for i in row if i not in covered[j]]
 
 
 @dataclass
@@ -200,7 +188,7 @@ def counting_inequality_check(
             raise PreconditionViolated(f"incidence graph contains K_{t},{t}: {witness}")
     fam = _shrink_tuples(g, t)
     degrees = g.degrees_b()
-    x_counts = contained_counts(fam.tuples, g.adj_b)
+    x_counts = contained_counts(fam.tuples, g.nbrs_b)
     for d, x in zip(degrees, x_counts):
         if d // t > x:
             raise InequalityViolated(

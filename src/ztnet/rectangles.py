@@ -421,7 +421,7 @@ def rectangle_bound_report(
     k_graph = crossing_graph(a_rects, b_rects)
     degrees = k_graph.degrees_b()
     fam = canonical_segment_tuples(k_graph.side_a, 2 * t - 1).tuples
-    x_counts = contained_counts(fam, k_graph.adj_b)
+    x_counts = contained_counts(fam, k_graph.nbrs_b)
     x_sum = sum(x_counts)
     x_upper = (2 * t - 2) * len(fam)
     if x_sum > x_upper:

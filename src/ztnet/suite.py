@@ -21,7 +21,6 @@ from .geometry import Disc, Point, intersects
 from .hypergraph import (
     BipartiteIntersectionGraph,
     Hypergraph,
-    mask_of,
     primal_hypergraph,
     dual_hypergraph,
     vc_dimension,
@@ -283,7 +282,7 @@ def bisection_exit_oracle(d: Disc, anchor: Point, p: Point, iters: int = 100) ->
 def random_tiny_hypergraph(rng: random.Random) -> Hypergraph:
     n = rng.randint(6, 12)
     n_edges = rng.randint(3, 8)
-    return Hypergraph(n, [mask_of(v for v in range(n) if rng.random() < 0.45) for _ in range(n_edges)])
+    return Hypergraph(n, [[v for v in range(n) if rng.random() < 0.45] for _ in range(n_edges)])
 
 
 def random_bipartite_graph(rng: random.Random, m: int, n: int, p: float):

@@ -1,22 +1,26 @@
 """The row-side containment scans that `hypergraph.contained_counts` and
 `points_pseudodiscs._uncovered` replaced, kept as their test oracles: each
-tests every tuple against every row."""
+tests every tuple against every row, as bitmasks over the whole index range."""
 
-from ztnet.hypergraph import bits_of, mask_of
+from graph_oracle import mask_of
+
+from ztnet.hypergraph import bits_of
 
 
-def contained_counts(tuples, rows: list[int]) -> list[int]:
-    """For every row bitmask, how many of the index `tuples` lie inside it."""
+def contained_counts(tuples, rows: list[list[int]]) -> list[int]:
+    """For every row (a list of indices), how many of the index `tuples` lie
+    inside it."""
     tuple_masks = [mask_of(tp) for tp in tuples]
-    return [sum(1 for tm in tuple_masks if tm & row == tm) for row in rows]
+    row_masks = [mask_of(row) for row in rows]
+    return [sum(1 for tm in tuple_masks if tm & row == tm) for row in row_masks]
 
 
-def uncovered(tuples, rows: list[int], t: int) -> list[tuple[int, int]]:
+def uncovered(tuples, rows: list[list[int]], t: int) -> list[tuple[int, int]]:
     """(row, index) pairs where a row of at least t indices holds the index
     but none of the tuples inside the row does."""
     tuple_masks = [mask_of(tp) for tp in tuples]
     bad = []
-    for j, row in enumerate(rows):
+    for j, row in enumerate(map(mask_of, rows)):
         if row.bit_count() < t:
             continue
         inside = [tm for tm in tuple_masks if tm & row == tm]

@@ -1,13 +1,26 @@
 """The tuple-set graphs that the row-major index arrays of
 `BipartiteIntersectionGraph` and of the plain `Graph` replaced, kept as their
 test oracles: the edge set is the stored form, `induced` relabels it through
-dicts, and the neighbour masks are ORed from the tuples.  Also the frozenset
-view of hyperedges that `Hypergraph`'s masks replaced, as helpers for tests
-that state hyperedges as sets."""
+dicts, and the neighbour lists are sorted from the tuples.  Also the
+frozenset view of hyperedges that `Hypergraph`'s lists replaced, as helpers
+for tests that state hyperedges as sets, and the bitmask helpers the mask
+oracles build their side-long masks with."""
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from ztnet.hypergraph import Hypergraph, _edge_blocks, mask_of, set_of
+from ztnet.hypergraph import Hypergraph, _edge_blocks, bits_of
+
+
+def mask_of(indices: Iterable[int]) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def set_of(mask: int) -> frozenset[int]:
+    return frozenset(bits_of(mask))
 
 
 @dataclass
@@ -33,24 +46,24 @@ class TupleGraph:
         return cls(fam_a, fam_b, edges)
 
     @property
-    def adj_a(self) -> list[int]:
-        adj = [0] * self.m
-        for i, j in self.edges:
-            adj[i] |= 1 << j
-        return adj
+    def nbrs_a(self) -> list[list[int]]:
+        rows: list[list[int]] = [[] for _ in range(self.m)]
+        for i, j in sorted(self.edges):
+            rows[i].append(j)
+        return rows
 
     @property
-    def adj_b(self) -> list[int]:
-        adj = [0] * self.n
-        for i, j in self.edges:
-            adj[j] |= 1 << i
-        return adj
+    def nbrs_b(self) -> list[list[int]]:
+        rows: list[list[int]] = [[] for _ in range(self.n)]
+        for i, j in sorted(self.edges):
+            rows[j].append(i)
+        return rows
 
     def degrees_a(self) -> list[int]:
-        return [mask.bit_count() for mask in self.adj_a]
+        return [len(row) for row in self.nbrs_a]
 
     def degrees_b(self) -> list[int]:
-        return [mask.bit_count() for mask in self.adj_b]
+        return [len(row) for row in self.nbrs_b]
 
     def induced(self, keep_a, keep_b) -> "TupleGraph":
         ka = sorted(set(keep_a))
@@ -81,12 +94,12 @@ def edge_set(g) -> set[tuple[int, int]]:
 
 def hypergraph_of(vertex_count: int, edges) -> Hypergraph:
     """Hypergraph from hyperedges given as vertex sets."""
-    return Hypergraph(vertex_count, [mask_of(e) for e in edges])
+    return Hypergraph(vertex_count, [sorted(e) for e in edges])
 
 
 def hyperedges(h: Hypergraph) -> list[frozenset[int]]:
     """The hyperedges as vertex sets, repeats kept."""
-    return [set_of(em) for em in h.edge_masks]
+    return [frozenset(e) for e in h.edges]
 
 
 def distinct_hyperedges(h: Hypergraph) -> list[frozenset[int]]:

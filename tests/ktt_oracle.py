@@ -9,7 +9,10 @@ The lexicographic t-subset scan that the masked search replaced walks every
 t-subset of the pool, not only those inside a neighbourhood.
 
 The all-pairs form of the suite's `naive_ktt_free`, which now counts common
-neighbours per t-subset of A instead, kept as its oracle."""
+neighbours per t-subset of A instead, kept as its oracle.
+
+The mask oracles build their masks from the graph's `rows`/`cols` arrays
+(`side_masks`), not from the neighbour lists the library search reads."""
 
 import itertools
 import math
@@ -63,14 +66,25 @@ class MaskBicliqueSearch:
         return extend((), -1, active, lower is not None)
 
 
+def side_masks(g) -> tuple[list[int], list[int]]:
+    """The bitmask of N(a) over the B indices for every a in A, and of N(b)
+    over the A indices for every b in B, ORed from the edge arrays."""
+    adj_a, adj_b = [0] * g.m, [0] * g.n
+    for i, j in zip(g.rows.tolist(), g.cols.tolist()):
+        adj_a[i] |= 1 << j
+        adj_b[j] |= 1 << i
+    return adj_a, adj_b
+
+
 def mask_find_ktt_witness(g, t: int, budget: int = 2**62):
     """`find_ktt_witness` on `MaskBicliqueSearch`: the witness and the steps."""
     if min(g.m, g.n) < t:
         return None, 0
     search = MaskBicliqueSearch(t, budget, "witness search")
+    adj_a, adj_b = side_masks(g)
     if g.m <= g.n:
-        return search.first((1 << g.m) - 1, g.adj_a, g.adj_b), search.steps
-    found = search.first((1 << g.n) - 1, g.adj_b, g.adj_a)
+        return search.first((1 << g.m) - 1, adj_a, adj_b), search.steps
+    found = search.first((1 << g.n) - 1, adj_b, adj_a)
     return (None if found is None else (found[1], found[0])), search.steps
 
 
@@ -78,7 +92,7 @@ def mask_prune(g, t: int, budget: int = 2**62):
     """`prune_to_ktt_free` on bitmasks: (deleted_a, deleted_b, witnesses_found,
     steps).  Each deletion clears its vertex from every mask."""
     search = MaskBicliqueSearch(t, budget, "prune")
-    adj = {"A": list(g.adj_a), "B": list(g.adj_b)}
+    adj = dict(zip("AB", side_masks(g)))
     active = {"A": (1 << g.m) - 1, "B": (1 << g.n) - 1}
     deleted: dict[str, list[int]] = {"A": [], "B": []}
     cursors: dict[str, Optional[tuple]] = {"A": None, "B": None}

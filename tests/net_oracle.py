@@ -13,24 +13,205 @@ The structural net's removal loop as it was before the smallest-last order was
 kept incrementally (`mask_removal`, and `mask_loop_t_net` on the library's
 cover): each step recounts every live trace of >= t cover vertices over every
 candidate, and the loop ends with the last such trace.
+
+The verifiers and constructors as they were while hyperedges were bitmasks
+over the whole vertex range (`heavy_masks`, `mask_verify_epsilon_net`,
+`mask_verify_t_net`, `mask_sampled_net`, `mask_stacked_cover`,
+`mask_smallest_last`, `mask_pseudodisc_t_net`, `mask_greedy_t_net`): the same
+bodies, on masks built from the hyperedge lists with `mask_of`.  They give
+the same nets, cover layers, witnesses and errors as the list versions.  The
+pre-mask `sampled_epsilon_net` already verifies its samples on such masks.
 """
 
+import heapq
 import itertools
 import math
 import random
-from typing import Iterable
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
+
+from graph_oracle import mask_of, set_of
 
 from ztnet.errors import InfeasibleNet, PreconditionViolated
-from ztnet.hypergraph import Hypergraph, bits_of, mask_of, set_of
+from ztnet.hypergraph import Hypergraph, bits_of
 from ztnet.nets import (
     EpsilonLike,
     NetBuildTrace,
     TNet,
-    _heavy_masks,
     as_fraction,
-    verify_epsilon_net,
+    heavy_threshold,
 )
 from ztnet.nets import stacked_cover_set as library_cover_set
+
+
+def heavy_masks(
+    h: Hypergraph, eps: EpsilonLike, t: int = 1, pool: Optional[list[int]] = None
+) -> list[int]:
+    """Masks of the distinct hyperedges of size >= eps * n, first occurrence
+    first; given a vertex list `pool`, of the distinct traces over it of size
+    >= eps * |pool|.  Raises InfeasibleNet if one has fewer than t vertices."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    masks = [mask_of(e) for e in h.edges]
+    if pool is not None:
+        pool_mask = mask_of(pool)
+        masks = [em & pool_mask for em in masks]
+    thr = heavy_threshold(eps, h.vertex_count if pool is None else len(pool))
+    heavy = list(dict.fromkeys(em for em in masks if em.bit_count() >= thr))
+    for em in heavy:
+        if em.bit_count() < t:
+            raise InfeasibleNet(f"heavy hyperedge {list(bits_of(em))} has fewer than "
+                                f"t={t} vertices; no valid net exists")
+    return heavy
+
+
+def mask_verify_epsilon_net(h: Hypergraph, eps: EpsilonLike, s) -> Optional[tuple[int, ...]]:
+    """None if `s` stabs every heavy hyperedge, else the first missed one."""
+    s = frozenset(s)
+    if s and (min(s) < 0 or max(s) >= h.vertex_count):
+        raise ValueError("net contains out-of-range vertex indices")
+    s_mask = mask_of(s)
+    for em in heavy_masks(h, eps):
+        if em & s_mask == 0:
+            return tuple(bits_of(em))
+    return None
+
+
+def mask_verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[tuple[int, ...]]:
+    """None if every heavy hyperedge contains some net tuple, else the first
+    distinct one that contains none."""
+    tuple_masks = []
+    for tp in net.tuples:
+        if min(tp) < 0 or max(tp) >= h.vertex_count:
+            raise ValueError(f"net tuple {sorted(tp)} out of vertex range")
+        tuple_masks.append(mask_of(tp))
+    for em in heavy_masks(h, eps):
+        if not any(tm & em == tm for tm in tuple_masks):
+            return tuple(bits_of(em))
+    return None
+
+
+def mask_sampled_net(heavy: list[int], pool: Sequence[int], e: Fraction, seed: int) -> frozenset[int]:
+    """Verify-and-retry sampling over the vertex sequence `pool`, given the
+    heavy masks to stab."""
+    ef = float(e)
+    size = min(len(pool), math.ceil((8.0 / ef) * math.log(4.0 / ef)) + 8)
+    rng = random.Random(seed)
+    while size < len(pool):
+        sample = rng.sample(pool, size)
+        sample_mask = mask_of(sample)
+        if all(em & sample_mask for em in heavy):
+            return frozenset(sample)
+        size = min(2 * size, len(pool))
+    return frozenset(pool)
+
+
+def mask_stacked_cover(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> tuple[NetBuildTrace, list[int]]:
+    """`nets.stacked_cover_set` with each later layer drawn from the parent's
+    masks ANDed with the unused vertices, and the first layer's heavy masks."""
+    e = as_fraction(eps)
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    n = h.vertex_count
+    if e * n < 2 * t:
+        raise PreconditionViolated(
+            f"stacked cover needs eps*n >= 2t; got {e} * {n} < {2 * t}"
+        )
+    rng = random.Random(seed)
+    top = heavy_masks(h, e)
+    pool = list(range(n))
+    layers: list[frozenset[int]] = []
+    for i in range(t):
+        layer_eps = e if i == 0 else e / 2
+        layer = frozenset()
+        if pool:
+            heavy = top if i == 0 else heavy_masks(h, layer_eps, pool=pool)
+            layer = mask_sampled_net(heavy, pool, layer_eps, rng.randrange(2**32))
+            pool = [v for v in pool if v not in layer]
+        layers.append(layer)
+    return NetBuildTrace(cover_set=frozenset().union(*layers), layer_nets=layers), top
+
+
+def mask_smallest_last(heavy: list[int], cover: frozenset[int], t: int) -> frozenset[frozenset[int]]:
+    """`nets._removal_net` on masks: the traces over the cover are ANDed and
+    popcounted, then the same incremental smallest-last order runs."""
+    cover_mask = mask_of(cover)
+    traces = [tuple(bits_of(tm)) for em in heavy if (tm := em & cover_mask).bit_count() >= t]
+    sizes = [len(vs) for vs in traces]
+    holders: dict[int, list[int]] = {}
+    for k, vs in enumerate(traces):
+        for v in vs:
+            holders.setdefault(v, []).append(k)
+    count = dict.fromkeys(holders, 0)
+    mult: dict[tuple[int, ...], int] = {}
+    heap = [(0, v) for v in count]
+
+    def move(key: tuple[int, ...], step: int) -> None:
+        mult[key] = mult.get(key, 0) + step
+        if mult[key] == (step > 0):
+            for u in filter(count.__contains__, key):
+                count[u] += step
+                heapq.heappush(heap, (count[u], u))
+
+    for vs in traces:
+        if len(vs) == t:
+            move(vs, 1)
+    heapq.heapify(heap)
+    net = set()
+    while heap:
+        c, v = heapq.heappop(heap)
+        if count.get(v) != c:
+            continue
+        del count[v]
+        for k in holders[v]:
+            sizes[k] -= 1
+            if sizes[k] == t:
+                move(tuple(filter(count.__contains__, traces[k])), 1)
+            elif sizes[k] == t - 1:
+                net.add(key := tuple(u for u in traces[k] if u == v or u in count))
+                move(key, -1)
+    return frozenset(map(frozenset, net))
+
+
+def mask_pseudodisc_t_net(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> tuple[TNet, NetBuildTrace]:
+    """`nets.pseudodisc_t_net` on `mask_stacked_cover` and `mask_smallest_last`."""
+    e = as_fraction(eps)
+    trace, heavy = mask_stacked_cover(h, e, t, seed)
+    return TNet(t=t, tuples=mask_smallest_last(heavy, trace.cover_set, t), epsilon=e), trace
+
+
+def mask_greedy_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
+    """`nets.greedy_cover_t_net` with its column masks transposed from the
+    heavy masks bit by bit."""
+    e = as_fraction(eps)
+    heavy = heavy_masks(h, e, t)
+    col: dict[int, int] = {}
+    for r, em in enumerate(heavy):
+        for v in bits_of(em):
+            col[v] = col.get(v, 0) | 1 << r
+
+    def walk(prefix: tuple[int, ...], mask: int, start: int) -> None:
+        nonlocal best, pick, pick_mask
+        for i in range(start, len(verts) - t + len(prefix) + 1):
+            m = mask & col[verts[i]]
+            if m.bit_count() > best:
+                if len(prefix) + 1 < t:
+                    walk(prefix + (verts[i],), m, i + 1)
+                else:
+                    best, pick, pick_mask = m.bit_count(), prefix + (verts[i],), m
+            if best == limit:
+                return
+
+    uncovered, limit, chosen, verts = (1 << len(heavy)) - 1, len(heavy), [], sorted(col)
+    while uncovered:
+        verts = [v for v in verts if col[v] & uncovered]
+        best, pick, pick_mask = 0, (), 0
+        walk((), uncovered, 0)
+        if not best:
+            raise AssertionError("greedy cover stalled")
+        chosen.append(pick)
+        uncovered, limit = uncovered & ~pick_mask, best
+    return TNet(t=t, tuples=frozenset(frozenset(c) for c in chosen), epsilon=e)
 
 
 def _candidate_cover(heavy: list[int], t: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -55,7 +236,7 @@ def table_greedy_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
     e = as_fraction(eps)
     if t < 1:
         raise ValueError("t must be >= 1")
-    heavy = _heavy_masks(h, e)
+    heavy = heavy_masks(h, e)
     if not heavy:
         return TNet(t=t, tuples=frozenset(), epsilon=e)
     cands, cover = _candidate_cover(heavy, t)
@@ -77,7 +258,7 @@ def induced_subhypergraph(h: Hypergraph, keep: Iterable[int]) -> Hypergraph:
     if kept and (kept[0] < 0 or kept[-1] >= h.vertex_count):
         raise ValueError("keep set not contained in the vertex set")
     remap = {old: new for new, old in enumerate(kept)}
-    traces = [mask_of(remap[v] for v in bits_of(em) if v in remap) for em in h.edge_masks]
+    traces = [[remap[v] for v in e if v in remap] for e in h.edges]
     return Hypergraph(len(kept), traces)
 
 
@@ -101,7 +282,7 @@ def sampled_epsilon_net(h: Hypergraph, eps: EpsilonLike, seed: int) -> frozenset
         if size >= n:
             return frozenset(range(n))
         candidate = frozenset(rng.sample(range(n), size))
-        if verify_epsilon_net(h, e, candidate) is None:
+        if mask_verify_epsilon_net(h, e, candidate) is None:
             return candidate
         size = min(2 * size, n)
 
@@ -156,7 +337,7 @@ def pseudodisc_t_net(
     """
     e = as_fraction(eps)
     trace = stacked_cover_set(h, e, t, seed)
-    net = TNet(t=t, tuples=rescan_removal(_heavy_masks(h, e), trace.cover_set, t), epsilon=e)
+    net = TNet(t=t, tuples=rescan_removal(heavy_masks(h, e), trace.cover_set, t), epsilon=e)
     return net, trace
 
 
@@ -187,7 +368,7 @@ def mask_loop_t_net(
     """The library's cover set, then the per-step recount `mask_removal`."""
     e = as_fraction(eps)
     trace = library_cover_set(h, e, t, seed)
-    net = TNet(t=t, tuples=mask_removal(_heavy_masks(h, e), trace.cover_set, t), epsilon=e)
+    net = TNet(t=t, tuples=mask_removal(heavy_masks(h, e), trace.cover_set, t), epsilon=e)
     return net, trace
 
 

@@ -206,7 +206,7 @@ class TestCommands:
         inst.write_text(emit_instance(generate("random_discs", 60, None, 3),
                                       generate("random_discs", 60, None, 4)))
         assert main(["check-free", str(inst), "--t", "2"]) == 2
-        assert len(graphs) == 1 and "_masks" not in graphs[0].__dict__
+        assert len(graphs) == 1 and set(graphs[0].__dict__) == {"side_a", "side_b", "rows", "cols", "_lists"}
 
     def test_missing_file_exit_1(self):
         assert main(["check-free", "/nonexistent/path.json", "--t", "2"]) == 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from containment_oracle import contained_counts as row_side_counts
-from graph_oracle import TupleGraph, TupleSetGraph, edge_set, hyperedges, hypergraph_of
+from graph_oracle import TupleGraph, TupleSetGraph, edge_set, hyperedges, hypergraph_of, mask_of, set_of
 from net_oracle import induced_subhypergraph
 from round_oracle import dense_edges, round_matrix
 
@@ -31,13 +31,12 @@ from ztnet.hypergraph import (
     BipartiteIntersectionGraph,
     Graph,
     Hypergraph,
+    bits_of,
     contained_counts,
     delaunay_graph,
     dual_hypergraph,
     intersection_matrix,
-    mask_of,
     primal_hypergraph,
-    set_of,
     vc_dimension,
 )
 from ztnet.suite import scaled_disc_instance
@@ -84,8 +83,8 @@ class TestPrimalDual:
 
     def test_hypergraphs_hold_the_graph_masks(self):
         g = bip(3, 2, {(0, 1), (2, 1), (1, 0)})
-        assert primal_hypergraph(g).edge_masks is g.adj_b
-        assert dual_hypergraph(g).edge_masks is g.adj_a
+        assert primal_hypergraph(g).edges is g.nbrs_b
+        assert dual_hypergraph(g).edges is g.nbrs_a
 
     @settings(max_examples=100)
     @given(st.integers(0, 5), st.integers(0, 5), st.data())
@@ -94,7 +93,7 @@ class TestPrimalDual:
         chosen = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
         g = bip(m, n, chosen)
         swapped = bip(n, m, {(j, i) for i, j in chosen})
-        assert dual_hypergraph(g).edge_masks == primal_hypergraph(swapped).edge_masks
+        assert dual_hypergraph(g).edges == primal_hypergraph(swapped).edges
 
 
 class TestInduced:
@@ -163,6 +162,22 @@ class TestVC:
         traces = {e & prof.witness_shattered_set for e in hyperedges(h)}
         assert len(traces) == 2 ** prof.vc_dim
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(st.sets(st.integers(0, n - 1)), max_size=40).map(
+        lambda edges: hypergraph_of(n, edges))), st.integers(0, 5))
+    def test_matches_trace_set_oracle(self, h, cap):
+        # the first shattered combo per size, found from each combo's set of traces
+        edges = {frozenset(e) for e in h.edges}
+        best, witness = 0, frozenset()
+        for size in range(1, min(cap, h.vertex_count) + 1):
+            combo = next((c for c in itertools.combinations(range(h.vertex_count), size)
+                          if len({e.intersection(c) for e in edges}) == 2**size), None)
+            if combo is None:
+                break
+            best, witness = size, frozenset(combo)
+        prof = vc_dimension(h, cap)
+        assert (prof.vc_dim, prof.witness_shattered_set, prof.cap_reached) == (best, witness, best == cap)
+
     def test_disc_disc_vc_at_most_4(self):
         for seed in range(8):
             fam_a = generate("random_discs", 8, GenParams(radius_hi=0.35), 100 + seed)
@@ -183,7 +198,7 @@ class TestSmallHyperedgeScaling:
             fam_a = generate("random_discs", n, GenParams(radius_lo=lo, radius_hi=hi), n)
             fam_b = generate("random_discs", n, GenParams(radius_lo=lo, radius_hi=hi), n + 1)
             g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
-            small = {em for em in g.adj_b if 1 <= em.bit_count() <= 3}
+            small = {tuple(e) for e in g.nbrs_b if 1 <= len(e) <= 3}
             ratios.append(len(small) / n)
         assert max(ratios) <= 2.5 * max(ratios[0], 0.5), ratios
 
@@ -446,7 +461,7 @@ def assert_same_graph(g, oracle):
     assert g.edges == oracle.edges and isinstance(g.edges, frozenset)
     assert all(type(i) is int and type(j) is int for i, j in g.edges)
     assert g.edge_count == len(oracle.edges)
-    assert g.adj_a == oracle.adj_a and g.adj_b == oracle.adj_b
+    assert g.nbrs_a == oracle.nbrs_a and g.nbrs_b == oracle.nbrs_b
     assert g.degrees_a() == oracle.degrees_a() and g.degrees_b() == oracle.degrees_b()
 
 
@@ -499,13 +514,13 @@ class TestAdjacencyMasks:
     def test_masks_agree_with_edges(self, g):
         nbrs_a = [frozenset(j for i, j in g.edges if i == a) for a in range(g.m)]
         nbrs_b = [frozenset(i for i, j in g.edges if j == b) for b in range(g.n)]
-        assert [set_of(mask) for mask in g.adj_a] == nbrs_a == hyperedges(dual_hypergraph(g))
-        assert [set_of(mask) for mask in g.adj_b] == nbrs_b == hyperedges(primal_hypergraph(g))
+        assert g.nbrs_a == [sorted(s) for s in nbrs_a] and hyperedges(dual_hypergraph(g)) == nbrs_a
+        assert g.nbrs_b == [sorted(s) for s in nbrs_b] and hyperedges(primal_hypergraph(g)) == nbrs_b
         assert g.degrees_a() == [len(s) for s in nbrs_a]
         assert g.degrees_b() == [len(s) for s in nbrs_b]
 
     def test_contained_counts(self):
-        rows = [mask_of([0, 1, 2]), mask_of([0, 1]), mask_of([2]), 0]
+        rows = [[0, 1, 2], [0, 1], [2], []]
         assert contained_counts([(0, 1), fs(1, 2)], rows) == [2, 1, 0, 0]
         assert contained_counts([], rows) == [0, 0, 0, 0]
 
@@ -514,11 +529,11 @@ class TestContainment:
     @settings(max_examples=400, deadline=None)
     @given(
         st.lists(st.lists(st.integers(0, 9), max_size=4).map(tuple), max_size=12),
-        st.lists(st.integers(0, (1 << 8) - 1), max_size=10),  # indices 8 and 9 in no row
+        st.lists(st.sets(st.integers(0, 7)).map(sorted), max_size=10),  # indices 8 and 9 in no row
     )
-    @example([()], [0b101, 0])  # the empty tuple lies in every row, an empty one too
-    @example([(0, 1), (1, 0), (0, 1)], [0b11, 0b1])  # duplicates count once each
-    @example([(9,), (8, 0)], [0xFF])  # indices that no row holds
+    @example([()], [[0, 2], []])  # the empty tuple lies in every row, an empty one too
+    @example([(0, 1), (1, 0), (0, 1)], [[0, 1], [0]])  # duplicates count once each
+    @example([(9,), (8, 0)], [list(range(8))])  # indices that no row holds
     @example([(0,), ()], [])  # no rows
     def test_contained_counts_match_row_side_scan(self, tuples, rows):
         assert contained_counts(tuples, rows) == row_side_counts(tuples, rows)
@@ -558,12 +573,22 @@ class TestGraphTypes:
             Graph.from_edges(2, {(1, 0)})
 
     def test_hypergraph_validation(self):
-        with pytest.raises(ValueError):
-            Hypergraph(2, [mask_of([0, 5])])
-        with pytest.raises(ValueError):
-            Hypergraph(2, [0b11, -1])
-        with pytest.raises(ValueError):
-            Hypergraph(0, [0b1])
+        with pytest.raises(ValueError, match="out of range"):
+            Hypergraph(2, [[0, 5]])
+        with pytest.raises(ValueError, match="out of range"):
+            Hypergraph(2, [[0, 1], [-1]])
+        with pytest.raises(ValueError, match="out of range"):
+            Hypergraph(0, [[0]])
+        with pytest.raises(ValueError, match="out of range"):
+            Hypergraph(3, [[3]])  # an index equal to the vertex count
+        with pytest.raises(ValueError, match="ascending"):
+            Hypergraph(3, [[0, 2, 1]])  # unsorted
+        with pytest.raises(ValueError, match="ascending"):
+            Hypergraph(3, [[0, 1, 1]])  # a repeated vertex
+        with pytest.raises(ValueError, match="out of range"):
+            Hypergraph(3, [[-1, 0]])  # a negative index
+        h = Hypergraph(3, [[], [0, 1, 2], [1]])
+        assert h.edges == [[], [0, 1, 2], [1]]
 
     def test_induced_graph(self):
         g = BipartiteIntersectionGraph.from_edges(
@@ -575,4 +600,5 @@ class TestGraphTypes:
 
     def test_bit_helpers(self):
         m = mask_of([0, 3, 5])
+        assert list(bits_of(m)) == [0, 3, 5] and list(bits_of(0)) == []
         assert set_of(m) == fs(0, 3, 5)

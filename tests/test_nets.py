@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from ztnet import suite
 from ztnet.errors import BudgetExceeded, InfeasibleNet, PreconditionViolated
 from ztnet.generators import GenParams, generate
-from ztnet.hypergraph import BipartiteIntersectionGraph, Hypergraph, mask_of, primal_hypergraph, set_of
+from ztnet.hypergraph import BipartiteIntersectionGraph, Hypergraph, bits_of, primal_hypergraph
 from ztnet.nets import (
     TNet,
+    _heavy_edges,
     _removal_net,
     as_fraction,
     greedy_cover_t_net,
@@ -29,7 +30,7 @@ from ztnet.nets import (
 )
 
 import net_oracle
-from graph_oracle import distinct_hyperedges, hypergraph_of
+from graph_oracle import distinct_hyperedges, hypergraph_of, mask_of, set_of
 from net_oracle import table_greedy_t_net
 
 
@@ -90,13 +91,14 @@ class TestVerifiers:
     def test_epsilon_net_examples(self):
         h = hypergraph_of(2, [fs(0, 1)])
         assert verify_epsilon_net(h, 0.5, {0}) is None
-        assert verify_epsilon_net(h, 0.5, set()) == fs(0, 1)
+        assert verify_epsilon_net(h, 0.5, set()) == (0, 1)
         h2 = hypergraph_of(5, [fs(0, 1), fs(2, 3, 4)])
         assert verify_epsilon_net(h2, 1, set(range(5))) is None
-        # duplicates: the witness is the first heavy hyperedge missed, in input order
+        # duplicates: the witness is the first heavy hyperedge missed, in input
+        # order, as its stored ascending tuple
         h3 = hypergraph_of(6, [fs(3, 4, 5), fs(0, 1), fs(0, 1, 2), fs(3, 4, 5), fs(0, 1, 2)])
-        assert verify_epsilon_net(h3, 0.5, set()) == fs(3, 4, 5)
-        assert verify_epsilon_net(h3, 0.5, {4}) == fs(0, 1, 2)
+        assert verify_epsilon_net(h3, 0.5, set()) == (3, 4, 5)
+        assert verify_epsilon_net(h3, 0.5, {4}) == (0, 1, 2)
         assert verify_epsilon_net(h3, 0.5, {0, 4}) is None
 
     def test_t_net_examples(self):
@@ -107,10 +109,10 @@ class TestVerifiers:
             verify_t_net(h, 1, TNet(2, frozenset({fs(0, 4)}), Fraction(1)))
         h4 = hypergraph_of(4, [fs(0, 1, 2)])
         miss = TNet(2, frozenset({fs(0, 3)}), Fraction(3, 4))
-        assert verify_t_net(h4, 0.75, miss) == fs(0, 1, 2)
+        assert verify_t_net(h4, 0.75, miss) == (0, 1, 2)
         h5 = hypergraph_of(5, [fs(2, 3, 4), fs(0, 1), fs(0, 1, 2), fs(2, 3, 4), fs(0, 1, 2)])
-        assert verify_t_net(h5, 0.6, TNet(2, frozenset(), Fraction(3, 5))) == fs(2, 3, 4)
-        assert verify_t_net(h5, 0.6, TNet(2, frozenset({fs(3, 4)}), Fraction(3, 5))) == fs(0, 1, 2)
+        assert verify_t_net(h5, 0.6, TNet(2, frozenset(), Fraction(3, 5))) == (2, 3, 4)
+        assert verify_t_net(h5, 0.6, TNet(2, frozenset({fs(3, 4)}), Fraction(3, 5))) == (0, 1, 2)
         both = TNet(2, frozenset({fs(3, 4), fs(0, 2)}), Fraction(3, 5))
         assert verify_t_net(h5, 0.6, both) is None
 
@@ -333,7 +335,7 @@ class TestStructuralOracle:
     @example(([0b111100, 0b1010010, 0b101101, 0b1010010, 0b1010100], frozenset(range(7)), 3))
     def test_removal_order_matches_both_loops(self, inputs):
         heavy, cover, t = inputs
-        got = _removal_net(heavy, cover, t)
+        got = _removal_net([tuple(bits_of(em)) for em in heavy], cover, t)
         assert got == net_oracle.rescan_removal(heavy, cover, t)
         assert got == net_oracle.mask_removal(heavy, cover, t)
         assert_tuples_in_traces(got, [set_of(em) for em in heavy], cover, t)
@@ -372,6 +374,62 @@ class TestStructuralOracle:
             net, trace = pseudodisc_t_net(h, cfg.net_eps, t, suite.derive_seed(seed, t))
             assert net.size() > 0
             assert_tuples_in_traces(net.tuples, heavy, trace.cover_set, t)
+
+
+@st.composite
+def extreme_hypergraphs(draw):
+    """A hypergraph on n <= 40 vertices whose hyperedges may be empty, the full
+    vertex set, or repeats, and eps in (0, 1] at twelfths.  Past n = 20 the
+    sampled nets at eps near 1 are proper samples of the vertex set."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(21, 40)))
+    edge = st.one_of(st.sets(st.integers(0, n - 1)).map(sorted), st.just([]), st.just(list(range(n))))
+    edges = draw(st.lists(edge, max_size=10))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return Hypergraph(n, draw(st.permutations(edges))), Fraction(draw(st.integers(1, 12)), 12)
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` returns, or the type and text of the net error it raises."""
+    try:
+        return fn(*args)
+    except (InfeasibleNet, PreconditionViolated) as err:
+        return type(err), str(err)
+
+
+class TestListsMatchMaskOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(extreme_hypergraphs(), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+    @example((Hypergraph(1, [[], [0], [0]]), Fraction(1)), 1, 0, None)  # the full edge, repeated
+    @example((Hypergraph(4, [[], [0, 1, 2, 3]]), Fraction(1, 2)), 2, 7, None)  # cover over all of V
+    def test_nets_and_witnesses_match(self, inputs, t, seed, data):
+        # the list versions against the side-long mask bodies they replaced:
+        # the same heavy view, nets, cover layers, first missed witnesses and errors
+        h, eps = inputs
+        pools = [None, list(range(h.vertex_count))]
+        if data is not None:
+            pools.append(sorted(data.draw(st.sets(st.integers(0, h.vertex_count - 1), min_size=1))))
+        for pool in pools:  # the heavy view, and the traces over a cover layer's pool
+            heavy = outcome(_heavy_edges, h, eps, t, pool)
+            masks = outcome(net_oracle.heavy_masks, h, eps, t, pool)
+            assert heavy == (masks if isinstance(masks, tuple) else [tuple(bits_of(em)) for em in masks])
+        assert outcome(greedy_cover_t_net, h, eps, t) == outcome(net_oracle.mask_greedy_t_net, h, eps, t)
+        got = outcome(pseudodisc_t_net, h, eps, t, seed)
+        assert got == outcome(net_oracle.mask_pseudodisc_t_net, h, eps, t, seed)
+        assert outcome(stacked_cover_set, h, eps, t, seed) == outcome(
+            lambda *args: net_oracle.mask_stacked_cover(*args)[0], h, eps, t, seed)
+        assert outcome(sampled_epsilon_net, h, eps, seed) == outcome(
+            net_oracle.sampled_epsilon_net, h, eps, seed)
+        stab, tuples = set(), []
+        if data is not None:
+            vertex = st.integers(0, h.vertex_count - 1)
+            stab = data.draw(st.sets(vertex))
+            if h.vertex_count >= t:
+                tuples = data.draw(st.lists(st.sets(vertex, min_size=t, max_size=t)))
+        assert verify_epsilon_net(h, eps, stab) == net_oracle.mask_verify_epsilon_net(h, eps, stab)
+        drawn = TNet(t, frozenset(map(frozenset, tuples)), eps)
+        for net in [drawn, got[0]] if isinstance(got[0], TNet) else [drawn]:
+            assert verify_t_net(h, eps, net) == net_oracle.mask_verify_t_net(h, eps, net)
 
 
 class TestGreedy:
