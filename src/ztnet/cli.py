@@ -226,15 +226,10 @@ def _cmd_generate(args) -> int:
     m = args.m if args.m is not None else n
     seed = args.seed
     if args.kind == "discs":
-        p = GenParams(radius_lo=args.radius_lo, radius_hi=args.radius_hi)
-        fam_a = generate("random_discs", n, p, suite_mod.derive_seed(seed, "a"))
-        fam_b = generate("random_discs", m, p, suite_mod.derive_seed(seed, "b"))
+        fam_a, fam_b = suite_mod.disc_instance(n, seed, args.radius_lo, args.radius_hi, m)
     elif args.kind in ("rects", "frames"):
-        kind = "random_rects" if args.kind == "rects" else "random_frames"
-        pa = GenParams(extent_lo=args.extent_lo, extent_hi=args.extent_hi, parity=0)
-        pb = GenParams(extent_lo=args.extent_lo, extent_hi=args.extent_hi, parity=1)
-        fam_a = generate(kind, n, pa, suite_mod.derive_seed(seed, "a"))
-        fam_b = generate(kind, m, pb, suite_mod.derive_seed(seed, "b"))
+        kind = "random_" + args.kind
+        fam_a, fam_b = suite_mod.rect_instance(n, seed, args.extent_lo, args.extent_hi, m, kind)
     elif args.kind == "points-discs":
         p = GenParams(radius_lo=args.radius_lo, radius_hi=args.radius_hi)
         fam_a = generate("random_points", n, None, suite_mod.derive_seed(seed, "a"))

@@ -173,10 +173,6 @@ def _disc_frame(d: Disc, f: Frame) -> bool:
     return _dist_to_rect_boundary(d.center, f) <= d.radius * (1.0 + REL_TOL)
 
 
-def _rect_rect(a: AxisRect, b: AxisRect) -> bool:
-    return _rects_overlap(a, b)
-
-
 def _rect_frame(r: AxisRect, f: Frame) -> bool:
     # The frame meets the solid rect unless they are disjoint or the rect sits
     # strictly inside the frame's interior.
@@ -195,7 +191,7 @@ _DISPATCH = {
     (Disc, Disc): _disc_disc,
     (Disc, AxisRect): _disc_rect,
     (Disc, Frame): _disc_frame,
-    (AxisRect, AxisRect): _rect_rect,
+    (AxisRect, AxisRect): _rects_overlap,
     (AxisRect, Frame): _rect_frame,
     (Frame, Frame): _frame_frame,
     (Segment, Segment): segments_cross,
@@ -215,32 +211,3 @@ def check_general_position(rects) -> bool:
         ys.extend((r.y_lo, r.y_hi))
     return len(set(xs)) == len(xs) and len(set(ys)) == len(ys)
 
-
-# ---------------------------------------------------------------------------
-# rectangle decomposition used by the crossing-graph machinery
-
-
-def rect_corners(r) -> tuple[Point, Point, Point, Point]:
-    """Corners in (lower-left, lower-right, upper-left, upper-right) order."""
-    return (
-        Point(r.x_lo, r.y_lo),
-        Point(r.x_hi, r.y_lo),
-        Point(r.x_lo, r.y_hi),
-        Point(r.x_hi, r.y_hi),
-    )
-
-
-def rect_horizontal_edges(r) -> tuple[Segment, Segment]:
-    """Bottom and top edges as horizontal segments."""
-    return (
-        Segment("horizontal", r.y_lo, r.x_lo, r.x_hi),
-        Segment("horizontal", r.y_hi, r.x_lo, r.x_hi),
-    )
-
-
-def rect_vertical_edges(r) -> tuple[Segment, Segment]:
-    """Left and right edges as vertical segments."""
-    return (
-        Segment("vertical", r.x_lo, r.y_lo, r.y_hi),
-        Segment("vertical", r.x_hi, r.y_lo, r.y_hi),
-    )

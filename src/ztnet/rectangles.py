@@ -28,14 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInput, InequalityViolated, PreconditionViolated
-from .geometry import (
-    Segment,
-    check_general_position,
-    rect_corners,
-    rect_horizontal_edges,
-    rect_vertical_edges,
-)
-from .hypergraph import BipartiteIntersectionGraph, Graph, _edge_blocks, contained_counts
+from .geometry import Point, Segment, check_general_position
+from .hypergraph import BipartiteIntersectionGraph, Graph, _box_fields, _edge_blocks, contained_counts
 from .zarankiewicz import find_ktt_witness
 
 
@@ -62,27 +56,16 @@ class CanonicalTupleFamily:
 
 def horizontal_edges_of(rects) -> list[Segment]:
     """Bottom and top edges of each rectangle; rect i owns indices 2i, 2i+1."""
-    segs = []
-    for r in rects:
-        segs.extend(rect_horizontal_edges(r))
-    return segs
+    return [Segment("horizontal", y, r.x_lo, r.x_hi) for r in rects for y in (r.y_lo, r.y_hi)]
 
 
 def vertical_edges_of(rects) -> list[Segment]:
     """Left and right edges of each rectangle; rect j owns indices 2j, 2j+1."""
-    segs = []
-    for r in rects:
-        segs.extend(rect_vertical_edges(r))
-    return segs
+    return [Segment("vertical", x, r.y_lo, r.y_hi) for r in rects for x in (r.x_lo, r.x_hi)]
 
 
 # ---------------------------------------------------------------------------
 # census and incidence graphs
-
-
-def _box_coords(rects) -> np.ndarray:
-    """x_lo, x_hi, y_lo, y_hi of every rectangle, as the four rows of an array."""
-    return np.array([(r.x_lo, r.x_hi, r.y_lo, r.y_hi) for r in rects]).reshape(-1, 4).T
 
 
 def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
@@ -104,10 +87,10 @@ def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
     if not check_general_position(a_rects + b_rects):
         raise DegenerateInput("rectangle families share an edge line")
     counts = [0, 0, 0, 0]
-    a_box, b_box = _box_coords(a_rects), _box_coords(b_rects)
+    a_box, b_box = _box_fields(a_rects)[:4], _box_fields(b_rects)[:4]
     for rows, cols in _edge_blocks(a_rects, b_rects):
-        axl, axh, ayl, ayh = a_box[:, rows]
-        bxl, bxh, byl, byh = b_box[:, cols]
+        axl, axh, ayl, ayh = (v[rows] for v in a_box)
+        bxl, bxh, byl, byh = (v[cols] for v in b_box)
         overlap = (axl <= bxh) & (bxl <= axh) & (ayl <= byh) & (byl <= ayh)
         a_in_b = (bxl < axl) & (axh < bxh) & (byl < ayl) & (ayh < byh)
         b_in_a = (axl < bxl) & (bxh < axh) & (ayl < byl) & (byh < ayh)
@@ -138,11 +121,12 @@ def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
 def corner_incidence_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
     """Bipartite graph: corners of A-rectangles vs B-rectangles, edge = containment.
 
-    Rect i owns corner indices 4i..4i+3.  If the rectangle intersection graph
-    is K_{t,t}-free this graph is K_{4t-3,4t-3}-free: 4t-3 corners span at
+    Rect i owns corner indices 4i..4i+3, in lower-left, lower-right,
+    upper-left, upper-right order.  If the rectangle intersection graph is
+    K_{t,t}-free this graph is K_{4t-3,4t-3}-free: 4t-3 corners span at
     least t distinct A-rectangles.
     """
-    corners = [c for r in a_rects for c in rect_corners(r)]
+    corners = [Point(x, y) for r in a_rects for y in (r.y_lo, r.y_hi) for x in (r.x_lo, r.x_hi)]
     return BipartiteIntersectionGraph.from_families(corners, b_rects)
 
 

@@ -15,6 +15,7 @@ import random
 import statistics
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .generators import GenParams, generate, prune_to_ktt_free
 from .geometry import Disc, Point, intersects
@@ -159,10 +160,11 @@ class SuiteResult:
 # instance builders
 
 
-def disc_instance(n: int, seed: int, r_lo: float, r_hi: float):
+def disc_instance(n: int, seed: int, r_lo: float, r_hi: float, m: Optional[int] = None):
+    """n discs on side a and m (default n) on side b, radii in [r_lo, r_hi]."""
     p = GenParams(radius_lo=r_lo, radius_hi=r_hi)
     fam_a = generate("random_discs", n, p, derive_seed(seed, "a"))
-    fam_b = generate("random_discs", n, p, derive_seed(seed, "b"))
+    fam_b = generate("random_discs", n if m is None else m, p, derive_seed(seed, "b"))
     return fam_a, fam_b
 
 
@@ -171,11 +173,15 @@ def scaled_disc_instance(n: int, seed: int):
     return disc_instance(n, seed, 0.25 / math.sqrt(n), 0.75 / math.sqrt(n))
 
 
-def rect_instance(n: int, seed: int, lo: float, hi: float):
+def rect_instance(
+    n: int, seed: int, lo: float, hi: float, m: Optional[int] = None, kind: str = "random_rects"
+):
+    """n rects (or frames) on side a and m (default n) on side b, extents in
+    [lo, hi]; the two sides draw coordinates of opposite parity."""
     pa = GenParams(extent_lo=lo, extent_hi=hi, parity=0)
     pb = GenParams(extent_lo=lo, extent_hi=hi, parity=1)
-    fam_a = generate("random_rects", n, pa, derive_seed(seed, "a"))
-    fam_b = generate("random_rects", n, pb, derive_seed(seed, "b"))
+    fam_a = generate(kind, n, pa, derive_seed(seed, "a"))
+    fam_b = generate(kind, n if m is None else m, pb, derive_seed(seed, "b"))
     return fam_a, fam_b
 
 
@@ -214,8 +220,8 @@ class SuiteInstance:
     graph: BipartiteIntersectionGraph  # pruned and re-verified K_{2,2}-free
 
 
-def _pruned_and_verified(g: BipartiteIntersectionGraph) -> BipartiteIntersectionGraph:
-    pruned = prune_to_ktt_free(g, 2).graph
+def _pruned_and_verified(fam_a, fam_b) -> BipartiteIntersectionGraph:
+    pruned = prune_to_ktt_free(BipartiteIntersectionGraph.from_families(fam_a, fam_b), 2).graph
     witness = find_ktt_witness(pruned, 2)
     if witness is not None:
         raise AssertionError(f"pruner left a biclique behind: {witness}")
@@ -225,23 +231,18 @@ def _pruned_and_verified(g: BipartiteIntersectionGraph) -> BipartiteIntersection
 def build_suite_instances(cfg: SuiteConfig) -> list[SuiteInstance]:
     """The shared pruned instance pool used by the bound and chain checks."""
     out = []
-    for n in cfg.bound_sizes:
-        for s in range(cfg.bound_seeds_per_size):
-            seed = derive_seed(cfg.seed, "suite-disc", n, s)
-            fam_a, fam_b = scaled_disc_instance(n, seed)
-            g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
-            out.append(SuiteInstance(f"discs-{n}-{s}", "discs", _pruned_and_verified(g)))
-    for n in cfg.bound_sizes:
-        for s in range(cfg.bound_seeds_per_size):
-            seed = derive_seed(cfg.seed, "suite-rect", n, s)
-            fam_a, fam_b = scaled_rect_instance(n, seed)
-            g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
-            out.append(SuiteInstance(f"rects-{n}-{s}", "rects", _pruned_and_verified(g)))
+    for kind, label, recipe in (
+        ("discs", "suite-disc", scaled_disc_instance),
+        ("rects", "suite-rect", scaled_rect_instance),
+    ):
+        for n in cfg.bound_sizes:
+            for s in range(cfg.bound_seeds_per_size):
+                fams = recipe(n, derive_seed(cfg.seed, label, n, s))
+                out.append(SuiteInstance(f"{kind}-{n}-{s}", kind, _pruned_and_verified(*fams)))
     for s in range(cfg.pd_instances):
         seed = derive_seed(cfg.seed, "suite-pd", s)
-        pts, discs = points_discs_instance(cfg.pd_points, cfg.pd_discs, seed)
-        g = BipartiteIntersectionGraph.from_families(pts, discs)
-        out.append(SuiteInstance(f"ptsdiscs-{s}", "points_discs", _pruned_and_verified(g)))
+        fams = points_discs_instance(cfg.pd_points, cfg.pd_discs, seed)
+        out.append(SuiteInstance(f"ptsdiscs-{s}", "points_discs", _pruned_and_verified(*fams)))
     return out
 
 
@@ -578,19 +579,8 @@ def check_vc(cfg: SuiteConfig) -> list[CheckRow]:
     over = 0
     for i in range(cfg.vc_instances):
         seed = derive_seed(cfg.seed, "vc", i)
-        fam_a = generate(
-            "random_discs",
-            cfg.vc_vertices,
-            GenParams(radius_lo=0.1, radius_hi=0.8),
-            derive_seed(seed, "a"),
-        )
-        fam_b = generate(
-            "random_discs",
-            cfg.vc_b_side,
-            GenParams(radius_lo=0.1, radius_hi=0.8),
-            derive_seed(seed, "b"),
-        )
-        g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
+        fams = disc_instance(cfg.vc_vertices, seed, 0.1, 0.8, cfg.vc_b_side)
+        g = BipartiteIntersectionGraph.from_families(*fams)
         prof = vc_dimension(primal_hypergraph(g), cap=cfg.vc_cap)
         worst = max(worst, prof.vc_dim)
         if prof.vc_dim > 4:

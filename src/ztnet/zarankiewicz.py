@@ -323,7 +323,8 @@ def num_edges_bound(
     smaller than r*t (r is the builder's `min_heavy`), or a heavy product that
     fails to shrink, contributes the trivial m*n (no nets are built there).
     On recursing levels and on the final heavy-empty level the primal and
-    dual nets are built and verified, and their sizes recorded.
+    dual nets are built and verified in turn (a miss raises InvalidNet), and
+    their sizes recorded.
 
     The epsilon choice is free, so a rule output below r*t/m (resp. r*t/n) is
     raised to it: below t/m a heavy hyperedge could have fewer than t
@@ -340,50 +341,31 @@ def num_edges_bound(
     rule = eps_rule if eps_rule is not None else degree_cutoff_rule
     floor = net_builder.min_heavy * t
     levels: list[BoundLevel] = []
-    total = 0
     current = g
     level = 0
-    while True:
+    while current.m and current.n:
         m, n = current.m, current.n
-        if m == 0 or n == 0:
-            break
-        if m < floor or n < floor:
-            levels.append(
-                BoundLevel(level, m, n, None, None, None, None, 0, 0, m * n, "base-trivial")
-            )
-            total += m * n
-            break
-        eps, eps_prime = rule(m, n, t)
-        eps = max(eps, Fraction(floor, m))
-        eps_prime = max(eps_prime, Fraction(floor, n))
-        part = heavy_light_partition(current, eps, eps_prime)
-        na, nb = len(part.heavy_a), len(part.heavy_b)
-        if na * nb >= m * n:
-            levels.append(
-                BoundLevel(
-                    level, m, n, eps, eps_prime, None, None, na, nb, m * n, "base-trivial"
-                )
-            )
-            total += m * n
-            break
-        h = primal_hypergraph(current)
-        h_dual = dual_hypergraph(current)
-        net = net_builder(h, eps, t, seed * 7919 + 2 * level)
-        net_dual = net_builder(h_dual, eps_prime, t, seed * 7919 + 2 * level + 1)
-        for hh, ee, nn in ((h, eps, net), (h_dual, eps_prime, net_dual)):
-            witness = verify_t_net(hh, ee, nn)
-            if witness is not None:
-                raise InvalidNet(f"level {level} net misses hyperedge {sorted(witness)}")
-        additive = n * math.floor(eps * m) + m * math.floor(eps_prime * n)
-        kind = "recurse" if (na and nb) else "base-light"
-        levels.append(
-            BoundLevel(
-                level, m, n, eps, eps_prime, net.size(), net_dual.size(), na, nb, additive, kind
-            )
-        )
-        total += additive
-        if not (na and nb):
+        eps, eps_prime, na, nb = None, None, 0, 0
+        if m >= floor and n >= floor:
+            eps, eps_prime = rule(m, n, t)
+            eps = max(eps, Fraction(floor, m))
+            eps_prime = max(eps_prime, Fraction(floor, n))
+            part = heavy_light_partition(current, eps, eps_prime)
+            na, nb = len(part.heavy_a), len(part.heavy_b)
+        sizes, additive, kind = [None, None], m * n, "base-trivial"
+        if eps is not None and na * nb < m * n:
+            sides = ((primal_hypergraph(current), eps), (dual_hypergraph(current), eps_prime))
+            for k, (h, side_eps) in enumerate(sides):
+                net = net_builder(h, side_eps, t, seed * 7919 + 2 * level + k)
+                witness = verify_t_net(h, side_eps, net)
+                if witness is not None:
+                    raise InvalidNet(f"level {level} net misses hyperedge {sorted(witness)}")
+                sizes[k] = net.size()
+            additive = n * math.floor(eps * m) + m * math.floor(eps_prime * n)
+            kind = "recurse" if (na and nb) else "base-light"
+        levels.append(BoundLevel(level, m, n, eps, eps_prime, *sizes, na, nb, additive, kind))
+        if kind != "recurse":
             break
         current = current.induced(part.heavy_a, part.heavy_b)
         level += 1
-    return BoundReport(levels=levels, bound=total, actual_edges=g.edge_count)
+    return BoundReport(levels, sum(lv.additive for lv in levels), g.edge_count)

@@ -367,6 +367,9 @@ def cli_digests(tmp_dir) -> dict[str, str]:
     bad = tmp_dir / "bad.json"
     bad.write_text((tmp_dir / "discs.json").read_text().replace('"r": ', '"r": -', 1))
     digests["bad check-free"] = _run_cli(["check-free", str(bad), "--t", "2"])
+    for kind in ("discs", "rects", "frames"):  # side b sized apart from side a
+        gen = ["generate", "--kind", kind, "--n", "24", "--m", "17", "--seed", "1"]
+        digests[f"{kind} generate --m 17"] = _run_cli(gen)
     return digests
 
 
@@ -484,6 +487,12 @@ class TestCliBytes:
             "dc231f71866602d8d81dd55ac3993fa56c487d916bd8d845e2588278e2370738",
         "bad check-free":
             "7fcd9e8d43b670c88c32d39f137a7b36285bb072bd0e41aad2fc26ddae632e8e",
+        "discs generate --m 17":
+            "baf2dc40fcb5c00ff0ebae7a2a211153fc7230cd6256627d4197af39d672df51",
+        "rects generate --m 17":
+            "a307724db0da34131e198d1c108aee78be8757b828c83735163829f7f82de5b8",
+        "frames generate --m 17":
+            "351bcb56158fdaecce670cc5025b568d1023702ea7cfc9d86eb5846b26120784",
     }
 
     def test_outputs_match_pinned_digests(self, tmp_path):

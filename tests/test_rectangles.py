@@ -19,11 +19,11 @@ from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import (
     AxisRect,
     Frame,
+    Point,
     Segment,
     check_general_position,
     intersects,
     point_in_rect,
-    rect_corners,
     segments_cross,
 )
 from ztnet.hypergraph import (
@@ -189,7 +189,12 @@ class TestCornerGraph:
         for seed in range(15):
             a, b = rect_families(25, seed)
             g = corner_incidence_graph(a, b)
-            corners = [c for r in a for c in rect_corners(r)]
+            # lower-left, lower-right, upper-left, upper-right
+            corners = [
+                Point(x, y)
+                for r in a
+                for x, y in ((r.x_lo, r.y_lo), (r.x_hi, r.y_lo), (r.x_lo, r.y_hi), (r.x_hi, r.y_hi))
+            ]
             assert g.side_a == corners and g.side_b == b
             assert g.edges == {
                 (i, j) for i, c in enumerate(corners) for j, r in enumerate(b) if point_in_rect(c, r)

@@ -15,6 +15,7 @@ from ztnet.suite import naive_ktt_free
 from ztnet.zarankiewicz import (
     NET_BUILDERS,
     BicliqueSearch,
+    NetBuilder,
     BoundReport,
     degree_cutoff_rule,
     find_ktt_witness,
@@ -353,6 +354,19 @@ class TestNumEdgesBound:
         trivial = num_edges_bound(bip(1, 2, {(0, 0)}), 2)
         assert trivial.levels[0].kind == "base-trivial"
         assert trivial.csv_rows() == [["0", "1", "2", "", "", "", "", "0", "0", "2", "2", "1"]]
+        # every vertex heavy: the product fails to shrink, so the level is
+        # trivial but keeps its epsilons and heavy counts
+        half = lambda m, n, t: (Fraction(1, 2), Fraction(1, 2))
+        full = num_edges_bound(bip(2, 2, {(i, j) for i in range(2) for j in range(2)}), 1, eps_rule=half)
+        assert full.levels[0].kind == "base-trivial"
+        assert full.csv_rows() == [["0", "2", "2", "1/2", "1/2", "", "", "2", "2", "4", "4", "4"]]
+
+    def test_level_net_missing_heavy_hyperedge_raises(self):
+        empty = NetBuilder(lambda h, eps, t, seed: TNet(t, frozenset(), Fraction(eps)), 1)
+        g = bip(4, 4, {(0, 0), (1, 0), (2, 0), (0, 1)})
+        half = lambda m, n, t: (Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(InvalidNet, match=r"^level 0 net misses hyperedge \[0, 1, 2\]$"):
+            num_edges_bound(g, 2, empty, eps_rule=half)
 
     def test_sound_unconditionally(self):
         # the light/heavy decomposition dominates |E| with or without any
