@@ -23,9 +23,11 @@ from .geometry import (
 )
 from .hypergraph import (
     BipartiteIntersectionGraph,
+    ChainReport,
     Graph,
     Hypergraph,
     VCProfile,
+    counting_chain,
     delaunay_graph,
     dual_hypergraph,
     primal_hypergraph,

@@ -34,7 +34,7 @@ from .errors import (
     PreconditionViolated,
     SchemaError,
 )
-from .generators import GenParams, generate
+from .generators import GenParams
 from .geometry import AxisRect, Disc, Frame, Point, check_general_position
 from .hypergraph import BipartiteIntersectionGraph, dual_hypergraph, primal_hypergraph
 from .nets import as_fraction, verify_t_net
@@ -232,11 +232,9 @@ def _cmd_generate(args) -> int:
         fam_a, fam_b = suite_mod.rect_instance(n, seed, args.extent_lo, args.extent_hi, m, kind)
     elif args.kind == "points-discs":
         p = GenParams(radius_lo=args.radius_lo, radius_hi=args.radius_hi)
-        fam_a = generate("random_points", n, None, suite_mod.derive_seed(seed, "a"))
-        fam_b = generate("random_discs", m, p, suite_mod.derive_seed(seed, "b"))
+        fam_a, fam_b = suite_mod.pair_instance(seed, ("random_points", n, None), ("random_discs", m, p))
     else:  # points-dyadic
-        fam_a = generate("grid_points", n, None, suite_mod.derive_seed(seed, "a"))
-        fam_b = generate("dyadic_rects", m, None, suite_mod.derive_seed(seed, "b"))
+        fam_a, fam_b = suite_mod.pair_instance(seed, ("grid_points", n, None), ("dyadic_rects", m, None))
     _write_text(args.out, emit_instance(fam_a, fam_b))
     return 0
 
@@ -350,7 +348,7 @@ def _cmd_census(args) -> int:
 def _cmd_canon(args) -> int:
     fam_a, fam_b = parse_instance(args.instance)
     if all(isinstance(o, Point) for o in fam_a) and all(isinstance(o, Disc) for o in fam_b):
-        fam = shrink_canonical_tuples(fam_a, fam_b, args.t)
+        fam = shrink_canonical_tuples(BipartiteIntersectionGraph.from_families(fam_a, fam_b), args.t)
         mode = "shrink"
     else:
         fam = canonical_segment_tuples(_segments_of(fam_a), 2 * args.t - 1)
@@ -369,12 +367,16 @@ def _cmd_shrink(args) -> int:
     fam_a, fam_b = parse_instance(args.instance)
     if not (all(isinstance(o, Point) for o in fam_a) and all(isinstance(o, Disc) for o in fam_b)):
         raise PreconditionViolated("shrink expects points in side a and discs in side b")
-    report = counting_inequality_check(fam_a, fam_b, args.t, budget=args.budget)
+    g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
+    witness = find_ktt_witness(g, args.t, args.budget)
+    if witness is not None:
+        raise PreconditionViolated(f"incidence graph contains K_{args.t},{args.t}: {witness}")
+    report = counting_inequality_check(g, args.t)
     payload = {
         "t": report.t,
         "family_size": report.family_size,
-        "edges": report.edge_count,
-        "floor_sum": report.floor_sum,
+        "edges": sum(report.degrees),
+        "floor_sum": report.lower_sum,
         "x_sum": report.x_sum,
         "x_upper": report.x_upper,
     }

@@ -12,6 +12,10 @@ the tuple counts read, and which the primal and dual hypergraphs hold as
 their hyperedges.  Bitmasks appear only over local universes: the rows of a
 transpose (`holder_masks`), or a search's own relabelled vertices.
 
+`counting_chain` is the one home of the counting lemma that turns a small
+canonical tuple family into an edge bound, for points in discs and for
+rectangle crossings alike; it counts containment from the tuple side.
+
 `BipartiteIntersectionGraph.from_families` is the one way two families become
 a graph.  Behind it a uniform-grid round kernel and a chunked box kernel are
 both bitwise equal to `geometry.intersects`.
@@ -23,11 +27,12 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import geometry
+from .errors import InequalityViolated
 from .geometry import AxisRect, Disc, Frame, Point, Segment, intersects
 
 # ---------------------------------------------------------------------------
@@ -76,6 +81,38 @@ def contained_counts(tuples, rows: Sequence[Sequence[int]]) -> list[int]:
         for r in bits_of(held):
             counts[r] += 1
     return counts
+
+
+@dataclass
+class ChainReport:
+    """The counting chain lower_sum <= x_sum <= x_upper: row i has degrees[i]
+    members and holds x_counts[i] of the |F| = family_size canonical tuples."""
+
+    t: int
+    family_size: int
+    lower_sum: int  # sum of lower(d_i)
+    x_sum: int
+    x_upper: int  # (k-1) |F|
+    degrees: list[int]
+    x_counts: list[int]
+
+
+def counting_chain(tuples, rows: Sequence[Sequence[int]], t: int, k: int, lower: Callable[[int], int]) -> ChainReport:
+    """The counting lemma on the canonical k-tuples `tuples` (a set) and the
+    rows (neighbour lists) of a K_{t,t}-free graph: a row of d members holds
+    x_i >= lower(d) tuples, and no tuple lies inside k rows, so
+    sum x_i <= (k-1)|F|.  Freeness is the caller's to check; a broken bound
+    raises InequalityViolated."""
+    degrees, x_counts = [len(row) for row in rows], contained_counts(tuples, rows)
+    lows = [lower(d) for d in degrees]
+    short = [i for i, (low, x) in enumerate(zip(lows, x_counts)) if x < low]
+    x_sum, x_upper = sum(x_counts), (k - 1) * len(tuples)
+    if short or x_sum > x_upper:
+        raise InequalityViolated(
+            f"counting chain broken at k = {k}: rows {short[:5]} hold fewer canonical tuples "
+            f"than their lower bound; sum x_i = {x_sum}, (k-1)|F| = {x_upper}"
+        )
+    return ChainReport(t, len(tuples), sum(lows), x_sum, x_upper, degrees, x_counts)
 
 
 # ---------------------------------------------------------------------------

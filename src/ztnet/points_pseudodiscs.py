@@ -1,4 +1,4 @@
-"""Disc shrinking toward anchor points and the point/disc counting chains.
+"""Disc shrinking toward anchor points and the point/disc counting chain.
 
 A disc shrinks along the straight path center(s) = (1-s) c + s a,
 radius(s) = (1-s) r, ending at the anchor point a at s = 1.  Every
@@ -6,6 +6,11 @@ intermediate object is a disc, so a family stays a family of pseudo-discs
 throughout.  The contained point set decreases along the path; recording it
 after every loss event enumerates the realizable subsets, and the sets of
 size exactly t form the canonical tuple family.
+
+The tuple, coverage and chain functions take the point/disc incidence graph
+the caller already holds.  The chain is `hypergraph.counting_chain` at
+k = t; it holds on a K_{t,t}-free graph, and checking freeness is the
+caller's job, as for `zarankiewicz.num_edges_bound`.
 """
 
 from __future__ import annotations
@@ -13,13 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import InequalityViolated, PreconditionViolated
+from .errors import PreconditionViolated
 from .geometry import Disc, Point, point_in_disc
-from .hypergraph import BipartiteIntersectionGraph, bits_of, contained_counts, containing_rows
+from .hypergraph import BipartiteIntersectionGraph, ChainReport, bits_of, containing_rows, counting_chain
 from .rectangles import CanonicalTupleFamily
-from .zarankiewicz import find_ktt_witness
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,9 @@ def shrink_events(d: Disc, anchor: Point, pts: list[Point]) -> list[ShrinkEvent]
     return events
 
 
-def shrink_canonical_tuples(a_pts, b_discs, t: int) -> CanonicalTupleFamily:
-    """Point t-subsets realizable as b cap A for some shrunk copy b of a disc.
+def shrink_canonical_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalTupleFamily:
+    """Point t-subsets realizable as b cap A for some shrunk copy b of a disc,
+    on the incidence graph `g` of points (side a) and discs (side b).
 
     For every disc and every contained anchor, walk the loss events and record
     the contained set after each batch of simultaneous losses (plus the
@@ -109,11 +113,6 @@ def shrink_canonical_tuples(a_pts, b_discs, t: int) -> CanonicalTupleFamily:
     family.  Simultaneous losses are one event, so the artificial intermediate
     set between them is not recorded.
     """
-    return _shrink_tuples(BipartiteIntersectionGraph.from_families(a_pts, b_discs), t)
-
-
-def _shrink_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalTupleFamily:
-    """`shrink_canonical_tuples` on the point/disc incidence graph `g`."""
     if t < 1:
         raise ValueError("t must be >= 1")
     encountered: set[frozenset[int]] = set()
@@ -135,15 +134,14 @@ def _shrink_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalTupleFamil
     )
 
 
-def coverage_violations(a_pts, b_discs, t: int) -> list[tuple[int, int]]:
-    """(disc, point) pairs violating tuple coverage.
+def coverage_violations(g: BipartiteIntersectionGraph, t: int) -> list[tuple[int, int]]:
+    """(disc, point) pairs of the incidence graph `g` violating tuple coverage.
 
     Whenever a disc contains at least t points, every contained point must lie
     in at least one canonical t-tuple inside that disc: shrinking the disc
     toward the point passes through a contained set of size exactly t.
     """
-    g = BipartiteIntersectionGraph.from_families(a_pts, b_discs)
-    return _uncovered(_shrink_tuples(g, t).tuples, g.nbrs_b, t)
+    return _uncovered(shrink_canonical_tuples(g, t).tuples, g.nbrs_b, t)
 
 
 def _uncovered(tuples, rows: list[list[int]], t: int) -> list[tuple[int, int]]:
@@ -157,54 +155,11 @@ def _uncovered(tuples, rows: list[list[int]], t: int) -> list[tuple[int, int]]:
     return [(j, i) for j, row in enumerate(rows) if len(row) >= t for i in row if i not in covered[j]]
 
 
-@dataclass
-class PointDiscReport:
-    t: int
-    family_size: int
-    edge_count: int  # sum of d_i
-    floor_sum: int  # sum of floor(d_i / t)
-    x_sum: int
-    x_upper: int  # (t-1) |F|
-    degrees: list[int]
-    x_counts: list[int]
-
-
-def counting_inequality_check(
-    a_pts, b_discs, t: int, assume_ktt_free: bool = False, budget: Optional[int] = None
-) -> PointDiscReport:
-    """Assert the exact chain sum floor(d_i/t) <= sum x_i <= (t-1)|F|.
-
-    d_i counts the points inside disc i, x_i the canonical t-tuples inside it.
-    The per-disc lower bound floor(d_i/t) <= x_i is checked as well.  The
-    upper chain needs the incidence graph to be K_{t,t}-free, which is
-    verified unless `assume_ktt_free` is set.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    g = BipartiteIntersectionGraph.from_families(a_pts, b_discs)
-    if not assume_ktt_free:
-        witness = find_ktt_witness(g, t, budget)
-        if witness is not None:
-            raise PreconditionViolated(f"incidence graph contains K_{t},{t}: {witness}")
-    fam = _shrink_tuples(g, t)
-    degrees = g.degrees_b()
-    x_counts = contained_counts(fam.tuples, g.nbrs_b)
-    for d, x in zip(degrees, x_counts):
-        if d // t > x:
-            raise InequalityViolated(
-                f"disc with {d} points has only {x} canonical tuples inside"
-            )
-    x_sum = sum(x_counts)
-    x_upper = (t - 1) * len(fam.tuples)
-    if x_sum > x_upper:
-        raise InequalityViolated(f"sum x_i = {x_sum} exceeds (t-1)|F| = {x_upper}")
-    return PointDiscReport(
-        t=t,
-        family_size=len(fam.tuples),
-        edge_count=sum(degrees),
-        floor_sum=sum(d // t for d in degrees),
-        x_sum=x_sum,
-        x_upper=x_upper,
-        degrees=degrees,
-        x_counts=x_counts,
-    )
+def counting_inequality_check(g: BipartiteIntersectionGraph, t: int) -> ChainReport:
+    """The chain sum floor(d_i/t) <= sum x_i <= (t-1)|F| on the incidence graph
+    `g`, through `hypergraph.counting_chain` at k = t: d_i counts the points
+    inside disc i, x_i the canonical t-tuples inside it, and floor(d_i/t) <=
+    x_i holds per disc.  The upper chain needs `g` to be K_{t,t}-free, which
+    the caller checks (`zarankiewicz.find_ktt_witness`)."""
+    fam = shrink_canonical_tuples(g, t)
+    return counting_chain(fam.tuples, g.nbrs_b, t, t, lambda d: d // t)

@@ -4,8 +4,9 @@ and the counting-inequality report.
 
 The census classifies the intersection graph's edges in numpy, straight from
 the box kernel's (rows, cols) edge arrays, one block of rows of A at a time,
-and builds no graph.  The counting chains count tuple containment from the
-tuple side (`hypergraph.contained_counts`).
+and builds no graph.  The report's chain is `hypergraph.counting_chain` on the
+crossing graph, the one graph the report builds; checking that the rectangle
+graph is K_{t,t}-free is the caller's job.
 
 A k-tuple of horizontal segments is canonical when some vertical segment
 meets exactly those k among all the segments.  Stab sets are constant on the
@@ -23,14 +24,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, InequalityViolated, PreconditionViolated
+from .errors import DegenerateInput
 from .geometry import Point, Segment, check_general_position
-from .hypergraph import BipartiteIntersectionGraph, Graph, _box_fields, _edge_blocks, contained_counts
-from .zarankiewicz import find_ktt_witness
+from .hypergraph import BipartiteIntersectionGraph, ChainReport, Graph, _box_fields, _edge_blocks, counting_chain
 
 
 @dataclass(frozen=True)
@@ -371,59 +370,20 @@ def hereditary_planarity_check(g: Graph, samples: int, seed: int) -> PlanarityRe
 # the counting-inequality report
 
 
-@dataclass
-class RectangleBoundReport:
-    t: int
-    census: IntersectionTypeCounts
-    family_size: int  # |F| at k = 2t-1
-    crossing_edges: int  # |E(K)| = sum of d_i
-    x_sum: int
-    x_upper: int  # (2t-2) |F|
-    degrees: list[int]
-    x_counts: list[int]
-
-
-def rectangle_bound_report(
-    a_rects, b_rects, t: int, assume_ktt_free: bool = False, budget: Optional[int] = None
-) -> RectangleBoundReport:
-    """Assemble the census and both counting chains for the crossing graph.
+def rectangle_bound_report(a_rects, b_rects, t: int) -> tuple[IntersectionTypeCounts, ChainReport]:
+    """The census of the rectangle intersection graph, and the counting chain
+    of its crossing graph through `hypergraph.counting_chain` at k = 2t-1.
 
     Upper chain: sum x_i <= (2t-2) |F|, since 2t-1 vertical vertices crossing
-    one canonical tuple would span t B-rectangles against t A-rectangles.
+    one canonical tuple would span t B-rectangles against t A-rectangles; it
+    needs the rectangle graph to be K_{t,t}-free, which the caller checks.
     Lower chain: d_i - 2t + 2 <= x_i per vertical vertex, every consecutive
-    (2t-1)-run of its crossed segments being canonical.  Violations raise, as
-    they signal either a bug or a non-K_{t,t}-free input.
+    (2t-1)-run of its crossed segments being canonical.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
     a_rects, b_rects = list(a_rects), list(b_rects)
     census = intersection_type_census(a_rects, b_rects)  # raises DegenerateInput first
-    if not assume_ktt_free:
-        witness = find_ktt_witness(BipartiteIntersectionGraph.from_families(a_rects, b_rects), t, budget)
-        if witness is not None:
-            raise PreconditionViolated(f"input graph contains K_{t},{t}: {witness}")
-    k_graph = crossing_graph(a_rects, b_rects)
-    degrees = k_graph.degrees_b()
-    fam = canonical_segment_tuples(k_graph.side_a, 2 * t - 1).tuples
-    x_counts = contained_counts(fam, k_graph.nbrs_b)
-    x_sum = sum(x_counts)
-    x_upper = (2 * t - 2) * len(fam)
-    if x_sum > x_upper:
-        raise InequalityViolated(
-            f"sum x_i = {x_sum} exceeds (2t-2)|F| = {x_upper}"
-        )
-    for d, x in zip(degrees, x_counts):
-        if d - 2 * t + 2 > x:
-            raise InequalityViolated(
-                f"vertical vertex with degree {d} meets only {x} canonical tuples"
-            )
-    return RectangleBoundReport(
-        t=t,
-        census=census,
-        family_size=len(fam),
-        crossing_edges=k_graph.edge_count,
-        x_sum=x_sum,
-        x_upper=x_upper,
-        degrees=degrees,
-        x_counts=x_counts,
-    )
+    k_graph, k = crossing_graph(a_rects, b_rects), 2 * t - 1
+    fam = canonical_segment_tuples(k_graph.side_a, k).tuples
+    return census, counting_chain(fam, k_graph.nbrs_b, t, k, lambda d: d - k + 1)

@@ -160,12 +160,17 @@ class SuiteResult:
 # instance builders
 
 
+def pair_instance(seed: int, side_a: tuple, side_b: tuple):
+    """The seeded pair recipe: side a is generate(kind, size, params) for
+    side_a = (kind, size, params) under derive_seed(seed, "a"), side b the
+    same for side_b under derive_seed(seed, "b")."""
+    return generate(*side_a, derive_seed(seed, "a")), generate(*side_b, derive_seed(seed, "b"))
+
+
 def disc_instance(n: int, seed: int, r_lo: float, r_hi: float, m: Optional[int] = None):
     """n discs on side a and m (default n) on side b, radii in [r_lo, r_hi]."""
     p = GenParams(radius_lo=r_lo, radius_hi=r_hi)
-    fam_a = generate("random_discs", n, p, derive_seed(seed, "a"))
-    fam_b = generate("random_discs", n if m is None else m, p, derive_seed(seed, "b"))
-    return fam_a, fam_b
+    return pair_instance(seed, ("random_discs", n, p), ("random_discs", n if m is None else m, p))
 
 
 def scaled_disc_instance(n: int, seed: int):
@@ -180,9 +185,7 @@ def rect_instance(
     [lo, hi]; the two sides draw coordinates of opposite parity."""
     pa = GenParams(extent_lo=lo, extent_hi=hi, parity=0)
     pb = GenParams(extent_lo=lo, extent_hi=hi, parity=1)
-    fam_a = generate(kind, n, pa, derive_seed(seed, "a"))
-    fam_b = generate(kind, n if m is None else m, pb, derive_seed(seed, "b"))
-    return fam_a, fam_b
+    return pair_instance(seed, (kind, n, pa), (kind, n if m is None else m, pb))
 
 
 def scaled_rect_instance(n: int, seed: int):
@@ -545,30 +548,21 @@ def check_segments(cfg: SuiteConfig) -> list[CheckRow]:
 
 
 def check_chains(cfg: SuiteConfig, instances: list[SuiteInstance]) -> list[CheckRow]:
-    """The exact inequality chains on every pruned suite instance."""
-    rect_ok = 0
-    rect_total = 0
-    pd_ok = 0
-    pd_total = 0
-    for inst in instances:
-        if inst.kind == "rects":
-            rect_total += 1
-            rectangle_bound_report(
-                inst.graph.side_a, inst.graph.side_b, 2, assume_ktt_free=True
-            )
-            rect_ok += 1
-        elif inst.kind == "points_discs":
-            pd_total += 1
-            counting_inequality_check(
-                inst.graph.side_a, inst.graph.side_b, 2, assume_ktt_free=True
-            )
-            pd_ok += 1
+    """The exact inequality chains on every pruned suite instance; the pool's
+    graphs are K_{2,2}-free, as `_pruned_and_verified` checked, and a broken
+    chain raises InequalityViolated."""
+    rects = [inst.graph for inst in instances if inst.kind == "rects"]
+    pds = [inst.graph for inst in instances if inst.kind == "points_discs"]
+    for g in rects:
+        rectangle_bound_report(g.side_a, g.side_b, 2)
+    for g in pds:
+        counting_inequality_check(g, 2)
     return [
         CheckRow(
             "inequality-chains",
-            f"rect_instances={rect_total} pd_instances={pd_total} t=2",
-            f"rect_ok={rect_ok} pd_ok={pd_ok}",
-            rect_ok == rect_total and pd_ok == pd_total and rect_total > 0 and pd_total > 0,
+            f"rect_instances={len(rects)} pd_instances={len(pds)} t=2",
+            f"rect_ok={len(rects)} pd_ok={len(pds)}",
+            len(rects) > 0 and len(pds) > 0,
         )
     ]
 
@@ -620,13 +614,8 @@ def check_shrink(cfg: SuiteConfig, instances: list[SuiteInstance]) -> list[Check
         s_oracle = bisection_exit_oracle(d, anchor, p)
         if not math.isclose(s_impl, s_oracle, rel_tol=1e-9, abs_tol=1e-12):
             mismatches += 1
-    coverage_bad = 0
-    pd_checked = 0
-    for inst in instances:
-        if inst.kind != "points_discs":
-            continue
-        pd_checked += 1
-        coverage_bad += len(coverage_violations(inst.graph.side_a, inst.graph.side_b, 2))
+    pds = [inst.graph for inst in instances if inst.kind == "points_discs"]
+    coverage_bad = sum(len(coverage_violations(g, 2)) for g in pds)
     return [
         CheckRow(
             "shrink-exit-parameters",
@@ -636,9 +625,9 @@ def check_shrink(cfg: SuiteConfig, instances: list[SuiteInstance]) -> list[Check
         ),
         CheckRow(
             "shrink-coverage",
-            f"pd_instances={pd_checked} t=2",
+            f"pd_instances={len(pds)} t=2",
             f"violations={coverage_bad}",
-            coverage_bad == 0 and pd_checked > 0,
+            coverage_bad == 0 and len(pds) > 0,
         ),
     ]
 

@@ -1,6 +1,7 @@
 """The row-side containment scans that `hypergraph.contained_counts` and
 `points_pseudodiscs._uncovered` replaced, kept as their test oracles: each
-tests every tuple against every row, as bitmasks over the whole index range."""
+tests every tuple against every row, as bitmasks over the whole index range.
+`counting_chain` states the chain of `hypergraph.counting_chain` on that scan."""
 
 from graph_oracle import mask_of
 
@@ -28,3 +29,11 @@ def uncovered(tuples, rows: list[list[int]], t: int) -> list[tuple[int, int]]:
             if not any((tm >> i) & 1 for tm in inside):
                 bad.append((j, i))
     return bad
+
+
+def counting_chain(tuples, rows: list[list[int]], k: int, lower) -> tuple[list[int], bool]:
+    """The per-row tuple counts, and whether the chain breaks: some row holds
+    fewer than lower(|row|) tuples, or the counts sum past (k-1)|F|."""
+    counts = contained_counts(tuples, rows)
+    short = any(x < lower(len(row)) for x, row in zip(counts, rows))
+    return counts, short or sum(counts) > (k - 1) * len(tuples)

@@ -115,6 +115,23 @@ def test_09_inequality_chains(full_cfg, suite_instances):
     report("09 inequality-chains", rows[0])
 
 
+def test_09b_chains_reuse_the_pool_graphs(full_cfg, suite_instances, monkeypatch):
+    # the chain and coverage checks read the pool's verified graphs: the only
+    # builds left are the 15 rect instances' crossing graphs
+    builds = []
+    real = suite_mod.BipartiteIntersectionGraph.from_families.__func__
+
+    def counted(cls, fam_a, fam_b):
+        builds.append((len(fam_a), len(fam_b)))
+        return real(cls, fam_a, fam_b)
+
+    monkeypatch.setattr(suite_mod.BipartiteIntersectionGraph, "from_families", classmethod(counted))
+    suite_mod.check_chains(full_cfg, suite_instances)
+    suite_mod.check_shrink(full_cfg, suite_instances)
+    rects = [inst.graph for inst in suite_instances if inst.kind == "rects"]
+    assert builds == [(2 * g.m, 2 * g.n) for g in rects] and len(builds) == 15
+
+
 def test_10_vc_cap(full_cfg):
     # disc-disc hypergraph VC-dimension <= 4 on 100 instances (cap 6, exact)
     rows = suite_mod.check_vc(full_cfg)

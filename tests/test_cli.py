@@ -194,6 +194,16 @@ class TestCommands:
         code = main(["shrink", str(inst), "--t", "2", "--out", str(tmp_path / "s.json")])
         assert code in (0, 1)  # 1 when the random instance is not K_{2,2}-free
 
+    def test_shrink_rejects_non_free_instance(self, tmp_path, capsys):
+        # two points inside two discs: a K_{2,2}, so the chain's upper bound
+        # does not apply and shrink refuses the file
+        inst = tmp_path / "k22.json"
+        inst.write_text(emit_instance([Point(0, 0), Point(0.1, 0)],
+                                      [Disc(Point(0, 0), 1), Disc(Point(0.05, 0), 1)]))
+        assert main(["shrink", str(inst), "--t", "2"]) == 1
+        assert capsys.readouterr().err == "error: incidence graph contains K_2,2: ((0, 1), (0, 1))\n"
+        assert main(["shrink", str(inst), "--t", "3"]) == 0
+
     def test_check_free_builds_no_side_long_masks(self, tmp_path, monkeypatch, capsys):
         graphs = []
 
@@ -346,6 +356,14 @@ _PINNED_COMMANDS = (
     ["delaunay"],
 )
 
+_PINNED_SHRINK_COMMANDS = (
+    ["shrink", "--t", "2"],
+    ["shrink", "--t", "3"],
+    ["shrink", "--t", "2", "--format", "csv"],
+    ["shrink", "--t", "2", "--budget", "0"],
+    ["canon", "--t", "2"],
+)
+
 
 def _run_cli(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -370,6 +388,16 @@ def cli_digests(tmp_dir) -> dict[str, str]:
     for kind in ("discs", "rects", "frames"):  # side b sized apart from side a
         gen = ["generate", "--kind", kind, "--n", "24", "--m", "17", "--seed", "1"]
         digests[f"{kind} generate --m 17"] = _run_cli(gen)
+    # point/disc files with canonical tuples: seed 1 is K_{2,2}-free, seed 3 is
+    # not at t = 2 (shrink exits 1) but is K_{3,3}-free
+    for seed in ("1", "3"):
+        inst = tmp_dir / f"points-discs-80-{seed}.json"
+        gen = ["generate", "--kind", "points-discs", "--n", "80", "--m", "30",
+               "--radius-lo", "0.04", "--radius-hi", "0.08", "--seed", seed]
+        digests[f"points-discs-80 --seed {seed} generate"] = _run_cli(gen)
+        main(gen + ["--out", str(inst)])
+        for cmd in _PINNED_SHRINK_COMMANDS:
+            digests[" ".join([f"points-discs-80 --seed {seed}", *cmd])] = _run_cli([cmd[0], str(inst), *cmd[1:]])
     return digests
 
 
@@ -493,6 +521,30 @@ class TestCliBytes:
             "a307724db0da34131e198d1c108aee78be8757b828c83735163829f7f82de5b8",
         "frames generate --m 17":
             "351bcb56158fdaecce670cc5025b568d1023702ea7cfc9d86eb5846b26120784",
+        "points-discs-80 --seed 1 generate":
+            "c8ac6cd8e37fd0ff1a92815147b6ee2c64be35861520665fbaadbac5ba0a1065",
+        "points-discs-80 --seed 1 shrink --t 2":
+            "2d1f4ecbc63794d5a2eaf706ca11ad8331d0f0f53b80382e7a7dee234d47e4f9",
+        "points-discs-80 --seed 1 shrink --t 3":
+            "1441375980539a1736a69d7079225850682c3cb436f88f54029955e490d4aa9b",
+        "points-discs-80 --seed 1 shrink --t 2 --format csv":
+            "df5eae74344589cfe249adab40f79853b4702a1a702a57a064c02be95ed81441",
+        "points-discs-80 --seed 1 shrink --t 2 --budget 0":
+            "059b3fd8fe4b2b136edb5fde2c305e2e11cfed5aece0472a110ae89bb5dc0b97",
+        "points-discs-80 --seed 1 canon --t 2":
+            "5b4a969991c140add2f991cb0f3a425ae0a43681a8090ba489198d56844222be",
+        "points-discs-80 --seed 3 generate":
+            "4fdf0fd46f2c3cab99db1467cd9e2348d48303cb1247f3375755ef2a2e47bb6a",
+        "points-discs-80 --seed 3 shrink --t 2":
+            "72b86943113d91ec24c240f383f91d8ff88a960afe448f4e42c22e8a132ff789",
+        "points-discs-80 --seed 3 shrink --t 3":
+            "9f70fe146890df290aa142066be13bf6c51c041739dfefeb724037f5f90b0a75",
+        "points-discs-80 --seed 3 shrink --t 2 --format csv":
+            "72b86943113d91ec24c240f383f91d8ff88a960afe448f4e42c22e8a132ff789",
+        "points-discs-80 --seed 3 shrink --t 2 --budget 0":
+            "cec2660903ff0ee9653e10034c4d62da7ed18d27738f94c5f6c810494716ffd6",
+        "points-discs-80 --seed 3 canon --t 2":
+            "4fe27ee6236432cd8e27037af17c269f1d5afb8b72aaa6c23ec8fb63bc27f399",
     }
 
     def test_outputs_match_pinned_digests(self, tmp_path):

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from containment_oracle import contained_counts as row_side_counts
+from containment_oracle import counting_chain as row_side_chain
 from graph_oracle import TupleGraph, TupleSetGraph, edge_set, hyperedges, hypergraph_of, mask_of, set_of
 from net_oracle import induced_subhypergraph
 from round_oracle import dense_edges, round_matrix
 
 from ztnet import hypergraph
+from ztnet.errors import InequalityViolated
 from ztnet.generators import GenParams, generate
 from ztnet.geometry import (
     REL_TOL,
@@ -33,6 +35,7 @@ from ztnet.hypergraph import (
     Hypergraph,
     bits_of,
     contained_counts,
+    counting_chain,
     delaunay_graph,
     dual_hypergraph,
     intersection_matrix,
@@ -537,6 +540,36 @@ class TestContainment:
     @example([(0,), ()], [])  # no rows
     def test_contained_counts_match_row_side_scan(self, tuples, rows):
         assert contained_counts(tuples, rows) == row_side_counts(tuples, rows)
+
+    # few indices, so that tuples often lie inside rows and both outcomes occur
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda k: st.tuples(
+            st.just(k), st.sets(st.frozensets(st.integers(0, 6), min_size=k, max_size=k), min_size=1, max_size=10))),
+        st.lists(st.sets(st.integers(0, 5), min_size=2).map(sorted), max_size=6),
+        st.integers(1, 3),
+        st.integers(0, 4),
+    )
+    @example((2, {fs(0, 1), fs(2, 3)}), [[0, 1], [2, 3]], 2, 0)  # every bound met with equality
+    @example((2, {fs(0, 1)}), [[0, 1], [2, 3]], 2, 0)  # row 1 below its lower bound only
+    @example((2, {fs(0, 1)}), [[0, 1], [0, 1, 2]], 3, 2)  # the (k-1)|F| cap broken only
+    @example((1, set()), [], 1, 0)  # no tuples, no rows
+    @example((1, {fs(0)}), [[0, 1]], 2, 1)  # k = 1: one containment breaks the cap of 0
+    def test_counting_chain_matches_row_side_scan(self, family, rows, div, off):
+        (k, tuples), t = family, 2
+
+        def lower(d):
+            return d // div - off
+
+        counts, broken = row_side_chain(tuples, rows, k, lower)
+        if broken:
+            with pytest.raises(InequalityViolated):
+                counting_chain(tuples, rows, t, k, lower)
+            return
+        rep = counting_chain(tuples, rows, t, k, lower)
+        assert rep.x_counts == counts and rep.degrees == [len(row) for row in rows]
+        assert (rep.t, rep.family_size, rep.x_sum) == (t, len(tuples), sum(counts))
+        assert rep.lower_sum == sum(map(lower, rep.degrees)) and rep.x_upper == (k - 1) * len(tuples)
 
 
 class TestPlainGraphOracle:

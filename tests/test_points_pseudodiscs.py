@@ -28,6 +28,11 @@ def pd_instance(n_pts, n_discs, seed):
     return pts, discs
 
 
+def pruned_pd_graph(n_pts, n_discs, seed):
+    """The K_{2,2}-free incidence graph left after pruning `pd_instance`."""
+    return prune_to_ktt_free(BipartiteIntersectionGraph.from_families(*pd_instance(n_pts, n_discs, seed)), 2).graph
+
+
 class TestShrinkEvents:
     def test_anchor_only_sentinel(self):
         d = Disc(Point(0, 0), 1)
@@ -98,17 +103,17 @@ class TestShrinkEvents:
 class TestCanonicalTuples:
     def test_exact_t_disc_contributes(self):
         pts = [Point(0.1, 0), Point(-0.1, 0)]
-        fam = shrink_canonical_tuples(pts, [Disc(Point(0, 0), 1)], 2)
+        fam = shrink_canonical_tuples(BipartiteIntersectionGraph.from_families(pts, [Disc(Point(0, 0), 1)]), 2)
         assert frozenset({0, 1}) in fam.tuples
 
     def test_small_disc_contributes_nothing(self):
         pts = [Point(0.1, 0)]
-        fam = shrink_canonical_tuples(pts, [Disc(Point(0, 0), 1)], 2)
+        fam = shrink_canonical_tuples(BipartiteIntersectionGraph.from_families(pts, [Disc(Point(0, 0), 1)]), 2)
         assert fam.tuples == frozenset()
 
     def test_matches_trajectory_oracle(self):
         pts, discs = pd_instance(30, 10, seed=3)
-        fam = shrink_canonical_tuples(pts, discs, 2)
+        fam = shrink_canonical_tuples(BipartiteIntersectionGraph.from_families(pts, discs), 2)
         oracle = set()
         for b in discs:
             contained = [i for i, p in enumerate(pts) if point_in_disc(p, b)]
@@ -137,9 +142,9 @@ class TestCanonicalTuples:
 
     def test_coverage_invariant(self):
         for seed in range(8):
-            pts, discs = pd_instance(40, 15, seed)
-            assert coverage_violations(pts, discs, 2) == []
-            assert coverage_violations(pts, discs, 3) == []
+            g = BipartiteIntersectionGraph.from_families(*pd_instance(40, 15, seed))
+            assert coverage_violations(g, 2) == []
+            assert coverage_violations(g, 3) == []
 
 
 class TestCoverage:
@@ -159,39 +164,27 @@ class TestCoverage:
 
 class TestCountingChains:
     def test_no_discs(self):
-        rep = counting_inequality_check([Point(0, 0)], [], 2, assume_ktt_free=True)
-        assert rep.edge_count == 0 and rep.x_sum == 0 and rep.family_size == 0
+        rep = counting_inequality_check(BipartiteIntersectionGraph.from_families([Point(0, 0)], []), 2)
+        assert rep.degrees == [] and rep.x_sum == 0 and rep.family_size == 0
 
     def test_single_disc_exact_t(self):
         pts = [Point(0.1, 0), Point(-0.1, 0)]
-        rep = counting_inequality_check(pts, [Disc(Point(0, 0), 1)], 2, assume_ktt_free=True)
-        assert rep.floor_sum == 1 and rep.x_sum == 1 and rep.x_upper == 1
+        rep = counting_inequality_check(BipartiteIntersectionGraph.from_families(pts, [Disc(Point(0, 0), 1)]), 2)
+        assert rep.lower_sum == 1 and rep.x_sum == 1 and rep.x_upper == 1
 
     def test_chain_on_pruned_instances(self):
         for seed in range(5):
-            pts, discs = pd_instance(60, 40, seed)
-            g = BipartiteIntersectionGraph.from_families(pts, discs)
-            res = prune_to_ktt_free(g, 2)
-            rep = counting_inequality_check(
-                res.graph.side_a, res.graph.side_b, 2, assume_ktt_free=True
-            )
-            assert rep.floor_sum <= rep.x_sum <= rep.x_upper
-            assert rep.edge_count == len(res.graph.edges)
-
-    def test_non_free_rejected(self):
-        pts = [Point(0, 0), Point(0.1, 0)]
-        discs = [Disc(Point(0, 0), 1), Disc(Point(0.05, 0), 1)]
-        with pytest.raises(PreconditionViolated):
-            counting_inequality_check(pts, discs, 2)
+            g = pruned_pd_graph(60, 40, seed)
+            rep = counting_inequality_check(g, 2)
+            assert rep.lower_sum <= rep.x_sum <= rep.x_upper
+            assert sum(rep.degrees) == g.edge_count
 
     def test_tuple_multiplicity_on_free_instances(self):
         # a canonical t-tuple fits inside at most t-1 discs once no K_{t,t} remains
         for seed in range(4):
-            pts, discs = pd_instance(50, 30, seed)
-            g = BipartiteIntersectionGraph.from_families(pts, discs)
-            res = prune_to_ktt_free(g, 2)
-            kept_pts, kept_discs = res.graph.side_a, res.graph.side_b
-            fam = shrink_canonical_tuples(kept_pts, kept_discs, 2)
+            g = pruned_pd_graph(50, 30, seed)
+            kept_pts, kept_discs = g.side_a, g.side_b
+            fam = shrink_canonical_tuples(g, 2)
             for tup in fam.tuples:
                 holders = sum(
                     1

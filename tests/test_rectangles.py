@@ -14,7 +14,7 @@ from planarity_oracle import hereditary_planarity_check as sample_by_sample_chec
 from segment_oracle import _interval_runs as full_sweep_runs
 
 from ztnet import rectangles
-from ztnet.errors import DegenerateInput, PreconditionViolated
+from ztnet.errors import DegenerateInput
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import (
     AxisRect,
@@ -593,15 +593,14 @@ class TestPlanarityCheck:
 
 class TestBoundReport:
     def test_empty_b(self):
-        rep = rectangle_bound_report([AxisRect(0, 1, 0, 1)], [], 2, assume_ktt_free=True)
-        assert rep.crossing_edges == 0 and rep.x_sum == 0 and rep.family_size >= 0
+        census, chain = rectangle_bound_report([AxisRect(0, 1, 0, 1)], [], 2)
+        assert census.total == 0 and chain.degrees == [] and chain.x_sum == 0 and chain.family_size >= 0
 
     def test_single_cross_pair(self):
-        rep = rectangle_bound_report(
-            [AxisRect(0, 3, 1, 2)], [AxisRect(1, 2, 0, 3)], 2, assume_ktt_free=True
-        )
-        assert all(d == 2 for d in rep.degrees)
-        assert all(x == 0 for x in rep.x_counts)
+        census, chain = rectangle_bound_report([AxisRect(0, 3, 1, 2)], [AxisRect(1, 2, 0, 3)], 2)
+        assert census.total == 1
+        assert all(d == 2 for d in chain.degrees)
+        assert all(x == 0 for x in chain.x_counts)
 
     def test_chains_on_pruned_instances(self, monkeypatch):
         builds = []
@@ -614,26 +613,18 @@ class TestBoundReport:
         monkeypatch.setattr(BipartiteIntersectionGraph, "from_families", classmethod(counted))
         for seed in range(5):
             a, b = rect_families(40, seed)
-            g = BipartiteIntersectionGraph.from_families(a, b)
-            res = prune_to_ktt_free(g, 2)
+            g = prune_to_ktt_free(BipartiteIntersectionGraph.from_families(a, b), 2).graph
             builds.clear()
-            rep = rectangle_bound_report(res.graph.side_a, res.graph.side_b, 2)
-            assert rep.x_sum <= rep.x_upper
-            assert rep.crossing_edges == sum(rep.degrees)
-            # the rectangle graph once (witness check and census), the crossing graph once
-            assert len(builds) == 2
+            _, chain = rectangle_bound_report(g.side_a, g.side_b, 2)
+            assert chain.lower_sum <= chain.x_sum <= chain.x_upper
+            # one build: the crossing graph, two vertices per rectangle
+            assert builds == [(2 * g.m, 2 * g.n)]
 
-    def test_non_free_input_rejected(self):
-        a = [AxisRect(0, 10, 1, 2), AxisRect(0.5, 9, 2.5, 3.5)]
-        b = [AxisRect(1, 2.25, 0, 5), AxisRect(3, 4, 0.25, 4.75)]
-        with pytest.raises(PreconditionViolated):
-            rectangle_bound_report(a, b, 2)
+    def test_shared_edge_line_rejected_before_crossing_graph(self, monkeypatch):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("crossing graph built on a degenerate input")
 
-    def test_shared_edge_line_rejected_before_witness_search(self, monkeypatch):
-        def no_search(*args, **kwargs):
-            raise AssertionError("witness search ran on a degenerate input")
-
-        monkeypatch.setattr(rectangles, "find_ktt_witness", no_search)
+        monkeypatch.setattr(rectangles, "crossing_graph", no_graph)
         a = [AxisRect(0, 1, 0, 1), AxisRect(1, 2, 0.5, 1.5)]
         with pytest.raises(DegenerateInput, match="share an edge line"):
             rectangle_bound_report(a, [AxisRect(5, 6, 5, 6)], 2)
