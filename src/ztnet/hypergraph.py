@@ -17,12 +17,12 @@ canonical tuple family into an edge bound, for points in discs and for
 rectangle crossings alike; it counts containment from the tuple side.
 
 `BipartiteIntersectionGraph.from_families` is the one way two families become
-a graph.  Behind it a uniform-grid round kernel and a chunked box kernel are
-both bitwise equal to `geometry.intersects`.
+a graph: one candidate grid, and predicates bitwise equal to `intersects`.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import operator
 from dataclasses import dataclass
@@ -151,10 +151,9 @@ class BipartiteIntersectionGraph:
     @classmethod
     def from_families(cls, fam_a, fam_b) -> "BipartiteIntersectionGraph":
         """Build the intersection graph: (i, j) is an edge iff the objects meet.
-        The kernels yield the edges row-major, block by block of A."""
+        The grid yields the edges row-major, in at least one block of A."""
         fam_a, fam_b = list(fam_a), list(fam_b)
-        blocks = [np.zeros((2, 0), np.int64), *map(np.stack, _edge_blocks(fam_a, fam_b))]
-        return cls(fam_a, fam_b, *np.concatenate(blocks, axis=1))
+        return cls(fam_a, fam_b, *np.concatenate([np.stack(b) for b in _edge_blocks(fam_a, fam_b)], axis=1))
 
     @classmethod
     def from_edges(cls, side_a, side_b, pairs: Iterable[tuple[int, int]]) -> "BipartiteIntersectionGraph":
@@ -171,11 +170,17 @@ class BipartiteIntersectionGraph:
     def _lists(self) -> tuple[list[list[int]], list[list[int]]]:
         """`nbrs_a`, the ascending list of N(a) for every a in A, and `nbrs_b`,
         of N(b) for every b in B, in one pass: row-major order sorts both."""
-        nbrs_a: list[list[int]] = [[] for _ in range(self.m)]
-        nbrs_b: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in zip(self.rows.tolist(), self.cols.tolist()):
-            nbrs_a[i].append(j)
-            nbrs_b[j].append(i)
+        enabled = gc.isenabled()
+        gc.disable()  # lists of ints form no cycles, so the collector would only rescan them
+        try:
+            nbrs_a: list[list[int]] = [[] for _ in range(self.m)]
+            nbrs_b: list[list[int]] = [[] for _ in range(self.n)]
+            for i, j in zip(self.rows.tolist(), self.cols.tolist()):
+                nbrs_a[i].append(j)
+                nbrs_b[j].append(i)
+        finally:
+            if enabled:
+                gc.enable()
         return nbrs_a, nbrs_b
 
     nbrs_a = property(lambda self: self._lists[0])
@@ -250,117 +255,111 @@ class VCProfile:
 
 
 # ---------------------------------------------------------------------------
-# intersection kernels (agree bitwise with geometry.intersects)
+# the intersection kernel (agrees bitwise with geometry.intersects)
 
-CHUNK_ROWS = 256  # rows of A per intersection_matrix call in from_families
-GRID_PAIRS = 1 << 17  # candidate pairs per block of A in the round grid
+GRID_PAIRS = 1 << 15  # candidate pairs per block of A
 _GRID_CELLS = 1 << 20  # cells per axis at most, so cell keys fit in int64
-_BOX = {Point, AxisRect, Frame}
+_LAYOUT = {  # the attributes holding x_lo, x_hi, y_lo, y_hi, radius (None: 0.0); a Segment's by orientation
+    Point: ("x", "x", "y", "y", None), Disc: ("center.x", "center.x", "center.y", "center.y", "radius"),
+    AxisRect: ("x_lo", "x_hi", "y_lo", "y_hi", None), Frame: ("x_lo", "x_hi", "y_lo", "y_hi", None),
+    "horizontal": ("lo", "hi", "fixed", "fixed", None), "vertical": ("fixed", "fixed", "lo", "hi", None)}
+
+
+def _fields(fam):
+    """x_lo, x_hi, y_lo, y_hi and radius per object, a closed box plus a radius
+    (a disc is its centre plus its radius), and the frame flags or None."""
+    kinds = list(map(type, fam))
+    if Segment in kinds:
+        kinds = [o.orientation if k is Segment else k for k, o in zip(kinds, fam)]
+    fields, one_kind = np.zeros((5, len(fam))), len(set(kinds)) == 1
+    for kind in set(kinds):
+        idx = slice(None) if one_kind else np.flatnonzero([k == kind for k in kinds])
+        part = fam if one_kind else [fam[k] for k in idx.tolist()]
+        got = {a: np.fromiter(map(operator.attrgetter(a), part), float, len(part)) for a in set(_LAYOUT[kind]) - {None}}
+        for row, name in zip(fields, _LAYOUT[kind]):
+            row[idx] = got.get(name, 0.0)
+    return (*fields, np.array([k is Frame for k in kinds]) if Frame in kinds else None)
 
 
 def _edge_blocks(fam_a, fam_b):
-    """Yield the edges as (rows, cols) arrays, row-major: the round grid for one
-    side of discs against points or discs, else CHUNK_ROWS rows of A at a time."""
-    if not fam_a or not fam_b:
+    """Yield the edges as (rows, cols) arrays, row-major, one block of A at a time:
+    of the pairs `_candidates` proposes, `test` keeps those that meet, by the round
+    predicate when every pair holds a disc, the box predicate for points, rects and
+    frames or for segments, else `intersects`.  Unsupported kinds raise TypeError first."""
+    reps_a, reps_b = ({type(o): o for o in fam} for fam in (fam_a, fam_b))
+    for a, b in itertools.product(reps_a.values(), reps_b.values()):
+        intersects(a, b)  # raises TypeError on an unsupported pair
+    kinds, fa, fb, n = reps_a.keys() | reps_b.keys(), _fields(fam_a), _fields(fam_b), len(fam_b)
+
+    def kept(mask, i, j):
+        k = np.flatnonzero(mask)
+        return i[k], j[k]
+
+    if kinds <= {Point, Disc} and Point not in reps_a.keys() & reps_b.keys():
+        def test(i, j):
+            # (ra + rb) * (1 + REL_TOL) is the scalar slack bit for bit, as 0.0 + r == r
+            dx, dy = fa[0][i] - fb[0][j], fa[2][i] - fb[2][j]
+            slack = (fa[4][i] + fb[4][j]) * (1.0 + geometry.REL_TOL)
+            return kept(dx * dx + dy * dy <= slack * slack, i, j)
+    elif kinds <= {Point, AxisRect, Frame} or kinds == {Segment}:
+        def inside(inner, k, outer, o):  # box k of the fields `inner` strictly inside box o of `outer`
+            return ((outer[0][o] < inner[0][k]) & (inner[1][k] < outer[1][o])
+                    & (outer[2][o] < inner[2][k]) & (inner[3][k] < outer[3][o]))
+
+        def test(i, j):
+            # closed boxes overlap, unless one lies strictly inside a frame's hole;
+            # each test sees only the pairs the one before kept
+            i, j = kept((fa[0][i] <= fb[1][j]) & (fb[0][j] <= fa[1][i]), i, j)
+            i, j = kept((fa[2][i] <= fb[3][j]) & (fb[2][j] <= fa[3][i]), i, j)
+            if fa[5] is not None:
+                i, j = kept(~(fa[5][i] & inside(fb, j, fa, i)), i, j)
+            if fb[5] is not None:
+                i, j = kept(~(fb[5][j] & inside(fa, i, fb, j)), i, j)
+            return i, j
+    else:
+        def test(i, j):
+            hits = map(intersects, map(fam_a.__getitem__, i.tolist()), map(fam_b.__getitem__, j.tolist()))
+            return kept(np.fromiter(hits, bool, len(i)), i, j)
+    for i, j in _candidates(fa, fb):
+        i, j = test(i, j)
+        yield np.divmod(np.sort(i * n + j), n)  # row-major, as the edges are stored
+
+
+def _candidates(fa, fb):
+    """Yield (i, j) arrays of the pairs that may meet, in blocks of <= GRID_PAIRS
+    pairs (or one row of A), rows ascending; all m * n at once if they fit.  Keyed
+    by their low sides on a grid of side w >= max(reach_A + r_B, reach_B + r_A) *
+    (1 + 4 * REL_TOL), reach being the largest box side plus the largest radius,
+    objects that meet are at most one cell apart per axis: 3 * REL_TOL outweighs
+    the rounding of cell coordinates below _GRID_CELLS.  B is sorted by key
+    cx * ny + cy, so a column of three neighbouring cells is one key range."""
+    m, n = len(fa[0]), len(fb[0])
+    if m * n <= GRID_PAIRS:
+        yield np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
         return
-    kinds_a, kinds_b = ({type(o) for o in fam} for fam in (fam_a, fam_b))
-    if (kinds_a == {Disc} and kinds_b <= {Point, Disc}) or (kinds_b == {Disc} and kinds_a <= {Point, Disc}):
-        yield from _round_grid(fam_a, fam_b)
-        return
-    for lo in range(0, len(fam_a), CHUNK_ROWS):
-        rows, cols = np.nonzero(intersection_matrix(fam_a[lo : lo + CHUNK_ROWS], fam_b))
-        yield rows + lo, cols
-
-
-def intersection_matrix(fam_a, fam_b) -> np.ndarray:
-    """Boolean matrix M[i, j] = intersects(fam_a[i], fam_b[j]).
-
-    The box kernel takes points, rects and frames, or segments, as closed,
-    possibly degenerate boxes; other mixes fall back to the scalar predicate.
-    """
-    if len(fam_a) == 0 or len(fam_b) == 0:
-        return np.zeros((len(fam_a), len(fam_b)), dtype=bool)
-    kinds = {type(o) for o in fam_a} | {type(o) for o in fam_b}
-    if kinds <= _BOX or kinds == {Segment}:
-        return _box_matrix(fam_a, fam_b)
-    mat = np.zeros((len(fam_a), len(fam_b)), dtype=bool)
-    for i, a in enumerate(fam_a):
-        for j, b in enumerate(fam_b):
-            mat[i, j] = intersects(a, b)
-    return mat
-
-
-def _round_fields(fam):
-    """Centre x, centre y and radius per object; a point has radius 0.0."""
-    return np.array([[o.x if type(o) is Point else o.center.x for o in fam],
-                     [o.y if type(o) is Point else o.center.y for o in fam],
-                     [0.0 if type(o) is Point else o.radius for o in fam]])
-
-
-def _round_grid(fam_a, fam_b):
-    """Round kernel (a point is a disc of radius 0) on a uniform grid of side w >=
-    (max ra + max rb) * (1 + 4 * REL_TOL): objects that meet are at most one cell
-    apart per axis, as 3 * REL_TOL outweighs the rounding of cell coordinates below
-    _GRID_CELLS.  B is sorted by key cx * ny + cy, so a neighbouring column of three
-    cells is one key range; A goes in blocks of <= GRID_PAIRS pairs (or one row)."""
-    ax, ay, ar = _round_fields(fam_a)
-    bx, by, br = _round_fields(fam_b)
-    xs, ys = np.concatenate((ax, bx)), np.concatenate((ay, by))
-    x0, y0, span = xs.min(), ys.min(), np.maximum(np.ptp(xs), np.ptp(ys))
-    w = np.maximum((ar.max() + br.max()) * (1.0 + 4 * geometry.REL_TOL), span / _GRID_CELLS)
-    # if a radius sum or a span overflows, or a centre is not finite, w is inf
-    # or nan, every quotient is 0 or nan, and nan_to_num puts all in cell 0
-    cells = ((ax, x0), (ay, y0), (bx, x0), (by, y0))
-    acx, acy, bcx, bcy = (np.nan_to_num(np.floor((v - o) / w)).astype(np.int64) for v, o in cells)
-    ny = max(acy.max(), bcy.max()) + 2  # keys cy - 1 and cy + 1 stay off occupied cells
-    order = np.argsort(bcx * ny + bcy, kind="stable")
-    keys, akey = (bcx * ny + bcy)[order], acx * ny + acy
-    starts = np.stack([np.searchsorted(keys, akey + d - 1) for d in (-ny, 0, ny)], axis=1).ravel()
-    stops = np.stack([np.searchsorted(keys, akey + d + 1, "right") for d in (-ny, 0, ny)], axis=1).ravel()
-    lengths = stops - starts  # three column ranges per row of A, in row order
+    reach_a, reach_b = (np.maximum(f[1] - f[0], f[3] - f[2]).max() + f[4].max() for f in (fa, fb))
+    xs, ys = np.concatenate((fa[0], fb[0])), np.concatenate((fa[2], fb[2]))
+    w = np.maximum(reach_a + fb[4].max(), reach_b + fa[4].max()) * (1.0 + 4 * geometry.REL_TOL)
+    w = np.maximum(w, np.maximum(np.ptp(xs), np.ptp(ys)) / _GRID_CELLS)
+    # an overflowing reach or span, or a coordinate not finite, makes w inf or nan: all in cell 0
+    cx, cy = (np.nan_to_num(np.floor((v - v.min()) / w)).astype(np.int64) for v in (xs, ys))
+    ny = cy.max() + 2  # keys cy - 1 and cy + 1 stay off occupied cells
+    akey, bkey = np.split(cx * ny + cy, [m])
+    order, a_order = np.argsort(bkey, kind="stable"), np.argsort(akey, kind="stable")
+    low = akey[a_order] + np.array([[-ny - 1], [-1], [ny - 1]])  # ascending queries search fast
+    starts, stops = np.empty((2, m, 3), np.int64)  # three key ranges per row of A
+    starts[a_order] = np.searchsorted(bkey[order], low).T
+    stops[a_order] = np.searchsorted(bkey[order], low + 2, "right").T
+    starts, lengths = starts.ravel(), (stops - starts).ravel()
     counts = lengths.reshape(-1, 3).sum(axis=1)
     row_end = np.concatenate(([0], np.cumsum(counts)))
-    n, lo = len(bx), 0
-    while lo < len(ax):
+    lo = 0
+    while lo < m:
         hi = max(lo + 1, int(np.searchsorted(row_end, row_end[lo] + GRID_PAIRS, "right")) - 1)
         st, ln = starts[3 * lo : 3 * hi], lengths[3 * lo : 3 * hi]
         i = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        j = order[np.arange(len(i)) - np.repeat(np.cumsum(ln) - ln - st, ln)]
-        # Every pair holds a disc, so (ra + rb) * (1 + REL_TOL) is the scalar
-        # predicate's slack bit for bit: 0.0 + r == r, and (-dx)**2 == dx**2.
-        dx = ax[i] - bx[j]
-        dy = ay[i] - by[j]
-        slack = (ar[i] + br[j]) * (1.0 + geometry.REL_TOL)
-        hit = dx * dx + dy * dy <= slack * slack
-        key = np.sort(i[hit] * n + j[hit])  # row-major, as the edges are inserted
-        yield key // n, key % n
+        yield i, order[np.arange(len(i)) - np.repeat(np.cumsum(ln) - ln - st, ln)]
         lo = hi
-
-
-def _box_fields(fam):
-    """x_lo, x_hi, y_lo, y_hi per object as a closed box, and the frame flags."""
-    rows = []
-    for o in fam:
-        if type(o) is Point:
-            rows.append((o.x, o.x, o.y, o.y))
-        elif type(o) is Segment:
-            ends, fixed = (o.lo, o.hi), (o.fixed, o.fixed)
-            rows.append(ends + fixed if o.orientation == "horizontal" else fixed + ends)
-        else:
-            rows.append((o.x_lo, o.x_hi, o.y_lo, o.y_hi))
-    return (*np.array(rows).T, np.array([type(o) is Frame for o in fam]))
-
-
-def _box_matrix(fam_a, fam_b) -> np.ndarray:
-    """Closed boxes overlap, unless one lies strictly inside a frame's hole."""
-    axl, axh, ayl, ayh, a_frame = (v[:, None] for v in _box_fields(fam_a))
-    bxl, bxh, byl, byh, b_frame = _box_fields(fam_b)
-    mat = (axl <= bxh) & (bxl <= axh) & (ayl <= byh) & (byl <= ayh)
-    if a_frame.any():
-        mat &= ~(a_frame & (axl < bxl) & (bxh < axh) & (ayl < byl) & (byh < ayh))
-    if b_frame.any():
-        mat &= ~(b_frame & (bxl < axl) & (axh < bxh) & (byl < ayl) & (ayh < byh))
-    return mat
 
 
 # ---------------------------------------------------------------------------

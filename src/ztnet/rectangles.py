@@ -3,10 +3,10 @@ canonical segment tuples, the segment Delaunay graph with its planar drawing,
 and the counting-inequality report.
 
 The census classifies the intersection graph's edges in numpy, straight from
-the box kernel's (rows, cols) edge arrays, one block of rows of A at a time,
-and builds no graph.  The report's chain is `hypergraph.counting_chain` on the
-crossing graph, the one graph the report builds; checking that the rectangle
-graph is K_{t,t}-free is the caller's job.
+the candidate grid's (rows, cols) edge arrays, one block at a time, and builds
+no graph.  The report's chain is `hypergraph.counting_chain` on the crossing
+graph, the one graph the report builds; checking that the rectangle graph is
+K_{t,t}-free is the caller's job.
 
 A k-tuple of horizontal segments is canonical when some vertical segment
 meets exactly those k among all the segments.  Stab sets are constant on the
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .geometry import Point, Segment, check_general_position
-from .hypergraph import BipartiteIntersectionGraph, ChainReport, Graph, _box_fields, _edge_blocks, counting_chain
+from .hypergraph import BipartiteIntersectionGraph, ChainReport, Graph, _edge_blocks, _fields, counting_chain
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
     """Classify every intersecting (a, b) pair into exactly one of four types.
 
     Families with two edges on one line raise DegenerateInput.  Only the
-    edges are classified, with no graph built: `_edge_blocks` yields them as
-    (rows, cols) arrays, CHUNK_ROWS rows of A at a time, and numpy compares
-    each block by the per-pair rule of `tests/census_oracle.py`.  The
+    edges are classified, with no graph built: `_edge_blocks` yields them one
+    grid block at a time, and numpy compares each block, gathered from the
+    same `_fields`, by the per-pair rule of `tests/census_oracle.py`.  The
     crossings of b's vertical edges with a's horizontal edges form the product
     of the verticals that lie in a's x-span and the horizontals that lie in
     b's y-span (type 3), and the other way round for type 4.  When both exist,
@@ -86,7 +86,7 @@ def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
     if not check_general_position(a_rects + b_rects):
         raise DegenerateInput("rectangle families share an edge line")
     counts = [0, 0, 0, 0]
-    a_box, b_box = _box_fields(a_rects)[:4], _box_fields(b_rects)[:4]
+    a_box, b_box = _fields(a_rects)[:4], _fields(b_rects)[:4]
     for rows, cols in _edge_blocks(a_rects, b_rects):
         axl, axh, ayl, ayh = (v[rows] for v in a_box)
         bxl, bxh, byl, byh = (v[cols] for v in b_box)

@@ -1,5 +1,6 @@
-"""The dense round kernel that the uniform grid in `hypergraph._round_grid`
-replaced, kept as its test oracle: it tests every one of the m*n pairs."""
+"""The dense round kernel that the candidate grid in `hypergraph._edge_blocks`
+replaced for discs, kept as its test oracle: it tests every one of the m*n
+pairs."""
 
 import numpy as np
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from box_oracle import dense_pairs, intersection_matrix
 from containment_oracle import contained_counts as row_side_counts
 from containment_oracle import counting_chain as row_side_chain
 from graph_oracle import TupleGraph, TupleSetGraph, edge_set, hyperedges, hypergraph_of, mask_of, set_of
@@ -29,7 +31,6 @@ from ztnet.geometry import (
     point_in_disc,
 )
 from ztnet.hypergraph import (
-    CHUNK_ROWS,
     BipartiteIntersectionGraph,
     Graph,
     Hypergraph,
@@ -38,11 +39,10 @@ from ztnet.hypergraph import (
     counting_chain,
     delaunay_graph,
     dual_hypergraph,
-    intersection_matrix,
     primal_hypergraph,
     vc_dimension,
 )
-from ztnet.suite import scaled_disc_instance
+from ztnet.suite import scaled_disc_instance, scaled_rect_instance
 
 
 def fs(*xs):
@@ -206,6 +206,9 @@ class TestSmallHyperedgeScaling:
         assert max(ratios) <= 2.5 * max(ratios[0], 0.5), ratios
 
 
+BLOCK_ROWS = 256  # rows of A per block in the chunk-boundary test
+
+
 class TestIntersectionMatrix:
     def test_matches_scalar_predicate(self):
         rng = random.Random(3)
@@ -277,18 +280,19 @@ class TestIntersectionMatrix:
 
     @pytest.mark.parametrize("m", [0, 1, 255, 256, 257, 513])
     def test_chunked_build_matches_one_shot_matrix(self, m):
-        # from_families calls the box kernel on CHUNK_ROWS rows of A at a
-        # time, and the round grid on blocks of A; its edges must be the
-        # one-shot dense matrix's, for both kernels, in the dense build's order.
-        # Rows either side of each chunk boundary touch b[0]: discs at
-        # distance (ra + rb) * (1 + REL_TOL) from it and one ulp beyond, and
-        # frames, rects and points on its edge.
+        # from_families tests the grid's candidates one block of A at a time;
+        # its edges must be the one-shot dense matrix's, for both predicates,
+        # in row-major order, wherever the blocks end.  GRID_PAIRS = 1 makes
+        # every row a block; the boxes are all candidates of one another, so
+        # 256 * 30 ends their blocks after rows 255 and 511.  Rows either side
+        # of those touch b[0]: discs at distance (ra + rb) * (1 + REL_TOL)
+        # from it and one ulp beyond, and frames, rects and points on its edge.
         rng = random.Random(m)
 
         def unit_span():
             return sorted((rng.random(), rng.random()))
 
-        touching = {0, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS} & set(range(m))
+        touching = {0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS} & set(range(m))
         discs_b = [Disc(Point(0.0, 0.0), 0.05)]
         discs_b += [Disc(Point(rng.random(), rng.random()), rng.uniform(0.01, 0.05)) for _ in range(29)]
         discs_a = []
@@ -312,13 +316,29 @@ class TestIntersectionMatrix:
         # tangency at exactly (ra + rb) * (1 + REL_TOL) is an edge, one ulp
         # beyond is not, and every touching box is an edge
         tangent = {i for i in touching if i % 2 == 0}
-        for fa, fb, meet_b0 in ((discs_a, discs_b, tangent), (boxes_a, boxes_b, touching)):
-            dense = round_matrix(fa, fb) if fa is discs_a else intersection_matrix(fa, fb)
-            edges = BipartiteIntersectionGraph.from_families(fa, fb).edges
-            assert edges == {(int(i), int(j)) for i, j in np.argwhere(dense)}
-            assert pairs(BipartiteIntersectionGraph.from_families(fa, fb)) == sorted(edges)
-            assert {i for i in touching if (i, 0) in edges} == meet_b0
-            assert all(((i, 0) in edges) == intersects(fa[i], fb[0]) for i in touching)
+        for block in (1, 7, BLOCK_ROWS * len(boxes_b), hypergraph.GRID_PAIRS):
+            for fa, fb, meet_b0 in ((discs_a, discs_b, tangent), (boxes_a, boxes_b, touching)):
+                dense = round_matrix(fa, fb) if fa is discs_a else intersection_matrix(fa, fb)
+                with mock.patch.object(hypergraph, "GRID_PAIRS", block):
+                    g = BipartiteIntersectionGraph.from_families(fa, fb)
+                assert pairs(g) == [(int(i), int(j)) for i, j in np.argwhere(dense)]
+                assert {i for i in touching if (i, 0) in g.edges} == meet_b0
+                assert all(((i, 0) in g.edges) == intersects(fa[i], fb[0]) for i in touching)
+
+    def test_blocks_end_at_grid_pairs(self):
+        # boxes with random unit spans are all candidates of one another, so
+        # blocks of BLOCK_ROWS * n pairs are BLOCK_ROWS rows long, as the
+        # chunk-boundary test assumes
+        rng = random.Random(5)
+
+        def box():
+            return AxisRect(*sorted((rng.random(), rng.random())), *sorted((rng.random(), rng.random())))
+
+        fa, fb = [box() for _ in range(600)], [box() for _ in range(30)]
+        with mock.patch.object(hypergraph, "GRID_PAIRS", BLOCK_ROWS * len(fb)):
+            blocks = list(hypergraph._candidates(hypergraph._fields(fa), hypergraph._fields(fb)))
+        assert [np.unique(i).tolist() for i, _ in blocks] == [list(range(0, 256)), list(range(256, 512)), list(range(512, 600))]
+        assert all(len(i) == len(j) == len(np.unique(i)) * len(fb) for i, j in blocks)
 
     def test_from_families_edges(self):
         fam_a = generate("random_discs", 10, None, 1)
@@ -387,6 +407,7 @@ class TestRoundGrid:
         # A point a hair under ra + rb left of the disc puts the disc just
         # below a boundary of a grid of side ra + rb, and its tangent partner
         # two cells on; the 4 * REL_TOL in the cell side keeps them adjacent.
+        # GRID_PAIRS = 1 keeps instances this small on the grid.
         ra, rb = 0.3, 0.2
         reach = (ra + rb) * (1.0 + REL_TOL)
         origin = -(ra + rb) * (1.0 - REL_TOL / 2)
@@ -396,7 +417,8 @@ class TestRoundGrid:
 
             for far in (reach, math.nextafter(reach, math.inf)):
                 fa, fb = [Disc(at(0.0), ra)], [Disc(at(far), rb), at(origin)]
-                g = BipartiteIntersectionGraph.from_families(fa, fb)
+                with mock.patch.object(hypergraph, "GRID_PAIRS", 1):
+                    g = BipartiteIntersectionGraph.from_families(fa, fb)
                 assert ((0, 0) in g.edges) == (far == reach)
                 assert pairs(g) == sorted(dense_edges(fa, fb))
 
@@ -404,6 +426,7 @@ class TestRoundGrid:
         # r = 1e308 makes (max ra + max rb) overflow to inf with finite radii:
         # every object shares one cell, and every pair with the huge disc
         # meets.  A centre that is not finite also puts all in one cell.
+        # GRID_PAIRS = 1 keeps instances this small on the grid.
         small = [Disc(Point(float(k), -float(k)), 0.5) for k in range(-3, 4)]
         pts = [Point(1e300, -1e300), Point(0.0, 0.0), Point(-7.5, 2.0)]
         odd = [Point(math.nan, 0.0), Point(-math.inf, 1.0), Disc(Point(math.inf, 0.0), 1.0)]
@@ -411,7 +434,8 @@ class TestRoundGrid:
                        (pts, [Disc(Point(1.0, 1.0), 1e308)] * 2),
                        (small, pts + odd)):
             for a, b in ((fa, fb), (fb, fa)):
-                g = BipartiteIntersectionGraph.from_families(a, b)
+                with mock.patch.object(hypergraph, "GRID_PAIRS", 1):
+                    g = BipartiteIntersectionGraph.from_families(a, b)
                 assert pairs(g) == sorted(dense_edges(a, b))
                 huge = [i for i, o in enumerate(a) if type(o) is Disc and o.radius == 1e308]
                 assert all((i, j) in g.edges for i in huge for j in range(len(b)))
@@ -445,6 +469,126 @@ class TestRoundGridMemory:
         dense, dense_peak = _build_peak(dense_edges, *fams)
         assert grid_peak <= dense_peak
         assert pairs(g) == sorted(dense)
+
+
+@st.composite
+def box_families(draw):
+    """Two sides of points, rects and frames, or two of horizontal and vertical
+    segments, on a coarse shared grid of step 1/4: touching edges, shared
+    corners and boxes strictly inside frame holes.  Coordinates are sometimes
+    scaled by 1e15 or 1e300, and sometimes one box runs from -1e308 to 1e308,
+    so its reach overflows to inf."""
+    scale = draw(st.sampled_from([1.0, 1.0, 1e15, 1e300]))
+    coord = st.integers(-4, 4).map(lambda k: k * 0.25 * scale)
+    span = st.lists(st.integers(-4, 4), min_size=2, max_size=2, unique=True).map(lambda ks: [k * 0.25 * scale for k in sorted(ks)])
+    if draw(st.booleans()):
+        obj = st.tuples(st.sampled_from(["horizontal", "vertical"]), coord, span).map(lambda t: Segment(t[0], t[1], *t[2]))
+        huge = Segment("vertical", 0.0, -1e308, 1e308)
+    else:
+        box = st.tuples(st.sampled_from([AxisRect, Frame]), span, span).map(lambda t: t[0](*t[1], *t[2]))
+        obj = st.one_of(st.builds(Point, coord, coord), box)
+        huge = draw(st.sampled_from([AxisRect, Frame]))(-1e308, 1e308, -scale, scale)
+    sides = [draw(st.lists(obj, max_size=10)) for _ in range(2)]
+    if draw(st.booleans()):
+        side = sides[draw(st.integers(0, 1))]
+        side.insert(draw(st.integers(0, len(side))), huge)
+    return sides
+
+
+@st.composite
+def mixed_families(draw):
+    """A side of discs and a side of rects, frames and points, either way
+    round, each with a few objects of the other's kinds.  Some disc centres
+    sit at r * (1 + REL_TOL) from a side of a rect or frame, outside it or
+    inside a frame's hole, or one ulp beyond; sometimes all is scaled by 1e15
+    or 1e150.  Past about 1e154 the scalar predicate's squares overflow, and a
+    disc would meet every object whose squared distance overflows too."""
+    scale = draw(st.sampled_from([1.0, 1.0, 1e15, 1e150]))
+    coord = st.integers(-4, 4).map(lambda k: k * 0.25 * scale)
+    span = st.lists(st.integers(-4, 4), min_size=2, max_size=2, unique=True).map(lambda ks: [k * 0.25 * scale for k in sorted(ks)])
+    radius = st.sampled_from([0.125, 0.25, 1 / 3, 0.5]).map(lambda r: r * scale)
+    box = st.tuples(st.sampled_from([AxisRect, Frame]), span, span).map(lambda t: t[0](*t[1], *t[2]))
+    disc = st.builds(Disc, st.builds(Point, coord, coord), radius)
+    boxes = draw(st.lists(box, min_size=1, max_size=6)) + draw(st.lists(st.builds(Point, coord, coord), max_size=3))
+    discs = draw(st.lists(disc, max_size=6))
+    for _ in range(draw(st.integers(0, 6))):
+        b, r = draw(st.sampled_from([o for o in boxes if type(o) is not Point])), draw(radius)
+        reach = r * (1.0 + REL_TOL)
+        reach = draw(st.sampled_from([reach, math.nextafter(reach, math.inf)]))
+        out = draw(st.sampled_from([1.0, -1.0]))  # -1.0: inward, into the hole of a frame
+        mx, my = (b.x_lo + b.x_hi) / 2, (b.y_lo + b.y_hi) / 2
+        centre = draw(st.sampled_from([Point(b.x_lo - out * reach, my), Point(b.x_hi + out * reach, my),
+                                       Point(mx, b.y_lo - out * reach), Point(mx, b.y_hi + out * reach)]))
+        discs.append(Disc(centre, r))
+    discs += draw(st.lists(box, max_size=2))
+    boxes += draw(st.lists(disc, max_size=2))
+    sides = draw(st.permutations(discs)), draw(st.permutations(boxes))
+    return sides if draw(st.booleans()) else sides[::-1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestCandidateGrid:
+    @settings(max_examples=400, deadline=None)
+    @given(box_families(), st.sampled_from([1, 2, 7, hypergraph.GRID_PAIRS]))
+    def test_box_families_match_dense_oracle(self, fams, block):
+        # small GRID_PAIRS values put block boundaries inside the instance
+        with mock.patch.object(hypergraph, "GRID_PAIRS", block):
+            g = BipartiteIntersectionGraph.from_families(*fams)
+        fa, fb = fams
+        assert pairs(g) == dense_pairs(*fams)  # the stored order is row-major
+        assert g.edges == {(i, j) for i, a in enumerate(fa) for j, b in enumerate(fb) if intersects(a, b)}
+
+    @settings(max_examples=400, deadline=None)
+    @given(mixed_families(), st.sampled_from([1, 2, 7, hypergraph.GRID_PAIRS]))
+    def test_mixed_families_match_scalar_predicate(self, fams, block):
+        with mock.patch.object(hypergraph, "GRID_PAIRS", block):
+            g = BipartiteIntersectionGraph.from_families(*fams)
+        assert pairs(g) == dense_pairs(*fams)
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_unsupported_kind_pair_raises_before_grid_work(self, far):
+        # a segment meets only segments; the pair raises TypeError as the
+        # scalar predicate does, whether or not the grid would pair them
+        x = 1e6 if far else 0.5
+        seg, disc = Segment("horizontal", 0.0, 0.0, 1.0), Disc(Point(x, 0.0), 0.25)
+        rects = [AxisRect(x, x + 1.0, 0.0, 1.0), AxisRect(0.0, 1.0, 0.0, 1.0)]
+        cases = [([seg], [disc], "Segment, Disc"), ([disc, disc], [seg], "Disc, Segment"),
+                 (rects, [rects[0], seg], "AxisRect, Segment"), ([Point(x, 0.0), seg], [seg], "Point, Segment")]
+        for fa, fb, names in cases:
+            with mock.patch.object(hypergraph, "_candidates", side_effect=AssertionError("grid work")):
+                with pytest.raises(TypeError, match=f"unsupported object pair: {names}"):
+                    BipartiteIntersectionGraph.from_families(fa, fb)
+
+    def test_mixed_pairs_test_candidates_only(self):
+        # discs against rects: the scalar predicate sees the grid's candidates,
+        # not all m * n pairs
+        discs, _ = scaled_disc_instance(1000, 9001)
+        _, rects = scaled_rect_instance(1000, 9001)
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return intersects(a, b)
+
+        with mock.patch.object(hypergraph, "intersects", counted):
+            g = BipartiteIntersectionGraph.from_families(discs, rects)
+        assert len(calls) < 0.1 * len(discs) * len(rects)
+        assert pairs(g) == dense_pairs(discs, rects) and g.edge_count > 0
+
+
+class TestNeighbourLists:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_kept(self, enabled):
+        g = BipartiteIntersectionGraph.from_families(*scaled_disc_instance(256, 1))
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            nbrs_a = g.nbrs_a
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert nbrs_a == TupleGraph(g.side_a, g.side_b, edge_set(g)).nbrs_a
 
 
 @st.composite

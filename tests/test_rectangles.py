@@ -13,7 +13,7 @@ from graph_oracle import edge_set, hypergraph_of
 from planarity_oracle import hereditary_planarity_check as sample_by_sample_check
 from segment_oracle import _interval_runs as full_sweep_runs
 
-from ztnet import rectangles
+from ztnet import hypergraph, rectangles
 from ztnet.errors import DegenerateInput
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import (
@@ -27,7 +27,6 @@ from ztnet.geometry import (
     segments_cross,
 )
 from ztnet.hypergraph import (
-    CHUNK_ROWS,
     BipartiteIntersectionGraph,
     Graph,
     delaunay_graph,
@@ -116,9 +115,11 @@ class TestCensus:
         if not check_general_position(a + b):
             assert outcome == ("DegenerateInput", "rectangle families share an edge line")
 
-    def test_more_than_one_block(self):
-        a, _ = rect_families(CHUNK_ROWS + 44, 5)
+    def test_more_than_one_block(self, monkeypatch):
+        a, _ = rect_families(300, 5)
         _, b = rect_families(80, 6)
+        monkeypatch.setattr(hypergraph, "GRID_PAIRS", 2000)
+        assert len(list(rectangles._edge_blocks(a, b))) > 1
         census = intersection_type_census(a, b)
         assert census == per_edge_census(a, b) and census.total > 0
 
