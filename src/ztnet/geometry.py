@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
+
+import numpy as np
 
 REL_TOL = 1e-9
 
@@ -203,11 +206,12 @@ _DISPATCH = {
 
 
 def check_general_position(rects) -> bool:
-    """True iff no two rectangle edges lie on a common vertical or horizontal line."""
-    xs = []
-    ys = []
-    for r in rects:
-        xs.extend((r.x_lo, r.x_hi))
-        ys.extend((r.y_lo, r.y_hi))
-    return len(set(xs)) == len(xs) and len(set(ys)) == len(ys)
-
+    """True iff no two rectangle edges lie on a common vertical or horizontal
+    line: the edge abscissae, sorted in numpy, hold no value twice, and
+    neither do the edge ordinates."""
+    rects = list(rects)
+    for sides in (("x_lo", "x_hi"), ("y_lo", "y_hi")):
+        lines = np.sort(np.concatenate([np.fromiter(map(attrgetter(a), rects), float) for a in sides]))
+        if (lines[1:] == lines[:-1]).any():
+            return False
+    return True

@@ -145,16 +145,18 @@ def _interval_runs(hsegs, k: int):
     """Yield (run, witness_x) for the length-k consecutive runs of the y-sorted
     active set on the open intervals between consecutive endpoint abscissae.
 
-    After an abscissa's deletions and insertions, only the windows that hold a
-    touched key are yielded: an inserted segment, or the still-active upper
-    neighbour of a deleted one.  A run that is new on an interval holds an
-    inserted key or spans the gap a deletion left, so every run is yielded at
-    least once, at the first interval where it is consecutive, in the full
-    sweep's order; some are yielded again later.  At most 2·k·n runs come out
-    (one key per deletion and one per insertion, k windows each), so the
-    sweep costs O((n + |F|)·k) beyond the bisects and list shifts of the
-    active list.  An abscissa where one segment ends and another starts
-    raises DegenerateInput naming it."""
+    The active list holds segment indices in ascending y-rank (y, ties broken
+    by index), so a run is a plain slice of it.  After an abscissa's deletions
+    and insertions, only the windows that hold a touched segment are yielded:
+    an inserted segment, or the still-active upper neighbour of a deleted one.
+    A run that is new on an interval holds an inserted segment or spans the
+    gap a deletion left, so every run is yielded at least once, at the first
+    interval where it is consecutive, in the full sweep's order; some are
+    yielded again later.  At most 2·k·n runs come out (one segment per
+    deletion and one per insertion, k windows each), so the sweep costs
+    O((n + |F|)·k) beyond the bisects and list shifts of the active list.
+    An abscissa where one segment ends and another starts raises
+    DegenerateInput naming it."""
     if k < 1:
         raise ValueError("k must be >= 1")
     starts: dict[float, list[int]] = {}
@@ -168,27 +170,32 @@ def _interval_runs(hsegs, k: int):
             "needs distinct start and end abscissae"
         )
     abscissae = sorted(set(starts) | set(ends))
-    active: list[tuple[float, int]] = []  # (y, index), kept sorted by y
+    rank = [0] * len(hsegs)  # position in the y-order, ties broken by index
+    for r, i in enumerate(sorted(range(len(hsegs)), key=lambda j: (hsegs[j].fixed, j))):
+        rank[i] = r
+    y_rank = rank.__getitem__
+    active: list[int] = []  # the active segments, by ascending y-rank
     for xi in range(len(abscissae) - 1):
         x = abscissae[xi]
         touched = []
         for i in ends.get(x, ()):
-            p = bisect_left(active, (hsegs[i].fixed, i))
+            p = bisect_left(active, rank[i], key=y_rank)
             del active[p]
             touched.extend(active[p : p + 1])
         for i in starts.get(x, ()):
-            key = (hsegs[i].fixed, i)
-            insort(active, key)
-            touched.append(key)
+            insort(active, i, key=y_rank)
+            touched.append(i)
         last = len(active) - k
+        if not touched or last < 0:
+            continue
         los = set()
-        for key in touched:
-            p = bisect_left(active, key)
-            if p < len(active) and active[p] == key:
+        for i in touched:
+            p = bisect_left(active, rank[i], key=y_rank)
+            if p < len(active) and active[p] == i:
                 los.update(range(max(p - k + 1, 0), min(p, last) + 1))
         witness = (x + abscissae[xi + 1]) / 2.0
         for lo in sorted(los):
-            yield tuple(idx for _, idx in active[lo : lo + k]), witness
+            yield tuple(active[lo : lo + k]), witness
 
 
 def canonical_segment_tuples(hsegs, k: int) -> CanonicalTupleFamily:
@@ -199,8 +206,9 @@ def canonical_segment_tuples(hsegs, k: int) -> CanonicalTupleFamily:
     stab sets of a vertical there, and such input raises DegenerateInput.
     The edges of rectangles in general position
     (`geometry.check_general_position`) meet this."""
-    tuples = {frozenset(run) for run, _ in _interval_runs(hsegs, k)}
-    return CanonicalTupleFamily(k=k, tuples=frozenset(tuples))
+    # a run comes out in y order, so equal runs are equal tuples
+    runs = {run for run, _ in _interval_runs(hsegs, k)}
+    return CanonicalTupleFamily(k=k, tuples=frozenset(map(frozenset, runs)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +280,8 @@ def segment_delaunay(hsegs) -> SegmentDelaunay:
     of `canonical_segment_tuples`: no segment ends where another starts, else
     DegenerateInput."""
     witness_x: dict[tuple[int, int], float] = {}
-    for run, x in _interval_runs(hsegs, 2):
-        witness_x.setdefault(tuple(sorted(run)), x)
+    for (i, j), x in _interval_runs(hsegs, 2):
+        witness_x.setdefault((i, j) if i < j else (j, i), x)
     return SegmentDelaunay(list(hsegs), Graph.from_edges(len(hsegs), witness_x), witness_x)
 
 
@@ -326,38 +334,74 @@ def _euler_bound(k: int) -> int:
 BLOCK_ROWS = 64  # samples drawn and counted per numpy block
 
 
-def _sample_blocks(g: Graph, samples: int, rng: random.Random):
+class _WordStream:
+    """The 32-bit MT19937 words that random.Random(seed) would use, in the same
+    order, drawn in bulk through numpy's MT19937 bit generator set to a copy of
+    that Random's state."""
+
+    def __init__(self, seed):
+        from numpy.random import MT19937  # here only: importing ztnet stays without numpy.random
+
+        *key, pos = random.Random(seed).getstate()[1]
+        self._bits = MT19937()
+        state = {"key": np.array(key, dtype=np.uint32), "pos": pos}
+        self._bits.state = {"bit_generator": "MT19937", "state": state}
+
+    def words(self, count: int) -> np.ndarray:
+        return self._bits.random_raw(count).astype(np.uint32)
+
+    def randints(self, n: int, count: int) -> np.ndarray:
+        """`count` draws of randint(0, n), for 0 <= n < 2**32: as CPython, one
+        word shifted right by 32 - (n+1).bit_length(), drawn again while the
+        result exceeds n."""
+        shift, drawn = 32 - (n + 1).bit_length(), np.empty(0, dtype=np.int64)
+        while len(drawn) < count:
+            r = self.words(count - len(drawn)) >> shift
+            drawn = np.concatenate((drawn, r[r <= n]))
+        return drawn
+
+    def keys(self, rows: int, n: int) -> np.ndarray:
+        """The words of randbytes(4·rows·n) read as little-endian uint32, one row
+        of n per sample."""
+        return self.words(rows * n).reshape(rows, n)
+
+
+def _sample_blocks(g: Graph, samples: int, seed):
     """Random induced subgraphs of `g`, BLOCK_ROWS at a time, as pairs
     (keep, counts): keep[r] marks the vertices sample r keeps and counts[r]
     is its number of induced edges.
 
-    Sample r draws its size with rng.randint(0, n) and one uint32 key per
-    vertex, and keeps the vertices whose key is at most the size-th smallest;
-    a key tied with that one keeps its vertex too, so a row can keep more
-    than its size, and the caller reads the kept count from keep.sum()."""
-    n = g.vertex_count
+    The draws are word for word those of random.Random(seed), read through
+    numpy one block at a time (`_WordStream`): per block, randint(0, n) for
+    each row's size, then randbytes(4·rows·n) for one uint32 key per vertex.
+    A row keeps the vertices whose key is at most the size-th smallest; a key
+    tied with that one keeps its vertex too, so a row can keep more than its
+    size, and the caller reads the kept count from keep.sum()."""
+    n, stream = g.vertex_count, _WordStream(seed)
     for lo in range(0, samples, BLOCK_ROWS):
         rows = min(BLOCK_ROWS, samples - lo)
-        sizes = np.array([rng.randint(0, n) for _ in range(rows)])
-        keys = np.frombuffer(rng.randbytes(4 * rows * n), dtype="<u4").reshape(rows, n)
+        sizes = stream.randints(n, rows)
+        keys = stream.keys(rows, n)
         if n:
             nth = np.maximum(sizes - 1, 0)[:, None]
             threshold = np.take_along_axis(np.sort(keys, axis=1), nth, axis=1)
             keep = (keys <= threshold) & (sizes > 0)[:, None]
         else:
             keep = np.zeros((rows, 0), dtype=bool)
-        yield keep, (keep[:, g.rows] & keep[:, g.cols]).sum(axis=1)
+        kept_by_vertex = np.ascontiguousarray(keep.T)
+        yield keep, np.count_nonzero(kept_by_vertex[g.rows] & kept_by_vertex[g.cols], axis=0)
 
 
 def hereditary_planarity_check(g: Graph, samples: int, seed: int) -> PlanarityReport:
     """Euler bound |E| <= 3|V|-6 on the full graph and on `samples` random
-    induced subgraphs, drawn from random.Random(seed) and counted in numpy
-    blocks of BLOCK_ROWS samples (see `_sample_blocks`).  Each count is held
-    against the bound for the number of vertices its sample really kept."""
+    induced subgraphs, drawn word for word as random.Random(seed) would draw
+    them but through numpy, and counted in blocks of BLOCK_ROWS samples (see
+    `_sample_blocks`).  Each count is held against the bound for the number
+    of vertices its sample really kept."""
     n = g.vertex_count
     bound = np.array([_euler_bound(k) for k in range(n + 1)])
     violations = int(len(g.rows) > bound[n])
-    for keep, counts in _sample_blocks(g, samples, random.Random(seed)):
+    for keep, counts in _sample_blocks(g, samples, seed):
         violations += int((counts > bound[keep.sum(axis=1)]).sum())
     return PlanarityReport(
         passed=violations == 0,

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -577,3 +580,19 @@ class TestSuiteCommand:
         payload = json.loads((out / "suite_report.json").read_text())
         assert payload["config"]["seed"] == 23
         assert payload["all_passed"] is True
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # only the planarity sampler needs numpy.random, and it imports it itself,
+    # so a command that never samples does not pay to load it
+    src = os.path.dirname(os.path.dirname(ztnet.cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, ztnet.cli; sys.exit('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr or "numpy.random was imported"

@@ -30,6 +30,17 @@ def rects(draw, cls=AxisRect):
     return cls(x0, x1, y0, y1)
 
 
+# rects and frames on a unit grid, whose edge lines often coincide
+grid_rects = st.builds(
+    lambda cls, x, w, y, h: cls(float(x), float(x + w), float(y), float(y + h)),
+    st.sampled_from([AxisRect, Frame]),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+)
+
+
 @st.composite
 def objects(draw):
     which = draw(st.integers(0, 3))
@@ -149,6 +160,14 @@ class TestGeneralPosition:
 
     def test_mixed_frames(self):
         assert not check_general_position([AxisRect(0, 1, 0, 1), Frame(5, 6, 1, 2)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(rects(AxisRect), rects(Frame), grid_rects), max_size=12))
+    def test_matches_distinct_edge_lines(self, fam):
+        xs = [v for r in fam for v in (r.x_lo, r.x_hi)]
+        ys = [v for r in fam for v in (r.y_lo, r.y_hi)]
+        assert check_general_position(fam) == (len(set(xs)) == len(xs) and len(set(ys)) == len(ys))
+        assert check_general_position(iter(fam)) == check_general_position(fam)
 
 
 class TestSegments:

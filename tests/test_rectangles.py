@@ -2,7 +2,6 @@ import itertools
 import random
 import re
 import xml.etree.ElementTree as ET
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -542,15 +541,15 @@ class TestPlanarityCheck:
         # every key ties, so a sample of any size >= 1 keeps all n vertices of
         # a maximal planar graph: only the bound for n, not for the drawn
         # size, is the right one to hold its 3n - 6 edges against
-        class TiedRandom(random.Random):
-            def randbytes(self, k):
-                return bytes(k)
-
-        monkeypatch.setattr(rectangles, "random", SimpleNamespace(Random=TiedRandom))
+        drawn_keys = rectangles._WordStream.keys
+        monkeypatch.setattr(
+            rectangles._WordStream, "keys", lambda self, rows, n: np.zeros_like(drawn_keys(self, rows, n))
+        )
         n = 9
         edges = {(0, 1)} | {(0, v) for v in range(2, n)} | {(1, v) for v in range(2, n)}
         g = Graph.from_edges(n, edges | {(v - 1, v) for v in range(3, n)})
         assert len(g.rows) == 3 * n - 6
+        assert all(row.all() or not row.any() for keep, _ in _sample_blocks(g, 200, 5) for row in keep)
         rep = hereditary_planarity_check(g, 200, seed=5)
         assert rep.passed and rep.samples_checked == 201
 
@@ -560,13 +559,19 @@ class TestPlanarityCheck:
     @example(g=complete_plus_isolated(6, 0), samples=64, seed=2)
     @example(g=complete_plus_isolated(5, 4), samples=65, seed=3)
     @example(g=complete_plus_isolated(0, 3), samples=1, seed=4)
+    @example(g=complete_plus_isolated(0, 0), samples=129, seed=5)  # n = 0: sizes only
+    # n + 1 a power of two, where randint rejects about half its words
+    @example(g=complete_plus_isolated(4, 3), samples=128, seed=6)
+    @example(g=complete_plus_isolated(5, 10), samples=129, seed=7)
+    @example(g=complete_plus_isolated(6, 25), samples=65, seed=8)
     def test_block_counts_match_a_recount(self, g, samples, seed):
-        # replay the draw in pure Python from a second generator on the same
-        # seed: per block, one randint size per row, then 4 bytes per vertex
+        # replay the draw in pure Python from random.Random on the same seed,
+        # whose words the sampler reads through numpy: per block, one randint
+        # size per row, then 4 bytes per vertex
         n = g.vertex_count
         replay = random.Random(seed)
         total = 0
-        for keep, counts in _sample_blocks(g, samples, random.Random(seed)):
+        for keep, counts in _sample_blocks(g, samples, seed):
             rows = len(counts)
             assert keep.shape == (rows, n) and rows <= BLOCK_ROWS
             sizes = [replay.randint(0, n) for _ in range(rows)]
