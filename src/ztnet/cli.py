@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -68,40 +69,61 @@ def object_to_json(obj) -> dict:
     raise TypeError(f"not a serializable object: {obj!r}")
 
 
-def _number(raw: dict, key: str, where: str) -> float:
-    if key not in raw:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    val = raw[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(f"{where}: field {key!r} must be a number, got {val!r}")
-    try:
-        val = float(val)
-    except OverflowError:  # a JSON integer beyond the float range
-        val = math.inf
-    if not math.isfinite(val):
-        raise SchemaError(f"{where}: field {key!r} must be finite")
-    return val
+# the fields of each kind in the order they are read: a disc's radius, and its
+# sign check, come before its centre
+_FIELDS = {
+    "disc": ("r", "cx", "cy"),
+    "rect": ("x0", "x1", "y0", "y1"),
+    "frame": ("x0", "x1", "y0", "y1"),
+    "point": ("x", "y"),
+}
+
+
+def _decode(raw):
+    """One instance object from its JSON form.  A SchemaError names the fault
+    but not the object; the caller labels it."""
+    if not isinstance(raw, dict):
+        raise SchemaError("expected a JSON object")
+    kind = raw.get("kind")
+    keys = _FIELDS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise SchemaError(f"unknown kind {kind!r}")
+    vals = []
+    for key in keys:
+        v = raw.get(key)
+        if type(v) is not float:  # JSON numbers with a point or exponent are floats
+            if key not in raw:
+                raise SchemaError(f"missing field {key!r}")
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SchemaError(f"field {key!r} must be a number, got {v!r}")
+            try:
+                v = float(v)
+            except OverflowError:  # a JSON integer beyond the float range
+                v = math.inf
+        if not math.isfinite(v):
+            raise SchemaError(f"field {key!r} must be finite")
+        if key == "r" and v <= 0:
+            raise SchemaError(f"disc radius must be > 0, got {v}")
+        vals.append(v)
+    if kind == "disc":
+        r, cx, cy = vals
+        return Disc(Point(cx, cy), r)
+    if kind == "point":
+        return Point(*vals)
+    x0, x1, y0, y1 = vals
+    if not (x0 < x1 and y0 < y1):
+        raise SchemaError("need x0 < x1 and y0 < y1")
+    return (AxisRect if kind == "rect" else Frame)(x0, x1, y0, y1)
 
 
 def object_from_json(raw, where: str):
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
-    kind = raw.get("kind")
-    if kind == "disc":
-        r = _number(raw, "r", where)
-        if r <= 0:
-            raise SchemaError(f"{where}: disc radius must be > 0, got {r}")
-        return Disc(Point(_number(raw, "cx", where), _number(raw, "cy", where)), r)
-    if kind in ("rect", "frame"):
-        x0, x1 = _number(raw, "x0", where), _number(raw, "x1", where)
-        y0, y1 = _number(raw, "y0", where), _number(raw, "y1", where)
-        if not (x0 < x1 and y0 < y1):
-            raise SchemaError(f"{where}: need x0 < x1 and y0 < y1")
-        cls = AxisRect if kind == "rect" else Frame
-        return cls(x0, x1, y0, y1)
-    if kind == "point":
-        return Point(_number(raw, "x", where), _number(raw, "y", where))
-    raise SchemaError(f"{where}: unknown kind {kind!r}")
+    try:
+        return _decode(raw)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
+_encode_object = json.JSONEncoder(sort_keys=True).encode
 
 
 def emit_instance(fam_a, fam_b) -> str:
@@ -110,7 +132,7 @@ def emit_instance(fam_a, fam_b) -> str:
     def side(objs) -> str:
         if not objs:
             return "[]"
-        lines = ",\n    ".join(json.dumps(object_to_json(o), sort_keys=True) for o in objs)
+        lines = ",\n    ".join(_encode_object(object_to_json(o)) for o in objs)
         return "[\n    " + lines + "\n  ]"
 
     return '{\n  "a": ' + side(fam_a) + ',\n  "b": ' + side(fam_b) + "\n}\n"
@@ -163,18 +185,19 @@ def parse_instance_text(text: str) -> tuple[list, list]:
         arr = doc[side]
         if not isinstance(arr, list):
             raise SchemaError(f'"{side}" must be an array')
-        fam = []
-        for idx, raw in enumerate(arr):
-            try:
-                fam.append(object_from_json(raw, f"{side}[{idx}]"))
-            except SchemaError:
-                # only a failing object pays for the line scan; decoding it
-                # again with the line in its label raises the labelled error
-                line = _element_line(text, side, idx)
-                if line is None:
-                    raise
-                object_from_json(raw, f"{side}[{idx}] (line {line})")
-        fams.append(fam)
+        try:
+            fams.append(list(map(_decode, arr)))
+        except SchemaError:
+            # only a failing side is walked again, to label its first fault
+            # with the object's index and, where found, its line
+            for idx, raw in enumerate(arr):
+                try:
+                    _decode(raw)
+                except SchemaError as exc:
+                    line = _element_line(text, side, idx)
+                    where = f"{side}[{idx}]" if line is None else f"{side}[{idx}] (line {line})"
+                    raise SchemaError(f"{where}: {exc}") from None
+            raise
     return fams[0], fams[1]
 
 
@@ -201,8 +224,43 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+_encode_rows = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(payload, indent=2, sort_keys=True)` and a newline, byte for
+    byte; dict keys are strings."""
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(value, nl: str) -> str:
+    """`value` as indent-2 JSON whose lines start with `nl` (a newline and the
+    value's own indentation).  Lists of int rows, such as tuple families and
+    edge lists, go through the C encoder: their compact text holds no comma
+    or bracket but the ones between numbers and rows, so `str.replace`
+    re-indents it."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        items = [json.dumps(k) + ": " + _indented(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        if (
+            set(map(type, value)) <= {list, tuple}
+            and all(value)
+            and set(map(type, itertools.chain.from_iterable(value))) <= {int, bool}
+        ):
+            row = inner + "  "
+            flat = _encode_rows(value)[2:-2].replace(",", "," + row)
+            body = "[" + row + flat.replace("]," + row + "[", inner + "]," + inner + "[" + row) + inner + "]"
+        else:
+            body = ("," + inner).join([_indented(v, inner) for v in value])
+        return "[" + inner + body + nl + "]"
+    return json.dumps(value)
 
 
 def _write_payload(args, payload: dict) -> None:
@@ -391,7 +449,7 @@ def _cmd_delaunay(args) -> int:
         _write_text(args.out, dela.to_svg())
     else:
         g = dela.graph
-        edges = [list(e) for e in zip(g.rows.tolist(), g.cols.tolist())]
+        edges = list(zip(g.rows.tolist(), g.cols.tolist()))
         _write_text(args.out, _json_text({"vertices": g.vertex_count, "edges": edges}))
     return 0
 

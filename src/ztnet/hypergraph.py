@@ -366,14 +366,23 @@ def _candidates(fa, fb):
 # hypergraph operations
 
 
+def _trusted_hypergraph(vertex_count: int, edges: list[list[int]]) -> Hypergraph:
+    """A Hypergraph over a graph's own neighbour lists, built without
+    `__post_init__`'s check: the lists are ascending and in range by
+    construction."""
+    h = object.__new__(Hypergraph)
+    h.vertex_count, h.edges = vertex_count, edges
+    return h
+
+
 def primal_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
     """Hypergraph on the A indices holding the graph's N(b) lists, `nbrs_b`."""
-    return Hypergraph(g.m, g.nbrs_b)
+    return _trusted_hypergraph(g.m, g.nbrs_b)
 
 
 def dual_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
     """Hypergraph on the B indices holding the graph's N(a) lists, `nbrs_a`."""
-    return Hypergraph(g.n, g.nbrs_a)
+    return _trusted_hypergraph(g.n, g.nbrs_a)
 
 
 def delaunay_graph(h: Hypergraph) -> Graph:

@@ -2,15 +2,26 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ztnet.cli
-from ztnet.cli import emit_instance, main, parse_instance, parse_instance_text
+from ztnet.cli import (
+    _json_text,
+    emit_instance,
+    main,
+    object_from_json,
+    object_to_json,
+    parse_instance,
+    parse_instance_text,
+)
 from ztnet.errors import SchemaError
 from ztnet.generators import generate, prune_to_ktt_free
 from ztnet.geometry import AxisRect, Disc, Frame, Point
@@ -86,6 +97,114 @@ class TestInstanceIO:
         text = '{"a": [], "b": [\n{"kind": "disc", "cx": 0, "cy": %s, "r": 1}]}' % value
         with pytest.raises(SchemaError, match=r"^b\[0\] \(line 2\): field 'cy' must be finite$"):
             parse_instance_text(text)
+
+    # Each case is side b's second object, on line 3 of its file; the messages
+    # are the full texts `ztnet` prints after "error: ".
+    @pytest.mark.parametrize("obj, message", [
+        ('[0.5, 0.5]', "b[1]: expected a JSON object"),  # no line: the scan counts objects
+        ('"disc"', "b[1]: expected a JSON object"),
+        ('{"x": 0.5, "y": 0.5}', "b[1] (line 3): unknown kind None"),
+        ('{"kind": null, "x": 0.5, "y": 0.5}', "b[1] (line 3): unknown kind None"),
+        ('{"kind": 3, "x": 0.5, "y": 0.5}', "b[1] (line 3): unknown kind 3"),
+        ('{"kind": ["disc"], "cx": 0.5, "cy": 0.5, "r": 0.1}', "b[1] (line 3): unknown kind ['disc']"),
+        ('{"kind": "Disc", "cx": 0.5, "cy": 0.5, "r": 0.1}', "b[1] (line 3): unknown kind 'Disc'"),
+        ('{"kind": "disc", "cx": 0.5, "r": 0.1}', "b[1] (line 3): missing field 'cy'"),
+        ('{"kind": "rect", "x0": 0.0, "x1": 1.0, "y1": 1.0}', "b[1] (line 3): missing field 'y0'"),
+        ('{"kind": "point", "x": true, "y": 0.5}', "b[1] (line 3): field 'x' must be a number, got True"),
+        ('{"kind": "point", "x": 0.5, "y": false}', "b[1] (line 3): field 'y' must be a number, got False"),
+        ('{"kind": "point", "x": null, "y": 0.5}', "b[1] (line 3): field 'x' must be a number, got None"),
+        ('{"kind": "rect", "x0": "0", "x1": 1.0, "y0": 0.0, "y1": 1.0}',
+         "b[1] (line 3): field 'x0' must be a number, got '0'"),
+        ('{"kind": "frame", "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": [1.0]}',
+         "b[1] (line 3): field 'y1' must be a number, got [1.0]"),
+        ('{"kind": "point", "x": NaN, "y": 0.5}', "b[1] (line 3): field 'x' must be finite"),
+        ('{"kind": "disc", "cx": 0.5, "cy": 0.5, "r": Infinity}', "b[1] (line 3): field 'r' must be finite"),
+        ('{"kind": "rect", "x0": -Infinity, "x1": 1.0, "y0": 0.0, "y1": 1.0}',
+         "b[1] (line 3): field 'x0' must be finite"),
+        # the radius and its sign are read before the centre
+        ('{"kind": "disc", "cx": "east", "cy": 0.5, "r": 0}', "b[1] (line 3): disc radius must be > 0, got 0.0"),
+        ('{"kind": "disc", "cx": "east", "cy": 0.5, "r": -0.5}', "b[1] (line 3): disc radius must be > 0, got -0.5"),
+        ('{"kind": "disc", "cx": "east", "cy": 0.5, "r": 0.5}',
+         "b[1] (line 3): field 'cx' must be a number, got 'east'"),
+        ('{"kind": "rect", "x0": 0.5, "x1": 0.5, "y0": 0.0, "y1": 1.0}', "b[1] (line 3): need x0 < x1 and y0 < y1"),
+        ('{"kind": "frame", "x0": 0.0, "x1": 1.0, "y0": 2.0, "y1": 1.0}', "b[1] (line 3): need x0 < x1 and y0 < y1"),
+        # every field is read before the sides are compared
+        ('{"kind": "rect", "x0": 1.0, "x1": 0.5, "y0": "low", "y1": 1.0}',
+         "b[1] (line 3): field 'y0' must be a number, got 'low'"),
+    ])
+    def test_decoder_error_texts(self, obj, message):
+        text = '{"a": [], "b": [\n{"kind": "point", "x": 0.5, "y": 0.5},\n' + obj + "\n]}\n"
+        with pytest.raises(SchemaError) as info:
+            parse_instance_text(text)
+        assert str(info.value) == message
+        # the per-object decoder gives the same text under the caller's label
+        with pytest.raises(SchemaError) as info:
+            object_from_json(json.loads(obj), "obj")
+        assert str(info.value) == "obj" + message[message.index(":"):]
+
+    @pytest.mark.parametrize("obj, expected", [
+        ('{"kind": "disc", "cx": 1, "cy": -2, "r": 3}', Disc(Point(1.0, -2.0), 3.0)),
+        ('{"kind": "frame", "x0": 0, "x1": 1, "y0": 0.5, "y1": 2}', Frame(0.0, 1.0, 0.5, 2.0)),
+        ('{"kind": "point", "x": 0.5, "y": 0.25, "note": "extra", "r": -1}', Point(0.5, 0.25)),
+        ('{"kind": "rect", "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 1.0, "kind2": "disc"}',
+         AxisRect(0.0, 1.0, 0.0, 1.0)),
+    ])
+    def test_decoder_accepts_ints_and_extra_keys(self, obj, expected):
+        _, (first, obj_b) = parse_instance_text('{"a": [], "b": [{"kind": "point", "x": 0.5, "y": 0.5}, ' + obj + "]}")
+        assert obj_b == expected and first == Point(0.5, 0.5)
+        # JSON integers are stored as floats
+        assert all(type(v) is float for k, v in object_to_json(obj_b).items() if k != "kind")
+
+
+# The report writer against the encoder it stands in for.  Lists of int rows
+# take the writer's C-encoder path unless a row is empty; bools in a row print
+# as true and false; strings may hold the commas and brackets the row path
+# rewrites.
+_SCALARS = st.one_of(
+    st.integers(),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(["],[", ",", "[[1,2],[3]]", "é", "日本", "\u2028", '"', "\\"]),
+)
+_ROW = st.lists(st.one_of(st.integers(), st.booleans()), min_size=1, max_size=4)
+_INT_ROWS = st.one_of(
+    st.lists(st.one_of(_ROW, _ROW.map(tuple)), min_size=1, max_size=6),
+    st.lists(_ROW, min_size=1, max_size=6).map(tuple),
+    st.lists(st.lists(st.integers(), max_size=2), max_size=4),  # empty rows too
+)
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, _INT_ROWS, st.lists(st.integers(), max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(["],[", "a,b", "é"])), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    @given(_PAYLOADS)
+    @example({"rows": [[1, True], (False, -2)], "ints": [0, -1, 2**80], "empty": [], "dict": {}})
+    @example({"rows": [[1, 2], [], [3]], "tail": [[]], "floats": [-0.0, 1e16, math.nan, math.inf]})
+    @example({"é": ["],[", "a,b"], "k": {"z": [[-(2**64)]], "a": [[1], [2, 3]]}})
+    @example([[1, 2], [3, "],["]])
+    @settings(max_examples=400, deadline=None)
+    def test_matches_indented_json(self, payload):
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_int_rows_use_the_c_encoder(self, monkeypatch):
+        # a row list is one encoder call, not one recursive call per row
+        calls = []
+        real = ztnet.cli._indented
+        monkeypatch.setattr(ztnet.cli, "_indented", lambda value, nl: calls.append(value) or real(value, nl))
+        payload = {"k": 3, "tuples": [[i, i + 1, i + 2] for i in range(1000)]}
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert len(calls) == 3  # the dict and its two values
 
 
 class TestCommands:

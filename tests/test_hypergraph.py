@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -766,6 +767,26 @@ class TestGraphTypes:
             Hypergraph(3, [[-1, 0]])  # a negative index
         h = Hypergraph(3, [[], [0, 1, 2], [1]])
         assert h.edges == [[], [0, 1, 2], [1]]
+
+    def test_graph_hypergraphs_skip_the_check(self, monkeypatch):
+        # a graph's neighbour lists are ascending and in range by construction
+        g = BipartiteIntersectionGraph.from_edges(
+            ["a0", "a1", "a2"], ["b0", "b1"], {(0, 0), (2, 1), (1, 1)}
+        )
+
+        def no_check(self):
+            raise AssertionError("hyperedge check on a graph's own lists")
+
+        monkeypatch.setattr(Hypergraph, "__post_init__", no_check)
+        primal, dual = primal_hypergraph(g), dual_hypergraph(g)
+        assert (primal.vertex_count, primal.edges) == (3, [[0], [1, 2]])
+        assert (dual.vertex_count, dual.edges) == (2, [[0], [1], [1]])
+        assert primal.edges is g.nbrs_b and dual.edges is g.nbrs_a
+        # the unchecked path sets these two fields by hand; a new field must
+        # be added there too
+        assert [f.name for f in dataclasses.fields(Hypergraph)] == ["vertex_count", "edges"]
+        with pytest.raises(AssertionError, match="hyperedge check"):
+            Hypergraph(3, [[0, 1]])
 
     def test_induced_graph(self):
         g = BipartiteIntersectionGraph.from_edges(
