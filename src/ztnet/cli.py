@@ -139,7 +139,8 @@ def emit_instance(fam_a, fam_b) -> str:
 
 
 def _element_line(text: str, side: str, idx: int) -> Optional[int]:
-    """1-based line of the idx-th object of the side's array; best effort."""
+    """1-based line of the idx-th entry of the side's array, whatever its JSON
+    type; best effort."""
     key = text.find(f'"{side}"')
     if key < 0:
         return None
@@ -149,6 +150,7 @@ def _element_line(text: str, side: str, idx: int) -> Optional[int]:
     depth = 0
     count = -1
     in_string = escaped = False
+    fresh = True  # the next non-blank character at depth 1 starts an entry
     for pos in range(start, len(text)):
         ch = text[pos]
         if in_string:
@@ -158,18 +160,22 @@ def _element_line(text: str, side: str, idx: int) -> Optional[int]:
                 escaped = True
             elif ch == '"':
                 in_string = False
-        elif ch == '"':
+            continue
+        if fresh and depth == 1 and ch not in " \t\n\r]":
+            count += 1
+            if count == idx:
+                return text.count("\n", 0, pos) + 1
+            fresh = False
+        if ch == '"':
             in_string = True
         elif ch in "[{":
-            if ch == "{" and depth == 1:
-                count += 1
-                if count == idx:
-                    return text.count("\n", 0, pos) + 1
             depth += 1
         elif ch in "]}":
             depth -= 1
             if depth == 0:
                 return None
+        elif ch == "," and depth == 1:
+            fresh = True
     return None
 
 

@@ -112,12 +112,27 @@ def _point_on_frame(p: Point, f) -> bool:
     return on_vertical or on_horizontal
 
 
+def _quarter_within(ax: float, ay: float, bx: float, by: float, ra: float, rb: float) -> bool:
+    """|a - b| <= (ra + rb)(1 + REL_TOL) where that slack's square overflows:
+    every length scaled by 1/4 (exact for normal floats, and no scaled length
+    or slack overflows), the squared ratios summed against 1."""
+    slack = (ra * 0.25 + rb * 0.25) * (1.0 + REL_TOL)
+    qx = (ax * 0.25 - bx * 0.25) / slack
+    qy = (ay * 0.25 - by * 0.25) / slack
+    return qx * qx + qy * qy <= 1.0
+
+
 def point_in_disc(p: Point, d: Disc) -> bool:
-    # Squared form: keeps the scalar predicate bit-identical to the vectorized one.
+    # Squared form: keeps the scalar predicate bit-identical to the vectorized
+    # one.  A squared slack that overflows to inf passes every pair, so the
+    # scaled form decides those (a point is a disc of radius 0.0, 0.0 + r == r).
     dx = p.x - d.center.x
     dy = p.y - d.center.y
     slack = d.radius * (1.0 + REL_TOL)
-    return dx * dx + dy * dy <= slack * slack
+    square = slack * slack
+    return dx * dx + dy * dy <= square and (
+        square < math.inf or _quarter_within(p.x, p.y, d.center.x, d.center.y, 0.0, d.radius)
+    )
 
 
 def _dist_to_rect(p: Point, r) -> float:
@@ -164,7 +179,10 @@ def _disc_disc(a: Disc, b: Disc) -> bool:
     dx = a.center.x - b.center.x
     dy = a.center.y - b.center.y
     slack = (a.radius + b.radius) * (1.0 + REL_TOL)
-    return dx * dx + dy * dy <= slack * slack
+    square = slack * slack
+    return dx * dx + dy * dy <= square and (
+        square < math.inf or _quarter_within(a.center.x, a.center.y, b.center.x, b.center.y, a.radius, b.radius)
+    )
 
 
 def _disc_rect(d: Disc, r: AxisRect) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -296,11 +297,22 @@ def _edge_blocks(fam_a, fam_b):
         return i[k], j[k]
 
     if kinds <= {Point, Disc} and Point not in reps_a.keys() & reps_b.keys():
+        # point_in_disc and _disc_disc bit for bit, as 0.0 + r == r: pairs whose
+        # squared slack overflows take geometry._quarter_within's scaled form.
+        # None does unless the largest radii's does, so finite families skip it.
+        big = (float(np.max(fa[4], initial=0.0)) + float(np.max(fb[4], initial=0.0))) * (1.0 + geometry.REL_TOL)
+
         def test(i, j):
-            # (ra + rb) * (1 + REL_TOL) is the scalar slack bit for bit, as 0.0 + r == r
             dx, dy = fa[0][i] - fb[0][j], fa[2][i] - fb[2][j]
             slack = (fa[4][i] + fb[4][j]) * (1.0 + geometry.REL_TOL)
-            return kept(dx * dx + dy * dy <= slack * slack, i, j)
+            near = dx * dx + dy * dy <= slack * slack
+            if not big * big < math.inf:
+                k = np.flatnonzero(slack * slack == math.inf)
+                i4, j4 = i[k], j[k]
+                slack = (fa[4][i4] * 0.25 + fb[4][j4] * 0.25) * (1.0 + geometry.REL_TOL)
+                qx, qy = (fa[0][i4] * 0.25 - fb[0][j4] * 0.25) / slack, (fa[2][i4] * 0.25 - fb[2][j4] * 0.25) / slack
+                near[k] = qx * qx + qy * qy <= 1.0
+            return kept(near, i, j)
     elif kinds <= {Point, AxisRect, Frame} or kinds == {Segment}:
         def inside(inner, k, outer, o):  # box k of the fields `inner` strictly inside box o of `outer`
             return ((outer[0][o] < inner[0][k]) & (inner[1][k] < outer[1][o])

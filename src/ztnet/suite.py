@@ -17,8 +17,10 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .generators import GenParams, generate, prune_to_ktt_free
-from .geometry import Disc, Point, intersects
+from .geometry import AxisRect, Disc, Point
 from .hypergraph import (
     BipartiteIntersectionGraph,
     Hypergraph,
@@ -253,34 +255,59 @@ def build_suite_instances(cfg: SuiteConfig) -> list[SuiteInstance]:
 # independent oracles
 
 
+_CHUNK_CELLS = 1 << 20  # adjacency cells naive_ktt_free gathers per chunk of t-subsets
+
+
 def naive_ktt_free(g: BipartiteIntersectionGraph, t: int) -> bool:
-    """Biclique oracle on the edge set alone: does a t-subset of A have t common neighbours?"""
-    edges = set(zip(g.rows.tolist(), g.cols.tolist()))
-    for sa in itertools.combinations(range(g.m), t):
-        if sum(all((i, j) in edges for i in sa) for j in range(g.n)) >= t:
+    """Biclique oracle on the dense adjacency matrix built from the edge
+    arrays: does a t-subset of A (t >= 1) have t common neighbours?  The
+    subsets come from `itertools.combinations`, a chunk of index rows at a
+    time, each chunk gathering at most _CHUNK_CELLS cells (or one subset's
+    t rows)."""
+    adj = np.zeros((g.m, g.n), dtype=bool)
+    adj[g.rows, g.cols] = True
+    subsets, per_chunk = itertools.combinations(range(g.m), t), max(1, _CHUNK_CELLS // max(1, t * g.n))
+    while True:
+        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, per_chunk)), np.intp)
+        if len(chunk) == 0:
+            return True
+        if (adj[chunk.reshape(-1, t)].all(axis=1).sum(axis=1) >= t).any():
             return False
-    return True
+
+
+def closed_box_pair_count(fam_a, fam_b) -> int:
+    """How many pairs of AxisRects meet as closed boxes, by one dense
+    broadcast over the coordinates read from the objects; other kinds raise."""
+    for o in itertools.chain(fam_a, fam_b):
+        if type(o) is not AxisRect:
+            raise TypeError(f"closed_box_pair_count takes AxisRects, got {type(o).__name__}")
+    a, b = (np.array([(r.x_lo, r.x_hi, r.y_lo, r.y_hi) for r in fam], float).reshape(-1, 4).T for fam in (fam_a, fam_b))
+    ax_lo, ax_hi, ay_lo, ay_hi = a[:, :, None]
+    meet = (ax_lo <= b[1]) & (b[0] <= ax_hi) & (ay_lo <= b[3]) & (b[2] <= ay_hi)
+    return int(meet.sum())
+
+
+def bisection_exits(paths, iters: int = 100) -> np.ndarray:
+    """First boundary crossing of every shrink path (cx, cy, r, ax, ay, px,
+    py): disc centre and radius, anchor, point.  One bisection over all of
+    them on g(s) = |p - center(s)| - radius(s); g is convex with
+    g(0) <= 0 < g(1), and a path with g(0) >= 0 exits at 0."""
+    cx, cy, r, ax, ay, px, py = np.asarray(paths, float).reshape(-1, 7).T
+
+    def g(s):
+        return np.hypot(px - ((1 - s) * cx + s * ax), py - ((1 - s) * cy + s * ay)) - (1 - s) * r
+
+    lo, hi = np.zeros(len(cx)), np.ones(len(cx))
+    for _ in range(iters):
+        mid = (lo + hi) / 2.0
+        out = g(mid) >= 0.0
+        lo, hi = np.where(out, lo, mid), np.where(out, mid, hi)
+    return np.where(g(np.zeros(len(cx))) >= 0.0, 0.0, (lo + hi) / 2.0)
 
 
 def bisection_exit_oracle(d: Disc, anchor: Point, p: Point, iters: int = 100) -> float:
-    """First boundary crossing of the shrink path, by bisection on
-    g(s) = |p - center(s)| - radius(s); g is convex with g(0) <= 0 < g(1)."""
-
-    def g(s: float) -> float:
-        cx = (1 - s) * d.center.x + s * anchor.x
-        cy = (1 - s) * d.center.y + s * anchor.y
-        return math.hypot(p.x - cx, p.y - cy) - (1 - s) * d.radius
-
-    if g(0.0) >= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = (lo + hi) / 2.0
-        if g(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2.0
+    """`bisection_exits` on the one path of p in d shrinking toward anchor."""
+    return float(bisection_exits([(d.center.x, d.center.y, d.radius, anchor.x, anchor.y, p.x, p.y)], iters)[0])
 
 
 def random_tiny_hypergraph(rng: random.Random) -> Hypergraph:
@@ -495,8 +522,7 @@ def check_census(cfg: SuiteConfig) -> list[CheckRow]:
     for i in range(cfg.census_instances):
         seed = derive_seed(cfg.seed, "census", i)
         fam_a, fam_b = rect_instance(cfg.census_n, seed, 0.05, 0.3)
-        census = intersection_type_census(fam_a, fam_b)
-        if census.total != sum(intersects(a, b) for a in fam_a for b in fam_b):
+        if intersection_type_census(fam_a, fam_b).total != closed_box_pair_count(fam_a, fam_b):
             bad += 1
     return [
         CheckRow(
@@ -594,7 +620,7 @@ def check_shrink(cfg: SuiteConfig, instances: list[SuiteInstance]) -> list[Check
     """Shrink exit parameters against the bisection oracle; coverage of every
     contained point by a canonical tuple, exhaustively."""
     rng = random.Random(derive_seed(cfg.seed, "shrink"))
-    mismatches = 0
+    paths, s_impl = [], []
     for _ in range(cfg.shrink_triples):
         cx, cy = rng.uniform(-1, 1), rng.uniform(-1, 1)
         r = rng.uniform(0.1, 2.0)
@@ -609,11 +635,12 @@ def check_shrink(cfg: SuiteConfig, instances: list[SuiteInstance]) -> list[Check
         p = inside()
         while p.x == anchor.x and p.y == anchor.y:
             p = inside()
-        events = shrink_events(d, anchor, [p])
-        s_impl = events[0].s
-        s_oracle = bisection_exit_oracle(d, anchor, p)
-        if not math.isclose(s_impl, s_oracle, rel_tol=1e-9, abs_tol=1e-12):
-            mismatches += 1
+        s_impl.append(shrink_events(d, anchor, [p])[0].s)
+        paths.append((cx, cy, r, anchor.x, anchor.y, p.x, p.y))
+    # math.isclose(s_impl, s_oracle, rel_tol=1e-9, abs_tol=1e-12), symmetric in its two sides
+    s_impl, s_oracle = np.array(s_impl, float), bisection_exits(paths)
+    tol = np.maximum(1e-9 * np.maximum(np.abs(s_impl), np.abs(s_oracle)), 1e-12)
+    mismatches = int((~(np.abs(s_impl - s_oracle) <= tol)).sum())
     pds = [inst.graph for inst in instances if inst.kind == "points_discs"]
     coverage_bad = sum(len(coverage_violations(g, 2)) for g in pds)
     return [

@@ -22,12 +22,19 @@ def round_matrix(fam_a, fam_b) -> np.ndarray:
         return np.zeros((len(fam_a), len(fam_b)), dtype=bool)
     # Every pair holds a disc, so (ra + rb) * (1 + REL_TOL) is the scalar
     # predicate's slack bit for bit: 0.0 + r == r, and (-dx)**2 == dx**2.
+    # Where the slack's square overflows, the scalar predicate scales every
+    # length by 1/4 and compares squared ratios with 1; both forms are
+    # computed for every pair here.
     ax, ay, ar = (v[:, None] for v in _round_fields(fam_a))
     bx, by, br = _round_fields(fam_b)
-    dx = ax - bx
-    dy = ay - by
-    slack = (ar + br) * (1.0 + geometry.REL_TOL)
-    return dx * dx + dy * dy <= slack * slack
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dx = ax - bx
+        dy = ay - by
+        slack = (ar + br) * (1.0 + geometry.REL_TOL)
+        quarter = (ar * 0.25 + br * 0.25) * (1.0 + geometry.REL_TOL)
+        qx = (ax * 0.25 - bx * 0.25) / quarter
+        qy = (ay * 0.25 - by * 0.25) / quarter
+        return np.where(slack * slack < np.inf, dx * dx + dy * dy <= slack * slack, qx * qx + qy * qy <= 1.0)
 
 
 def dense_edges(fam_a, fam_b) -> set[tuple[int, int]]:

@@ -101,8 +101,10 @@ class TestInstanceIO:
     # Each case is side b's second object, on line 3 of its file; the messages
     # are the full texts `ztnet` prints after "error: ".
     @pytest.mark.parametrize("obj, message", [
-        ('[0.5, 0.5]', "b[1]: expected a JSON object"),  # no line: the scan counts objects
-        ('"disc"', "b[1]: expected a JSON object"),
+        # an entry of any JSON type gets its line
+        pytest.param('[0.5, 0.5]', "b[1] (line 3): expected a JSON object", id="array entry"),
+        pytest.param('"disc"', "b[1] (line 3): expected a JSON object", id="string entry"),
+        pytest.param('0.5', "b[1] (line 3): expected a JSON object", id="number entry"),
         ('{"x": 0.5, "y": 0.5}', "b[1] (line 3): unknown kind None"),
         ('{"kind": null, "x": 0.5, "y": 0.5}', "b[1] (line 3): unknown kind None"),
         ('{"kind": 3, "x": 0.5, "y": 0.5}', "b[1] (line 3): unknown kind 3"),

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -441,6 +442,34 @@ class TestRoundGrid:
                 huge = [i for i, o in enumerate(a) if type(o) is Disc and o.radius == 1e308]
                 assert all((i, j) in g.edges for i in huge for j in range(len(b)))
 
+    @pytest.mark.parametrize("block", [1, hypergraph.GRID_PAIRS])
+    def test_overflowing_squared_slack(self, block):
+        # Radii past about 1.3e154 overflow the squared slack, and 0.9e308 +
+        # 0.9e308 overflows the slack itself.  The scaled form decides those
+        # pairs as the exact distances do (every squared distance here is at
+        # least 2% from the squared radius sum), in the grid (GRID_PAIRS = 1)
+        # and in its all-pairs path, as in the scalar predicate.
+        fa = [Disc(Point(0.0, 0.0), 1e200), Disc(Point(0.0, 0.0), 1e308),
+              Disc(Point(-0.85e308, -0.85e308), 0.9e308), Disc(Point(-1.5e308, 0.0), 0.9e308)]
+        fb = [Point(0.0, 1e300), Point(0.0, 0.9e200), Point(0.7e200, -0.7e200),
+              Disc(Point(0.85e308, 0.85e308), 0.9e308), Disc(Point(1.5e308, 0.0), 0.9e308),
+              Disc(Point(1.5e308, 0.0), 1.7e308), Point(1e308, 1e308)]
+
+        def exact(a, b):
+            (ax, ay, ar), (bx, by, br) = (
+                map(Fraction, (o.x, o.y, 0.0) if type(o) is Point else (o.center.x, o.center.y, o.radius)) for o in (a, b)
+            )
+            return (ax - bx) ** 2 + (ay - by) ** 2 <= (ar + br) ** 2
+
+        assert not intersects(Point(0.0, 1e300), Disc(Point(0.0, 0.0), 1e200))
+        for a, b in ((fa, fb), (fb, fa)):
+            with mock.patch.object(hypergraph, "GRID_PAIRS", block):
+                g = BipartiteIntersectionGraph.from_families(a, b)
+            want = [[exact(x, y) for y in b] for x in a]
+            got = [[(i, j) in g.edges for j in range(len(b))] for i in range(len(a))]
+            assert got == want == [[intersects(x, y) for y in b] for x in a] == round_matrix(a, b).tolist()
+            assert 0 < g.edge_count < len(a) * len(b)
+
 
 def _build_peak(build, *fams):
     """What `build(*fams)` returns, and its tracemalloc peak in bytes."""
@@ -502,9 +531,8 @@ def mixed_families(draw):
     round, each with a few objects of the other's kinds.  Some disc centres
     sit at r * (1 + REL_TOL) from a side of a rect or frame, outside it or
     inside a frame's hole, or one ulp beyond; sometimes all is scaled by 1e15
-    or 1e150.  Past about 1e154 the scalar predicate's squares overflow, and a
-    disc would meet every object whose squared distance overflows too."""
-    scale = draw(st.sampled_from([1.0, 1.0, 1e15, 1e150]))
+    or 1e300, where the squared slacks of the round predicates overflow."""
+    scale = draw(st.sampled_from([1.0, 1.0, 1e15, 1e300]))
     coord = st.integers(-4, 4).map(lambda k: k * 0.25 * scale)
     span = st.lists(st.integers(-4, 4), min_size=2, max_size=2, unique=True).map(lambda ks: [k * 0.25 * scale for k in sorted(ks)])
     radius = st.sampled_from([0.125, 0.25, 1 / 3, 0.5]).map(lambda r: r * scale)

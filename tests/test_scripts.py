@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
         # the stacked cover needs eps * n >= 2t, which n = 32 misses at eps 0.1
         ("net_size_scaling.py", ["--sizes", "64", "--seeds", "1"]),
         ("prune_overhead_report.py", ["--trials", "2"]),
+        # the script's brute force calls naive_ktt_free, here on 3-subsets
+        ("prune_overhead_report.py", ["--trials", "2", "--t", "3"]),
     ],
 )
 def test_script_exits_zero(script, args, tmp_path):
