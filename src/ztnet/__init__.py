@@ -23,6 +23,7 @@ from .geometry import (
 )
 from .hypergraph import (
     BipartiteIntersectionGraph,
+    CanonicalTupleFamily,
     ChainReport,
     Graph,
     Hypergraph,
@@ -54,7 +55,6 @@ from .zarankiewicz import (
 )
 from .generators import GenParams, PruneResult, generate, prune_to_ktt_free
 from .rectangles import (
-    CanonicalTupleFamily,
     IntersectionTypeCounts,
     canonical_segment_tuples,
     corner_incidence_graph,

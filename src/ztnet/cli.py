@@ -331,11 +331,11 @@ def _cmd_net(args) -> int:
         "seed": args.seed,
         "size": net.size(),
         "valid": witness is None,
-        "tuples": sorted(sorted(tp) for tp in net.tuples),
+        "tuples": sorted(net.tuples),
     }
     _write_text(args.out, _json_text(payload))
     if witness is not None:
-        print(f"verification failure: heavy hyperedge {sorted(witness)} missed", file=sys.stderr)
+        print(f"verification failure: heavy hyperedge {list(witness)} missed", file=sys.stderr)
         return 2
     return 0
 
@@ -421,7 +421,7 @@ def _cmd_canon(args) -> int:
         "mode": mode,
         "k": fam.k,
         "size": fam.size(),
-        "tuples": sorted(sorted(tp) for tp in fam.tuples),
+        "tuples": sorted(fam.tuples),
     }
     _write_text(args.out, _json_text(payload))
     return 0

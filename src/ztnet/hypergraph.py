@@ -13,8 +13,9 @@ their hyperedges.  Bitmasks appear only over local universes: the rows of a
 transpose (`holder_masks`), or a search's own relabelled vertices.
 
 `counting_chain` is the one home of the counting lemma that turns a small
-canonical tuple family into an edge bound, for points in discs and for
-rectangle crossings alike; it counts containment from the tuple side.
+canonical tuple family (`CanonicalTupleFamily`, ascending index tuples) into
+an edge bound, for points in discs and for rectangle crossings alike; it
+counts containment from the tuple side.
 
 `BipartiteIntersectionGraph.from_families` is the one way two families become
 a graph: one candidate grid, and predicates bitwise equal to `intersects`.
@@ -82,6 +83,17 @@ def contained_counts(tuples, rows: Sequence[Sequence[int]]) -> list[int]:
         for r in bits_of(held):
             counts[r] += 1
     return counts
+
+
+@dataclass(frozen=True)
+class CanonicalTupleFamily:
+    """The canonical k-subsets of a counting chain, each an ascending tuple."""
+
+    k: int
+    tuples: frozenset[tuple[int, ...]]
+
+    def size(self) -> int:
+        return len(self.tuples)
 
 
 @dataclass
@@ -333,7 +345,10 @@ def _edge_blocks(fam_a, fam_b):
             hits = map(intersects, map(fam_a.__getitem__, i.tolist()), map(fam_b.__getitem__, j.tolist()))
             return kept(np.fromiter(hits, bool, len(i)), i, j)
     for i, j in _candidates(fa, fb):
-        i, j = test(i, j)
+        # huge coordinates overflow to inf and nan, which the predicates expect; the
+        # errstate is left before each yield, so it never reaches the caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            i, j = test(i, j)
         yield np.divmod(np.sort(i * n + j), n)  # row-major, as the edges are stored
 
 
@@ -349,12 +364,13 @@ def _candidates(fa, fb):
     if m * n <= GRID_PAIRS:
         yield np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
         return
-    reach_a, reach_b = (np.maximum(f[1] - f[0], f[3] - f[2]).max() + f[4].max() for f in (fa, fb))
     xs, ys = np.concatenate((fa[0], fb[0])), np.concatenate((fa[2], fb[2]))
-    w = np.maximum(reach_a + fb[4].max(), reach_b + fa[4].max()) * (1.0 + 4 * geometry.REL_TOL)
-    w = np.maximum(w, np.maximum(np.ptp(xs), np.ptp(ys)) / _GRID_CELLS)
     # an overflowing reach or span, or a coordinate not finite, makes w inf or nan: all in cell 0
-    cx, cy = (np.nan_to_num(np.floor((v - v.min()) / w)).astype(np.int64) for v in (xs, ys))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach_a, reach_b = (np.maximum(f[1] - f[0], f[3] - f[2]).max() + f[4].max() for f in (fa, fb))
+        w = np.maximum(reach_a + fb[4].max(), reach_b + fa[4].max()) * (1.0 + 4 * geometry.REL_TOL)
+        w = np.maximum(w, np.maximum(np.ptp(xs), np.ptp(ys)) / _GRID_CELLS)
+        cx, cy = (np.nan_to_num(np.floor((v - v.min()) / w)).astype(np.int64) for v in (xs, ys))
     ny = cy.max() + 2  # keys cy - 1 and cy + 1 stay off occupied cells
     akey, bkey = np.split(cx * ny + cy, [m])
     order, a_order = np.argsort(bkey, kind="stable"), np.argsort(akey, kind="stable")

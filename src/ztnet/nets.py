@@ -10,14 +10,14 @@ exactly 1/10 and a hyperedge of size 20 is heavy at eps=0.1, n=200.  All
 heavy/light cutoffs across the package go through `heavy_threshold`.
 
 Hyperedges are ascending vertex lists here: every verifier and constructor
-reads the one heavy view `_heavy_edges`, the distinct heavy hyperedges as
-tuples.  The stacked cover samples each layer from the parent hypergraph's
-lists, traced over the unused vertices by a membership filter; the
-structural net's vertex removal is a smallest-last order kept incrementally,
-in O(sum |e & cover|) plus heap operations.  Bitmasks run only over heavy
-edge positions: the greedy net walks per-vertex column masks, and the
-verifier ORs the rows each net tuple lies in.  Only the exhaustive minimum
-lists every candidate t-subset.
+reads the one heavy view `heavy_dedup_edges`, the distinct heavy hyperedges as
+ascending tuples, and a net's t-subsets are ascending tuples too.  The
+stacked cover samples each layer from the parent hypergraph's lists, traced
+over the unused vertices by a membership filter; the structural net's vertex
+removal is a smallest-last order kept incrementally, in O(sum |e & cover|)
+plus heap operations.  Bitmasks run only over heavy edge positions: the
+greedy net walks per-vertex column masks, and the verifier ORs the rows each
+net tuple lies in.  Only the exhaustive minimum lists every candidate t-subset.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +56,7 @@ def heavy_threshold(eps: EpsilonLike, vertex_count: int) -> int:
     return max(1, math.ceil(e * vertex_count))
 
 
-def _heavy_edges(
+def heavy_dedup_edges(
     h: Hypergraph, eps: EpsilonLike, t: int = 1, pool: Optional[list[int]] = None
 ) -> list[tuple[int, ...]]:
     """The distinct hyperedges of size >= eps * n, as ascending tuples, first
@@ -77,25 +78,21 @@ def _heavy_edges(
     return heavy
 
 
-def heavy_dedup_edges(h: Hypergraph, eps: EpsilonLike) -> list[frozenset[int]]:
-    """Distinct hyperedges of size >= eps * n, in first-occurrence order."""
-    return [frozenset(e) for e in _heavy_edges(h, eps)]
-
-
 @dataclass
 class TNet:
-    """A set of t-subsets of vertex indices, built for a given epsilon."""
+    """A set of t-subsets of vertex indices, each a strictly ascending tuple,
+    built for a given epsilon."""
 
     t: int
-    tuples: frozenset[frozenset[int]]
+    tuples: frozenset[tuple[int, ...]]
     epsilon: Fraction
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("t must be >= 1")
         for tp in self.tuples:
-            if len(tp) != self.t:
-                raise ValueError(f"net tuple {sorted(tp)} does not have size {self.t}")
+            if type(tp) is not tuple or len(tp) != self.t or not all(map(operator.lt, tp, tp[1:])):
+                raise ValueError(f"net tuple {tp} is not a strictly ascending {self.t}-tuple")
 
     def size(self) -> int:
         return len(self.tuples)
@@ -120,7 +117,7 @@ def verify_epsilon_net(h: Hypergraph, eps: EpsilonLike, s) -> Optional[tuple[int
     s = frozenset(s)
     if s and (min(s) < 0 or max(s) >= h.vertex_count):
         raise ValueError("net contains out-of-range vertex indices")
-    return next((e for e in _heavy_edges(h, eps) if s.isdisjoint(e)), None)
+    return next((e for e in heavy_dedup_edges(h, eps) if s.isdisjoint(e)), None)
 
 
 def verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[tuple[int, ...]]:
@@ -130,9 +127,9 @@ def verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[tuple[i
     The rows each tuple lies in come from `containing_rows` over the heavy
     edges; their OR marks the covered ones."""
     for tp in net.tuples:
-        if min(tp) < 0 or max(tp) >= h.vertex_count:
-            raise ValueError(f"net tuple {sorted(tp)} out of vertex range")
-    heavy = _heavy_edges(h, eps)
+        if tp[0] < 0 or tp[-1] >= h.vertex_count:
+            raise ValueError(f"net tuple {list(tp)} out of vertex range")
+    heavy = heavy_dedup_edges(h, eps)
     covered = 0
     for _, held in containing_rows(net.tuples, heavy):
         covered |= held
@@ -152,7 +149,7 @@ def sampled_epsilon_net(h: Hypergraph, eps: EpsilonLike, seed: int) -> frozenset
     set stabs every nonempty hyperedge).
     """
     e = as_fraction(eps)
-    heavy = _heavy_edges(h, e)
+    heavy = heavy_dedup_edges(h, e)
     if h.vertex_count == 0:
         raise PreconditionViolated("sampled_epsilon_net needs a nonempty vertex set")
     return _sampled_net(heavy, range(h.vertex_count), e, seed)
@@ -186,7 +183,7 @@ def stacked_cover_set(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> Net
 
 
 def _stacked_cover(h: Hypergraph, e: Fraction, t: int, seed: int) -> tuple[NetBuildTrace, list[tuple[int, ...]]]:
-    """`stacked_cover_set` and its first layer's heavy edges, `_heavy_edges(h, e)`."""
+    """`stacked_cover_set` and its first layer's heavy edges, `heavy_dedup_edges(h, e)`."""
     if t < 1:
         raise ValueError("t must be >= 1")
     n = h.vertex_count
@@ -195,14 +192,14 @@ def _stacked_cover(h: Hypergraph, e: Fraction, t: int, seed: int) -> tuple[NetBu
             f"stacked cover needs eps*n >= 2t; got {e} * {n} < {2 * t}"
         )
     rng = random.Random(seed)
-    top = _heavy_edges(h, e)
+    top = heavy_dedup_edges(h, e)
     pool = list(range(n))  # the unused vertices, sorted
     layers: list[frozenset[int]] = []
     for i in range(t):
         layer_eps = e if i == 0 else e / 2
         layer = frozenset()
         if pool:
-            heavy = top if i == 0 else _heavy_edges(h, layer_eps, pool=pool)
+            heavy = top if i == 0 else heavy_dedup_edges(h, layer_eps, pool=pool)
             layer = _sampled_net(heavy, pool, layer_eps, rng.randrange(2**32))
             pool = [v for v in pool if v not in layer]
         layers.append(layer)
@@ -228,7 +225,7 @@ def pseudodisc_t_net(
     return TNet(t=t, tuples=_removal_net(heavy, trace.cover_set, t), epsilon=e), trace
 
 
-def _removal_net(heavy: list[tuple[int, ...]], cover: frozenset[int], t: int) -> frozenset[frozenset[int]]:
+def _removal_net(heavy: list[tuple[int, ...]], cover: frozenset[int], t: int) -> frozenset[tuple[int, ...]]:
     """The structural net's tuples, by a smallest-last order (Matula & Beck).
 
     Removing v shrinks only the traces over the cover that hold v, so this
@@ -272,7 +269,7 @@ def _removal_net(heavy: list[tuple[int, ...]], cover: frozenset[int], t: int) ->
             elif sizes[k] == t - 1:
                 net.add(key := tuple(u for u in traces[k] if u == v or u in count))
                 move(key, -1)
-    return frozenset(map(frozenset, net))
+    return frozenset(net)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +288,7 @@ def greedy_cover_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
     count, since no pick can cover more edges than the pick before it.
     """
     e = as_fraction(eps)
-    heavy = _heavy_edges(h, e, t)
+    heavy = heavy_dedup_edges(h, e, t)
     col = holder_masks(heavy)
 
     def walk(prefix: tuple[int, ...], mask: int, start: int) -> None:
@@ -315,7 +312,7 @@ def greedy_cover_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
             raise AssertionError("greedy cover stalled")
         chosen.append(pick)
         uncovered, limit = uncovered & ~pick_mask, best
-    return TNet(t=t, tuples=frozenset(frozenset(c) for c in chosen), epsilon=e)
+    return TNet(t=t, tuples=frozenset(chosen), epsilon=e)
 
 
 def min_t_net_bruteforce(
@@ -328,7 +325,7 @@ def min_t_net_bruteforce(
     combinations would have to be examined.
     """
     e = as_fraction(eps)
-    heavy = _heavy_edges(h, e, t)
+    heavy = heavy_dedup_edges(h, e, t)
     if not heavy:
         return TNet(t=t, tuples=frozenset(), epsilon=e)
     cands = sorted({c for edge in heavy for c in itertools.combinations(edge, t)})
@@ -344,5 +341,5 @@ def min_t_net_bruteforce(
             for c in combo:
                 acc |= cover[c]
             if acc == full:
-                return TNet(t=t, tuples=frozenset(frozenset(c) for c in combo), epsilon=e)
+                return TNet(t=t, tuples=frozenset(combo), epsilon=e)
     raise AssertionError("unreachable: the full candidate set is always a cover")

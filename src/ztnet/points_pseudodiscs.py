@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .errors import PreconditionViolated
 from .geometry import Disc, Point, point_in_disc
-from .hypergraph import BipartiteIntersectionGraph, ChainReport, bits_of, containing_rows, counting_chain
-from .rectangles import CanonicalTupleFamily
+from .hypergraph import (
+    BipartiteIntersectionGraph, CanonicalTupleFamily, ChainReport, bits_of, containing_rows, counting_chain)
 
 
 @dataclass(frozen=True)
@@ -105,33 +105,30 @@ def shrink_events(d: Disc, anchor: Point, pts: list[Point]) -> list[ShrinkEvent]
 
 def shrink_canonical_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalTupleFamily:
     """Point t-subsets realizable as b cap A for some shrunk copy b of a disc,
-    on the incidence graph `g` of points (side a) and discs (side b).
+    on the incidence graph `g` of points (side a) and discs (side b), as
+    ascending index tuples.
 
-    For every disc and every contained anchor, walk the loss events and record
-    the contained set after each batch of simultaneous losses (plus the
-    unshrunk starting set); the recorded sets of size exactly t form the
-    family.  Simultaneous losses are one event, so the artificial intermediate
-    set between them is not recorded.
+    For every disc holding at least t points and every contained anchor, walk
+    the loss events; the contained sets of size exactly t, after a batch of
+    simultaneous losses or unshrunk, form the family.  Simultaneous losses are
+    one event, so the artificial intermediate set between them is not
+    recorded.  The neighbour lists are ascending, so each set's tuple is too.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    encountered: set[frozenset[int]] = set()
+    found: set[tuple[int, ...]] = set()
     for b, contained in zip(g.side_b, g.nbrs_b):
-        if not contained:
-            continue
-        encountered.add(frozenset(contained))
+        if len(contained) < t:
+            continue  # the contained set only shrinks
+        if len(contained) == t:
+            found.add(tuple(contained))
         local_pts = [g.side_a[i] for i in contained]
         for anchor in local_pts:
-            events = shrink_events(b, anchor, local_pts)
-            loss_events = events[:-1]
-            for _, group in itertools.groupby(loss_events, key=lambda ev: ev.s):
-                last = None
-                for last in group:
-                    pass
-                encountered.add(frozenset(contained[v] for v in last.remaining))
-    return CanonicalTupleFamily(
-        k=t, tuples=frozenset(s for s in encountered if len(s) == t)
-    )
+            for _, group in itertools.groupby(shrink_events(b, anchor, local_pts)[:-1], key=lambda ev: ev.s):
+                *_, last = group
+                if len(last.remaining) == t:
+                    found.add(tuple(contained[v] for v in sorted(last.remaining)))
+    return CanonicalTupleFamily(k=t, tuples=frozenset(found))
 
 
 def coverage_violations(g: BipartiteIntersectionGraph, t: int) -> list[tuple[int, int]]:

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .geometry import Point, Segment, check_general_position
-from .hypergraph import BipartiteIntersectionGraph, ChainReport, Graph, _edge_blocks, _fields, counting_chain
+from .hypergraph import (
+    BipartiteIntersectionGraph, CanonicalTupleFamily, ChainReport, Graph, _edge_blocks, _fields, counting_chain)
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,6 @@ class IntersectionTypeCounts:
     @property
     def total(self) -> int:
         return self.type1 + self.type2 + self.type3 + self.type4
-
-
-@dataclass(frozen=True)
-class CanonicalTupleFamily:
-    k: int
-    tuples: frozenset[frozenset[int]]
-
-    def size(self) -> int:
-        return len(self.tuples)
 
 
 def horizontal_edges_of(rects) -> list[Segment]:
@@ -206,9 +198,10 @@ def canonical_segment_tuples(hsegs, k: int) -> CanonicalTupleFamily:
     stab sets of a vertical there, and such input raises DegenerateInput.
     The edges of rectangles in general position
     (`geometry.check_general_position`) meet this."""
-    # a run comes out in y order, so equal runs are equal tuples
+    # a run comes out in y order, so equal runs are equal tuples; sorting
+    # the distinct ones gives the family's ascending index tuples
     runs = {run for run, _ in _interval_runs(hsegs, k)}
-    return CanonicalTupleFamily(k=k, tuples=frozenset(map(frozenset, runs)))
+    return CanonicalTupleFamily(k=k, tuples=frozenset(map(tuple, map(sorted, runs))))
 
 
 # ---------------------------------------------------------------------------

@@ -305,11 +305,6 @@ def bisection_exits(paths, iters: int = 100) -> np.ndarray:
     return np.where(g(np.zeros(len(cx))) >= 0.0, 0.0, (lo + hi) / 2.0)
 
 
-def bisection_exit_oracle(d: Disc, anchor: Point, p: Point, iters: int = 100) -> float:
-    """`bisection_exits` on the one path of p in d shrinking toward anchor."""
-    return float(bisection_exits([(d.center.x, d.center.y, d.radius, anchor.x, anchor.y, p.x, p.y)], iters)[0])
-
-
 def random_tiny_hypergraph(rng: random.Random) -> Hypergraph:
     n = rng.randint(6, 12)
     n_edges = rng.randint(3, 8)
@@ -346,7 +341,7 @@ def check_net_soundness_and_cover(cfg: SuiteConfig) -> list[CheckRow]:
             if verify_t_net(h, cfg.net_eps, gr_net) is not None:
                 net_failures += 1
             cover = trace.cover_set
-            if any(len(e & cover) < t for e in heavy):
+            if any(len(cover.intersection(e)) < t for e in heavy):
                 cover_failures += 1
     rows = [
         CheckRow(
@@ -384,14 +379,12 @@ def check_oracles(cfg: SuiteConfig) -> list[CheckRow]:
             continue
         # independent minimality check: every smaller candidate subset leaves
         # some heavy hyperedge without a tuple inside it
-        cands = sorted(
-            {c for e in heavy for c in itertools.combinations(sorted(e), t)}
-        )
+        cands = [frozenset(c) for c in sorted({c for e in heavy for c in itertools.combinations(e, t)})]
         k = bf.size()
         if k > 0 and math.comb(len(cands), k - 1) <= 20000:
             minimality_checked += 1
-            for combo in itertools.combinations(map(frozenset, cands), k - 1):
-                if all(any(c <= e for c in combo) for e in heavy):
+            for combo in itertools.combinations(cands, k - 1):
+                if all(any(c.issubset(e) for c in combo) for e in heavy):
                     bf_bad += 1
                     break
         greedy = greedy_cover_t_net(h, eps, t)

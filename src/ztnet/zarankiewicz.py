@@ -231,7 +231,7 @@ def heavy_count_check(
         h, count, degrees = dual_hypergraph(g), g.n, g.degrees_a()
     witness = verify_t_net(h, net.epsilon, net)
     if witness is not None:
-        raise InvalidNet(f"net misses heavy hyperedge {sorted(witness)}")
+        raise InvalidNet(f"net misses heavy hyperedge {list(witness)}")
     thr = heavy_threshold(net.epsilon, count)
     heavy = sum(1 for d in degrees if d >= thr)
     bound = (t - 1) * net.size()
@@ -359,7 +359,7 @@ def num_edges_bound(
                 net = net_builder(h, side_eps, t, seed * 7919 + 2 * level + k)
                 witness = verify_t_net(h, side_eps, net)
                 if witness is not None:
-                    raise InvalidNet(f"level {level} net misses hyperedge {sorted(witness)}")
+                    raise InvalidNet(f"level {level} net misses hyperedge {list(witness)}")
                 sizes[k] = net.size()
             additive = n * math.floor(eps * m) + m * math.floor(eps_prime * n)
             kind = "recurse" if (na and nb) else "base-light"

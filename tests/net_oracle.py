@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from graph_oracle import mask_of, set_of
+from graph_oracle import mask_of
 
 from ztnet.errors import InfeasibleNet, PreconditionViolated
 from ztnet.hypergraph import Hypergraph, bits_of
@@ -83,7 +83,7 @@ def mask_verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[tu
     tuple_masks = []
     for tp in net.tuples:
         if min(tp) < 0 or max(tp) >= h.vertex_count:
-            raise ValueError(f"net tuple {sorted(tp)} out of vertex range")
+            raise ValueError(f"net tuple {list(tp)} out of vertex range")
         tuple_masks.append(mask_of(tp))
     for em in heavy_masks(h, eps):
         if not any(tm & em == tm for tm in tuple_masks):
@@ -132,7 +132,7 @@ def mask_stacked_cover(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> tu
     return NetBuildTrace(cover_set=frozenset().union(*layers), layer_nets=layers), top
 
 
-def mask_smallest_last(heavy: list[int], cover: frozenset[int], t: int) -> frozenset[frozenset[int]]:
+def mask_smallest_last(heavy: list[int], cover: frozenset[int], t: int) -> frozenset[tuple[int, ...]]:
     """`nets._removal_net` on masks: the traces over the cover are ANDed and
     popcounted, then the same incremental smallest-last order runs."""
     cover_mask = mask_of(cover)
@@ -170,7 +170,7 @@ def mask_smallest_last(heavy: list[int], cover: frozenset[int], t: int) -> froze
             elif sizes[k] == t - 1:
                 net.add(key := tuple(u for u in traces[k] if u == v or u in count))
                 move(key, -1)
-    return frozenset(map(frozenset, net))
+    return frozenset(net)
 
 
 def mask_pseudodisc_t_net(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> tuple[TNet, NetBuildTrace]:
@@ -211,7 +211,7 @@ def mask_greedy_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
             raise AssertionError("greedy cover stalled")
         chosen.append(pick)
         uncovered, limit = uncovered & ~pick_mask, best
-    return TNet(t=t, tuples=frozenset(frozenset(c) for c in chosen), epsilon=e)
+    return TNet(t=t, tuples=frozenset(chosen), epsilon=e)
 
 
 def _candidate_cover(heavy: list[int], t: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -249,7 +249,7 @@ def table_greedy_t_net(h: Hypergraph, eps: EpsilonLike, t: int) -> TNet:
             raise AssertionError("greedy cover stalled")
         chosen.append(cands[best])
         uncovered &= ~cover[best]
-    return TNet(t=t, tuples=frozenset(frozenset(c) for c in chosen), epsilon=e)
+    return TNet(t=t, tuples=frozenset(chosen), epsilon=e)
 
 
 def induced_subhypergraph(h: Hypergraph, keep: Iterable[int]) -> Hypergraph:
@@ -341,12 +341,12 @@ def pseudodisc_t_net(
     return net, trace
 
 
-def rescan_removal(source_masks: list[int], cover: frozenset[int], t: int) -> frozenset[frozenset[int]]:
+def rescan_removal(source_masks: list[int], cover: frozenset[int], t: int) -> frozenset[tuple[int, ...]]:
     """Remove every cover vertex in turn, recounting the distinct size-t traces
     of `source_masks` over the remaining cover at each step."""
     remaining = sorted(cover)
     remaining_mask = mask_of(remaining)
-    net_tuples: set[frozenset[int]] = set()
+    net_tuples: set[tuple[int, ...]] = set()
     while remaining:
         traces = (em & remaining_mask for em in source_masks)
         size_t_traces = {tm for tm in traces if tm.bit_count() == t}
@@ -356,7 +356,7 @@ def rescan_removal(source_masks: list[int], cover: frozenset[int], t: int) -> fr
                 counts[v] += 1
         chosen = min(remaining, key=lambda v: (counts[v], v))
         added = [tm for tm in size_t_traces if (tm >> chosen) & 1]
-        net_tuples.update(frozenset(bits_of(tm)) for tm in added)
+        net_tuples.update(tuple(bits_of(tm)) for tm in added)
         remaining.remove(chosen)
         remaining_mask &= ~(1 << chosen)
     return frozenset(net_tuples)
@@ -372,7 +372,7 @@ def mask_loop_t_net(
     return net, trace
 
 
-def mask_removal(heavy: list[int], cover: frozenset[int], t: int) -> frozenset[frozenset[int]]:
+def mask_removal(heavy: list[int], cover: frozenset[int], t: int) -> frozenset[tuple[int, ...]]:
     """Keep the traces of >= t cover vertices as masks; at each step count the
     size-t ones over the candidates, remove the first minimum, and drop the
     traces that fall below t."""
@@ -393,4 +393,4 @@ def mask_removal(heavy: list[int], cover: frozenset[int], t: int) -> frozenset[f
         hit = [tm for tm in traces if tm & bit]
         traces.difference_update(hit)
         traces.update(rest for tm in hit if (rest := tm ^ bit).bit_count() >= t)
-    return frozenset(set_of(tm) for tm in net_masks)
+    return frozenset(tuple(bits_of(tm)) for tm in net_masks)

@@ -1,5 +1,6 @@
 """The scalar bisection that `suite.bisection_exits` replaced, kept as its
-test oracle: one path at a time, 100 halvings of a Python float interval."""
+test oracle and as the exit-parameter oracle of `shrink_events`: one path at
+a time, 100 halvings of a Python float interval."""
 
 import math
 

@@ -15,7 +15,6 @@ from ztnet.generators import GenParams, generate
 from ztnet.hypergraph import BipartiteIntersectionGraph, Hypergraph, bits_of, primal_hypergraph
 from ztnet.nets import (
     TNet,
-    _heavy_edges,
     _removal_net,
     as_fraction,
     greedy_cover_t_net,
@@ -103,22 +102,28 @@ class TestVerifiers:
 
     def test_t_net_examples(self):
         h = hypergraph_of(3, [fs(0, 1, 2)])
-        good = TNet(2, frozenset({fs(0, 1)}), Fraction(1))
+        good = TNet(2, frozenset({(0, 1)}), Fraction(1))
         assert verify_t_net(h, 1, good) is None
         with pytest.raises(ValueError):
-            verify_t_net(h, 1, TNet(2, frozenset({fs(0, 4)}), Fraction(1)))
+            verify_t_net(h, 1, TNet(2, frozenset({(0, 4)}), Fraction(1)))
         h4 = hypergraph_of(4, [fs(0, 1, 2)])
-        miss = TNet(2, frozenset({fs(0, 3)}), Fraction(3, 4))
+        miss = TNet(2, frozenset({(0, 3)}), Fraction(3, 4))
         assert verify_t_net(h4, 0.75, miss) == (0, 1, 2)
         h5 = hypergraph_of(5, [fs(2, 3, 4), fs(0, 1), fs(0, 1, 2), fs(2, 3, 4), fs(0, 1, 2)])
         assert verify_t_net(h5, 0.6, TNet(2, frozenset(), Fraction(3, 5))) == (2, 3, 4)
-        assert verify_t_net(h5, 0.6, TNet(2, frozenset({fs(3, 4)}), Fraction(3, 5))) == (0, 1, 2)
-        both = TNet(2, frozenset({fs(3, 4), fs(0, 2)}), Fraction(3, 5))
+        assert verify_t_net(h5, 0.6, TNet(2, frozenset({(3, 4)}), Fraction(3, 5))) == (0, 1, 2)
+        both = TNet(2, frozenset({(3, 4), (0, 2)}), Fraction(3, 5))
         assert verify_t_net(h5, 0.6, both) is None
 
     def test_tuple_size_validated(self):
         with pytest.raises(ValueError):
-            TNet(2, frozenset({fs(0, 1, 2)}), Fraction(1, 2))
+            TNet(2, frozenset({(0, 1, 2)}), Fraction(1, 2))
+
+    @pytest.mark.parametrize("tp", [(2, 1), (1, 1), fs(1, 2)], ids=["descending", "repeat", "frozenset"])
+    def test_tuple_form_validated(self, tp):
+        # a net tuple is a strictly ascending tuple of length t, nothing else
+        with pytest.raises(ValueError):
+            TNet(2, frozenset({tp}), Fraction(1, 2))
 
 
 class TestSampledNet:
@@ -210,7 +215,7 @@ class TestPseudodiscNet:
     def test_forced(self):
         h = hypergraph_of(4, [fs(0, 1, 2, 3)])
         net, trace = pseudodisc_t_net(h, 1, 2, seed=0)
-        assert all(tp <= fs(0, 1, 2, 3) for tp in net.tuples)
+        assert all(fs(0, 1, 2, 3).issuperset(tp) for tp in net.tuples)
         assert verify_t_net(h, 1, net) is None
         assert trace.cover_set == fs(0, 1, 2, 3)
         assert net.tuples == net_oracle.pseudodisc_t_net(h, 1, 2, seed=0)[0].tuples
@@ -299,8 +304,8 @@ def assert_tuples_in_traces(net, heavy, cover, t):
     """Every tuple lies in a heavy trace over the cover, and there are at most
     as many tuples as distinct traces of >= t cover vertices: each contributes
     the last t of its vertices in removal order."""
-    traces = {e & cover for e in heavy}
-    assert all(any(tp <= tr for tr in traces) for tp in net)
+    traces = {cover.intersection(e) for e in heavy}
+    assert all(any(tr.issuperset(tp) for tr in traces) for tp in net)
     assert len(net) <= len({tr for tr in traces if len(tr) >= t})
 
 
@@ -410,7 +415,7 @@ class TestListsMatchMaskOracle:
         if data is not None:
             pools.append(sorted(data.draw(st.sets(st.integers(0, h.vertex_count - 1), min_size=1))))
         for pool in pools:  # the heavy view, and the traces over a cover layer's pool
-            heavy = outcome(_heavy_edges, h, eps, t, pool)
+            heavy = outcome(heavy_dedup_edges, h, eps, t, pool)
             masks = outcome(net_oracle.heavy_masks, h, eps, t, pool)
             assert heavy == (masks if isinstance(masks, tuple) else [tuple(bits_of(em)) for em in masks])
         assert outcome(greedy_cover_t_net, h, eps, t) == outcome(net_oracle.mask_greedy_t_net, h, eps, t)
@@ -427,7 +432,7 @@ class TestListsMatchMaskOracle:
             if h.vertex_count >= t:
                 tuples = data.draw(st.lists(st.sets(vertex, min_size=t, max_size=t)))
         assert verify_epsilon_net(h, eps, stab) == net_oracle.mask_verify_epsilon_net(h, eps, stab)
-        drawn = TNet(t, frozenset(map(frozenset, tuples)), eps)
+        drawn = TNet(t, frozenset(tuple(sorted(tp)) for tp in tuples), eps)
         for net in [drawn, got[0]] if isinstance(got[0], TNet) else [drawn]:
             assert verify_t_net(h, eps, net) == net_oracle.mask_verify_t_net(h, eps, net)
 
@@ -437,7 +442,7 @@ class TestGreedy:
         assert greedy_cover_t_net(hypergraph_of(3, [fs(0)]), 1, 2).tuples == frozenset()
         h = hypergraph_of(3, [fs(0, 1), fs(0, 1, 2)])
         net = greedy_cover_t_net(h, Fraction(2, 3), 2)
-        assert net.tuples == frozenset({fs(0, 1)})
+        assert net.tuples == frozenset({(0, 1)})
 
     def test_infeasible(self):
         h = hypergraph_of(4, [fs(0)])
@@ -465,7 +470,7 @@ class TestGreedy:
     @settings(max_examples=80, deadline=None)
     @given(hypergraphs(), st.integers(1, 3))
     def test_matches_plain_greedy(self, h, t):
-        # frozenset greedy: most uncovered heavy edges, then lexicographically smallest
+        # set greedy: most uncovered heavy edges, then lexicographically smallest
         eps = Fraction(1, 2)
         heavy = heavy_dedup_edges(h, eps)
         if any(len(e) < t for e in heavy):
@@ -475,9 +480,9 @@ class TestGreedy:
         cands = sorted({c for e in heavy for c in itertools.combinations(sorted(e), t)})
         uncovered, chosen = list(heavy), set()
         while uncovered:
-            best = min(cands, key=lambda c: (-sum(1 for e in uncovered if set(c) <= e), c))
-            chosen.add(frozenset(best))
-            uncovered = [e for e in uncovered if not set(best) <= e]
+            best = min(cands, key=lambda c: (-sum(1 for e in uncovered if set(c) <= set(e)), c))
+            chosen.add(best)
+            uncovered = [e for e in uncovered if not set(best) <= set(e)]
         assert greedy_cover_t_net(h, eps, t).tuples == frozenset(chosen)
 
     @settings(max_examples=400, deadline=None)
@@ -561,7 +566,7 @@ class TestBruteforce:
         two = min_t_net_bruteforce(hypergraph_of(4, [fs(0, 1), fs(2, 3)]), 0.5, 1)
         assert two.size() == 2
         one = min_t_net_bruteforce(hypergraph_of(4, [fs(0, 1, 2), fs(1, 2, 3)]), 0.75, 2)
-        assert one.size() == 1 and one.tuples == frozenset({fs(1, 2)})
+        assert one.size() == 1 and one.tuples == frozenset({(1, 2)})
 
     def test_budget(self):
         edges = [frozenset({i, j, (i + j) % 9}) for i in range(9) for j in range(i + 1, 9)]
@@ -583,5 +588,5 @@ class TestBruteforce:
         cands = sorted({c for e in heavy for c in itertools.combinations(sorted(e), t)})
         if net.size() and math.comb(len(cands), net.size() - 1) < 3000:
             for combo in itertools.combinations(cands, net.size() - 1):
-                smaller = TNet(t, frozenset(frozenset(c) for c in combo), eps)
+                smaller = TNet(t, frozenset(combo), eps)
                 assert verify_t_net(h, eps, smaller) is not None

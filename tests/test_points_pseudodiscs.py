@@ -5,6 +5,7 @@ import pytest
 from containment_oracle import uncovered as row_side_uncovered
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from shrink_oracle import bisection_exit
 
 from ztnet.errors import PreconditionViolated
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
@@ -17,7 +18,6 @@ from ztnet.points_pseudodiscs import (
     shrink_canonical_tuples,
     shrink_events,
 )
-from ztnet.suite import bisection_exit_oracle
 
 
 def pd_instance(n_pts, n_discs, seed):
@@ -78,7 +78,7 @@ class TestShrinkEvents:
             if p == anchor:
                 continue
             s_impl = shrink_events(d, anchor, [p])[0].s
-            s_oracle = bisection_exit_oracle(d, anchor, p)
+            s_oracle = bisection_exit(d, anchor, p)
             assert math.isclose(s_impl, s_oracle, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_chain_monotone_and_anchor_persists(self):
@@ -104,7 +104,7 @@ class TestCanonicalTuples:
     def test_exact_t_disc_contributes(self):
         pts = [Point(0.1, 0), Point(-0.1, 0)]
         fam = shrink_canonical_tuples(BipartiteIntersectionGraph.from_families(pts, [Disc(Point(0, 0), 1)]), 2)
-        assert frozenset({0, 1}) in fam.tuples
+        assert (0, 1) in fam.tuples
 
     def test_small_disc_contributes_nothing(self):
         pts = [Point(0.1, 0)]
@@ -118,14 +118,14 @@ class TestCanonicalTuples:
         for b in discs:
             contained = [i for i, p in enumerate(pts) if point_in_disc(p, b)]
             if len(contained) == 2:
-                oracle.add(frozenset(contained))
+                oracle.add(tuple(contained))
             for anchor in contained:
                 # replay the trajectory with bisection-based exit parameters
                 exits = []
                 for i in contained:
                     if pts[i] == pts[anchor]:
                         continue
-                    exits.append((bisection_exit_oracle(b, pts[anchor], pts[i]), i))
+                    exits.append((bisection_exit(b, pts[anchor], pts[i]), i))
                 exits.sort()
                 current = set(contained)
                 pos = 0
@@ -137,7 +137,7 @@ class TestCanonicalTuples:
                         current.discard(exits[pos][1])
                         pos += 1
                     if len(current) == 2:
-                        oracle.add(frozenset(current))
+                        oracle.add(tuple(sorted(current)))
         assert fam.tuples == frozenset(oracle)
 
     def test_coverage_invariant(self):

@@ -267,7 +267,7 @@ def naive_canonical(hsegs, k):
         order = [i for _, i in active]
         for combo in itertools.combinations(range(len(order)), k):
             if combo[-1] - combo[0] == k - 1:  # consecutive positions
-                out.add(frozenset(order[c] for c in combo))
+                out.add(tuple(sorted(order[c] for c in combo)))
     return out
 
 
@@ -300,9 +300,9 @@ class TestCanonicalTuples:
     def test_three_stacked(self):
         segs = [hseg(0, 0, 10), hseg(1, 0, 10), hseg(2, 0, 10)]
         fam3 = canonical_segment_tuples(segs, 3)
-        assert fam3.tuples == frozenset({frozenset({0, 1, 2})})
+        assert fam3.tuples == frozenset({(0, 1, 2)})
         fam2 = canonical_segment_tuples(segs, 2)
-        assert fam2.tuples == frozenset({frozenset({0, 1}), frozenset({1, 2})})
+        assert fam2.tuples == frozenset({(0, 1), (1, 2)})
 
     def test_matches_witness_search_oracle(self):
         rng = random.Random(3)

@@ -114,15 +114,10 @@ class TestBisectionExits:
             # bisections may part in their last halvings
             assert math.isclose(s, bisection_exit(d, a, p), rel_tol=1e-12, abs_tol=1e-15)
         assert exits[-3:].tolist() == [0.0, 0.0, 0.0]
-
-    def test_one_path_form(self):
-        for d, a, p in _paths(random.Random(6), 50):
-            row = [(d.center.x, d.center.y, d.radius, a.x, a.y, p.x, p.y)]
-            for iters in (0, 1, 100):
-                s = suite.bisection_exit_oracle(d, a, p, iters)
-                assert s == suite.bisection_exits(row, iters)[0]
+        for iters in (0, 1):  # the midpoint of [0, 1], then of one halving
+            rows = [(d.center.x, d.center.y, d.radius, a.x, a.y, p.x, p.y) for d, a, p in paths[:50]]
+            for (d, a, p), s in zip(paths, suite.bisection_exits(rows, iters).tolist()):
                 assert math.isclose(s, bisection_exit(d, a, p, iters), rel_tol=1e-12, abs_tol=1e-15)
-        assert suite.bisection_exit_oracle(Disc(Point(0.0, 0.0), 1.0), Point(0.0, 0.0), Point(0.5, 0.0), 0) == 0.5
 
 
 class TestGuards:
@@ -142,11 +137,6 @@ class TestGuards:
     def test_check_shrink_makes_no_scalar_bisection_calls(self, monkeypatch):
         calls = []
         real = suite.bisection_exits
-
-        def no_scalar(*args):
-            raise AssertionError("scalar bisection call")
-
-        monkeypatch.setattr(suite, "bisection_exit_oracle", no_scalar)
         monkeypatch.setattr(suite, "bisection_exits", lambda paths: calls.append(len(paths)) or real(paths))
         cfg = suite.desk_config(7)
         assert suite.check_shrink(cfg, [])[0].observed == "mismatches=0"

@@ -287,9 +287,9 @@ class TestHeavyCount:
         edges = {(i, 0) for i in range(4)} | {(i, 1) for i in range(4, 8)}
         g = bip(8, 2, edges)
         eps = Fraction(1, 2)
-        full = TNet(2, frozenset({frozenset({0, 1}), frozenset({4, 5})}), eps)
+        full = TNet(2, frozenset({(0, 1), (4, 5)}), eps)
         assert heavy_count_check(g, 2, full, "B").passed
-        corrupted = TNet(2, frozenset({frozenset({0, 1})}), eps)
+        corrupted = TNet(2, frozenset({(0, 1)}), eps)
         with pytest.raises(InvalidNet):
             heavy_count_check(g, 2, corrupted, "B")
 
