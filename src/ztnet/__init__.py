@@ -14,6 +14,7 @@ from .errors import (
 from .geometry import (
     AxisRect,
     Disc,
+    Family,
     Frame,
     GeomObject,
     Point,
@@ -29,7 +30,6 @@ from .hypergraph import (
     Hypergraph,
     VCProfile,
     counting_chain,
-    delaunay_graph,
     dual_hypergraph,
     primal_hypergraph,
     vc_dimension,
@@ -40,9 +40,6 @@ from .nets import (
     greedy_cover_t_net,
     min_t_net_bruteforce,
     pseudodisc_t_net,
-    sampled_epsilon_net,
-    stacked_cover_set,
-    verify_epsilon_net,
     verify_t_net,
 )
 from .zarankiewicz import (
@@ -57,7 +54,6 @@ from .generators import GenParams, PruneResult, generate, prune_to_ktt_free
 from .rectangles import (
     IntersectionTypeCounts,
     canonical_segment_tuples,
-    corner_incidence_graph,
     crossing_graph,
     hereditary_planarity_check,
     intersection_type_census,

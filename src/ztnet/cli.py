@@ -19,11 +19,15 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from . import suite as suite_mod
 from .errors import (
@@ -36,7 +40,7 @@ from .errors import (
     SchemaError,
 )
 from .generators import GenParams
-from .geometry import AxisRect, Disc, Frame, Point, check_general_position
+from .geometry import DISC, FRAME, POINT, RECT, SHAPES, Family, check_general_position
 from .hypergraph import BipartiteIntersectionGraph, dual_hypergraph, primal_hypergraph
 from .nets import as_fraction, verify_t_net
 from .points_pseudodiscs import counting_inequality_check, shrink_canonical_tuples
@@ -57,26 +61,15 @@ from .zarankiewicz import (
 # instance serialization
 
 
+_JSON_CODES = {s.name: code for code, s in enumerate(SHAPES) if s.keys}  # the kinds an instance file holds
+
+
 def object_to_json(obj) -> dict:
-    if isinstance(obj, Disc):
-        return {"kind": "disc", "cx": obj.center.x, "cy": obj.center.y, "r": obj.radius}
-    if isinstance(obj, AxisRect):
-        return {"kind": "rect", "x0": obj.x_lo, "x1": obj.x_hi, "y0": obj.y_lo, "y1": obj.y_hi}
-    if isinstance(obj, Frame):
-        return {"kind": "frame", "x0": obj.x_lo, "x1": obj.x_hi, "y0": obj.y_lo, "y1": obj.y_hi}
-    if isinstance(obj, Point):
-        return {"kind": "point", "x": obj.x, "y": obj.y}
-    raise TypeError(f"not a serializable object: {obj!r}")
-
-
-# the fields of each kind in the order they are read: a disc's radius, and its
-# sign check, come before its centre
-_FIELDS = {
-    "disc": ("r", "cx", "cy"),
-    "rect": ("x0", "x1", "y0", "y1"),
-    "frame": ("x0", "x1", "y0", "y1"),
-    "point": ("x", "y"),
-}
+    shape = next((s for s in SHAPES if s.keys and isinstance(obj, s.cls)), None)
+    if shape is None:
+        raise TypeError(f"not a serializable object: {obj!r}")
+    vals = dict(zip(shape.rows, shape.get(obj)))
+    return {"kind": shape.name, **{k: vals[k] for k in shape.keys}}
 
 
 def _decode(raw):
@@ -85,11 +78,12 @@ def _decode(raw):
     if not isinstance(raw, dict):
         raise SchemaError("expected a JSON object")
     kind = raw.get("kind")
-    keys = _FIELDS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
+    code = _JSON_CODES.get(kind) if isinstance(kind, str) else None
+    if code is None:
         raise SchemaError(f"unknown kind {kind!r}")
-    vals = []
-    for key in keys:
+    shape = SHAPES[code]
+    vals = {}
+    for key in shape.keys:
         v = raw.get(key)
         if type(v) is not float:  # JSON numbers with a point or exponent are floats
             if key not in raw:
@@ -104,16 +98,11 @@ def _decode(raw):
             raise SchemaError(f"field {key!r} must be finite")
         if key == "r" and v <= 0:
             raise SchemaError(f"disc radius must be > 0, got {v}")
-        vals.append(v)
-    if kind == "disc":
-        r, cx, cy = vals
-        return Disc(Point(cx, cy), r)
-    if kind == "point":
-        return Point(*vals)
-    x0, x1, y0, y1 = vals
-    if not (x0 < x1 and y0 < y1):
+        vals[key] = v
+    box = [vals.get(key, 0.0) for key in shape.rows]
+    if shape.rows[0] != shape.rows[1] and not (box[0] < box[1] and box[2] < box[3]):
         raise SchemaError("need x0 < x1 and y0 < y1")
-    return (AxisRect if kind == "rect" else Frame)(x0, x1, y0, y1)
+    return shape.make(*box)
 
 
 def object_from_json(raw, where: str):
@@ -123,63 +112,78 @@ def object_from_json(raw, where: str):
         raise SchemaError(f"{where}: {exc}") from None
 
 
+def _decode_side(arr: list) -> Family:
+    """A side's objects straight into columns, a pass per kind and field, checked in numpy:
+    float or int fields (no bools), finite, r > 0, x0 < x1 and y0 < y1.  A fault raises
+    LookupError, TypeError, ValueError or OverflowError, naming no object."""
+    codes = list(map(_JSON_CODES.__getitem__, map(itemgetter("kind"), arr)))
+    fam = Family(np.array(codes, np.int64), np.zeros((5, len(arr))))
+    for code, idx in fam.groups():
+        shape = SHAPES[code]
+        part = arr if len(idx) == len(arr) else [arr[i] for i in idx.tolist()]
+        cols = [list(map(itemgetter(key), part)) for key in shape.keys]
+        if not set(map(type, itertools.chain.from_iterable(cols))) <= {float, int}:
+            raise TypeError("a field is not a number")
+        vals = dict(zip(shape.keys, np.array(cols, dtype=float)))
+        box = np.array([vals[key] if key else np.zeros(len(idx)) for key in shape.rows])
+        ok = np.isfinite(box).all() and (shape.rows[4] is None or (box[4] > 0).all())
+        if not ok or shape.rows[0] != shape.rows[1] and not ((box[0] < box[1]) & (box[2] < box[3])).all():
+            raise ValueError("a field is out of range")
+        fam.fields[:, idx] = box
+    return fam
+
+
 _encode_object = json.JSONEncoder(sort_keys=True).encode
 
 
+def _json_line(shape) -> tuple:
+    """`_encode_object(object_to_json(o))` as a %-template, and the rows that fill it."""
+    keys = sorted(shape.keys + ("kind",))
+    line = ", ".join(f'"{k}": "{shape.name}"' if k == "kind" else f'"{k}": %s' for k in keys)
+    return "{" + line + "}", [shape.rows.index(k) for k in keys if k != "kind"]
+
+
+_JSON_LINES = {code: _json_line(SHAPES[code]) for code in _JSON_CODES.values()}
+
+
 def emit_instance(fam_a, fam_b) -> str:
-    """Deterministic one-object-per-line instance document."""
+    """Deterministic one-object-per-line instance document, from a family's columns if it can."""
 
     def side(objs) -> str:
         if not objs:
             return "[]"
-        lines = ",\n    ".join(_encode_object(object_to_json(o)) for o in objs)
-        return "[\n    " + lines + "\n  ]"
+        columns = (isinstance(objs, Family) and objs._objects is None  # json spells inf and nan its own way
+                   and _JSON_LINES.keys() >= set(objs.codes.tolist()) and np.isfinite(objs.fields).all())
+        lines = objs.texts(_JSON_LINES) if columns else map(_encode_object, map(object_to_json, objs))
+        return "[\n    " + ",\n    ".join(lines) + "\n  ]"
 
     return '{\n  "a": ' + side(fam_a) + ',\n  "b": ' + side(fam_b) + "\n}\n"
 
 
+_scan_value = json.JSONDecoder().raw_decode
+_BLANK = re.compile(r"[ \t\n\r]*")
+
+
 def _element_line(text: str, side: str, idx: int) -> Optional[int]:
     """1-based line of the idx-th entry of the side's array, whatever its JSON
-    type; best effort."""
-    key = text.find(f'"{side}"')
-    if key < 0:
-        return None
-    start = text.find("[", key)
+    type, stepping over the entries before it with json's own scanner; best
+    effort."""
+    start = text.find("[", key) if (key := text.find(f'"{side}"')) >= 0 else -1
     if start < 0:
         return None
-    depth = 0
-    count = -1
-    in_string = escaped = False
-    fresh = True  # the next non-blank character at depth 1 starts an entry
-    for pos in range(start, len(text)):
-        ch = text[pos]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if fresh and depth == 1 and ch not in " \t\n\r]":
-            count += 1
-            if count == idx:
-                return text.count("\n", 0, pos) + 1
-            fresh = False
-        if ch == '"':
-            in_string = True
-        elif ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
-            if depth == 0:
+    pos = _BLANK.match(text, start + 1).end()
+    try:
+        for _ in range(idx):
+            pos = _BLANK.match(text, _scan_value(text, pos)[1]).end()
+            if text[pos] != ",":
                 return None
-        elif ch == "," and depth == 1:
-            fresh = True
-    return None
+            pos = _BLANK.match(text, pos + 1).end()
+    except (ValueError, IndexError):  # no entry there, or the end of the text
+        return None
+    return None if text[pos : pos + 1] in ("]", "") else text.count("\n", 0, pos) + 1
 
 
-def parse_instance_text(text: str) -> tuple[list, list]:
+def parse_instance_text(text: str) -> tuple[Family, Family]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -192,10 +196,10 @@ def parse_instance_text(text: str) -> tuple[list, list]:
         if not isinstance(arr, list):
             raise SchemaError(f'"{side}" must be an array')
         try:
-            fams.append(list(map(_decode, arr)))
-        except SchemaError:
-            # only a failing side is walked again, to label its first fault
-            # with the object's index and, where found, its line
+            fams.append(_decode_side(arr))
+        except (LookupError, TypeError, ValueError, OverflowError):
+            # only a failing side is walked again, object by object, to name
+            # its first fault with the object's index and, where found, its line
             for idx, raw in enumerate(arr):
                 try:
                     _decode(raw)
@@ -207,7 +211,7 @@ def parse_instance_text(text: str) -> tuple[list, list]:
     return fams[0], fams[1]
 
 
-def parse_instance(path) -> tuple[list, list]:
+def parse_instance(path) -> tuple[Family, Family]:
     return parse_instance_text(Path(path).read_text())
 
 
@@ -378,19 +382,14 @@ def _cmd_bound(args) -> int:
     return 0 if report.bound >= report.actual_edges else 2
 
 
-def _require_rects(fam, side: str) -> list:
-    rects = []
-    for o in fam:
-        if isinstance(o, AxisRect):
-            rects.append(o)
-        elif isinstance(o, Frame):
-            rects.append(AxisRect(o.x_lo, o.x_hi, o.y_lo, o.y_hi))
-        else:
-            raise PreconditionViolated(f"side {side} must contain rects or frames")
-    return rects
+def _require_rects(fam: Family, side: str) -> Family:
+    """The side's rects, with its frames read as rects."""
+    if not set(fam.codes.tolist()) <= {RECT, FRAME}:
+        raise PreconditionViolated(f"side {side} must contain rects or frames")
+    return Family(RECT, fam.fields)
 
 
-def _segments_of(fam_a) -> list:
+def _segments_of(fam_a: Family) -> Family:
     """Horizontal edges of side a's rects, which must share no edge line: the
     sweep sees open intervals only, so it misses a segment ending where another
     starts."""
@@ -411,7 +410,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_canon(args) -> int:
     fam_a, fam_b = parse_instance(args.instance)
-    if all(isinstance(o, Point) for o in fam_a) and all(isinstance(o, Disc) for o in fam_b):
+    if (fam_a.codes == POINT).all() and (fam_b.codes == DISC).all():
         fam = shrink_canonical_tuples(BipartiteIntersectionGraph.from_families(fam_a, fam_b), args.t)
         mode = "shrink"
     else:
@@ -429,7 +428,7 @@ def _cmd_canon(args) -> int:
 
 def _cmd_shrink(args) -> int:
     fam_a, fam_b = parse_instance(args.instance)
-    if not (all(isinstance(o, Point) for o in fam_a) and all(isinstance(o, Disc) for o in fam_b)):
+    if not ((fam_a.codes == POINT).all() and (fam_b.codes == DISC).all()):
         raise PreconditionViolated("shrink expects points in side a and discs in side b")
     g = BipartiteIntersectionGraph.from_families(fam_a, fam_b)
     witness = find_ktt_witness(g, args.t, args.budget)

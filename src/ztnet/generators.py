@@ -7,6 +7,11 @@ the grid into even and odd values: two families generated with opposite parity
 never share an edge coordinate, keeping their union in general position
 without shared state between the calls.
 
+A kind comes out as a `geometry.Family` whose columns hold, bit for bit, the
+values of the scalar draws (`tests/generator_oracle.py`), computed in bulk
+from the words `random.Random(seed).getrandbits(32 * n)` holds, first drawn
+least significant; its objects are built only on demand.
+
 The pruner deletes witness vertices until no K_{t,t} remains.  It keeps alive
 flags and live degrees over the graph's neighbour lists, so a deletion costs
 the deleted vertex's degree, not a pass over side-long masks.
@@ -20,8 +25,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import ParamOutOfRange
-from .geometry import AxisRect, Disc, Frame, Point
+from .geometry import DISC, FRAME, POINT, RECT, Family
 from .hypergraph import BipartiteIntersectionGraph
 from .zarankiewicz import BicliqueSearch, resolve_budget
 
@@ -58,8 +65,8 @@ class GenParams:
             raise ParamOutOfRange("parity must be 0 or 1")
 
 
-def generate(kind: str, count: int, params: Optional[GenParams] = None, seed: int = 0) -> list:
-    """Deterministically generate `count` objects of the given kind."""
+def generate(kind: str, count: int, params: Optional[GenParams] = None, seed: int = 0) -> Family:
+    """Deterministically generate `count` objects of the given kind, as a family."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if count < 0:
@@ -67,48 +74,56 @@ def generate(kind: str, count: int, params: Optional[GenParams] = None, seed: in
     p = params if params is not None else GenParams()
     rng = random.Random(seed)
 
-    if kind == "random_discs":
-        return [
-            Disc(Point(rng.random(), rng.random()), rng.uniform(p.radius_lo, p.radius_hi))
-            for _ in range(count)
-        ]
+    if kind == "random_discs":  # Disc(Point(random(), random()), uniform(lo, hi)), disc by disc
+        x, y, u = _randoms(rng, count, 3)
+        return Family(DISC, (x, x, y, y, p.radius_lo + (p.radius_hi - p.radius_lo) * u))
 
-    if kind == "random_points":
-        return [Point(rng.random(), rng.random()) for _ in range(count)]
+    if kind in ("random_points", "grid_points"):
+        k = math.isqrt(max(count - 1, 0)) + 1  # grid_points: row i, column j of a k-wide grid
+        i, j = np.divmod(np.arange(count), k)
+        x, y = _randoms(rng, count, 2) if kind == "random_points" else ((j + 1) / (k + 1), (i + 1) / (k + 1))
+        return Family(POINT, (x, x, y, y, np.zeros(count)))
 
-    if kind == "grid_points":
-        if count == 0:
-            return []
-        k = math.isqrt(count - 1) + 1
-        pts = []
-        for idx in range(count):
-            i, j = divmod(idx, k)
-            pts.append(Point((j + 1) / (k + 1), (i + 1) / (k + 1)))
-        return pts
-
+    block = 8 * count + 64  # words drawn at a time: a rect takes about 5, a dyadic rect about 6
+    words = itertools.chain.from_iterable(iter(lambda: _word_array(rng, block).tolist(), None))
     if kind in ("random_rects", "random_frames"):
-        cls = AxisRect if kind == "random_rects" else Frame
-        xs = _distinct_intervals(rng, count, p)
-        ys = _distinct_intervals(rng, count, p)
-        scale = 1.0 / (2 * _G)
-        return [
-            cls(xs[i][0] * scale, xs[i][1] * scale, ys[i][0] * scale, ys[i][1] * scale)
-            for i in range(count)
-        ]
+        xs = _distinct_intervals(words, count, p)
+        ys = _distinct_intervals(words, count, p)
+        fields = np.vstack((xs, ys, np.zeros((1, count)))) * (1.0 / (2 * _G))
+        return Family(RECT if kind == "random_rects" else FRAME, fields)
 
     # dyadic_rects: [a 2^-j, (a+1) 2^-j] x [b 2^-k, (b+1) 2^-k]
-    rects = []
+    rows = []
     for _ in range(count):
-        j = rng.randint(1, DYADIC_MAX_LEVEL)
-        k = rng.randint(1, DYADIC_MAX_LEVEL)
-        a = rng.randrange(1 << j)
-        b = rng.randrange(1 << k)
-        rects.append(AxisRect(a / (1 << j), (a + 1) / (1 << j), b / (1 << k), (b + 1) / (1 << k)))
-    return rects
+        j, k = 1 + _below(words, DYADIC_MAX_LEVEL), 1 + _below(words, DYADIC_MAX_LEVEL)
+        a, b = _below(words, 1 << j), _below(words, 1 << k)
+        rows.append((a / (1 << j), (a + 1) / (1 << j), b / (1 << k), (b + 1) / (1 << k), 0.0))
+    return Family(RECT, np.array(rows).reshape(-1, 5).T)
 
 
-def _distinct_intervals(rng: random.Random, count: int, p: GenParams) -> list[tuple[int, int]]:
-    """(lo, hi) grid-value pairs, all 2*count endpoint values distinct.
+def _word_array(rng: random.Random, n: int) -> np.ndarray:
+    """The next n 32-bit words of rng's stream, in draw order."""
+    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
+
+
+def _randoms(rng: random.Random, count: int, per: int) -> np.ndarray:
+    """`per` rows of `count` rng.random() values, ((a >> 5) * 2^26 + (b >> 6)) / 2^53 each."""
+    w = _word_array(rng, 2 * per * count).reshape(count, per, 2)
+    return (((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * (1.0 / 9007199254740992.0)).T
+
+
+def _below(words, n: int) -> int:
+    """randrange(n), 0 < n < 2^32: a word's top n.bit_length() bits, redrawn while >= n."""
+    shift = 32 - n.bit_length()
+    while (r := next(words) >> shift) >= n:
+        pass
+    return r
+
+
+def _distinct_intervals(words, count: int, p: GenParams) -> np.ndarray:
+    """(lo, hi) grid-value rows, all 2*count endpoint values distinct: per
+    interval, w = randint(lo_units, hi_units) and g = randrange(_G - w) on the
+    word iterator, drawn again while g or g + w is taken.
 
     Values are of the form 2*g + parity, so opposite parities never collide.
     """
@@ -118,16 +133,14 @@ def _distinct_intervals(rng: random.Random, count: int, p: GenParams) -> list[tu
         raise ParamOutOfRange("count too large for distinct grid coordinates")
     used: set[int] = set()
     out = []
-    for _ in range(count):
-        while True:
-            w = rng.randint(lo_units, hi_units)
-            g = rng.randrange(_G - w)
-            if g not in used and g + w not in used:
-                used.add(g)
-                used.add(g + w)
-                out.append((2 * g + p.parity, 2 * (g + w) + p.parity))
-                break
-    return out
+    while len(out) < count:
+        w = lo_units + _below(words, hi_units - lo_units + 1)
+        g = _below(words, _G - w)
+        if g not in used and g + w not in used:
+            used.add(g)
+            used.add(g + w)
+            out.append((2 * g + p.parity, 2 * (g + w) + p.parity))
+    return np.array(out, float).reshape(-1, 2).T  # exact: values are below 2^22
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
-"""Geometric primitives and intersection predicates.
+"""Geometric primitives, intersection predicates and columnar families.
 
 All objects are closed point sets: tangency and shared boundary points count
 as intersecting.  Disc predicates use a relative tolerance of 1e-9; rectangle
 and segment predicates compare coordinates exactly (instance generators draw
 coordinates from a fine grid, so floats are exact there).
+
+A `Family` holds objects by columns: kind codes and the layout x_lo, x_hi,
+y_lo, y_hi, radius, each object a closed box plus a radius.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -227,9 +232,117 @@ def check_general_position(rects) -> bool:
     """True iff no two rectangle edges lie on a common vertical or horizontal
     line: the edge abscissae, sorted in numpy, hold no value twice, and
     neither do the edge ordinates."""
-    rects = list(rects)
-    for sides in (("x_lo", "x_hi"), ("y_lo", "y_hi")):
-        lines = np.sort(np.concatenate([np.fromiter(map(attrgetter(a), rects), float) for a in sides]))
-        if (lines[1:] == lines[:-1]).any():
-            return False
-    return True
+    lines = np.sort(Family.of(rects).fields[:4].reshape(2, -1), axis=1)  # the x_lo, x_hi row and the y_lo, y_hi row
+    return not (lines[:, 1:] == lines[:, :-1]).any()
+
+
+# ---------------------------------------------------------------------------
+# columnar families
+
+# a kind: JSON name, JSON fields in read order, the JSON field of each layout row (None
+# reads 0.0), class, object -> box rows (and radius), layout values -> object, repr template
+Shape = namedtuple("Shape", "name cls keys rows get make text")
+_BOX, _BOX_ATTRS = ("x0", "x1", "y0", "y1", None), attrgetter("x_lo", "x_hi", "y_lo", "y_hi")
+DISC, RECT, FRAME, POINT, HORIZONTAL, VERTICAL = range(6)  # kind codes: indices into SHAPES
+SHAPES = (
+    Shape("disc", Disc, ("r", "cx", "cy"), ("cx", "cx", "cy", "cy", "r"),  # the radius is read first
+          attrgetter("center.x", "center.x", "center.y", "center.y", "radius"),
+          lambda x, _, y, __, r: Disc(Point(x, y), r), ("Disc(center=Point(x=%s, y=%s), radius=%s)", (0, 2, 4))),
+    Shape("rect", AxisRect, _BOX[:4], _BOX, _BOX_ATTRS, lambda *v: AxisRect(*v[:4]),
+          ("AxisRect(x_lo=%s, x_hi=%s, y_lo=%s, y_hi=%s)", (0, 1, 2, 3))),
+    Shape("frame", Frame, _BOX[:4], _BOX, _BOX_ATTRS, lambda *v: Frame(*v[:4]),
+          ("Frame(x_lo=%s, x_hi=%s, y_lo=%s, y_hi=%s)", (0, 1, 2, 3))),
+    Shape("point", Point, ("x", "y"), ("x", "x", "y", "y", None), attrgetter("x", "x", "y", "y"),
+          lambda x, _, y, *__: Point(x, y), ("Point(x=%s, y=%s)", (0, 2))),
+    Shape("horizontal", Segment, (), (), attrgetter("lo", "hi", "fixed", "fixed"),
+          lambda lo, hi, y, *_: Segment("horizontal", y, lo, hi),
+          ("Segment(orientation='horizontal', fixed=%s, lo=%s, hi=%s)", (2, 0, 1))),
+    Shape("vertical", Segment, (), (), attrgetter("fixed", "fixed", "lo", "hi"),
+          lambda x, _, lo, hi, __: Segment("vertical", x, lo, hi),
+          ("Segment(orientation='vertical', fixed=%s, lo=%s, hi=%s)", (0, 2, 3))),
+)
+_CODES = {Disc: DISC, AxisRect: RECT, Frame: FRAME, Point: POINT, "horizontal": HORIZONTAL, "vertical": VERTICAL}
+
+
+class Family(Sequence):
+    """Objects held by columns: `codes`, an int64 kind code each (one int if all
+    share it), and `fields`, the (5, n) float64 layout.  Objects are built on
+    first use and cached, or kept from the list the family was made of."""
+
+    def __init__(self, codes, fields, objects: Optional[list] = None):
+        self.fields, self._objects = np.asarray(fields, dtype=float), objects
+        self.codes = np.full(self.fields.shape[1], codes, np.int64) if isinstance(codes, int) else codes
+
+    @classmethod
+    def of(cls, objs) -> "Family":
+        """`objs` if a family, else its objects by columns; an unknown kind raises TypeError."""
+        if isinstance(objs, Family):
+            return objs
+        objs = list(objs)
+        kinds = [o.orientation if type(o) is Segment else type(o) for o in objs]
+        if unknown := set(kinds) - _CODES.keys():
+            raise TypeError(f"unsupported object: {min(k.__name__ for k in unknown)}")
+        fam = cls(np.array([_CODES[k] for k in kinds], np.int64), np.zeros((5, len(objs))), objs)
+        for code, idx in fam.groups():
+            vals = np.array([SHAPES[code].get(objs[i]) for i in idx.tolist()], float)
+            fam.fields[: vals.shape[1], idx] = vals.T
+        return fam
+
+    def groups(self):
+        """(code, indices) for each kind code present."""
+        return ((code, np.flatnonzero(self.codes == code)) for code in set(self.codes.tolist()))
+
+    @property
+    def objects(self) -> list:
+        if self._objects is None:
+            objs = np.empty(len(self), object)
+            for code, idx in self.groups():
+                objs[idx] = list(map(SHAPES[code].make, *self.fields[:, idx].tolist()))
+            self._objects = objs.tolist()
+        return self._objects
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        return self.objects[i]
+
+    def __iter__(self):
+        return iter(self.objects)
+
+    def __eq__(self, other) -> bool:
+        return self.objects == (other.objects if isinstance(other, Family) else other)
+
+    def __repr__(self) -> str:
+        if self._objects is not None:
+            return repr(self._objects)
+        return "[" + ", ".join(self.texts([shape.text for shape in SHAPES])) + "]"
+
+    def texts(self, templates) -> list[str]:
+        """Each object as text: `templates[code]` is a %-template and the layout
+        rows whose values' reprs fill it."""
+        out = [""] * len(self)
+        for code, idx in self.groups():
+            template, rows = templates[code]
+            for i, vals in zip(idx.tolist(), zip(*(map(repr, self.fields[r, idx].tolist()) for r in rows))):
+                out[i] = template % vals
+        return out
+
+    def __add__(self, other):
+        if not isinstance(other, Family):
+            return self.objects + other
+        return Family(np.concatenate((self.codes, other.codes)), np.concatenate((self.fields, other.fields), axis=1))
+
+    def __radd__(self, other):
+        return other + self.objects
+
+    def take(self, idx: np.ndarray) -> "Family":
+        """The objects at the int indices `idx`, in that order."""
+        objs = None if self._objects is None else [self._objects[i] for i in idx.tolist()]
+        return Family(self.codes[idx], self.fields[:, idx], objs)
+
+    def representatives(self) -> dict:
+        """The first object of each kind code, by code in order of first occurrence."""
+        codes, first = np.unique(self.codes, return_index=True)
+        return {c: self._objects[i] if self._objects is not None else SHAPES[c].make(*self.fields[:, i].tolist())
+                for i, c in sorted(zip(first.tolist(), codes.tolist()))}

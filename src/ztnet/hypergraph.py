@@ -19,6 +19,8 @@ counts containment from the tuple side.
 
 `BipartiteIntersectionGraph.from_families` is the one way two families become
 a graph: one candidate grid, and predicates bitwise equal to `intersects`.
+It reads the columns of `geometry.Family` and builds one object per kind,
+and `induced` takes columns, so objects are built only where asked for.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import geometry
 from .errors import InequalityViolated
-from .geometry import AxisRect, Disc, Frame, Point, Segment, intersects
+from .geometry import DISC, FRAME, HORIZONTAL, POINT, RECT, VERTICAL, Family, intersects
 
 # ---------------------------------------------------------------------------
 # bitmask helpers
@@ -144,8 +146,8 @@ class BipartiteIntersectionGraph:
     `from_families` and `from_edges` build the arrays.
     """
 
-    side_a: list
-    side_b: list
+    side_a: Sequence
+    side_b: Sequence
     rows: np.ndarray
     cols: np.ndarray
 
@@ -165,7 +167,7 @@ class BipartiteIntersectionGraph:
     def from_families(cls, fam_a, fam_b) -> "BipartiteIntersectionGraph":
         """Build the intersection graph: (i, j) is an edge iff the objects meet.
         The grid yields the edges row-major, in at least one block of A."""
-        fam_a, fam_b = list(fam_a), list(fam_b)
+        fam_a, fam_b = Family.of(fam_a), Family.of(fam_b)
         return cls(fam_a, fam_b, *np.concatenate([np.stack(b) for b in _edge_blocks(fam_a, fam_b)], axis=1))
 
     @classmethod
@@ -219,7 +221,8 @@ class BipartiteIntersectionGraph:
         new_a[ka], new_b[kb] = np.arange(len(ka)), np.arange(len(kb))
         rows, cols = new_a[self.rows], new_b[self.cols]
         kept = (rows >= 0) & (cols >= 0)
-        sides = [self.side_a[i] for i in ka.tolist()], [self.side_b[j] for j in kb.tolist()]
+        sides = (side.take(k) if isinstance(side, Family) else [side[i] for i in k.tolist()]
+                 for side, k in ((self.side_a, ka), (self.side_b, kb)))
         return BipartiteIntersectionGraph(*sides, rows[kept], cols[kept])
 
 
@@ -272,34 +275,23 @@ class VCProfile:
 
 GRID_PAIRS = 1 << 15  # candidate pairs per block of A
 _GRID_CELLS = 1 << 20  # cells per axis at most, so cell keys fit in int64
-_LAYOUT = {  # the attributes holding x_lo, x_hi, y_lo, y_hi, radius (None: 0.0); a Segment's by orientation
-    Point: ("x", "x", "y", "y", None), Disc: ("center.x", "center.x", "center.y", "center.y", "radius"),
-    AxisRect: ("x_lo", "x_hi", "y_lo", "y_hi", None), Frame: ("x_lo", "x_hi", "y_lo", "y_hi", None),
-    "horizontal": ("lo", "hi", "fixed", "fixed", None), "vertical": ("fixed", "fixed", "lo", "hi", None)}
 
 
 def _fields(fam):
-    """x_lo, x_hi, y_lo, y_hi and radius per object, a closed box plus a radius
-    (a disc is its centre plus its radius), and the frame flags or None."""
-    kinds = list(map(type, fam))
-    if Segment in kinds:
-        kinds = [o.orientation if k is Segment else k for k, o in zip(kinds, fam)]
-    fields, one_kind = np.zeros((5, len(fam))), len(set(kinds)) == 1
-    for kind in set(kinds):
-        idx = slice(None) if one_kind else np.flatnonzero([k == kind for k in kinds])
-        part = fam if one_kind else [fam[k] for k in idx.tolist()]
-        got = {a: np.fromiter(map(operator.attrgetter(a), part), float, len(part)) for a in set(_LAYOUT[kind]) - {None}}
-        for row, name in zip(fields, _LAYOUT[kind]):
-            row[idx] = got.get(name, 0.0)
-    return (*fields, np.array([k is Frame for k in kinds]) if Frame in kinds else None)
+    """The family's columns x_lo, x_hi, y_lo, y_hi, radius, and its frame flags or None."""
+    fam = Family.of(fam)
+    frames = fam.codes == FRAME
+    return (*fam.fields, frames if frames.any() else None)
 
 
 def _edge_blocks(fam_a, fam_b):
     """Yield the edges as (rows, cols) arrays, row-major, one block of A at a time:
     of the pairs `_candidates` proposes, `test` keeps those that meet, by the round
     predicate when every pair holds a disc, the box predicate for points, rects and
-    frames or for segments, else `intersects`.  Unsupported kinds raise TypeError first."""
-    reps_a, reps_b = ({type(o): o for o in fam} for fam in (fam_a, fam_b))
+    frames or for segments, else `intersects`.  Unsupported kinds raise TypeError
+    first, on one representative per kind code."""
+    fam_a, fam_b = Family.of(fam_a), Family.of(fam_b)
+    reps_a, reps_b = fam_a.representatives(), fam_b.representatives()
     for a, b in itertools.product(reps_a.values(), reps_b.values()):
         intersects(a, b)  # raises TypeError on an unsupported pair
     kinds, fa, fb, n = reps_a.keys() | reps_b.keys(), _fields(fam_a), _fields(fam_b), len(fam_b)
@@ -308,7 +300,7 @@ def _edge_blocks(fam_a, fam_b):
         k = np.flatnonzero(mask)
         return i[k], j[k]
 
-    if kinds <= {Point, Disc} and Point not in reps_a.keys() & reps_b.keys():
+    if kinds <= {POINT, DISC} and POINT not in reps_a.keys() & reps_b.keys():
         # point_in_disc and _disc_disc bit for bit, as 0.0 + r == r: pairs whose
         # squared slack overflows take geometry._quarter_within's scaled form.
         # None does unless the largest radii's does, so finite families skip it.
@@ -325,7 +317,7 @@ def _edge_blocks(fam_a, fam_b):
                 qx, qy = (fa[0][i4] * 0.25 - fb[0][j4] * 0.25) / slack, (fa[2][i4] * 0.25 - fb[2][j4] * 0.25) / slack
                 near[k] = qx * qx + qy * qy <= 1.0
             return kept(near, i, j)
-    elif kinds <= {Point, AxisRect, Frame} or kinds == {Segment}:
+    elif kinds <= {POINT, RECT, FRAME} or kinds <= {HORIZONTAL, VERTICAL}:
         def inside(inner, k, outer, o):  # box k of the fields `inner` strictly inside box o of `outer`
             return ((outer[0][o] < inner[0][k]) & (inner[1][k] < outer[1][o])
                     & (outer[2][o] < inner[2][k]) & (inner[3][k] < outer[3][o]))
@@ -411,11 +403,6 @@ def primal_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
 def dual_hypergraph(g: BipartiteIntersectionGraph) -> Hypergraph:
     """Hypergraph on the B indices holding the graph's N(a) lists, `nbrs_a`."""
     return _trusted_hypergraph(g.n, g.nbrs_a)
-
-
-def delaunay_graph(h: Hypergraph) -> Graph:
-    """Graph whose edges are the distinct hyperedges of cardinality exactly 2."""
-    return Graph.from_edges(h.vertex_count, (tuple(e) for e in h.edges if len(e) == 2))
 
 
 def vc_dimension(h: Hypergraph, cap: int = 6) -> VCProfile:

@@ -111,15 +111,6 @@ class NetBuildTrace:
 # verification
 
 
-def verify_epsilon_net(h: Hypergraph, eps: EpsilonLike, s) -> Optional[tuple[int, ...]]:
-    """None if `s` stabs every heavy hyperedge, else the first missed heavy
-    hyperedge as an ascending tuple."""
-    s = frozenset(s)
-    if s and (min(s) < 0 or max(s) >= h.vertex_count):
-        raise ValueError("net contains out-of-range vertex indices")
-    return next((e for e in heavy_dedup_edges(h, eps) if s.isdisjoint(e)), None)
-
-
 def verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[tuple[int, ...]]:
     """None if every heavy hyperedge contains some net tuple, else the first
     distinct heavy hyperedge that contains none, as an ascending tuple.
@@ -141,24 +132,13 @@ def verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[tuple[i
 # sampled epsilon-nets and the stacked cover set
 
 
-def sampled_epsilon_net(h: Hypergraph, eps: EpsilonLike, seed: int) -> frozenset[int]:
-    """Verify-and-retry random epsilon-net.
-
-    Sample size starts at ceil((8/eps) ln(4/eps)) + 8, doubles on each
-    verification failure, and is capped at the vertex count (the full vertex
-    set stabs every nonempty hyperedge).
-    """
-    e = as_fraction(eps)
-    heavy = heavy_dedup_edges(h, e)
-    if h.vertex_count == 0:
-        raise PreconditionViolated("sampled_epsilon_net needs a nonempty vertex set")
-    return _sampled_net(heavy, range(h.vertex_count), e, seed)
-
-
 def _sampled_net(heavy: list[tuple[int, ...]], pool: Sequence[int], e: Fraction, seed: int) -> frozenset[int]:
-    """`sampled_epsilon_net` over the vertex sequence `pool`, given the heavy
-    edges to stab.  `random.sample` picks its indices from len(pool) alone, so
-    a pool samples as its positions would, mapped through it."""
+    """A verify-and-retry random eps-net over the vertex sequence `pool`,
+    given the heavy edges to stab: the sample size starts at
+    ceil((8/eps) ln(4/eps)) + 8, doubles on each failure, and is capped at
+    len(pool), where the whole pool stabs every nonempty edge.
+    `random.sample` picks its indices from len(pool) alone, so a pool
+    samples as its positions would, mapped through it."""
     ef = float(e)
     size = min(len(pool), math.ceil((8.0 / ef) * math.log(4.0 / ef)) + 8)
     rng = random.Random(seed)
@@ -170,20 +150,9 @@ def _sampled_net(heavy: list[tuple[int, ...]], pool: Sequence[int], e: Fraction,
     return frozenset(pool)
 
 
-def stacked_cover_set(h: Hypergraph, eps: EpsilonLike, t: int, seed: int) -> NetBuildTrace:
-    """Layered cover set: every heavy hyperedge contains >= t of its vertices.
-
-    The first layer is an eps-net of the hypergraph; each later layer is an
-    (eps/2)-net of the traces on the vertices not yet used, drawn from the
-    hypergraph's own lists.  Requires eps * n >= 2t, which makes a heavy
-    hyperedge, minus up to t-1 already-covered vertices, still heavy at eps/2
-    in every later layer.
-    """
-    return _stacked_cover(h, as_fraction(eps), t, seed)[0]
-
-
 def _stacked_cover(h: Hypergraph, e: Fraction, t: int, seed: int) -> tuple[NetBuildTrace, list[tuple[int, ...]]]:
-    """`stacked_cover_set` and its first layer's heavy edges, `heavy_dedup_edges(h, e)`."""
+    """The cover set, >= t vertices of each heavy edge (an eps-net, then (eps/2)-nets of the
+    unused vertices' traces, still heavy as eps*n >= 2t), and `heavy_dedup_edges(h, e)`."""
     if t < 1:
         raise ValueError("t must be >= 1")
     n = h.vertex_count

@@ -1,4 +1,4 @@
-"""Rectangle-intersection machinery: type census, corner and crossing graphs,
+"""Rectangle-intersection machinery: type census, crossing graph,
 canonical segment tuples, the segment Delaunay graph with its planar drawing,
 and the counting-inequality report.
 
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .geometry import Point, Segment, check_general_position
+from .geometry import HORIZONTAL, VERTICAL, Family, Segment, check_general_position
 from .hypergraph import (
-    BipartiteIntersectionGraph, CanonicalTupleFamily, ChainReport, Graph, _edge_blocks, _fields, counting_chain)
+    BipartiteIntersectionGraph, CanonicalTupleFamily, ChainReport, Graph, _edge_blocks, counting_chain)
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,31 @@ class IntersectionTypeCounts:
         return self.type1 + self.type2 + self.type3 + self.type4
 
 
-def horizontal_edges_of(rects) -> list[Segment]:
+def horizontal_edges_of(rects) -> Family:
     """Bottom and top edges of each rectangle; rect i owns indices 2i, 2i+1."""
-    return [Segment("horizontal", y, r.x_lo, r.x_hi) for r in rects for y in (r.y_lo, r.y_hi)]
+    return _edges_of(rects, HORIZONTAL)
 
 
-def vertical_edges_of(rects) -> list[Segment]:
+def vertical_edges_of(rects) -> Family:
     """Left and right edges of each rectangle; rect j owns indices 2j, 2j+1."""
-    return [Segment("vertical", x, r.y_lo, r.y_hi) for r in rects for x in (r.x_lo, r.x_hi)]
+    return _edges_of(rects, VERTICAL)
+
+
+def _edges_of(rects, code: int) -> Family:
+    """The rectangles' edges along one axis, from the columns or the objects held."""
+    rects = Family.of(rects)
+    if rects._objects is not None:
+        if code == HORIZONTAL:
+            return Family.of([Segment("horizontal", y, r.x_lo, r.x_hi) for r in rects for y in (r.y_lo, r.y_hi)])
+        return Family.of([Segment("vertical", x, r.y_lo, r.y_hi) for r in rects for x in (r.x_lo, r.x_hi)])
+    fields = rects.fields.repeat(2, axis=1)
+    fixed = 2 if code == HORIZONTAL else 0  # the rows of the edge's constant coordinate
+    fields[fixed] = fields[fixed + 1] = rects.fields[fixed : fixed + 2].T.ravel()
+    return Family(code, fields)
 
 
 # ---------------------------------------------------------------------------
-# census and incidence graphs
+# census and crossing graph
 
 
 def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
@@ -65,7 +78,7 @@ def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
     Families with two edges on one line raise DegenerateInput.  Only the
     edges are classified, with no graph built: `_edge_blocks` yields them one
     grid block at a time, and numpy compares each block, gathered from the
-    same `_fields`, by the per-pair rule of `tests/census_oracle.py`.  The
+    families' columns, by the per-pair rule of `tests/census_oracle.py`.  The
     crossings of b's vertical edges with a's horizontal edges form the product
     of the verticals that lie in a's x-span and the horizontals that lie in
     b's y-span (type 3), and the other way round for type 4.  When both exist,
@@ -74,11 +87,11 @@ def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
     coincide, so x alone decides.  An edge that classifies as disjoint raises,
     so the partition identity total == |E| holds by construction.
     """
-    a_rects, b_rects = list(a_rects), list(b_rects)
+    a_rects, b_rects = Family.of(a_rects), Family.of(b_rects)
     if not check_general_position(a_rects + b_rects):
         raise DegenerateInput("rectangle families share an edge line")
     counts = [0, 0, 0, 0]
-    a_box, b_box = _fields(a_rects)[:4], _fields(b_rects)[:4]
+    a_box, b_box = a_rects.fields[:4], b_rects.fields[:4]
     for rows, cols in _edge_blocks(a_rects, b_rects):
         axl, axh, ayl, ayh = (v[rows] for v in a_box)
         bxl, bxh, byl, byh = (v[cols] for v in b_box)
@@ -107,18 +120,6 @@ def intersection_type_census(a_rects, b_rects) -> IntersectionTypeCounts:
         for k, mask in enumerate((a_in_b, b_in_a, type3, type4)):
             counts[k] += int(mask.sum())
     return IntersectionTypeCounts(*counts)
-
-
-def corner_incidence_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
-    """Bipartite graph: corners of A-rectangles vs B-rectangles, edge = containment.
-
-    Rect i owns corner indices 4i..4i+3, in lower-left, lower-right,
-    upper-left, upper-right order.  If the rectangle intersection graph is
-    K_{t,t}-free this graph is K_{4t-3,4t-3}-free: 4t-3 corners span at
-    least t distinct A-rectangles.
-    """
-    corners = [Point(x, y) for r in a_rects for y in (r.y_lo, r.y_hi) for x in (r.x_lo, r.x_hi)]
-    return BipartiteIntersectionGraph.from_families(corners, b_rects)
 
 
 def crossing_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
@@ -151,20 +152,20 @@ def _interval_runs(hsegs, k: int):
     DegenerateInput naming it."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    hsegs = Family.of(hsegs)
     starts: dict[float, list[int]] = {}
     ends: dict[float, list[int]] = {}
-    for i, s in enumerate(hsegs):
-        starts.setdefault(s.lo, []).append(i)
-        ends.setdefault(s.hi, []).append(i)
+    for i, (lo, hi) in enumerate(zip(hsegs.fields[0].tolist(), hsegs.fields[1].tolist())):
+        starts.setdefault(lo, []).append(i)
+        ends.setdefault(hi, []).append(i)
     if shared := starts.keys() & ends.keys():
         raise DegenerateInput(
-            f"a segment ends at x = {min(shared)!r} where another starts; the sweep "
-            "needs distinct start and end abscissae"
+            f"a segment ends at x = {hsegs[starts[min(shared)][0]].lo!r} where another starts; "
+            "the sweep needs distinct start and end abscissae"
         )
     abscissae = sorted(set(starts) | set(ends))
-    rank = [0] * len(hsegs)  # position in the y-order, ties broken by index
-    for r, i in enumerate(sorted(range(len(hsegs)), key=lambda j: (hsegs[j].fixed, j))):
-        rank[i] = r
+    # position in the y-order, ties broken by index: the inverse of the stable order
+    rank = np.argsort(np.argsort(hsegs.fields[2], kind="stable"), kind="stable").tolist()
     y_rank = rank.__getitem__
     active: list[int] = []  # the active segments, by ascending y-rank
     for xi in range(len(abscissae) - 1):
@@ -215,7 +216,7 @@ SVG_WIDTH = 640.0  # drawing width in SVG user units, padding excluded
 class SegmentDelaunay:
     """Delaunay graph of the vertical-stab hypergraph of horizontal segments."""
 
-    hsegs: list[Segment]
+    hsegs: Family
     graph: Graph
     witness_x: dict[tuple[int, int], float]
 
@@ -272,10 +273,10 @@ def segment_delaunay(hsegs) -> SegmentDelaunay:
     keeps the first witness abscissa of the sweep.  It has the precondition
     of `canonical_segment_tuples`: no segment ends where another starts, else
     DegenerateInput."""
-    witness_x: dict[tuple[int, int], float] = {}
+    hsegs, witness_x = Family.of(hsegs), {}
     for (i, j), x in _interval_runs(hsegs, 2):
         witness_x.setdefault((i, j) if i < j else (j, i), x)
-    return SegmentDelaunay(list(hsegs), Graph.from_edges(len(hsegs), witness_x), witness_x)
+    return SegmentDelaunay(hsegs, Graph.from_edges(len(hsegs), witness_x), witness_x)
 
 
 def delaunay_drawing_paths(dela: "SegmentDelaunay") -> dict[tuple[int, int], list[tuple[float, float]]]:
@@ -419,7 +420,7 @@ def rectangle_bound_report(a_rects, b_rects, t: int) -> tuple[IntersectionTypeCo
     """
     if t < 2:
         raise ValueError("t must be >= 2")
-    a_rects, b_rects = list(a_rects), list(b_rects)
+    a_rects, b_rects = Family.of(a_rects), Family.of(b_rects)
     census = intersection_type_census(a_rects, b_rects)  # raises DegenerateInput first
     k_graph, k = crossing_graph(a_rects, b_rects), 2 * t - 1
     fam = canonical_segment_tuples(k_graph.side_a, k).tuples

@@ -380,11 +380,12 @@ def check_oracles(cfg: SuiteConfig) -> list[CheckRow]:
         # independent minimality check: every smaller candidate subset leaves
         # some heavy hyperedge without a tuple inside it
         cands = [frozenset(c) for c in sorted({c for e in heavy for c in itertools.combinations(e, t)})]
+        heavy_sets = [frozenset(e) for e in heavy]
         k = bf.size()
         if k > 0 and math.comb(len(cands), k - 1) <= 20000:
             minimality_checked += 1
             for combo in itertools.combinations(cands, k - 1):
-                if all(any(c.issubset(e) for c in combo) for e in heavy):
+                if all(any(c <= e for c in combo) for e in heavy_sets):
                     bf_bad += 1
                     break
         greedy = greedy_cover_t_net(h, eps, t)

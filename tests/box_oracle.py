@@ -1,11 +1,16 @@
 """The dense intersection matrix that the candidate grid in
 `hypergraph._edge_blocks` replaced, kept as its test oracle: the box kernel
 tests every one of the m*n pairs as closed boxes, and every other mix falls
-back to the scalar predicate pair by pair."""
+back to the scalar predicate pair by pair.
+
+`corner_incidence_graph`, which left `ztnet.rectangles` with no caller in the
+package, is kept here with its tests: the containment graph of the corners of
+one rectangle family in another."""
 
 import numpy as np
 
 from ztnet.geometry import AxisRect, Frame, Point, Segment, intersects
+from ztnet.hypergraph import BipartiteIntersectionGraph
 
 _BOX = {Point, AxisRect, Frame}
 
@@ -53,3 +58,15 @@ def intersection_matrix(fam_a, fam_b) -> np.ndarray:
 def dense_pairs(fam_a, fam_b) -> list[tuple[int, int]]:
     """The edges of the dense matrix as (i, j) pairs in row-major order."""
     return [(int(i), int(j)) for i, j in np.argwhere(intersection_matrix(fam_a, fam_b))]
+
+
+def corner_incidence_graph(a_rects, b_rects) -> BipartiteIntersectionGraph:
+    """Bipartite graph: corners of A-rectangles vs B-rectangles, edge = containment.
+
+    Rect i owns corner indices 4i..4i+3, in lower-left, lower-right,
+    upper-left, upper-right order.  If the rectangle intersection graph is
+    K_{t,t}-free this graph is K_{4t-3,4t-3}-free: 4t-3 corners span at
+    least t distinct A-rectangles.
+    """
+    corners = [Point(x, y) for r in a_rects for y in (r.y_lo, r.y_hi) for x in (r.x_lo, r.x_hi)]
+    return BipartiteIntersectionGraph.from_families(corners, b_rects)

@@ -4,12 +4,13 @@ test oracles: the edge set is the stored form, `induced` relabels it through
 dicts, and the neighbour lists are sorted from the tuples.  Also the
 frozenset view of hyperedges that `Hypergraph`'s lists replaced, as helpers
 for tests that state hyperedges as sets, and the bitmask helpers the mask
-oracles build their side-long masks with."""
+oracles build their side-long masks with.  `delaunay_graph`, which no part of
+the package reached, left `ztnet.hypergraph` for here."""
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from ztnet.hypergraph import Hypergraph, _edge_blocks, bits_of
+from ztnet.hypergraph import Graph, Hypergraph, _edge_blocks, bits_of
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -105,3 +106,8 @@ def hyperedges(h: Hypergraph) -> list[frozenset[int]]:
 def distinct_hyperedges(h: Hypergraph) -> list[frozenset[int]]:
     """Distinct hyperedge sets, in first-occurrence order."""
     return list(dict.fromkeys(hyperedges(h)))
+
+
+def delaunay_graph(h: Hypergraph) -> Graph:
+    """Graph whose edges are the distinct hyperedges of cardinality exactly 2."""
+    return Graph.from_edges(h.vertex_count, (tuple(e) for e in h.edges if len(e) == 2))

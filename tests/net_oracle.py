@@ -30,6 +30,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from epsilon_net_oracle import stacked_cover_set as library_cover_set
 from graph_oracle import mask_of
 
 from ztnet.errors import InfeasibleNet, PreconditionViolated
@@ -41,7 +42,6 @@ from ztnet.nets import (
     as_fraction,
     heavy_threshold,
 )
-from ztnet.nets import stacked_cover_set as library_cover_set
 
 
 def heavy_masks(

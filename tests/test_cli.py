@@ -24,7 +24,7 @@ from ztnet.cli import (
 )
 from ztnet.errors import SchemaError
 from ztnet.generators import generate, prune_to_ktt_free
-from ztnet.geometry import AxisRect, Disc, Frame, Point
+from ztnet.geometry import AxisRect, Disc, Family, Frame, Point
 from ztnet.hypergraph import BipartiteIntersectionGraph
 from ztnet.zarankiewicz import find_ktt_witness
 
@@ -143,6 +143,67 @@ class TestInstanceIO:
         with pytest.raises(SchemaError) as info:
             object_from_json(json.loads(obj), "obj")
         assert str(info.value) == "obj" + message[message.index(":"):]
+
+    # A side that mixes every kind, with one bad object last: the bulk check
+    # refuses the side without naming a fault, and the walk names this one.
+    _MIXED = [
+        '{"kind": "disc", "cx": 0.5, "cy": 0.5, "r": 0.25}',
+        '{"kind": "rect", "x0": 0, "x1": 1, "y0": 0.0, "y1": 1.0}',
+        '{"kind": "frame", "x0": -1.5, "x1": 1.0, "y0": 0.0, "y1": 2}',
+        '{"kind": "point", "x": 0.5, "y": -3}',
+    ]
+
+    @pytest.mark.parametrize("obj, message", [
+        ('{"kind": "point", "x": true, "y": 0.5}', "field 'x' must be a number, got True"),
+        ('{"kind": "disc", "cx": 0.5, "cy": 1%s, "r": 0.5}' % ("0" * 400), "field 'cy' must be finite"),
+        ('{"kind": "rect", "x0": NaN, "x1": 1.0, "y0": 0.0, "y1": 1.0}', "field 'x0' must be finite"),
+        ('{"kind": "frame", "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": Infinity}', "field 'y1' must be finite"),
+        ('{"kind": "disc", "cx": 0.5, "cy": 0.5, "r": -0.0}', "disc radius must be > 0, got -0.0"),
+        ('{"kind": "rect", "x0": 0.5, "x1": 0.5, "y0": 0.0, "y1": 1.0}', "need x0 < x1 and y0 < y1"),
+        # a numeric string, which numpy would read as a number
+        ('{"kind": "point", "x": "0.5", "y": 0.5}', "field 'x' must be a number, got '0.5'"),
+    ], ids=["true", "400 digits", "NaN", "Infinity", "radius -0.0", "x0 == x1", "numeric string"])
+    def test_bulk_check_hands_faults_to_the_walk(self, obj, message):
+        entries = self._MIXED * 3 + [obj]
+        text = '{"a": [' + ", ".join(self._MIXED) + '], "b": [\n' + ",\n".join(entries) + "\n]}\n"
+        with pytest.raises(SchemaError) as info:
+            parse_instance_text(text)
+        assert str(info.value) == f"b[{len(entries) - 1}] (line {len(entries) + 1}): {message}"
+        # without the bad object, the side decodes in bulk to the walk's objects
+        fa, fb = parse_instance_text(text.replace(",\n" + obj, ""))
+        assert fb == [object_from_json(json.loads(o), "b") for o in self._MIXED * 3] and fa._objects is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["disc", "rect", "frame", "point", "blob"])}, optional={
+            key: st.one_of(st.floats(-4, 4), st.integers(-4, 4), st.sampled_from(
+                [0.0, -0.0, math.nan, math.inf, 10**400, 2**1023, True, None, "1", [1.0]]))
+            for key in ("r", "cx", "cy", "x0", "x1", "y0", "y1", "x", "y")}),
+        st.sampled_from([[0.5], "point", 1.5, None, {}])), max_size=6))
+    def test_bulk_decode_agrees_with_the_walk(self, arr):
+        # the bulk check accepts a side exactly when every object decodes, and
+        # then holds the walk's objects bit for bit
+        try:
+            walked = [ztnet.cli._decode(raw) for raw in arr]
+        except SchemaError:
+            walked = None
+        try:
+            fam = ztnet.cli._decode_side(arr)
+        except (LookupError, TypeError, ValueError, OverflowError):
+            fam = None
+        assert (fam is None) == (walked is None)
+        if fam is not None:
+            assert fam.fields.tobytes() == Family.of(walked).fields.tobytes() and fam == walked
+
+    @pytest.mark.parametrize("kind", ["discs", "rects", "frames", "points-discs", "points-dyadic"])
+    def test_generated_files_round_trip(self, tmp_path, kind):
+        path = tmp_path / "inst.json"
+        assert main(["generate", "--kind", kind, "--n", "40", "--m", "30", "--seed", "3", "--out", str(path)]) == 0
+        text = path.read_text()
+        fam_a, fam_b = parse_instance_text(text)
+        assert fam_a._objects is None and fam_b._objects is None  # decoded to columns, no objects
+        assert emit_instance(fam_a, fam_b) == text
+        assert emit_instance(list(fam_a), list(fam_b)) == text  # the objects print the same lines
 
     @pytest.mark.parametrize("obj, expected", [
         ('{"kind": "disc", "cx": 1, "cy": -2, "r": 3}', Disc(Point(1.0, -2.0), 3.0)),
@@ -711,6 +772,30 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     code = "import sys, ztnet.cli; sys.exit('numpy.random' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr or "numpy.random was imported"
+
+
+def test_generating_leaves_numpy_random_unloaded(tmp_path):
+    # the generators draw their words through random.Random, not numpy.random
+    src = os.path.dirname(os.path.dirname(ztnet.cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from ztnet.cli import main\n"
+        "from ztnet.generators import KINDS, generate\n"
+        "for kind in KINDS:\n"
+        "    generate(kind, 50, None, 3)\n"
+        "for kind in ('discs', 'rects', 'frames', 'points-discs', 'points-dyadic'):\n"
+        "    assert main(['generate', '--kind', kind, '--n', '20', '--out', sys.argv[1]]) == 0\n"
+        "sys.exit('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "inst.json")],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztnet.errors import BudgetExceeded, ParamOutOfRange
-from ztnet.generators import GenParams, generate, prune_to_ktt_free
-from ztnet.geometry import AxisRect, Disc, Frame, Point, check_general_position
+from ztnet.generators import KINDS, GenParams, generate, prune_to_ktt_free
+from ztnet.geometry import AxisRect, Disc, Family, Frame, Point, check_general_position
 from ztnet.hypergraph import BipartiteIntersectionGraph
 from ztnet.suite import scaled_disc_instance
 from ztnet.zarankiewicz import find_ktt_witness
 
+import generator_oracle
 from ktt_oracle import _combos_at_least, mask_prune
 
 
@@ -74,6 +75,46 @@ class TestGenerate:
         for d in generate("random_discs", 50, None, 1):
             assert 0 <= d.center.x <= 1 and 0 <= d.center.y <= 1
             assert 0.04 <= d.radius <= 0.10
+
+
+def generated(fn, *args):
+    """A generator's family as (kind codes, field bytes, objects), or its error."""
+    try:
+        fam = Family.of(fn(*args))
+    except (ParamOutOfRange, ValueError) as exc:
+        return type(exc), str(exc)
+    return fam.codes.tolist(), fam.fields.tobytes(), fam.objects
+
+
+# extents and radii across GenParams' range, with its limits and the grid's
+# unit 2^-20 (an extent that rounds below one unit is one unit)
+_EXTENTS = st.one_of(st.floats(min_value=1e-12, max_value=1.0),
+                     st.sampled_from([1e-12, 2.0**-22, 2.0**-20, 0.5, 0.999, 1.0 - 700 * 2.0**-20, 1.0]))
+_RADII = st.one_of(st.floats(min_value=5e-324, max_value=1.7e308),
+                   st.sampled_from([5e-324, 1e-300, 0.04, 0.1, 1e300, 1.7e308]))
+
+
+class TestBulkMatchesScalarOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(0, 300), st.sampled_from([0, 1]),
+           st.tuples(_EXTENTS, _EXTENTS).map(sorted), st.tuples(_RADII, _RADII).map(sorted),
+           st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**200), st.integers(-(2**70), -1)))
+    def test_bit_for_bit(self, kind, count, parity, extents, radii, seed):
+        # the bulk draws give the scalar generators' floats bit for bit, and
+        # the same errors; rects replay every rejection and collision redraw
+        params = GenParams(radii[0], radii[1], extents[0], extents[1], parity)
+        assert generated(generate, kind, count, params, seed) == generated(
+            generator_oracle.generate, kind, count, params, seed)
+
+    def test_collision_redraws_are_replayed(self):
+        redraws = []
+        want = generator_oracle.generate("random_rects", 2000, None, 1, redraws)
+        assert sum(redraws) > 0  # the oracle drew some interval again
+        assert generated(generate, "random_rects", 2000, None, 1) == generated(lambda: want)
+
+    def test_draws_no_objects(self):
+        for kind in KINDS:
+            assert generate(kind, 20, None, 4)._objects is None
 
 
 class TestCombosAtLeast:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +6,10 @@ from census_oracle import IntersectionType, _edge_crossings, classify_rect_pair
 
 from ztnet.errors import DegenerateInput
 from ztnet.geometry import (
+    SHAPES,
     AxisRect,
     Disc,
+    Family,
     Frame,
     Point,
     Segment,
@@ -200,3 +203,53 @@ def test_invalid_shapes_rejected():
         AxisRect(1, 0, 0, 1)
     with pytest.raises(ValueError):
         Frame(0, 1, 1, 0)
+
+
+segments = st.builds(
+    lambda orientation, fixed, lo, w: Segment(orientation, fixed, lo, lo + w),
+    st.sampled_from(["horizontal", "vertical"]),
+    coords,
+    coords,
+    st.floats(min_value=0.5, max_value=5),
+)
+
+
+class TestFamily:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(objects(), max_size=8), st.lists(segments, max_size=8)))
+    def test_columns_rebuild_the_objects(self, objs):
+        # the layout read from the objects builds them again, and a family that
+        # builds its objects from the columns prints and compares as their list
+        fam = Family.of(objs)
+        assert fam.fields.shape == (5, len(objs)) and fam.fields.dtype == np.float64
+        columns = Family(fam.codes, fam.fields.copy())
+        assert repr(columns) == repr(objs) and columns._objects is None
+        assert columns == objs and list(columns) == objs and len(columns) == len(objs)
+        for code, idx in fam.groups():
+            for i in idx.tolist():
+                assert type(objs[i]) is SHAPES[code].cls and fam[i] is objs[i]
+
+    def test_layout_rows(self):
+        fam = Family.of([Disc(Point(1.0, 2.0), 0.5), Point(3.0, 4.0), AxisRect(0.0, 1.0, 2.0, 3.0),
+                         Frame(0.0, 1.0, 2.0, 3.0), Segment("horizontal", 5.0, 1.0, 2.0),
+                         Segment("vertical", 5.0, 1.0, 2.0)])
+        assert fam.fields.T.tolist() == [[1.0, 1.0, 2.0, 2.0, 0.5], [3.0, 3.0, 4.0, 4.0, 0.0],
+                                         [0.0, 1.0, 2.0, 3.0, 0.0], [0.0, 1.0, 2.0, 3.0, 0.0],
+                                         [1.0, 2.0, 5.0, 5.0, 0.0], [5.0, 5.0, 1.0, 2.0, 0.0]]
+        assert [SHAPES[c].name for c in fam.codes.tolist()] == [
+            "disc", "point", "rect", "frame", "horizontal", "vertical"]
+
+    def test_take_add_and_representatives(self):
+        objs = [Point(0.0, 0.0), Disc(Point(1.0, 1.0), 1.0), Point(2.0, 2.0), AxisRect(0, 1, 0, 1)]
+        fam = Family.of(objs)
+        columns = Family(fam.codes, fam.fields)
+        for f in (fam, columns):
+            assert f.take(np.array([3, 0])) == [objs[3], objs[0]]
+            assert f + f == objs + objs and f + objs[:1] == objs + objs[:1] and objs[:1] + f == objs[:1] + objs
+            assert list(f.representatives().values()) == [objs[0], objs[1], objs[3]]
+        assert fam.take(np.array([3]))[0] is objs[3]  # kept objects keep their own coordinates
+        assert repr(fam.take(np.array([3]))) == "[AxisRect(x_lo=0, x_hi=1, y_lo=0, y_hi=1)]"
+
+    def test_unknown_object_raises(self):
+        with pytest.raises(TypeError, match="unsupported object: str"):
+            Family.of([Point(0.0, 0.0), "point"])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from box_oracle import dense_pairs, intersection_matrix
 from containment_oracle import contained_counts as row_side_counts
 from containment_oracle import counting_chain as row_side_chain
-from graph_oracle import TupleGraph, TupleSetGraph, edge_set, hyperedges, hypergraph_of, mask_of, set_of
+from graph_oracle import TupleGraph, TupleSetGraph, delaunay_graph, edge_set, hyperedges, hypergraph_of, mask_of, set_of
 from net_oracle import induced_subhypergraph
 from round_oracle import dense_edges, round_matrix
 
@@ -40,7 +40,6 @@ from ztnet.hypergraph import (
     bits_of,
     contained_counts,
     counting_chain,
-    delaunay_graph,
     dual_hypergraph,
     primal_hypergraph,
     vc_dimension,

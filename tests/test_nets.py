@@ -22,13 +22,11 @@ from ztnet.nets import (
     heavy_threshold,
     min_t_net_bruteforce,
     pseudodisc_t_net,
-    sampled_epsilon_net,
-    stacked_cover_set,
-    verify_epsilon_net,
     verify_t_net,
 )
 
 import net_oracle
+from epsilon_net_oracle import sampled_epsilon_net, stacked_cover_set, verify_epsilon_net
 from graph_oracle import distinct_hyperedges, hypergraph_of, mask_of, set_of
 from net_oracle import table_greedy_t_net
 

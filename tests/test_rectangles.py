@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from census_oracle import IntersectionType, classify_rect_pair, intersection_type_census as per_edge_census
-from graph_oracle import edge_set, hypergraph_of
+from graph_oracle import delaunay_graph, edge_set, hypergraph_of
 from planarity_oracle import hereditary_planarity_check as sample_by_sample_check
 from segment_oracle import _interval_runs as full_sweep_runs
 
@@ -28,14 +28,12 @@ from ztnet.geometry import (
 from ztnet.hypergraph import (
     BipartiteIntersectionGraph,
     Graph,
-    delaunay_graph,
 )
 from ztnet.rectangles import (
     BLOCK_ROWS,
     _interval_runs,
     _sample_blocks,
     canonical_segment_tuples,
-    corner_incidence_graph,
     crossing_graph,
     hereditary_planarity_check,
     horizontal_edges_of,
@@ -46,6 +44,8 @@ from ztnet.rectangles import (
 )
 from ztnet.suite import derive_seed, segment_instance
 from ztnet.zarankiewicz import find_ktt_witness
+
+from box_oracle import corner_incidence_graph
 
 
 def hseg(y, lo, hi):
