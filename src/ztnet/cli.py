@@ -64,14 +64,6 @@ from .zarankiewicz import (
 _JSON_CODES = {s.name: code for code, s in enumerate(SHAPES) if s.keys}  # the kinds an instance file holds
 
 
-def object_to_json(obj) -> dict:
-    shape = next((s for s in SHAPES if s.keys and isinstance(obj, s.cls)), None)
-    if shape is None:
-        raise TypeError(f"not a serializable object: {obj!r}")
-    vals = dict(zip(shape.rows, shape.get(obj)))
-    return {"kind": shape.name, **{k: vals[k] for k in shape.keys}}
-
-
 def _decode(raw):
     """One instance object from its JSON form.  A SchemaError names the fault
     but not the object; the caller labels it."""
@@ -133,11 +125,8 @@ def _decode_side(arr: list) -> Family:
     return fam
 
 
-_encode_object = json.JSONEncoder(sort_keys=True).encode
-
-
 def _json_line(shape) -> tuple:
-    """`_encode_object(object_to_json(o))` as a %-template, and the rows that fill it."""
+    """An object's sorted-key JSON line as a %-template, and the layout rows that fill it."""
     keys = sorted(shape.keys + ("kind",))
     line = ", ".join(f'"{k}": "{shape.name}"' if k == "kind" else f'"{k}": %s' for k in keys)
     return "{" + line + "}", [shape.rows.index(k) for k in keys if k != "kind"]
@@ -147,17 +136,23 @@ _JSON_LINES = {code: _json_line(SHAPES[code]) for code in _JSON_CODES.values()}
 
 
 def emit_instance(fam_a, fam_b) -> str:
-    """Deterministic one-object-per-line instance document, from a family's columns if it can."""
+    """Deterministic one-object-per-line instance document, from the families'
+    columns: every field prints as a float.  A segment raises TypeError and a
+    non-finite field, which the decoder would refuse, ValueError."""
 
-    def side(objs) -> str:
-        if not objs:
-            return "[]"
-        columns = (isinstance(objs, Family) and objs._objects is None  # json spells inf and nan its own way
-                   and _JSON_LINES.keys() >= set(objs.codes.tolist()) and np.isfinite(objs.fields).all())
-        lines = objs.texts(_JSON_LINES) if columns else map(_encode_object, map(object_to_json, objs))
-        return "[\n    " + ",\n    ".join(lines) + "\n  ]"
+    def side(name: str, objs) -> str:
+        fam = Family.of(objs)
+        unknown, finite = ~np.isin(fam.codes, list(_JSON_LINES)), np.isfinite(fam.fields)
+        if unknown.any():
+            i = int(unknown.argmax())
+            raise TypeError(f"{name}[{i}]: not a serializable object: {SHAPES[fam.codes[i]].cls.__name__}")
+        if not finite.all():
+            i = int(finite.all(axis=0).argmin())
+            key = next(k for k, ok in zip(SHAPES[fam.codes[i]].rows, finite[:, i]) if not ok)
+            raise ValueError(f"{name}[{i}]: field {key!r} must be finite")
+        return "[\n    " + ",\n    ".join(fam.texts(_JSON_LINES)) + "\n  ]" if len(fam) else "[]"
 
-    return '{\n  "a": ' + side(fam_a) + ',\n  "b": ' + side(fam_b) + "\n}\n"
+    return '{\n  "a": ' + side("a", fam_a) + ',\n  "b": ' + side("b", fam_b) + "\n}\n"
 
 
 _scan_value = json.JSONDecoder().raw_decode

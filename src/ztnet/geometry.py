@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -266,23 +266,23 @@ _CODES = {Disc: DISC, AxisRect: RECT, Frame: FRAME, Point: POINT, "horizontal": 
 
 class Family(Sequence):
     """Objects held by columns: `codes`, an int64 kind code each (one int if all
-    share it), and `fields`, the (5, n) float64 layout.  Objects are built on
-    first use and cached, or kept from the list the family was made of."""
+    share it), and `fields`, the (5, n) float64 layout.  Objects are built from
+    the columns on first use and cached."""
 
-    def __init__(self, codes, fields, objects: Optional[list] = None):
-        self.fields, self._objects = np.asarray(fields, dtype=float), objects
+    def __init__(self, codes, fields):
+        self.fields, self._objects = np.asarray(fields, dtype=float), None
         self.codes = np.full(self.fields.shape[1], codes, np.int64) if isinstance(codes, int) else codes
 
     @classmethod
     def of(cls, objs) -> "Family":
-        """`objs` if a family, else its objects by columns; an unknown kind raises TypeError."""
+        """`objs` if a family, else its objects' columns; an unknown kind raises TypeError."""
         if isinstance(objs, Family):
             return objs
         objs = list(objs)
         kinds = [o.orientation if type(o) is Segment else type(o) for o in objs]
         if unknown := set(kinds) - _CODES.keys():
             raise TypeError(f"unsupported object: {min(k.__name__ for k in unknown)}")
-        fam = cls(np.array([_CODES[k] for k in kinds], np.int64), np.zeros((5, len(objs))), objs)
+        fam = cls(np.array([_CODES[k] for k in kinds], np.int64), np.zeros((5, len(objs))))
         for code, idx in fam.groups():
             vals = np.array([SHAPES[code].get(objs[i]) for i in idx.tolist()], float)
             fam.fields[: vals.shape[1], idx] = vals.T
@@ -314,8 +314,6 @@ class Family(Sequence):
         return self.objects == (other.objects if isinstance(other, Family) else other)
 
     def __repr__(self) -> str:
-        if self._objects is not None:
-            return repr(self._objects)
         return "[" + ", ".join(self.texts([shape.text for shape in SHAPES])) + "]"
 
     def texts(self, templates) -> list[str]:
@@ -328,21 +326,18 @@ class Family(Sequence):
                 out[i] = template % vals
         return out
 
-    def __add__(self, other):
-        if not isinstance(other, Family):
-            return self.objects + other
+    def __add__(self, other) -> "Family":
+        other = Family.of(other)
         return Family(np.concatenate((self.codes, other.codes)), np.concatenate((self.fields, other.fields), axis=1))
 
-    def __radd__(self, other):
-        return other + self.objects
+    def __radd__(self, other) -> "Family":
+        return Family.of(other) + self
 
     def take(self, idx: np.ndarray) -> "Family":
         """The objects at the int indices `idx`, in that order."""
-        objs = None if self._objects is None else [self._objects[i] for i in idx.tolist()]
-        return Family(self.codes[idx], self.fields[:, idx], objs)
+        return Family(self.codes[idx], self.fields[:, idx])
 
     def representatives(self) -> dict:
         """The first object of each kind code, by code in order of first occurrence."""
         codes, first = np.unique(self.codes, return_index=True)
-        return {c: self._objects[i] if self._objects is not None else SHAPES[c].make(*self.fields[:, i].tolist())
-                for i, c in sorted(zip(first.tolist(), codes.tolist()))}
+        return {c: SHAPES[c].make(*self.fields[:, i].tolist()) for i, c in sorted(zip(first.tolist(), codes.tolist()))}

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .geometry import HORIZONTAL, VERTICAL, Family, Segment, check_general_position
+from .geometry import HORIZONTAL, VERTICAL, Family, check_general_position
 from .hypergraph import (
     BipartiteIntersectionGraph, CanonicalTupleFamily, ChainReport, Graph, _edge_blocks, counting_chain)
 
@@ -56,15 +56,10 @@ def vertical_edges_of(rects) -> Family:
 
 
 def _edges_of(rects, code: int) -> Family:
-    """The rectangles' edges along one axis, from the columns or the objects held."""
-    rects = Family.of(rects)
-    if rects._objects is not None:
-        if code == HORIZONTAL:
-            return Family.of([Segment("horizontal", y, r.x_lo, r.x_hi) for r in rects for y in (r.y_lo, r.y_hi)])
-        return Family.of([Segment("vertical", x, r.y_lo, r.y_hi) for r in rects for x in (r.x_lo, r.x_hi)])
-    fields = rects.fields.repeat(2, axis=1)
+    """The rectangles' edges along one axis, from their columns."""
+    fields = (box := Family.of(rects).fields).repeat(2, axis=1)
     fixed = 2 if code == HORIZONTAL else 0  # the rows of the edge's constant coordinate
-    fields[fixed] = fields[fixed + 1] = rects.fields[fixed : fixed + 2].T.ravel()
+    fields[fixed] = fields[fixed + 1] = box[fixed : fixed + 2].T.ravel()
     return Family(code, fields)
 
 
@@ -160,7 +155,7 @@ def _interval_runs(hsegs, k: int):
         ends.setdefault(hi, []).append(i)
     if shared := starts.keys() & ends.keys():
         raise DegenerateInput(
-            f"a segment ends at x = {hsegs[starts[min(shared)][0]].lo!r} where another starts; "
+            f"a segment ends at x = {min(shared)!r} where another starts; "
             "the sweep needs distinct start and end abscissae"
         )
     abscissae = sorted(set(starts) | set(ends))

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from census_oracle import IntersectionType, _edge_crossings, classify_rect_pair
 
+from ztnet.cli import emit_instance, parse_instance_text
 from ztnet.errors import DegenerateInput
 from ztnet.geometry import (
     SHAPES,
@@ -54,6 +57,19 @@ def objects(draw):
     if which == 2:
         return draw(rects(AxisRect))
     return draw(rects(Frame))
+
+
+numbers = st.one_of(st.integers(-10, 10), coords)
+sizes = st.one_of(st.integers(1, 5), radii)
+
+
+@st.composite
+def mixed_objects(draw):
+    """An object of any of the six kinds, with int or float coordinates."""
+    x, y, w, h = draw(numbers), draw(numbers), draw(sizes), draw(sizes)
+    return draw(st.sampled_from([
+        Point(x, y), Disc(Point(x, y), w), AxisRect(x, x + w, y, y + h), Frame(x, x + w, y, y + h),
+        Segment("horizontal", y, x, x + w), Segment("vertical", x, y, y + h)]))
 
 
 class TestIntersects:
@@ -227,7 +243,7 @@ class TestFamily:
         assert columns == objs and list(columns) == objs and len(columns) == len(objs)
         for code, idx in fam.groups():
             for i in idx.tolist():
-                assert type(objs[i]) is SHAPES[code].cls and fam[i] is objs[i]
+                assert type(objs[i]) is SHAPES[code].cls and fam[i] == objs[i]
 
     def test_layout_rows(self):
         fam = Family.of([Disc(Point(1.0, 2.0), 0.5), Point(3.0, 4.0), AxisRect(0.0, 1.0, 2.0, 3.0),
@@ -247,8 +263,47 @@ class TestFamily:
             assert f.take(np.array([3, 0])) == [objs[3], objs[0]]
             assert f + f == objs + objs and f + objs[:1] == objs + objs[:1] and objs[:1] + f == objs[:1] + objs
             assert list(f.representatives().values()) == [objs[0], objs[1], objs[3]]
-        assert fam.take(np.array([3]))[0] is objs[3]  # kept objects keep their own coordinates
-        assert repr(fam.take(np.array([3]))) == "[AxisRect(x_lo=0, x_hi=1, y_lo=0, y_hi=1)]"
+        assert repr(fam.take(np.array([3]))) == "[AxisRect(x_lo=0.0, x_hi=1.0, y_lo=0.0, y_hi=1.0)]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(mixed_objects(), max_size=8), st.lists(mixed_objects(), max_size=4), st.data())
+    def test_object_lists_take_the_column_path(self, objs, more, data):
+        # a family made of objects holds only their columns: it compares as the
+        # list, prints as a family made of the columns (ints as floats), and
+        # takes, adds, picks representatives and writes files the same way
+        fam = Family.of(objs)
+        assert fam._objects is None  # built on first use, from the columns
+        columns = Family(fam.codes, fam.fields.copy())
+        assert fam == objs and repr(fam) == repr(columns) == repr(list(columns))
+        idx = data.draw(st.lists(st.integers(0, len(objs) - 1), max_size=6) if objs else st.just([]))
+        for f in (fam, columns):
+            assert f.take(np.array(idx, np.int64)) == [objs[i] for i in idx]
+        for total, expected in ((fam + more, objs + more), (more + fam, more + objs), (fam + fam, objs + objs)):
+            assert isinstance(total, Family) and total == expected
+        firsts = {}
+        for o in objs:
+            firsts.setdefault((type(o), getattr(o, "orientation", None)), o)
+        assert list(fam.representatives().values()) == list(firsts.values())
+        a, b = [o for o in objs if type(o) is not Segment], [o for o in more if type(o) is not Segment]
+        text = emit_instance(a, b)
+        assert parse_instance_text(text) == (a, b) and emit_instance(*parse_instance_text(text)) == text
+        if len(a) < len(objs):
+            first = next(i for i, o in enumerate(objs) if type(o) is Segment)
+            with pytest.raises(TypeError, match=rf"^a\[{first}\]: not a serializable object: Segment$"):
+                emit_instance(objs, b)
+
+    @pytest.mark.parametrize("side, obj, key", [
+        ("a", Point(math.inf, 0.0), "x"),
+        ("b", Disc(Point(0.0, math.nan), 1.0), "cy"),
+        ("a", AxisRect(0.0, 1.0, -math.inf, 2.0), "y0"),
+        ("b", Frame(0.0, math.inf, 0.0, 1.0), "x1"),
+    ])
+    def test_emit_refuses_non_finite_fields(self, side, obj, key):
+        # the decoder refuses non-finite fields, so the writer does not write them
+        sides = {"a": [Point(0.0, 0.0)], "b": [Point(0.0, 0.0)]}
+        sides[side].append(obj)
+        with pytest.raises(ValueError, match=rf"^{side}\[1\]: field '{key}' must be finite$"):
+            emit_instance(sides["a"], sides["b"])
 
     def test_unknown_object_raises(self):
         with pytest.raises(TypeError, match="unsupported object: str"):
