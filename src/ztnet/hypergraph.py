@@ -214,9 +214,12 @@ class BipartiteIntersectionGraph:
         return np.bincount(self.cols, minlength=self.n).tolist()
 
     def induced(self, keep_a: Iterable[int], keep_b: Iterable[int]) -> "BipartiteIntersectionGraph":
-        """Subgraph on the given vertex subsets, reindexed in sorted order."""
-        ka = np.unique(np.fromiter(keep_a, dtype=np.int64))
-        kb = np.unique(np.fromiter(keep_b, dtype=np.int64))
+        """Subgraph on the given vertex subsets, reindexed in sorted order.
+        An index outside its side raises ValueError."""
+        ka, kb = (np.unique(np.fromiter(keep, dtype=np.int64)) for keep in (keep_a, keep_b))
+        for name, k, size in (("A", ka, self.m), ("B", kb, self.n)):
+            if len(k) and (k[0] < 0 or k[-1] >= size):
+                raise ValueError(f"keep index {k[0] if k[0] < 0 else k[-1]} out of range for side {name} of {size}")
         new_a, new_b = np.full(self.m, -1), np.full(self.n, -1)
         new_a[ka], new_b[kb] = np.arange(len(ka)), np.arange(len(kb))
         rows, cols = new_a[self.rows], new_b[self.cols]

@@ -21,7 +21,6 @@ costs O((n + |F|)·k) rather than O(n·|active|).
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
@@ -323,70 +322,31 @@ def _euler_bound(k: int) -> int:
 BLOCK_ROWS = 64  # samples drawn and counted per numpy block
 
 
-class _WordStream:
-    """The 32-bit MT19937 words that random.Random(seed) would use, in the same
-    order, drawn in bulk through numpy's MT19937 bit generator set to a copy of
-    that Random's state."""
-
-    def __init__(self, seed):
-        from numpy.random import MT19937  # here only: importing ztnet stays without numpy.random
-
-        *key, pos = random.Random(seed).getstate()[1]
-        self._bits = MT19937()
-        state = {"key": np.array(key, dtype=np.uint32), "pos": pos}
-        self._bits.state = {"bit_generator": "MT19937", "state": state}
-
-    def words(self, count: int) -> np.ndarray:
-        return self._bits.random_raw(count).astype(np.uint32)
-
-    def randints(self, n: int, count: int) -> np.ndarray:
-        """`count` draws of randint(0, n), for 0 <= n < 2**32: as CPython, one
-        word shifted right by 32 - (n+1).bit_length(), drawn again while the
-        result exceeds n."""
-        shift, drawn = 32 - (n + 1).bit_length(), np.empty(0, dtype=np.int64)
-        while len(drawn) < count:
-            r = self.words(count - len(drawn)) >> shift
-            drawn = np.concatenate((drawn, r[r <= n]))
-        return drawn
-
-    def keys(self, rows: int, n: int) -> np.ndarray:
-        """The words of randbytes(4·rows·n) read as little-endian uint32, one row
-        of n per sample."""
-        return self.words(rows * n).reshape(rows, n)
-
-
-def _sample_blocks(g: Graph, samples: int, seed):
+def _sample_blocks(g: Graph, samples: int, seed: int):
     """Random induced subgraphs of `g`, BLOCK_ROWS at a time, as pairs
     (keep, counts): keep[r] marks the vertices sample r keeps and counts[r]
     is its number of induced edges.
 
-    The draws are word for word those of random.Random(seed), read through
-    numpy one block at a time (`_WordStream`): per block, randint(0, n) for
-    each row's size, then randbytes(4·rows·n) for one uint32 key per vertex.
-    A row keeps the vertices whose key is at most the size-th smallest; a key
-    tied with that one keeps its vertex too, so a row can keep more than its
-    size, and the caller reads the kept count from keep.sum()."""
-    n, stream = g.vertex_count, _WordStream(seed)
+    A block is one Bernoulli mask: row r keeps each vertex whose uniform key
+    falls below the row's own uniform level, so its kept count is uniform on
+    0..n and, given that count, its kept set is a uniform subset.  Int seeds
+    follow random.Random's rule, abs(seed), into numpy's default generator,
+    imported here only so that importing ztnet leaves numpy.random unloaded."""
+    from numpy.random import default_rng
+
+    n, rng = g.vertex_count, default_rng(abs(seed))
     for lo in range(0, samples, BLOCK_ROWS):
         rows = min(BLOCK_ROWS, samples - lo)
-        sizes = stream.randints(n, rows)
-        keys = stream.keys(rows, n)
-        if n:
-            nth = np.maximum(sizes - 1, 0)[:, None]
-            threshold = np.take_along_axis(np.sort(keys, axis=1), nth, axis=1)
-            keep = (keys <= threshold) & (sizes > 0)[:, None]
-        else:
-            keep = np.zeros((rows, 0), dtype=bool)
+        keep = rng.random((rows, n)) < rng.random((rows, 1))
         kept_by_vertex = np.ascontiguousarray(keep.T)
         yield keep, np.count_nonzero(kept_by_vertex[g.rows] & kept_by_vertex[g.cols], axis=0)
 
 
 def hereditary_planarity_check(g: Graph, samples: int, seed: int) -> PlanarityReport:
     """Euler bound |E| <= 3|V|-6 on the full graph and on `samples` random
-    induced subgraphs, drawn word for word as random.Random(seed) would draw
-    them but through numpy, and counted in blocks of BLOCK_ROWS samples (see
-    `_sample_blocks`).  Each count is held against the bound for the number
-    of vertices its sample really kept."""
+    induced subgraphs drawn from `seed`, drawn and counted in numpy blocks of
+    BLOCK_ROWS samples (see `_sample_blocks`).  Each count is held against
+    the bound for the number of vertices its sample kept."""
     n = g.vertex_count
     bound = np.array([_euler_bound(k) for k in range(n + 1)])
     violations = int(len(g.rows) > bound[n])

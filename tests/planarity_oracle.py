@@ -1,6 +1,9 @@
 """The one-sample-at-a-time loop that `rectangles.hereditary_planarity_check`
 replaced, kept as its test oracle: it draws each sample's kept set with
-`rng.sample`, one Python int per kept vertex."""
+`rng.sample`, one Python int per kept vertex.  Its samples come from
+`random.Random` and the sampler's from numpy, so the two draw different
+subsets: they agree on `passed` for planar graphs and on `samples_checked`,
+not on the draws."""
 
 import random
 

@@ -709,6 +709,18 @@ class TestArrayGraphOracle:
         with pytest.raises(ValueError):
             BipartiteIntersectionGraph.from_edges([None], [None], [(0, -1)])
 
+    def test_induced_rejects_out_of_range_indices(self):
+        g = BipartiteIntersectionGraph.from_edges([None] * 3, [None] * 2, [(0, 0), (2, 1)])
+        with pytest.raises(ValueError, match=r"index -1 out of range for side A of 3"):
+            g.induced([-1], [1])
+        with pytest.raises(ValueError, match=r"index 3 out of range for side A of 3"):
+            g.induced([3], [0])
+        with pytest.raises(ValueError, match=r"index 2 out of range for side B of 2"):
+            g.induced([0], [0, 2])
+        with pytest.raises(ValueError, match=r"index -2 out of range for side B of 2"):
+            g.induced([], [-2, 5])
+        assert g.induced([], []).edge_count == 0
+
 
 class TestAdjacencyMasks:
     @settings(max_examples=200, deadline=None)

@@ -539,55 +539,71 @@ class TestPlanarityCheck:
         assert rep.violations > 0
         assert rep == hereditary_planarity_check(g, 300, seed=9)
 
-    def test_tied_keys_raise_no_false_violation(self, monkeypatch):
-        # every key ties, so a sample of any size >= 1 keeps all n vertices of
-        # a maximal planar graph: only the bound for n, not for the drawn
-        # size, is the right one to hold its 3n - 6 edges against
-        drawn_keys = rectangles._WordStream.keys
-        monkeypatch.setattr(
-            rectangles._WordStream, "keys", lambda self, rows, n: np.zeros_like(drawn_keys(self, rows, n))
-        )
+    def test_maximal_planar_graph_passes_200_samples(self):
+        # 3n - 6 edges: a sample that keeps every vertex meets its bound
+        # exactly, so each count must be held against the bound for the
+        # number of vertices its own sample kept
         n = 9
         edges = {(0, 1)} | {(0, v) for v in range(2, n)} | {(1, v) for v in range(2, n)}
         g = Graph.from_edges(n, edges | {(v - 1, v) for v in range(3, n)})
         assert len(g.rows) == 3 * n - 6
-        assert all(row.all() or not row.any() for keep, _ in _sample_blocks(g, 200, 5) for row in keep)
+        sizes = []
+        for keep, counts in _sample_blocks(g, 200, 5):
+            kept = keep.sum(axis=1)
+            assert all(c <= rectangles._euler_bound(k) for c, k in zip(counts.tolist(), kept.tolist()))
+            sizes += kept.tolist()
+        assert set(sizes) == set(range(n + 1))  # the full graph and the empty one among them
         rep = hereditary_planarity_check(g, 200, seed=5)
         assert rep.passed and rep.samples_checked == 201
 
+    def test_kept_sizes_uniform_and_vertices_symmetric(self):
+        # a row's kept count is uniform on 0..n, and given the count the kept
+        # set is a uniform subset: each vertex is kept with probability 1/2
+        # and each pair with probability 1/3 (the mean of p and of p^2)
+        n, samples = 9, 20_000
+        keep = np.concatenate([k for k, _ in _sample_blocks(Graph.from_edges(n, set()), samples, 11)])
+        assert keep.shape == (samples, n)
+        observed = np.bincount(keep.sum(axis=1), minlength=n + 1)
+        expected = samples / (n + 1)
+        assert ((observed - expected) ** 2 / expected).sum() < 27.88  # chi-square, 9 df, p = 0.001
+        assert np.abs(keep.mean(axis=0) - 1 / 2).max() < 0.02
+        pairs = (keep[:, :, None] & keep[:, None, :]).mean(axis=0)[np.triu_indices(n, 1)]
+        assert np.abs(pairs - 1 / 3).max() < 0.02
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64) - 5, 2**64, 2**100 + 3])
+    def test_negative_and_huge_seeds_are_deterministic(self, seed):
+        g = complete_plus_isolated(6, 2)
+        masks = [np.concatenate([k for k, _ in _sample_blocks(g, 150, s)]) for s in (seed, seed, abs(seed))]
+        assert (masks[0] == masks[1]).all() and (masks[0] == masks[2]).all()  # random.Random's abs rule
+        rep = hereditary_planarity_check(g, 150, seed)
+        assert rep.violations > 0 and rep == hereditary_planarity_check(g, 150, seed)
+
     @settings(max_examples=100, deadline=None)
-    @given(g=small_graphs(), samples=st.integers(0, 150), seed=st.integers(0, 2**32))
+    @given(g=small_graphs(), samples=st.integers(0, 150), seed=st.integers(-(2**70), 2**70))
     @example(g=complete_plus_isolated(5, 0), samples=130, seed=1)
     @example(g=complete_plus_isolated(6, 0), samples=64, seed=2)
     @example(g=complete_plus_isolated(5, 4), samples=65, seed=3)
     @example(g=complete_plus_isolated(0, 3), samples=1, seed=4)
-    @example(g=complete_plus_isolated(0, 0), samples=129, seed=5)  # n = 0: sizes only
-    # n + 1 a power of two, where randint rejects about half its words
-    @example(g=complete_plus_isolated(4, 3), samples=128, seed=6)
+    @example(g=complete_plus_isolated(0, 0), samples=129, seed=5)  # n = 0: empty rows only
     @example(g=complete_plus_isolated(5, 10), samples=129, seed=7)
     @example(g=complete_plus_isolated(6, 25), samples=65, seed=8)
     def test_block_counts_match_a_recount(self, g, samples, seed):
-        # replay the draw in pure Python from random.Random on the same seed,
-        # whose words the sampler reads through numpy: per block, one randint
-        # size per row, then 4 bytes per vertex
-        n = g.vertex_count
-        replay = random.Random(seed)
-        total = 0
+        # every block is at most BLOCK_ROWS rows of n, each row's count is its
+        # induced edge count recounted in Python, and the blocks hold every
+        # sample once
+        n, edges = g.vertex_count, edge_set(g)
+        total = violations = 0
         for keep, counts in _sample_blocks(g, samples, seed):
             rows = len(counts)
-            assert keep.shape == (rows, n) and rows <= BLOCK_ROWS
-            sizes = [replay.randint(0, n) for _ in range(rows)]
-            raw = replay.randbytes(4 * rows * n)
-            for r, (row, count) in enumerate(zip(keep, counts)):
-                at = 4 * r * n
-                keys = [int.from_bytes(raw[at + 4 * v : at + 4 * v + 4], "little") for v in range(n)]
-                cut = sorted(keys)[sizes[r] - 1] if sizes[r] else -1
-                kept = {v for v in range(n) if keys[v] <= cut}
-                assert set(np.flatnonzero(row).tolist()) == kept and len(kept) >= sizes[r]
-                assert count == sum(u in kept and v in kept for u, v in edge_set(g))
+            assert keep.shape == (rows, n) and 0 < rows <= BLOCK_ROWS
+            for row, count in zip(keep, counts):
+                kept = set(np.flatnonzero(row).tolist())
+                assert count == sum(u in kept and v in kept for u, v in edges)
+                violations += count > rectangles._euler_bound(len(kept))
             total += rows
         assert total == samples
         rep = hereditary_planarity_check(g, samples, seed)
+        assert rep.violations == violations + (len(edges) > rectangles._euler_bound(n))
         assert rep.samples_checked == sample_by_sample_check(g, samples, seed).samples_checked
 
     @settings(max_examples=100, deadline=None)
