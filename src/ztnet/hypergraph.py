@@ -9,13 +9,15 @@ Both graph types store their edges once, as row-major (rows, cols) index
 arrays.  The bipartite graph derives one cached adjacency view from them:
 ascending neighbour lists, which the K_{t,t} witness search, the pruner and
 the tuple counts read, and which the primal and dual hypergraphs hold as
-their hyperedges.  Bitmasks appear only over local universes: the rows of a
-transpose (`holder_masks`), or a search's own relabelled vertices.
+their hyperedges.  `containing_rows` intersects transposes in that list
+form: `nbrs_a` for the rows `nbrs_b`, or `holder_lists` of any rows.  Bitmasks
+appear only over local universes: `holder_masks` of a hypergraph's heavy or
+distinct edges, or a search's own relabelled vertices.
 
 `counting_chain` is the one home of the counting lemma that turns a small
 canonical tuple family (`CanonicalTupleFamily`, ascending index tuples) into
 an edge bound, for points in discs and for rectangle crossings alike; it
-counts containment from the tuple side.
+counts containment from the tuple side, on the graph's `nbrs_a`.
 
 `BipartiteIntersectionGraph.from_families` is the one way two families become
 a graph: one candidate grid, and predicates bitwise equal to `intersects`.
@@ -40,7 +42,7 @@ from .errors import InequalityViolated
 from .geometry import DISC, FRAME, HORIZONTAL, POINT, RECT, VERTICAL, Family, intersects
 
 # ---------------------------------------------------------------------------
-# bitmask helpers
+# bit positions, transposes and the containment primitive
 
 
 def bits_of(mask: int):
@@ -53,7 +55,7 @@ def bits_of(mask: int):
 
 def holder_masks(rows: Sequence[Sequence[int]]) -> dict[int, int]:
     """The transpose of the rows (lists of indices): each index held by some
-    row maps to the bitmask of the rows that hold it."""
+    row maps to the bitmask of the rows that hold it, so keep the rows few."""
     holders: dict[int, int] = {}
     for r, row in enumerate(rows):
         bit = 1 << r
@@ -62,29 +64,29 @@ def holder_masks(rows: Sequence[Sequence[int]]) -> dict[int, int]:
     return holders
 
 
-def containing_rows(tuples, rows: Sequence[Sequence[int]]):
-    """Yield (tuple, held) for each index tuple, where the bitmask `held` marks
-    the rows (lists of indices) that contain the whole tuple.
+def holder_lists(rows: Iterable[Sequence[int]], size: int) -> list[list[int]]:
+    """The transpose of the rows (lists of indices in 0..size-1): entry v is the
+    ascending list of the rows that hold v, the form of a graph's `nbrs_a`."""
+    holders: list[list[int]] = [[] for _ in range(size)]
+    for r, row in enumerate(rows):
+        for v in row:
+            holders[v].append(r)
+    return holders
 
-    A tuple's mask is the AND of its members' `holder_masks`, so the cost is
-    O(sum |row| + |tuples| * k) big-int operations, not one subset test per
-    (tuple, row) pair.  The empty tuple lies in every row."""
-    holders, every_row = holder_masks(rows), (1 << len(rows)) - 1
+
+def containing_rows(tuples, holders: Sequence[Sequence[int]]):
+    """Yield (tuple, held) for each tuple of one or more indices: `held` is the
+    ascending list of the rows that hold every member, the intersection of the
+    members' lists `holders[v]` (as `holder_lists` or a graph's `nbrs_a` give
+    them), from the first member's and stopping once empty.  No set spans the
+    rows; a lone member's own list comes back, for callers only to read."""
     for tp in tuples:
-        held = every_row
-        for v in tp:
-            held &= holders.get(v, 0)
+        held = holders[tp[0]]
+        for v in tp[1:]:
+            if not held:
+                break
+            held = sorted(set(held).intersection(holders[v]))
         yield tp, held
-
-
-def contained_counts(tuples, rows: Sequence[Sequence[int]]) -> list[int]:
-    """For every row (a list of indices), how many of the index `tuples` lie
-    inside it."""
-    counts = [0] * len(rows)
-    for _, held in containing_rows(tuples, rows):
-        for r in bits_of(held):
-            counts[r] += 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,14 @@ class ChainReport:
     x_counts: list[int]
 
 
-def counting_chain(tuples, rows: Sequence[Sequence[int]], t: int, k: int, lower: Callable[[int], int]) -> ChainReport:
-    """The counting lemma on the canonical k-tuples `tuples` (a set) and the
-    rows (neighbour lists) of a K_{t,t}-free graph: a row of d members holds
-    x_i >= lower(d) tuples, and no tuple lies inside k rows, so
-    sum x_i <= (k-1)|F|.  Freeness is the caller's to check; a broken bound
-    raises InequalityViolated."""
-    degrees, x_counts = [len(row) for row in rows], contained_counts(tuples, rows)
+def counting_chain(tuples, g: BipartiteIntersectionGraph, t: int, k: int, lower: Callable[[int], int]) -> ChainReport:
+    """The counting lemma on the canonical k-tuples `tuples` (a set of A
+    indices) and the rows N(b) of a K_{t,t}-free graph `g`, read through its
+    `nbrs_a`: a row of d members holds x_i >= lower(d) tuples, and no tuple
+    lies inside k rows, so sum x_i <= (k-1)|F|.  Freeness is the caller's to
+    check; a broken bound raises InequalityViolated."""
+    hits = [r for _, held in containing_rows(tuples, g.nbrs_a) for r in held]
+    degrees, x_counts = g.degrees_b(), np.bincount(np.array(hits, np.int64), minlength=g.n).tolist()
     lows = [lower(d) for d in degrees]
     short = [i for i, (low, x) in enumerate(zip(lows, x_counts)) if x < low]
     x_sum, x_upper = sum(x_counts), (k - 1) * len(tuples)

@@ -15,9 +15,10 @@ ascending tuples, and a net's t-subsets are ascending tuples too.  The
 stacked cover samples each layer from the parent hypergraph's lists, traced
 over the unused vertices by a membership filter; the structural net's vertex
 removal is a smallest-last order kept incrementally, in O(sum |e & cover|)
-plus heap operations.  Bitmasks run only over heavy edge positions: the
-greedy net walks per-vertex column masks, and the verifier ORs the rows each
-net tuple lies in.  Only the exhaustive minimum lists every candidate t-subset.
+plus heap operations.  The verifier, the exhaustive minimum and the removal
+order read the heavy edges' `holder_lists`.  Bitmasks run only over heavy
+edge positions: the greedy net's column masks and the exhaustive minimum's
+candidate masks.  Only the exhaustive minimum lists every candidate t-subset.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceeded, InfeasibleNet, PreconditionViolated
-from .hypergraph import Hypergraph, containing_rows, holder_masks
+from .hypergraph import Hypergraph, containing_rows, holder_lists, holder_masks
 
 EpsilonLike = Union[Fraction, float, int, str]
 
@@ -115,17 +116,14 @@ def verify_t_net(h: Hypergraph, eps: EpsilonLike, net: TNet) -> Optional[tuple[i
     """None if every heavy hyperedge contains some net tuple, else the first
     distinct heavy hyperedge that contains none, as an ascending tuple.
 
-    The rows each tuple lies in come from `containing_rows` over the heavy
-    edges; their OR marks the covered ones."""
+    The heavy edges each tuple lies in come from `containing_rows` over their
+    `holder_lists`; their union is the covered ones."""
     for tp in net.tuples:
         if tp[0] < 0 or tp[-1] >= h.vertex_count:
             raise ValueError(f"net tuple {list(tp)} out of vertex range")
     heavy = heavy_dedup_edges(h, eps)
-    covered = 0
-    for _, held in containing_rows(net.tuples, heavy):
-        covered |= held
-    missed = ~covered & ((1 << len(heavy)) - 1)
-    return heavy[(missed & -missed).bit_length() - 1] if missed else None
+    covered = {j for _, held in containing_rows(net.tuples, holder_lists(heavy, h.vertex_count)) for j in held}
+    return next((e for j, e in enumerate(heavy) if j not in covered), None)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +204,8 @@ def _removal_net(heavy: list[tuple[int, ...]], cover: frozenset[int], t: int) ->
     """
     traces = [tr for e in heavy if len(tr := tuple(filter(cover.__contains__, e))) >= t]
     sizes = [len(vs) for vs in traces]
-    holders: dict[int, list[int]] = {}
-    for k, vs in enumerate(traces):
-        for v in vs:
-            holders.setdefault(v, []).append(k)
-    count = dict.fromkeys(holders, 0)  # the live candidates
+    holders = holder_lists(traces, max(cover, default=-1) + 1)
+    count = {v: 0 for v, held in enumerate(holders) if held}  # the live candidates
     mult: dict[tuple[int, ...], int] = {}
     heap = [(0, v) for v in count]  # heapified once the size-t traces are in
 
@@ -298,7 +293,7 @@ def min_t_net_bruteforce(
     if not heavy:
         return TNet(t=t, tuples=frozenset(), epsilon=e)
     cands = sorted({c for edge in heavy for c in itertools.combinations(edge, t)})
-    cover = dict(containing_rows(cands, heavy))  # candidate -> mask of the heavy[j] holding it
+    cover = {c: sum(1 << j for j in held) for c, held in containing_rows(cands, holder_lists(heavy, h.vertex_count))}
     full = (1 << len(heavy)) - 1
     examined = 0
     for k in range(1, len(cands) + 1):

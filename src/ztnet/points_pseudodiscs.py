@@ -8,7 +8,8 @@ after every loss event enumerates the realizable subsets, and the sets of
 size exactly t form the canonical tuple family.
 
 The tuple, coverage and chain functions take the point/disc incidence graph
-the caller already holds.  The chain is `hypergraph.counting_chain` at
+the caller already holds; coverage and the chain read its `nbrs_a` through
+`hypergraph.containing_rows`.  The chain is `hypergraph.counting_chain` at
 k = t; it holds on a K_{t,t}-free graph, and checking freeness is the
 caller's job, as for `zarankiewicz.num_edges_bound`.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from .errors import PreconditionViolated
 from .geometry import Disc, Point, point_in_disc
 from .hypergraph import (
-    BipartiteIntersectionGraph, CanonicalTupleFamily, ChainReport, bits_of, containing_rows, counting_chain)
+    BipartiteIntersectionGraph, CanonicalTupleFamily, ChainReport, containing_rows, counting_chain)
 
 
 @dataclass(frozen=True)
@@ -138,18 +139,17 @@ def coverage_violations(g: BipartiteIntersectionGraph, t: int) -> list[tuple[int
     in at least one canonical t-tuple inside that disc: shrinking the disc
     toward the point passes through a contained set of size exactly t.
     """
-    return _uncovered(shrink_canonical_tuples(g, t).tuples, g.nbrs_b, t)
+    return _uncovered(shrink_canonical_tuples(g, t).tuples, g, t)
 
 
-def _uncovered(tuples, rows: list[list[int]], t: int) -> list[tuple[int, int]]:
-    """(row, index) pairs, in row-major order, where a row of at least t
-    ascending indices holds the index but none of the `tuples` that lie
-    inside it does."""
-    covered = [set() for _ in rows]  # per row, the union of the tuples inside it
-    for tp, held in containing_rows(tuples, rows):
-        for j in bits_of(held):
+def _uncovered(tuples, g: BipartiteIntersectionGraph, t: int) -> list[tuple[int, int]]:
+    """(b, a) pairs, row-major, where a row N(b) of `g` of >= t indices holds a
+    but none of the `tuples` inside it does (an empty tuple covers nothing)."""
+    covered = [set() for _ in range(g.n)]  # per row, the union of the tuples inside it
+    for tp, held in containing_rows(filter(None, tuples), g.nbrs_a):
+        for j in held:
             covered[j].update(tp)
-    return [(j, i) for j, row in enumerate(rows) if len(row) >= t for i in row if i not in covered[j]]
+    return [(j, i) for j, row in enumerate(g.nbrs_b) if len(row) >= t for i in row if i not in covered[j]]
 
 
 def counting_inequality_check(g: BipartiteIntersectionGraph, t: int) -> ChainReport:
@@ -159,4 +159,4 @@ def counting_inequality_check(g: BipartiteIntersectionGraph, t: int) -> ChainRep
     x_i holds per disc.  The upper chain needs `g` to be K_{t,t}-free, which
     the caller checks (`zarankiewicz.find_ktt_witness`)."""
     fam = shrink_canonical_tuples(g, t)
-    return counting_chain(fam.tuples, g.nbrs_b, t, t, lambda d: d // t)
+    return counting_chain(fam.tuples, g, t, t, lambda d: d // t)

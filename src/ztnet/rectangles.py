@@ -193,10 +193,7 @@ def canonical_segment_tuples(hsegs, k: int) -> CanonicalTupleFamily:
     stab sets of a vertical there, and such input raises DegenerateInput.
     The edges of rectangles in general position
     (`geometry.check_general_position`) meet this."""
-    # a run comes out in y order, so equal runs are equal tuples; sorting
-    # the distinct ones gives the family's ascending index tuples
-    runs = {run for run, _ in _interval_runs(hsegs, k)}
-    return CanonicalTupleFamily(k=k, tuples=frozenset(map(tuple, map(sorted, runs))))
+    return CanonicalTupleFamily(k=k, tuples=frozenset(tuple(sorted(run)) for run, _ in _interval_runs(hsegs, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,4 +376,4 @@ def rectangle_bound_report(a_rects, b_rects, t: int) -> tuple[IntersectionTypeCo
     census = intersection_type_census(a_rects, b_rects)  # raises DegenerateInput first
     k_graph, k = crossing_graph(a_rects, b_rects), 2 * t - 1
     fam = canonical_segment_tuples(k_graph.side_a, k).tuples
-    return census, counting_chain(fam, k_graph.nbrs_b, t, k, lambda d: d - k + 1)
+    return census, counting_chain(fam, k_graph, t, k, lambda d: d - k + 1)

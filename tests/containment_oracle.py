@@ -1,11 +1,27 @@
-"""The row-side containment scans that `hypergraph.contained_counts` and
-`points_pseudodiscs._uncovered` replaced, kept as their test oracles: each
-tests every tuple against every row, as bitmasks over the whole index range.
-`counting_chain` states the chain of `hypergraph.counting_chain` on that scan."""
+"""The row-side containment scans that `hypergraph.containing_rows` (on holder
+lists), `hypergraph.counting_chain` and `points_pseudodiscs._uncovered`
+replaced, kept as their test oracles: each tests every tuple against every
+row, as bitmasks over the whole index range.  `counting_chain` states the
+chain of `hypergraph.counting_chain` on that scan, and `rows_graph` builds
+the graph whose N(b) lists are given rows, for the callers that take a graph."""
 
 from graph_oracle import mask_of
 
-from ztnet.hypergraph import bits_of
+from ztnet.hypergraph import BipartiteIntersectionGraph, bits_of
+
+
+def rows_graph(rows: list[list[int]], size: int) -> BipartiteIntersectionGraph:
+    """The graph on `size` A vertices and one B vertex per row, with N(b) the
+    row b (a list of indices in 0..size-1)."""
+    return BipartiteIntersectionGraph.from_edges(
+        [None] * size, [None] * len(rows), [(i, b) for b, row in enumerate(rows) for i in row])
+
+
+def containing_rows(tuples, rows: list[list[int]]) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(tuple, held) for each index tuple, `held` the ascending rows (lists of
+    indices) that hold every member."""
+    row_masks = [mask_of(row) for row in rows]
+    return [(tp, [r for r, row in enumerate(row_masks) if mask_of(tp) & row == mask_of(tp)]) for tp in tuples]
 
 
 def contained_counts(tuples, rows: list[list[int]]) -> list[int]:

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from box_oracle import dense_pairs, intersection_matrix
-from containment_oracle import contained_counts as row_side_counts
+from containment_oracle import containing_rows as row_side_containing
 from containment_oracle import counting_chain as row_side_chain
+from containment_oracle import rows_graph
 from graph_oracle import TupleGraph, TupleSetGraph, delaunay_graph, edge_set, hyperedges, hypergraph_of, mask_of, set_of
 from net_oracle import induced_subhypergraph
 from round_oracle import dense_edges, round_matrix
@@ -38,9 +39,10 @@ from ztnet.hypergraph import (
     Graph,
     Hypergraph,
     bits_of,
-    contained_counts,
+    containing_rows,
     counting_chain,
     dual_hypergraph,
+    holder_lists,
     primal_hypergraph,
     vc_dimension,
 )
@@ -733,24 +735,29 @@ class TestAdjacencyMasks:
         assert g.degrees_a() == [len(s) for s in nbrs_a]
         assert g.degrees_b() == [len(s) for s in nbrs_b]
 
-    def test_contained_counts(self):
-        rows = [[0, 1, 2], [0, 1], [2], []]
-        assert contained_counts([(0, 1), fs(1, 2)], rows) == [2, 1, 0, 0]
-        assert contained_counts([], rows) == [0, 0, 0, 0]
-
 
 class TestContainment:
+    def test_containing_rows_on_holder_lists(self):
+        rows = [[0, 1, 2], [0, 1], [2], []]
+        holders = holder_lists(rows, 4)
+        assert holders == [[0, 1], [0, 1], [0, 2], []]
+        assert list(containing_rows([(0, 1), (1, 2), (3,)], holders)) == [((0, 1), [0, 1]), ((1, 2), [0]), ((3,), [])]
+        assert list(containing_rows([], holders)) == []
+
+    # every caller's tuples have a member (t, k >= 1), so none is empty here
     @settings(max_examples=400, deadline=None)
     @given(
-        st.lists(st.lists(st.integers(0, 9), max_size=4).map(tuple), max_size=12),
+        st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=4).map(tuple), max_size=12),
         st.lists(st.sets(st.integers(0, 7)).map(sorted), max_size=10),  # indices 8 and 9 in no row
     )
-    @example([()], [[0, 2], []])  # the empty tuple lies in every row, an empty one too
-    @example([(0, 1), (1, 0), (0, 1)], [[0, 1], [0]])  # duplicates count once each
+    @example([(0, 1), (1, 0), (0, 1)], [[0, 1], [0]])  # duplicates come back once each
     @example([(9,), (8, 0)], [list(range(8))])  # indices that no row holds
-    @example([(0,), ()], [])  # no rows
-    def test_contained_counts_match_row_side_scan(self, tuples, rows):
-        assert contained_counts(tuples, rows) == row_side_counts(tuples, rows)
+    @example([(0,), (2, 1)], [])  # no rows
+    def test_containing_rows_match_row_side_scan(self, tuples, rows):
+        want, g = row_side_containing(tuples, rows), rows_graph(rows, 10)
+        assert holder_lists(rows, 10) == g.nbrs_a and g.nbrs_b == rows
+        assert list(containing_rows(tuples, holder_lists(rows, 10))) == want
+        assert list(containing_rows(tuples, g.nbrs_a)) == want
 
     # few indices, so that tuples often lie inside rows and both outcomes occur
     @settings(max_examples=600, deadline=None)
@@ -774,11 +781,12 @@ class TestContainment:
             return d // div - off
 
         counts, broken = row_side_chain(tuples, rows, k, lower)
+        g = rows_graph(rows, 7)  # N(b) is row b
         if broken:
             with pytest.raises(InequalityViolated):
-                counting_chain(tuples, rows, t, k, lower)
+                counting_chain(tuples, g, t, k, lower)
             return
-        rep = counting_chain(tuples, rows, t, k, lower)
+        rep = counting_chain(tuples, g, t, k, lower)
         assert rep.x_counts == counts and rep.degrees == [len(row) for row in rows]
         assert (rep.t, rep.family_size, rep.x_sum) == (t, len(tuples), sum(counts))
         assert rep.lower_sum == sum(map(lower, rep.degrees)) and rep.x_upper == (k - 1) * len(tuples)

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from containment_oracle import rows_graph
 from containment_oracle import uncovered as row_side_uncovered
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -159,7 +160,7 @@ class TestCoverage:
     @example([(0, 9)], [[0, 1]], 2)  # a tuple with an index that no row holds
     @example([(0, 1)], [], 2)  # no rows
     def test_uncovered_matches_row_side_scan(self, tuples, rows, t):
-        assert _uncovered(tuples, rows, t) == row_side_uncovered(tuples, rows, t)
+        assert _uncovered(tuples, rows_graph(rows, 10), t) == row_side_uncovered(tuples, rows, t)
 
 
 class TestCountingChains:
