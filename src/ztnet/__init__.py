@@ -44,10 +44,8 @@ from .nets import (
 )
 from .zarankiewicz import (
     BoundReport,
-    HeavyLightPartition,
     find_ktt_witness,
     heavy_count_check,
-    heavy_light_partition,
     num_edges_bound,
 )
 from .generators import GenParams, PruneResult, generate, prune_to_ktt_free

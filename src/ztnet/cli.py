@@ -34,8 +34,6 @@ from .errors import (
     BudgetExceeded,
     DegenerateInput,
     InequalityViolated,
-    InfeasibleNet,
-    ParamOutOfRange,
     PreconditionViolated,
     SchemaError,
 )
@@ -613,16 +611,7 @@ def main(argv=None) -> int:
     except InequalityViolated as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (
-        SchemaError,
-        ParamOutOfRange,
-        PreconditionViolated,
-        DegenerateInput,
-        BudgetExceeded,
-        InfeasibleNet,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (BudgetExceeded, OSError, ValueError) as exc:  # the other errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

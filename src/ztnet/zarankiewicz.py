@@ -33,7 +33,6 @@ from .hypergraph import (
 from .nets import (
     EpsilonLike,
     TNet,
-    as_fraction,
     greedy_cover_t_net,
     heavy_threshold,
     pseudodisc_t_net,
@@ -167,41 +166,7 @@ def find_ktt_witness(
 
 
 # ---------------------------------------------------------------------------
-# heavy/light partitioning
-
-
-@dataclass
-class HeavyLightPartition:
-    epsilon: Fraction
-    epsilon_prime: Fraction
-    heavy_a: frozenset[int]
-    heavy_b: frozenset[int]
-    threshold_a: int  # heavy_threshold(eps', n): minimal heavy degree on side A
-    threshold_b: int  # heavy_threshold(eps, m): minimal heavy degree on side B
-
-
-def heavy_light_partition(
-    g: BipartiteIntersectionGraph, eps: EpsilonLike, eps_prime: EpsilonLike
-) -> HeavyLightPartition:
-    """Exact threshold partition: a in A' iff deg(a) >= eps' * n, b in B' iff deg(b) >= eps * m.
-
-    Both cutoffs go through `heavy_threshold`, so an isolated vertex is never
-    heavy, even when the opposite side is empty.
-    """
-    e = as_fraction(eps)
-    ep = as_fraction(eps_prime)
-    thr_a = heavy_threshold(ep, g.n)
-    thr_b = heavy_threshold(e, g.m)
-    deg_a = g.degrees_a()
-    deg_b = g.degrees_b()
-    return HeavyLightPartition(
-        epsilon=e,
-        epsilon_prime=ep,
-        heavy_a=frozenset(v for v in range(g.m) if deg_a[v] >= thr_a),
-        heavy_b=frozenset(w for w in range(g.n) if deg_b[w] >= thr_b),
-        threshold_a=thr_a,
-        threshold_b=thr_b,
-    )
+# the heavy-count check
 
 
 @dataclass
@@ -317,8 +282,10 @@ def num_edges_bound(
 ) -> BoundReport:
     """Recursive upper bound on |E| with per-level net size reporting.
 
-    Per level: choose (eps, eps'), partition into heavy/light, add the light
-    contribution n*floor(eps*m) + m*floor(eps'*n), and recurse on the
+    Per level: choose (eps, eps'), read both heavy sides from the level's
+    degree lists (deg(a) >= heavy_threshold(eps', n), deg(b) >=
+    heavy_threshold(eps, m), so an isolated vertex is never heavy), add the
+    light contribution n*floor(eps*m) + m*floor(eps'*n), and recurse on the
     heavy-by-heavy subgraph.  Base cases: an empty side contributes 0; a side
     smaller than r*t (r is the builder's `min_heavy`), or a heavy product that
     fails to shrink, contributes the trivial m*n (no nets are built there).
@@ -350,8 +317,10 @@ def num_edges_bound(
             eps, eps_prime = rule(m, n, t)
             eps = max(eps, Fraction(floor, m))
             eps_prime = max(eps_prime, Fraction(floor, n))
-            part = heavy_light_partition(current, eps, eps_prime)
-            na, nb = len(part.heavy_a), len(part.heavy_b)
+            thr_a, thr_b = heavy_threshold(eps_prime, n), heavy_threshold(eps, m)
+            heavy_a = [v for v, d in enumerate(current.degrees_a()) if d >= thr_a]
+            heavy_b = [w for w, d in enumerate(current.degrees_b()) if d >= thr_b]
+            na, nb = len(heavy_a), len(heavy_b)
         sizes, additive, kind = [None, None], m * n, "base-trivial"
         if eps is not None and na * nb < m * n:
             sides = ((primal_hypergraph(current), eps), (dual_hypergraph(current), eps_prime))
@@ -366,6 +335,6 @@ def num_edges_bound(
         levels.append(BoundLevel(level, m, n, eps, eps_prime, *sizes, na, nb, additive, kind))
         if kind != "recurse":
             break
-        current = current.induced(part.heavy_a, part.heavy_b)
+        current = current.induced(heavy_a, heavy_b)
         level += 1
     return BoundReport(levels, sum(lv.additive for lv in levels), g.edge_count)

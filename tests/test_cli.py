@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ztnet.cli
+import ztnet.errors
 from ztnet.cli import (
     _json_text,
     emit_instance,
@@ -403,6 +404,21 @@ class TestCommands:
                                       generate("random_discs", 60, None, 4)))
         assert main(["check-free", str(inst), "--t", "2"]) == 2
         assert len(graphs) == 1 and set(graphs[0].__dict__) == {"side_a", "side_b", "rows", "cols", "_lists"}
+
+    @pytest.mark.parametrize("error", sorted(
+        (c for c in vars(ztnet.errors).values() if isinstance(c, type) and issubclass(c, Exception)),
+        key=lambda c: c.__name__))
+    def test_each_package_error_maps_to_its_exit_code(self, monkeypatch, capsys, error):
+        def failing(args):
+            raise error("boom")
+
+        monkeypatch.setattr(ztnet.cli, "_cmd_census", failing)
+        code = main(["census", "unread.json"])
+        err = capsys.readouterr().err
+        if error is ztnet.errors.InequalityViolated:
+            assert (code, err) == (2, "verification failure: boom\n")
+        else:
+            assert (code, err) == (1, "error: boom\n")
 
     def test_missing_file_exit_1(self):
         assert main(["check-free", "/nonexistent/path.json", "--t", "2"]) == 1

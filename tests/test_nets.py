@@ -76,6 +76,7 @@ class TestFractions:
         assert heavy_threshold(0.1, 200) == 20
         assert heavy_threshold(Fraction(1, 3), 10) == 4
         assert heavy_threshold(1, 7) == 7
+        assert heavy_threshold(Fraction(1, 2), 0) == 1  # an isolated vertex is never heavy
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ztnet import suite
@@ -20,11 +20,10 @@ from ztnet.zarankiewicz import (
     degree_cutoff_rule,
     find_ktt_witness,
     heavy_count_check,
-    heavy_light_partition,
     num_edges_bound,
 )
 
-from graph_oracle import mask_of
+from graph_oracle import TupleGraph, mask_of
 from ktt_oracle import MaskBicliqueSearch, _lex_witness, all_pairs_ktt_free, mask_find_ktt_witness
 
 
@@ -228,37 +227,55 @@ class TestWitnessSearch:
         assert find_ktt_witness(bip(1, 5, {(0, j) for j in range(5)}), 2) is None
 
 
-class TestPartition:
-    def test_examples(self):
-        edges = {(i, 0) for i in range(3)} | {(i, 1) for i in range(2)}
-        g = bip(10, 4, edges)
-        part = heavy_light_partition(g, Fraction(3, 10), 1)
-        assert part.heavy_b == frozenset({0})  # degree 3 >= 3
-        assert part.threshold_b == 3
-        assert 1 not in part.heavy_b  # degree 2 is light
+def _side_graphs(max_side=7):
+    """A random `from_edges` graph on 0..max_side vertices a side: sides may
+    be empty and vertices isolated."""
+    def with_edges(sides):
+        m, n = sides
+        pairs = st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))) if m and n else st.just(set())
+        return st.tuples(st.just(m), st.just(n), pairs)
 
-    def test_eps_one(self):
-        g = bip(2, 2, {(0, 0), (0, 1), (1, 0)})
-        part = heavy_light_partition(g, 1, 1)
-        assert part.heavy_a == frozenset({0}) and part.heavy_b == frozenset({0})
-
-    def test_threshold_semantics(self):
-        g = disc_graph(40, seed=3)
-        part = heavy_light_partition(g, Fraction(1, 8), Fraction(1, 8))
-        deg_a, deg_b = g.degrees_a(), g.degrees_b()
-        for v in range(g.m):
-            assert (v in part.heavy_a) == (deg_a[v] >= part.threshold_a)
-        for w in range(g.n):
-            assert (w in part.heavy_b) == (deg_b[w] >= part.threshold_b)
+    return st.tuples(st.integers(0, max_side), st.integers(0, max_side)).flatmap(with_edges)
 
 
-    def test_isolated_vertices_never_heavy(self):
-        # ceil(eps * 0) = 0 would make every degree-0 vertex heavy
-        g = BipartiteIntersectionGraph.from_edges([], [None, None], [])
-        part = heavy_light_partition(g, "1/2", "1/2")
-        assert part.heavy_b == frozenset() and part.threshold_b == 1
-        part = heavy_light_partition(bip(2, 0, set()), "1/2", "1/2")
-        assert part.heavy_a == frozenset() and part.threshold_a == 1
+_EPS = st.sampled_from([Fraction(1, 8), Fraction(1, 5), Fraction(3, 10), Fraction(1, 2), Fraction(2, 3), Fraction(1)])
+
+
+class TestHeavySides:
+    @settings(max_examples=150, deadline=None)
+    @given(_side_graphs(), _EPS, _EPS, st.sampled_from([1, 2]))
+    @example((10, 4, {(i, 0) for i in range(3)} | {(i, 1) for i in range(2)}), Fraction(3, 10),
+             Fraction(1), 1)  # degree 3 >= 3 is heavy, degree 2 is light
+    @example((2, 2, {(0, 0), (0, 1), (1, 0)}), Fraction(1), Fraction(1), 1)
+    @example((3, 3, {(0, 0)}), Fraction(1, 2), Fraction(1, 2), 1)  # isolated vertices stay light
+    @example((0, 2, set()), Fraction(1, 2), Fraction(1, 2), 1)
+    @example((2, 0, set()), Fraction(1, 2), Fraction(1, 2), 1)
+    def test_levels_count_heavy_degrees(self, graph, eps, eps_prime, t):
+        """Replays the recursion on `TupleGraph`: each level's sides and heavy
+        counts are those of degrees >= max(1, ceil(eps * other side))."""
+        m, n, edges = graph
+        rep = num_edges_bound(bip(m, n, edges), t, eps_rule=lambda m, n, t: (eps, eps_prime))
+        current = TupleGraph([None] * m, [None] * n, set(edges))
+        for lv in rep.levels:
+            assert (lv.m, lv.n) == (current.m, current.n)
+            if lv.eps is None:
+                assert (lv.heavy_a, lv.heavy_b, lv.kind) == (0, 0, "base-trivial")
+                assert min(current.m, current.n) < t
+                continue
+            assert lv.eps == max(eps, Fraction(t, current.m))
+            assert lv.eps_prime == max(eps_prime, Fraction(t, current.n))
+            thr_a = max(1, math.ceil(lv.eps_prime * current.n))
+            thr_b = max(1, math.ceil(lv.eps * current.m))
+            heavy_a = [v for v, d in enumerate(current.degrees_a()) if d >= thr_a]
+            heavy_b = [w for w, d in enumerate(current.degrees_b()) if d >= thr_b]
+            assert (lv.heavy_a, lv.heavy_b) == (len(heavy_a), len(heavy_b))
+            if lv.kind == "recurse":
+                current = current.induced(heavy_a, heavy_b)
+        if min(m, n) == 0:
+            assert rep.levels == []
+        else:
+            assert rep.levels[-1].kind != "recurse"
+        assert rep.bound == sum(lv.additive for lv in rep.levels)
 
 
 class TestHeavyCount:
