@@ -3,14 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztnet import suite
 from ztnet.errors import BudgetExceeded, InvalidNet
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.hypergraph import BipartiteIntersectionGraph, primal_hypergraph
-from ztnet.nets import TNet, pseudodisc_t_net
+from ztnet.nets import TNet, heavy_threshold, pseudodisc_t_net
 from ztnet.suite import naive_ktt_free
 from ztnet.zarankiewicz import (
     NET_BUILDERS,
@@ -241,15 +241,47 @@ def _side_graphs(max_side=7):
 _EPS = st.sampled_from([Fraction(1, 8), Fraction(1, 5), Fraction(3, 10), Fraction(1, 2), Fraction(2, 3), Fraction(1)])
 
 
+def _first_level(g, eps, eps_prime):
+    """Level 0 of the t = 1 bound under a constant rule (eps, eps')."""
+    return num_edges_bound(g, 1, eps_rule=lambda m, n, t: (eps, eps_prime)).levels[0]
+
+
+class TestPartition:
+    def test_examples(self):
+        edges = {(i, 0) for i in range(3)} | {(i, 1) for i in range(2)}
+        g = bip(10, 4, edges)
+        lv = _first_level(g, Fraction(3, 10), Fraction(1))
+        assert heavy_threshold(lv.eps, g.m) == 3
+        assert lv.heavy_b == 1  # degree 3 >= 3 is heavy, degree 2 is light
+        assert (lv.heavy_a, lv.kind) == (0, "base-light")
+
+    def test_eps_one(self):
+        g = bip(2, 2, {(0, 0), (0, 1), (1, 0)})
+        rep = num_edges_bound(g, 1, eps_rule=lambda m, n, t: (Fraction(1), Fraction(1)))
+        lv = rep.levels[0]
+        assert (lv.heavy_a, lv.heavy_b, lv.kind) == (1, 1, "recurse")
+        assert (rep.levels[1].m, rep.levels[1].n) == (1, 1)  # the degree-2 vertices on both sides
+
+    def test_threshold_semantics(self):
+        g = disc_graph(40, seed=3)
+        lv = _first_level(g, Fraction(1, 8), Fraction(1, 8))
+        thr_a, thr_b = heavy_threshold(lv.eps_prime, g.n), heavy_threshold(lv.eps, g.m)
+        assert lv.heavy_a == sum(d >= thr_a for d in g.degrees_a())
+        assert lv.heavy_b == sum(d >= thr_b for d in g.degrees_b())
+        assert 0 < lv.heavy_a < g.m and 0 < lv.heavy_b < g.n
+
+    def test_isolated_vertices_never_heavy(self):
+        # ceil(eps * 0) = 0 would make every degree-0 vertex heavy
+        assert heavy_threshold(Fraction(1, 2), 0) == 1
+        lv = _first_level(bip(3, 3, {(0, 0)}), Fraction(1, 3), Fraction(1, 3))
+        assert (lv.heavy_a, lv.heavy_b) == (1, 1)  # threshold 1: only the edge's ends
+        for m, n in ((0, 2), (2, 0)):
+            assert num_edges_bound(bip(m, n, set()), 1).levels == []
+
+
 class TestHeavySides:
     @settings(max_examples=150, deadline=None)
     @given(_side_graphs(), _EPS, _EPS, st.sampled_from([1, 2]))
-    @example((10, 4, {(i, 0) for i in range(3)} | {(i, 1) for i in range(2)}), Fraction(3, 10),
-             Fraction(1), 1)  # degree 3 >= 3 is heavy, degree 2 is light
-    @example((2, 2, {(0, 0), (0, 1), (1, 0)}), Fraction(1), Fraction(1), 1)
-    @example((3, 3, {(0, 0)}), Fraction(1, 2), Fraction(1, 2), 1)  # isolated vertices stay light
-    @example((0, 2, set()), Fraction(1, 2), Fraction(1, 2), 1)
-    @example((2, 0, set()), Fraction(1, 2), Fraction(1, 2), 1)
     def test_levels_count_heavy_degrees(self, graph, eps, eps_prime, t):
         """Replays the recursion on `TupleGraph`: each level's sides and heavy
         counts are those of degrees >= max(1, ceil(eps * other side))."""
