@@ -59,10 +59,9 @@ from .rectangles import (
     segment_delaunay,
 )
 from .points_pseudodiscs import (
-    ShrinkEvent,
     counting_inequality_check,
     shrink_canonical_tuples,
-    shrink_events,
+    shrink_exits,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,9 +3,11 @@
 A disc shrinks along the straight path center(s) = (1-s) c + s a,
 radius(s) = (1-s) r, ending at the anchor point a at s = 1.  Every
 intermediate object is a disc, so a family stays a family of pseudo-discs
-throughout.  The contained point set decreases along the path; recording it
-after every loss event enumerates the realizable subsets, and the sets of
-size exactly t form the canonical tuple family.
+throughout.  The contained point set only loses points along the path, so
+the exit order, the points sorted by exit parameter s and then by index,
+fixes every set the path passes through: after the first k losses of a disc
+of d points, d - k remain.  The sets of size exactly t form the canonical
+tuple family; a disc costs one sorted exit list per anchor, O(d^2 log d).
 
 The tuple, coverage and chain functions take the point/disc incidence graph
 the caller already holds; coverage and the chain read its `nbrs_a` through
@@ -16,31 +18,12 @@ caller's job, as for `zarankiewicz.num_edges_bound`.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import PreconditionViolated
 from .geometry import Disc, Point, point_in_disc
 from .hypergraph import (
     BipartiteIntersectionGraph, CanonicalTupleFamily, ChainReport, containing_rows, counting_chain)
-
-
-@dataclass(frozen=True)
-class ShrinkEvent:
-    """One loss along a shrink trajectory.
-
-    `remaining` is the contained set right after the event (indices into the
-    `pts` argument).  Events are sorted by increasing s and `remaining`
-    strictly decreases across loss events; the list ends with a terminator at
-    s = 1 whose `remaining` repeats the never-exiting anchor indices and whose
-    `lost_point` is the first anchor index (-1 if the anchor is not among the
-    points).
-    """
-
-    s: float
-    lost_point: int
-    remaining: frozenset[int]
 
 
 def _exit_parameter(p: Point, c: Point, r: float, anchor: Point) -> float:
@@ -71,37 +54,27 @@ def _exit_parameter(p: Point, c: Point, r: float, anchor: Point) -> float:
     return min(max(s, 0.0), 1.0)
 
 
-def shrink_events(d: Disc, anchor: Point, pts: list[Point]) -> list[ShrinkEvent]:
-    """Loss events of the contained set along the shrink path toward `anchor`.
-
-    Points equal to the anchor never exit.  Simultaneous exits produce
-    consecutive events with equal s, ordered by point index.
-    """
-    if not point_in_disc(anchor, d):
-        raise PreconditionViolated(f"anchor {anchor} lies outside the disc {d}")
+def _require_inside(pts, d: Disc, what: str) -> None:
+    """Raise PreconditionViolated on the first of `pts` outside `d`."""
     for p in pts:
         if not point_in_disc(p, d):
-            raise PreconditionViolated(f"point {p} lies outside the disc {d}")
-    anchor_idx = [i for i, p in enumerate(pts) if p.x == anchor.x and p.y == anchor.y]
-    exits = []
-    for i, p in enumerate(pts):
-        if p.x == anchor.x and p.y == anchor.y:
-            continue
-        exits.append((_exit_parameter(p, d.center, d.radius, anchor), i))
-    exits.sort()
-    events = []
-    remaining = set(range(len(pts)))
-    for s, i in exits:
-        remaining.discard(i)
-        events.append(ShrinkEvent(s=s, lost_point=i, remaining=frozenset(remaining)))
-    events.append(
-        ShrinkEvent(
-            s=1.0,
-            lost_point=anchor_idx[0] if anchor_idx else -1,
-            remaining=frozenset(anchor_idx),
-        )
-    )
-    return events
+            raise PreconditionViolated(f"{what} {p} lies outside the disc {d}")
+
+
+def _exits(d: Disc, anchor: Point, pts) -> list[tuple[float, int]]:
+    """`shrink_exits` without its containment checks."""
+    c, r, ax, ay = d.center, d.radius, anchor.x, anchor.y
+    return sorted((_exit_parameter(p, c, r, anchor), i) for i, p in enumerate(pts) if p.x != ax or p.y != ay)
+
+
+def shrink_exits(d: Disc, anchor: Point, pts: list[Point]) -> list[tuple[float, int]]:
+    """Loss events of the contained set along the shrink path toward `anchor`,
+    as (s, i) pairs for the points pts[i], sorted by exit parameter s and then
+    by index, so simultaneous exits are consecutive.  Points equal to the
+    anchor never exit and are left out."""
+    _require_inside([anchor], d, "anchor")
+    _require_inside(pts, d, "point")
+    return _exits(d, anchor, pts)
 
 
 def shrink_canonical_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalTupleFamily:
@@ -109,26 +82,33 @@ def shrink_canonical_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalT
     on the incidence graph `g` of points (side a) and discs (side b), as
     ascending index tuples.
 
-    For every disc holding at least t points and every contained anchor, walk
-    the loss events; the contained sets of size exactly t, after a batch of
-    simultaneous losses or unshrunk, form the family.  Simultaneous losses are
-    one event, so the artificial intermediate set between them is not
-    recorded.  The neighbour lists are ascending, so each set's tuple is too.
+    A disc of exactly t points counts unshrunk.  Toward each anchor in a disc
+    of d > t points, the points left after the first d - t losses count when
+    that cut is strict: the (d-t)-th loss is the last one, or a strictly later
+    loss follows it.  A batch of simultaneous losses is one event, so the
+    artificial intermediate set inside it is not recorded.  The neighbour
+    lists are ascending, so each set's tuple is too.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    for side, objs, kind in (("a", g.side_a, Point), ("b", g.side_b, Disc)):
+        if not all(type(o) is kind for o in objs):
+            raise PreconditionViolated(f"side {side} must contain {kind.__name__.lower()}s only")
     found: set[tuple[int, ...]] = set()
     for b, contained in zip(g.side_b, g.nbrs_b):
-        if len(contained) < t:
+        cut = len(contained) - t
+        if cut < 0:
             continue  # the contained set only shrinks
-        if len(contained) == t:
-            found.add(tuple(contained))
         local_pts = [g.side_a[i] for i in contained]
+        _require_inside(local_pts, b, "point")
+        if cut == 0:
+            found.add(tuple(contained))
+            continue
         for anchor in local_pts:
-            for _, group in itertools.groupby(shrink_events(b, anchor, local_pts)[:-1], key=lambda ev: ev.s):
-                *_, last = group
-                if len(last.remaining) == t:
-                    found.add(tuple(contained[v] for v in sorted(last.remaining)))
+            exits = _exits(b, anchor, local_pts)
+            if len(exits) == cut or len(exits) > cut and exits[cut - 1][0] < exits[cut][0]:
+                lost = {v for _, v in exits[:cut]}
+                found.add(tuple(i for v, i in enumerate(contained) if v not in lost))
     return CanonicalTupleFamily(k=t, tuples=frozenset(found))
 
 

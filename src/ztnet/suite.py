@@ -38,7 +38,7 @@ from .nets import (
 from .points_pseudodiscs import (
     coverage_violations,
     counting_inequality_check,
-    shrink_events,
+    shrink_exits,
 )
 from .rectangles import (
     hereditary_planarity_check,
@@ -629,7 +629,7 @@ def check_shrink(cfg: SuiteConfig, instances: list[SuiteInstance]) -> list[Check
         p = inside()
         while p.x == anchor.x and p.y == anchor.y:
             p = inside()
-        s_impl.append(shrink_events(d, anchor, [p])[0].s)
+        s_impl.append(shrink_exits(d, anchor, [p])[0][0])
         paths.append((cx, cy, r, anchor.x, anchor.y, p.x, p.y))
     # math.isclose(s_impl, s_oracle, rel_tol=1e-9, abs_tol=1e-12), symmetric in its two sides
     s_impl, s_oracle = np.array(s_impl, float), bisection_exits(paths)

@@ -6,18 +6,18 @@ from containment_oracle import rows_graph
 from containment_oracle import uncovered as row_side_uncovered
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from shrink_oracle import bisection_exit
+from shrink_oracle import bisection_exit, event_canonical_tuples
 
 from ztnet.errors import PreconditionViolated
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
-from ztnet.geometry import Disc, Point, point_in_disc
+from ztnet.geometry import AxisRect, Disc, Point, point_in_disc
 from ztnet.hypergraph import BipartiteIntersectionGraph
 from ztnet.points_pseudodiscs import (
     _uncovered,
     counting_inequality_check,
     coverage_violations,
     shrink_canonical_tuples,
-    shrink_events,
+    shrink_exits,
 )
 
 
@@ -35,34 +35,32 @@ def pruned_pd_graph(n_pts, n_discs, seed):
 
 
 class TestShrinkEvents:
+    """The loss events `shrink_exits` returns: (s, i) pairs sorted by exit
+    parameter, then index, with the anchor's copies left out."""
+
     def test_anchor_only_sentinel(self):
+        # the anchor never exits, and no terminator closes the list
         d = Disc(Point(0, 0), 1)
         anchor = Point(0.2, 0.1)
-        events = shrink_events(d, anchor, [anchor])
-        assert len(events) == 1
-        assert events[0].s == 1.0 and events[0].remaining == frozenset({0})
+        assert shrink_exits(d, anchor, [anchor]) == []
 
     def test_quadratic_example(self):
         d = Disc(Point(0, 0), 2)
         anchor = Point(1, 0)
-        events = shrink_events(d, anchor, [anchor, Point(0, 1.5)])
-        expected = (8 - math.sqrt(43)) / 6
-        assert events[0].lost_point == 1
-        assert math.isclose(events[0].s, expected, rel_tol=1e-12)
-        assert events[0].remaining == frozenset({0})
-        assert events[-1].remaining == frozenset({0})
+        [(s, i)] = shrink_exits(d, anchor, [anchor, Point(0, 1.5)])
+        assert i == 1
+        assert math.isclose(s, (8 - math.sqrt(43)) / 6, rel_tol=1e-12)
 
     def test_boundary_point_exits_immediately(self):
         d = Disc(Point(0, 0), 1)
-        events = shrink_events(d, Point(0, 0), [Point(1, 0)])
-        assert events[0].s == 0.0
+        assert shrink_exits(d, Point(0, 0), [Point(1, 0)]) == [(0.0, 0)]
 
     def test_preconditions(self):
         d = Disc(Point(0, 0), 1)
-        with pytest.raises(PreconditionViolated):
-            shrink_events(d, Point(5, 5), [])
-        with pytest.raises(PreconditionViolated):
-            shrink_events(d, Point(0, 0), [Point(3, 0)])
+        with pytest.raises(PreconditionViolated, match="anchor"):
+            shrink_exits(d, Point(5, 5), [])
+        with pytest.raises(PreconditionViolated, match="point"):
+            shrink_exits(d, Point(0, 0), [Point(3, 0)])
 
     def test_matches_bisection_oracle(self):
         rng = random.Random(17)
@@ -78,11 +76,12 @@ class TestShrinkEvents:
             anchor, p = inside(), inside()
             if p == anchor:
                 continue
-            s_impl = shrink_events(d, anchor, [p])[0].s
+            s_impl = shrink_exits(d, anchor, [p])[0][0]
             s_oracle = bisection_exit(d, anchor, p)
             assert math.isclose(s_impl, s_oracle, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_chain_monotone_and_anchor_persists(self):
+        # sorted by (s, i), the anchor and its copy absent, every other index once
         rng = random.Random(4)
         d = Disc(Point(0, 0), 1)
         anchor = Point(0.1, -0.2)
@@ -91,14 +90,20 @@ class TestShrinkEvents:
             rad = math.sqrt(rng.random())
             ang = rng.uniform(0, 2 * math.pi)
             pts.append(Point(rad * math.cos(ang), rad * math.sin(ang)))
-        events = shrink_events(d, anchor, pts)
-        prev_s = 0.0
-        prev_remaining = frozenset(range(len(pts)))
-        for ev in events[:-1]:
-            assert ev.s >= prev_s
-            assert ev.remaining < prev_remaining
-            assert 0 in ev.remaining  # anchor index
-            prev_s, prev_remaining = ev.s, ev.remaining
+        pts += [Point(1, 0), Point(0.1, -0.2), Point(-1, 0)]  # two on the circle, a copy of the anchor
+        exits = shrink_exits(d, anchor, pts)
+        assert exits == sorted(exits)
+        assert sorted(i for _, i in exits) == [i for i in range(len(pts)) if pts[i] != anchor]
+        assert all(0.0 <= s <= 1.0 for s, _ in exits) and exits[:2] == [(0.0, 13), (0.0, 15)]
+
+
+_GRID = st.integers(-4, 4)  # coordinates in quarters
+
+
+def grid_graph(pts, discs):
+    """The incidence graph of points and discs on the step-1/4 grid."""
+    return BipartiteIntersectionGraph.from_families(
+        [Point(x / 4, y / 4) for x, y in pts], [Disc(Point(x / 4, y / 4), r / 4) for x, y, r in discs])
 
 
 class TestCanonicalTuples:
@@ -140,6 +145,45 @@ class TestCanonicalTuples:
                     if len(current) == 2:
                         oracle.add(tuple(sorted(current)))
         assert fam.tuples == frozenset(oracle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_GRID, _GRID), max_size=12),
+           st.lists(st.tuples(_GRID, _GRID, st.integers(1, 4)), max_size=4),
+           st.integers(1, 4))
+    @example([(0, 0), (1, 0), (-1, 0)], [(0, 0, 2)], 2)  # the centre's two exits tie across the cut
+    @example([(0, 0)] * 3 + [(1, 0)], [(0, 0, 2)], 2)  # more than t copies of the anchor
+    @example([(0, 0)] * 2 + [(1, 0)], [(0, 0, 2)], 2)  # exactly t copies
+    @example([(1, 0), (-1, 0)], [(0, 0, 4)], 2)  # a disc of exactly t points
+    def test_matches_event_oracle(self, pts, discs, t):
+        # grid points repeat, sit on circles (exit at s = 0) and tie exactly
+        g = grid_graph(pts, discs)
+        assert shrink_canonical_tuples(g, t).tuples == event_canonical_tuples(g, t)
+
+    def test_tie_across_the_cut_gives_no_tuple(self):
+        # toward the centre both mirror points leave at once, from 3 points to
+        # 1, so only the mirror anchors record a pair
+        g = grid_graph([(0, 0), (1, 0), (-1, 0)], [(0, 0, 2)])
+        (s1, _), (s2, _) = shrink_exits(g.side_b[0], g.side_a[0], list(g.side_a))
+        assert s1 == s2
+        assert shrink_canonical_tuples(g, 2).tuples == {(0, 1), (0, 2)}
+
+    @pytest.mark.parametrize("copies, expected", [(3, set()), (2, {(0, 1)})])
+    def test_anchor_copies(self, copies, expected):
+        # more than t copies never thin out to t; exactly t copies are the
+        # tuple toward the copies, and toward the other point they leave at once
+        g = grid_graph([(0, 0)] * copies + [(1, 0)], [(0, 0, 2)])
+        assert shrink_canonical_tuples(g, 2).tuples == expected
+
+    @pytest.mark.parametrize("side_a, side_b, side", [
+        ([Disc(Point(0, 0), 1)], [Disc(Point(0.5, 0), 1)], "a"),
+        ([Point(0, 0)], [AxisRect(-1, 1, -1, 1)], "b"),
+        ([Disc(Point(0, 0), 1)], [Point(0, 0)], "a"),
+    ])
+    @pytest.mark.parametrize("entry", [shrink_canonical_tuples, coverage_violations, counting_inequality_check])
+    def test_kind_check(self, side_a, side_b, side, entry):
+        g = BipartiteIntersectionGraph.from_families(side_a, side_b)
+        with pytest.raises(PreconditionViolated, match=f"side {side} must"):
+            entry(g, 2)
 
     def test_coverage_invariant(self):
         for seed in range(8):

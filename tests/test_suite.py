@@ -146,10 +146,8 @@ class TestGuards:
     def test_check_shrink_counts_mismatches(self, monkeypatch, shift, mismatches):
         # exits moved by more than abs_tol = 1e-12 (and rel_tol * s <= 1e-9) all
         # mismatch; moved by less, none does
-        real = suite.shrink_events
-        monkeypatch.setattr(
-            suite, "shrink_events", lambda d, a, pts: [dataclasses.replace(e, s=e.s + shift) for e in real(d, a, pts)]
-        )
+        real = suite.shrink_exits
+        monkeypatch.setattr(suite, "shrink_exits", lambda d, a, pts: [(s + shift, i) for s, i in real(d, a, pts)])
         cfg = suite.desk_config(7)
         assert cfg.shrink_triples == 150
         assert suite.check_shrink(cfg, [])[0].observed == f"mismatches={mismatches}"
