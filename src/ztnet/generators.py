@@ -14,7 +14,8 @@ least significant; its objects are built only on demand.
 
 The pruner deletes witness vertices until no K_{t,t} remains.  It keeps alive
 flags and live degrees over the graph's neighbour lists, so a deletion costs
-the deleted vertex's degree, not a pass over side-long masks.
+the deleted vertex's degree, not a pass over side-long masks, and the witness
+search of each side resumes where it last stopped.
 """
 
 from __future__ import annotations
@@ -168,39 +169,36 @@ def prune_to_ktt_free(
 
     Deletions only ever destroy bicliques, so the search resumes from one
     cursor per side, at the side's last witness, and stays equivalent to a
-    fresh search after every deletion.  One `BicliqueSearch` serves the
-    whole prune, so `budget` bounds the steps of all its searches together.
+    fresh search after every deletion.  Each side has one `BicliqueSearch.scan`,
+    which resumes inside the universe it built for that witness's first
+    vertex.  One `BicliqueSearch` serves the whole prune, so `budget` bounds
+    the steps of both scans together.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
     search = BicliqueSearch(t, resolve_budget(budget), "prune")
-    nbrs = {"A": g.nbrs_a, "B": g.nbrs_b}
-    alive = {"A": bytearray(b"\x01") * g.m, "B": bytearray(b"\x01") * g.n}
-    degree = {s: [len(row) for row in nbrs[s]] for s in "AB"}  # live degrees
-    left = {"A": g.m, "B": g.n}
-    deleted: dict[str, list[int]] = {"A": [], "B": []}
-    cursors: dict[str, Optional[tuple]] = {"A": None, "B": None}
-    other = {"A": "B", "B": "A"}
-    while left["A"] >= t and left["B"] >= t:
-        side = "A" if left["A"] <= left["B"] else "B"
-        found = search.first(nbrs[side], nbrs[other[side]], alive[side], alive[other[side]],
-                             cursors[side])
+    nbrs = (g.nbrs_a, g.nbrs_b)  # side 0 is A, side 1 is B
+    alive = (bytearray(b"\x01") * g.m, bytearray(b"\x01") * g.n)
+    degree = tuple([len(row) for row in rows] for rows in nbrs)  # live degrees
+    left = [g.m, g.n]
+    deleted: tuple[list[int], list[int]] = ([], [])
+    scans = [search.scan(nbrs[s], nbrs[1 - s], alive[s], alive[1 - s]) for s in (0, 1)]
+    while left[0] >= t and left[1] >= t:
+        s = 0 if left[0] <= left[1] else 1
+        found = next(scans[s], None)
         if found is None:
             break
-        cursors[side] = found[0]
-        witness = {side: found[0], other[side]: found[1]}
-        vside, v = max(
-            ((s, u) for s in "AB" for u in witness[s]),
-            key=lambda su: (degree[su[0]][su[1]], su[0] == "B", -su[1]),
-        )
+        # the most live degree, ties toward B, then toward the lowest index
+        _, vside, v = max((degree[w][u], w, -u) for w, ws in ((s, found[0]), (1 - s, found[1])) for u in ws)
+        v = -v
         alive[vside][v] = 0
         for u in nbrs[vside][v]:
-            degree[other[vside]][u] -= 1
+            degree[1 - vside][u] -= 1
         left[vside] -= 1
         deleted[vside].append(v)
 
-    kept_a, kept_b = (list(itertools.compress(range(len(f)), f)) for f in (alive["A"], alive["B"]))
+    kept_a, kept_b = (list(itertools.compress(range(len(f)), f)) for f in alive)
     return PruneResult(
-        g.induced(kept_a, kept_b), kept_a, kept_b, deleted["A"], deleted["B"],
-        len(deleted["A"]) + len(deleted["B"]),  # one deletion per witness
+        g.induced(kept_a, kept_b), kept_a, kept_b, deleted[0], deleted[1],
+        len(deleted[0]) + len(deleted[1]),  # one deletion per witness
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import PreconditionViolated
+from .errors import DegenerateInput, PreconditionViolated
 from .geometry import Disc, Point, point_in_disc
 from .hypergraph import (
     BipartiteIntersectionGraph, CanonicalTupleFamily, ChainReport, containing_rows, counting_chain)
@@ -83,11 +83,10 @@ def shrink_canonical_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalT
     ascending index tuples.
 
     A disc of exactly t points counts unshrunk.  Toward each anchor in a disc
-    of d > t points, the points left after the first d - t losses count when
-    that cut is strict: the (d-t)-th loss is the last one, or a strictly later
-    loss follows it.  A batch of simultaneous losses is one event, so the
-    artificial intermediate set inside it is not recorded.  The neighbour
-    lists are ascending, so each set's tuple is too.
+    of d > t points, the points left after the first d - t losses count.  If
+    the (d-t)-th loss ties with the next, the path never holds t points there,
+    so the points are not in general position and DegenerateInput names them.
+    The neighbour lists are ascending, so each set's tuple is too.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -95,7 +94,7 @@ def shrink_canonical_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalT
         if not all(type(o) is kind for o in objs):
             raise PreconditionViolated(f"side {side} must contain {kind.__name__.lower()}s only")
     found: set[tuple[int, ...]] = set()
-    for b, contained in zip(g.side_b, g.nbrs_b):
+    for j, (b, contained) in enumerate(zip(g.side_b, g.nbrs_b)):
         cut = len(contained) - t
         if cut < 0:
             continue  # the contained set only shrinks
@@ -104,9 +103,14 @@ def shrink_canonical_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalT
         if cut == 0:
             found.add(tuple(contained))
             continue
-        for anchor in local_pts:
+        for a, anchor in zip(contained, local_pts):
             exits = _exits(b, anchor, local_pts)
-            if len(exits) == cut or len(exits) > cut and exits[cut - 1][0] < exits[cut][0]:
+            if len(exits) > cut and exits[cut - 1][0] == exits[cut][0]:
+                tied = [contained[v] for s, v in exits if s == exits[cut][0]]
+                raise DegenerateInput(
+                    f"disc {j} shrunk toward anchor point {a}: points {tied} leave it at once, from "
+                    f"more than {t} points to fewer; the shrink tuples need points in general position")
+            if len(exits) >= cut:
                 lost = {v for _, v in exits[:cut]}
                 found.add(tuple(i for v, i in enumerate(contained) if v not in lost))
     return CanonicalTupleFamily(k=t, tuples=frozenset(found))

@@ -10,12 +10,12 @@ the sizes that drive the heavy-set analysis.
 
 The K_{t,t} witness search reads the graph's ascending neighbour lists and
 alive flags, never a mask as long as a side: each first vertex of a prefix
-relabels its alive neighbourhood into a local bit universe of its own.
+relabels its alive neighbourhood into a local bit universe of its own, which
+a resumed scan reuses, so the pruner builds one per vertex, not per deletion.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from bisect import bisect_left, bisect_right
@@ -26,7 +26,6 @@ from typing import Callable, Optional
 from .errors import BudgetExceeded, InvalidNet
 from .hypergraph import (
     BipartiteIntersectionGraph,
-    bits_of,
     dual_hypergraph,
     primal_hypergraph,
 )
@@ -75,40 +74,48 @@ class BicliqueSearch:
     vertex v work in a local universe (Eppstein's bounded-arboricity biclique
     listing): the alive N(v) relabelled to bits 0..d-1 in ascending order,
     and for every alive vertex above v two hops away, the small mask of the
-    N(v) it sees.  Each tested extension is one step, counted over all
-    calls; step budget + 1 raises BudgetExceeded.
+    N(v) it sees.  A scan keeps the universe of the vertex it stopped at and
+    resumes inside it.  Each tested extension is one step, counted over all
+    scans; step budget + 1 raises BudgetExceeded.
     """
 
     def __init__(self, t: int, budget: int, stage: str):
         self.t, self.budget, self.stage, self.steps = t, budget, stage, 0
 
-    def first(self, nbrs: list[list[int]], partner: list[list[int]], alive, partner_alive,
-              lower=None):
-        """First t-subset of the `alive` vertices, in lexicographic order from
-        the cursor `lower` on, whose alive neighbours share at least t: the
-        subset and its first t shared neighbours, or None.  `nbrs` and
+    def _exceeded(self, partner, alive, partner_alive) -> BudgetExceeded:
+        """The error for step budget + 1, which the steps are set to."""
+        t, self.steps = self.t, self.budget + 1
+        inside = sum(math.comb(sum(1 for u in row if alive[u]), t)
+                     for b, row in enumerate(partner) if partner_alive[b])
+        return BudgetExceeded(
+            f"{self.stage} stopped after {self.budget} search steps (budget "
+            f"{self.budget}); the neighbourhoods hold sum_b C(deg b, {t}) = "
+            f"{inside} {t}-subsets; raise --budget or {BUDGET_ENV_VAR}"
+        )
+
+    def scan(self, nbrs: list[list[int]], partner: list[list[int]], alive, partner_alive,
+             lower=None):
+        """Yield the first t-subset of the `alive` vertices, in lexicographic
+        order from the cursor `lower` on, whose alive neighbours share at
+        least t: the subset and its first t shared neighbours.  `nbrs` and
         `partner` hold the ascending neighbour lists of this side and of the
         other, and `partner_alive` flags the other side's alive vertices;
-        `lower` may name vertices no longer alive."""
-        t = self.t
+        `lower` may name vertices no longer alive.
 
-        def step():
-            self.steps += 1
-            if self.steps > self.budget:
-                inside = sum(math.comb(sum(1 for u in row if alive[u]), t)
-                             for b, row in enumerate(partner) if partner_alive[b])
-                raise BudgetExceeded(
-                    f"{self.stage} stopped after {self.budget} search steps (budget "
-                    f"{self.budget}); the neighbourhoods hold sum_b C(deg b, {t}) = "
-                    f"{inside} {t}-subsets; raise --budget or {BUDGET_ENV_VAR}"
-                )
+        Resumed, the scan yields what a fresh one from the last subset on
+        would; flags may clear in between, never set.  It reuses the last
+        subset's universe: the dead partners' bits are cleared, and the
+        candidates dead or sharing no alive partner are dropped unstepped."""
+        t, budget, steps = self.t, self.budget, self.steps
 
         def extend(prefix: tuple, common: int, cand: list[int], tight: bool):
+            nonlocal steps
             k = len(prefix)
             if tight:  # the prefix is the cursor's, so stay at or above it
                 cand = cand[bisect_left(cand, lower[k]):]
             for v in cand:
-                step()
+                if (steps := steps + 1) > budget:
+                    raise self._exceeded(partner, alive, partner_alive)
                 shared = common & masks[v]
                 if shared.bit_count() < t:
                     continue
@@ -119,28 +126,38 @@ class BicliqueSearch:
                     return found
             return None
 
-        tight = lower is not None
-        for v in range(lower[0] if tight else 0, len(nbrs)):
-            if not alive[v]:
-                continue
-            step()
-            local = [y for y in nbrs[v] if partner_alive[y]]
-            if len(local) < t:
-                continue
-            if t == 1:
-                return (v,), (local[0],)
-            masks: dict[int, int] = {}
-            bit = 1
-            for y in local:
-                for u in partner[y]:
-                    if u > v and alive[u]:
-                        masks[u] = masks.get(u, 0) | bit
-                bit <<= 1
-            above = sorted(masks)
-            if found := extend((v,), (1 << len(local)) - 1, above, tight and v == lower[0]):
-                prefix, shared = found
-                return prefix, tuple(local[b] for b in itertools.islice(bits_of(shared), t))
-        return None
+        start = -1 if lower is None else lower[0]
+        for v in range(max(start, 0), len(nbrs)):
+            tight, common = v == start, 0
+            while alive[v]:
+                if (steps := steps + 1) > budget:
+                    raise self._exceeded(partner, alive, partner_alive)
+                if common:  # resumed in v's universe
+                    for b, y in enumerate(local):
+                        if not partner_alive[y]:
+                            common &= ~(1 << b)
+                    if common.bit_count() < t:
+                        break
+                    above = [u for u in above if alive[u] and masks[u] & common]
+                elif len(nbrs[v]) < t or len(local := [y for y in nbrs[v] if partner_alive[y]]) < t:
+                    break
+                else:
+                    masks: dict[int, int] = {}
+                    bit = 1
+                    for y in local:
+                        for u in partner[y]:
+                            if u > v and alive[u]:
+                                masks[u] = masks.get(u, 0) | bit
+                        bit <<= 1
+                    above, common = sorted(masks), bit - 1
+                # at t = 1, v and its first alive neighbour are the witness
+                if not (found := ((v,), common) if t == 1 else above and extend((v,), common, above, tight)):
+                    break
+                lower, shared = found
+                self.steps = steps
+                yield lower, tuple([y for b, y in enumerate(local) if shared >> b & 1][:t])
+                steps, tight = self.steps, True  # the search's other scans count too
+        self.steps = steps
 
 
 def find_ktt_witness(
@@ -160,8 +177,8 @@ def find_ktt_witness(
     search = BicliqueSearch(t, resolve_budget(budget), "witness search")
     every_a, every_b = b"\x01" * g.m, b"\x01" * g.n
     if g.m <= g.n:
-        return search.first(g.nbrs_a, g.nbrs_b, every_a, every_b)
-    found = search.first(g.nbrs_b, g.nbrs_a, every_b, every_a)
+        return next(search.scan(g.nbrs_a, g.nbrs_b, every_a, every_b), None)
+    found = next(search.scan(g.nbrs_b, g.nbrs_a, every_b, every_a), None)
     return None if found is None else (found[1], found[0])
 
 

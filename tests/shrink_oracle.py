@@ -2,7 +2,8 @@
 that `suite.bisection_exits` replaced, kept as its test oracle and as the
 exit-parameter oracle of `shrink_exits`: one path at a time, 100 halvings of
 a Python float interval.  `event_canonical_tuples` is the per-event form of
-`shrink_canonical_tuples`: every loss records the set left after it."""
+`shrink_canonical_tuples`: every loss records the set left after it, and
+`event_cut_ties` finds the anchors whose simultaneous losses skip t points."""
 
 import itertools
 import math
@@ -32,28 +33,38 @@ def bisection_exit(d: Disc, anchor: Point, p: Point, iters: int = 100) -> float:
     return (lo + hi) / 2.0
 
 
-def event_canonical_tuples(g, t: int) -> frozenset:
-    """Canonical t-tuples of the point/disc incidence graph `g`: a disc of
-    exactly t points counts unshrunk; toward each anchor it contains, every
-    loss event stores the frozenset of points left, the events are grouped by
-    equal exit parameter, and the last event of a group counts when its set
-    has exactly t points."""
-    found = set()
-    for b, contained in zip(g.side_b, g.nbrs_b):
-        if len(contained) < t:
-            continue
-        if len(contained) == t:
-            found.add(tuple(contained))
+def _event_groups(g):
+    """Per disc j and anchor index a it contains: the loss events toward a,
+    each the frozenset of contained positions left, grouped by equal exit
+    parameter, as (j, a, contained, groups)."""
+    for j, (b, contained) in enumerate(zip(g.side_b, g.nbrs_b)):
         pts = [g.side_a[i] for i in contained]
-        for anchor in pts:
+        for a, anchor in zip(contained, pts):
             exits = sorted((_exit_parameter(p, b.center, b.radius, anchor), v)
                            for v, p in enumerate(pts) if not (p.x == anchor.x and p.y == anchor.y))
             remaining, events = set(range(len(pts))), []
             for s, v in exits:
                 remaining.discard(v)
                 events.append((s, frozenset(remaining)))
-            for _, group in itertools.groupby(events, key=lambda ev: ev[0]):
-                *_, (_, last) = group
-                if len(last) == t:
-                    found.add(tuple(contained[v] for v in sorted(last)))
+            groups = [[left for _, left in group] for _, group in itertools.groupby(events, key=lambda ev: ev[0])]
+            yield j, a, contained, groups
+
+
+def event_canonical_tuples(g, t: int) -> frozenset:
+    """Canonical t-tuples of the point/disc incidence graph `g`: a disc of
+    exactly t points counts unshrunk; toward each anchor it contains, every
+    loss event stores the frozenset of points left, the events are grouped by
+    equal exit parameter, and the last event of a group counts when its set
+    has exactly t points."""
+    found = {tuple(contained) for contained in g.nbrs_b if len(contained) == t}
+    for _, _, contained, groups in _event_groups(g):
+        found.update(tuple(contained[v] for v in sorted(group[-1])) for group in groups if len(group[-1]) == t)
     return frozenset(found)
+
+
+def event_cut_ties(g, t: int) -> list:
+    """The (disc, anchor) index pairs, in scan order, where an event leaves
+    exactly t points but is not the last of its group: the path skips the
+    sets of t points there."""
+    return [(j, a) for j, a, _, groups in _event_groups(g)
+            if any(len(left) == t for group in groups for left in group[:-1])]

@@ -391,6 +391,21 @@ class TestCommands:
         assert capsys.readouterr().err == "error: incidence graph contains K_2,2: ((0, 1), (0, 1))\n"
         assert main(["shrink", str(inst), "--t", "3"]) == 0
 
+    @pytest.mark.parametrize("pts, tied", [
+        ([(0.25, 0), (-0.25, 0), (0, 0.25), (0, -0.25)], "[2, 3]"),  # the symmetric four
+        ([(0, 0), (0.25, 0), (0.25, 0), (-0.25, 0), (-0.25, 0)], "[1, 2, 3, 4]"),  # centre and two pairs
+    ])
+    def test_shrink_and_canon_refuse_ties_across_the_cut(self, tmp_path, capsys, pts, tied):
+        # toward point 0 the tied points leave the disc of radius 1/2 at once,
+        # from more than 2 points to fewer, so no canonical pair exists there
+        inst = tmp_path / "tie.json"
+        inst.write_text(emit_instance([Point(x, y) for x, y in pts], [Disc(Point(0, 0), 0.5)]))
+        message = (f"error: disc 0 shrunk toward anchor point 0: points {tied} leave it at once, from more "
+                   "than 2 points to fewer; the shrink tuples need points in general position\n")
+        for cmd in ("shrink", "canon"):
+            assert main([cmd, str(inst), "--t", "2"]) == 1
+            assert capsys.readouterr() == ("", message)
+
     def test_check_free_builds_no_side_long_masks(self, tmp_path, monkeypatch, capsys):
         graphs = []
 

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ztnet import generators
 from ztnet.errors import BudgetExceeded, ParamOutOfRange
 from ztnet.generators import KINDS, GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import AxisRect, Disc, Family, Frame, Point, check_general_position
 from ztnet.hypergraph import BipartiteIntersectionGraph
 from ztnet.suite import scaled_disc_instance
-from ztnet.zarankiewicz import find_ktt_witness
+from ztnet.zarankiewicz import BicliqueSearch, find_ktt_witness
 
 import generator_oracle
 from ktt_oracle import _combos_at_least, mask_prune
@@ -232,6 +233,45 @@ class TestPrune:
         with pytest.raises(BudgetExceeded) as expected:
             mask_prune(g, t, budget=steps - 1)
         assert str(exc.value) == str(expected.value)
+
+    def test_every_budget_matches_mask_oracle(self, monkeypatch):
+        # every budget below a prune's steps stops it with the mask oracle's
+        # message, so a step gained or lost where a scan resumes shows: a dead
+        # candidate counted, or the resumed vertex's step missed
+        witnesses = []
+
+        class Recording(BicliqueSearch):
+            def scan(self, nbrs, *args):
+                for found in super().scan(nbrs, *args):
+                    witnesses.append((id(nbrs), found[0][0]))
+                    yield found
+
+        monkeypatch.setattr(generators, "BicliqueSearch", Recording)
+        rng = random.Random(23)
+        runs_of_three = a_to_b = 0
+        for _ in range(40):
+            m, n = rng.randint(2, 10), rng.randint(2, 10)
+            p = rng.uniform(0.4, 0.9)
+            g = bip(m, n, {(i, j) for i in range(m) for j in range(n) if rng.random() < p})
+            for t in (2, 3):
+                witnesses.clear()
+                res = prune_to_ktt_free(g, t)
+                # one first vertex gives three witnesses in a row, and the
+                # searched side turns from A to B
+                runs_of_three += any(len(set(witnesses[i:i + 3])) == 1 for i in range(len(witnesses) - 2))
+                a_to_b += any(x[0] == id(g.nbrs_a) != y[0] for x, y in zip(witnesses, witnesses[1:]))
+                deleted_a, deleted_b, found, steps = mask_prune(g, t)
+                assert (res.deleted_a, res.deleted_b, res.witnesses_found) == (deleted_a, deleted_b, found)
+                slow = naive_prune(g, t)
+                assert (res.graph.edges, res.graph.m, res.graph.n) == (slow.edges, slow.m, slow.n)
+                for budget in range(steps):
+                    with pytest.raises(BudgetExceeded) as exc:
+                        prune_to_ktt_free(g, t, budget=budget)
+                    with pytest.raises(BudgetExceeded) as expected:
+                        mask_prune(g, t, budget=budget)
+                    assert str(exc.value) == str(expected.value)
+                assert prune_to_ktt_free(g, t, budget=steps).deleted_b == deleted_b
+        assert runs_of_three and a_to_b
 
     def test_large_disc_instance_is_free_after_prune(self):
         fam_a = generate("random_discs", 300, GenParams(radius_lo=0.02, radius_hi=0.05), 31)

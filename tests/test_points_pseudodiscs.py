@@ -6,9 +6,9 @@ from containment_oracle import rows_graph
 from containment_oracle import uncovered as row_side_uncovered
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from shrink_oracle import bisection_exit, event_canonical_tuples
+from shrink_oracle import bisection_exit, event_canonical_tuples, event_cut_ties
 
-from ztnet.errors import PreconditionViolated
+from ztnet.errors import DegenerateInput, PreconditionViolated
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
 from ztnet.geometry import AxisRect, Disc, Point, point_in_disc
 from ztnet.hypergraph import BipartiteIntersectionGraph
@@ -154,25 +154,47 @@ class TestCanonicalTuples:
     @example([(0, 0)] * 3 + [(1, 0)], [(0, 0, 2)], 2)  # more than t copies of the anchor
     @example([(0, 0)] * 2 + [(1, 0)], [(0, 0, 2)], 2)  # exactly t copies
     @example([(1, 0), (-1, 0)], [(0, 0, 4)], 2)  # a disc of exactly t points
+    @example([(-2, 0)] * 2 + [(2, 0), (2, 1)], [(0, 0, 4)], 2)  # copies, no tie across the cut
+    @example([(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 0, 2)], 2)  # the four-point file
     def test_matches_event_oracle(self, pts, discs, t):
-        # grid points repeat, sit on circles (exit at s = 0) and tie exactly
+        # grid points repeat, sit on circles (exit at s = 0) and tie exactly;
+        # the first disc and anchor where the oracle's path skips t points
+        # are refused, else the families agree
         g = grid_graph(pts, discs)
-        assert shrink_canonical_tuples(g, t).tuples == event_canonical_tuples(g, t)
+        if ties := event_cut_ties(g, t):
+            j, a = ties[0]
+            with pytest.raises(DegenerateInput, match=rf"^disc {j} shrunk toward anchor point {a}: .*general position$"):
+                shrink_canonical_tuples(g, t)
+        else:
+            assert shrink_canonical_tuples(g, t).tuples == event_canonical_tuples(g, t)
 
     def test_tie_across_the_cut_gives_no_tuple(self):
         # toward the centre both mirror points leave at once, from 3 points to
-        # 1, so only the mirror anchors record a pair
+        # 1, so no pair is ever left there and the points are refused
         g = grid_graph([(0, 0), (1, 0), (-1, 0)], [(0, 0, 2)])
         (s1, _), (s2, _) = shrink_exits(g.side_b[0], g.side_a[0], list(g.side_a))
         assert s1 == s2
-        assert shrink_canonical_tuples(g, 2).tuples == {(0, 1), (0, 2)}
+        assert event_cut_ties(g, 2) == [(0, 0)]
+        message = ("disc 0 shrunk toward anchor point 0: points [1, 2] leave it at once, from more than 2 "
+                   "points to fewer; the shrink tuples need points in general position")
+        with pytest.raises(DegenerateInput) as exc:
+            shrink_canonical_tuples(g, 2)
+        assert str(exc.value) == message
+        # a tie that does not cross the cut is no degeneracy: at t = 1 the
+        # centre is the last point left
+        assert shrink_canonical_tuples(g, 1).tuples == {(0,), (1,), (2,)}
 
-    @pytest.mark.parametrize("copies, expected", [(3, set()), (2, {(0, 1)})])
+    @pytest.mark.parametrize("copies, expected", [(3, {(3, 4)}), (2, {(0, 1), (2, 3)})])
     def test_anchor_copies(self, copies, expected):
         # more than t copies never thin out to t; exactly t copies are the
-        # tuple toward the copies, and toward the other point they leave at once
-        g = grid_graph([(0, 0)] * copies + [(1, 0)], [(0, 0, 2)])
+        # tuple toward the copies.  Toward the two far points the copies leave
+        # first, all at once but before the cut, and the far pair is left
+        g = grid_graph([(-2, 0)] * copies + [(2, 0), (2, 1)], [(0, 0, 4)])
+        assert event_cut_ties(g, 2) == []
         assert shrink_canonical_tuples(g, 2).tuples == expected
+        # next to one other point the copies leave at once across the cut
+        with pytest.raises(DegenerateInput, match=r"points \[0, 1(, 2)?\] leave it at once"):
+            shrink_canonical_tuples(grid_graph([(0, 0)] * copies + [(1, 0)], [(0, 0, 2)]), 2)
 
     @pytest.mark.parametrize("side_a, side_b, side", [
         ([Disc(Point(0, 0), 1)], [Disc(Point(0.5, 0), 1)], "a"),

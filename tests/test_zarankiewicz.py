@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -48,7 +49,7 @@ def _draw_pool(data, t, dense=False):
 
 
 def _lists_and_flags(m, n, edges, live_a, live_b):
-    """`BicliqueSearch.first`'s arguments: both sides' full neighbour lists
+    """`BicliqueSearch.scan`'s arguments: both sides' full neighbour lists
     and both alive flag arrays."""
     nbrs = [sorted(j for i2, j in edges if i2 == i) for i in range(m)]
     partner = [sorted(i for i, j2 in edges if j2 == j) for j in range(n)]
@@ -174,7 +175,7 @@ class TestWitnessSearch:
         masks = [mask_of(j for i2, j in edges if i2 == i and j in live_b) if i in live_a else 0
                  for i in range(m)]
         search = BicliqueSearch(t, 2**30, "witness search")
-        got = search.first(*_lists_and_flags(m, n, edges, live_a, live_b), lower)
+        got = next(search.scan(*_lists_and_flags(m, n, edges, live_a, live_b), lower), None)
         assert got == _lex_witness(sorted(live_a), masks, t, lower)
 
     @settings(max_examples=400, deadline=None)
@@ -189,16 +190,50 @@ class TestWitnessSearch:
                    for j in range(n)]
         args = _lists_and_flags(m, n, edges, live_a, live_b)
         search, oracle = BicliqueSearch(t, 2**30, "prune"), MaskBicliqueSearch(t, 2**30, "prune")
-        got = search.first(*args, lower)
+        got = next(search.scan(*args, lower), None)
         assert got == oracle.first(mask_of(live_a), masks, partner, lower)
         assert search.steps == oracle.steps
         if search.steps:
             budget = search.steps - 1
             with pytest.raises(BudgetExceeded) as exc:
-                BicliqueSearch(t, budget, "prune").first(*args, lower)
+                next(BicliqueSearch(t, budget, "prune").scan(*args, lower))
             with pytest.raises(BudgetExceeded) as expected:
                 MaskBicliqueSearch(t, budget, "prune").first(mask_of(live_a), masks, partner, lower)
             assert str(exc.value) == str(expected.value)
+
+    def test_scans_of_one_search_stay_apart(self):
+        # one search scans two graphs and both sides of one graph, each from
+        # its vertex 0, and resumes them in turn while partners and second
+        # vertices die: each answer and step count is a fresh search's from
+        # that scan's last witness
+        rng = random.Random(9)
+        setups = []
+        for m, n in ((7, 6), (6, 7)):
+            g = bip(m, n, {(i, j) for i in range(m) for j in range(n) if rng.random() < 0.8})
+            alive_a, alive_b = bytearray(b"\x01") * m, bytearray(b"\x01") * n
+            setups += [(g.nbrs_a, g.nbrs_b, alive_a, alive_b), (g.nbrs_b, g.nbrs_a, alive_b, alive_a)]
+        search = BicliqueSearch(2, 2**30, "prune")
+        scans = {k: search.scan(*args) for k, args in enumerate(setups)}
+        cursors: list = [None] * len(setups)
+        for turn in itertools.count():
+            for k, scan in list(scans.items()):
+                fresh = BicliqueSearch(2, 2**30, "prune")
+                expected = next(fresh.scan(*setups[k], cursors[k]), None)
+                before = search.steps
+                assert next(scan, None) == expected
+                assert search.steps - before == fresh.steps
+                if expected is None:
+                    del scans[k]  # done, as a prune would be
+                    continue
+                assert turn or expected[0][0] == 0
+                cursors[k] = expected[0]
+                if turn % 2:
+                    setups[k][3][expected[1][0]] = 0  # a partner dies: the scan stays at its vertex
+                else:
+                    setups[k][2][expected[0][1]] = 0
+            if not scans:
+                break
+        assert turn >= 3
 
     def test_steps_and_witness_match_mask_oracle_on_graphs(self):
         rng = random.Random(5)
