@@ -219,7 +219,8 @@ class BipartiteIntersectionGraph:
     def induced(self, keep_a: Iterable[int], keep_b: Iterable[int]) -> "BipartiteIntersectionGraph":
         """Subgraph on the given vertex subsets, reindexed in sorted order.
         An index outside its side raises ValueError."""
-        ka, kb = (np.unique(np.fromiter(keep, dtype=np.int64)) for keep in (keep_a, keep_b))
+        ka, kb = (np.sort(np.fromiter(keep, dtype=np.int64)) for keep in (keep_a, keep_b))
+        ka, kb = (k[np.diff(k, prepend=k[:1] - 1) != 0] for k in (ka, kb))  # each index once
         for name, k, size in (("A", ka, self.m), ("B", kb, self.n)):
             if len(k) and (k[0] < 0 or k[-1] >= size):
                 raise ValueError(f"keep index {k[0] if k[0] < 0 else k[-1]} out of range for side {name} of {size}")

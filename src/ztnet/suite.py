@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .generators import GenParams, generate, prune_to_ktt_free
-from .geometry import AxisRect, Disc, Point
+from .geometry import AxisRect
 from .hypergraph import (
     BipartiteIntersectionGraph,
     Hypergraph,
@@ -38,7 +38,7 @@ from .nets import (
 from .points_pseudodiscs import (
     coverage_violations,
     counting_inequality_check,
-    shrink_exits,
+    exit_parameters,
 )
 from .rectangles import (
     hereditary_planarity_check,
@@ -611,28 +611,27 @@ def check_vc(cfg: SuiteConfig) -> list[CheckRow]:
 
 
 def check_shrink(cfg: SuiteConfig, instances: list[SuiteInstance]) -> list[CheckRow]:
-    """Shrink exit parameters against the bisection oracle; coverage of every
-    contained point by a canonical tuple, exhaustively."""
+    """Shrink exit parameters, from one `exit_parameters` call over every
+    triple, against the bisection oracle; coverage of every contained point
+    by a canonical tuple, exhaustively."""
     rng = random.Random(derive_seed(cfg.seed, "shrink"))
-    paths, s_impl = [], []
+    paths = []
     for _ in range(cfg.shrink_triples):
         cx, cy = rng.uniform(-1, 1), rng.uniform(-1, 1)
         r = rng.uniform(0.1, 2.0)
-        d = Disc(Point(cx, cy), r)
 
-        def inside() -> Point:
+        def inside() -> tuple[float, float]:
             rad = r * math.sqrt(rng.random())
             ang = rng.uniform(0, 2 * math.pi)
-            return Point(cx + rad * math.cos(ang), cy + rad * math.sin(ang))
+            return cx + rad * math.cos(ang), cy + rad * math.sin(ang)
 
         anchor = inside()
         p = inside()
-        while p.x == anchor.x and p.y == anchor.y:
+        while p == anchor:
             p = inside()
-        s_impl.append(shrink_exits(d, anchor, [p])[0][0])
-        paths.append((cx, cy, r, anchor.x, anchor.y, p.x, p.y))
+        paths.append((cx, cy, r, *anchor, *p))
     # math.isclose(s_impl, s_oracle, rel_tol=1e-9, abs_tol=1e-12), symmetric in its two sides
-    s_impl, s_oracle = np.array(s_impl, float), bisection_exits(paths)
+    s_impl, s_oracle = exit_parameters(*np.array(paths, float).reshape(-1, 7).T), bisection_exits(paths)
     tol = np.maximum(1e-9 * np.maximum(np.abs(s_impl), np.abs(s_oracle)), 1e-12)
     mismatches = int((~(np.abs(s_impl - s_oracle) <= tol)).sum())
     pds = [inst.graph for inst in instances if inst.kind == "points_discs"]

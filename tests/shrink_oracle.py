@@ -1,15 +1,46 @@
-"""Two oracles of the disc shrink.  `bisection_exit` is the scalar bisection
-that `suite.bisection_exits` replaced, kept as its test oracle and as the
-exit-parameter oracle of `shrink_exits`: one path at a time, 100 halvings of
-a Python float interval.  `event_canonical_tuples` is the per-event form of
-`shrink_canonical_tuples`: every loss records the set left after it, and
-`event_cut_ties` finds the anchors whose simultaneous losses skip t points."""
+"""Oracles of the disc shrink.  `_exit_parameter` is the scalar exit that
+`points_pseudodiscs.exit_parameters` replaced, kept as its elementwise
+oracle: one path at a time, the same float operations in the same order,
+with branches where the kernel has `np.where`.  `bisection_exit` is the
+scalar bisection that `suite.bisection_exits` replaced, kept as its test
+oracle and as the exit-parameter oracle of `shrink_exits`: one path at a
+time, 100 halvings of a Python float interval.  `event_canonical_tuples` is
+the per-event form of `shrink_canonical_tuples`: every loss records the set
+left after it, and `event_cut_ties` finds the anchors whose simultaneous
+losses skip t points."""
 
 import itertools
 import math
 
 from ztnet.geometry import Disc, Point
-from ztnet.points_pseudodiscs import _exit_parameter
+
+
+def _exit_parameter(p: Point, c: Point, r: float, anchor: Point) -> float:
+    """Smallest s in [0, 1] with |p - center(s)| = radius(s).
+
+    Quadratic in s: with u = p - c, w = anchor - c,
+    (w.w - r^2) s^2 + 2 (r^2 - u.w) s + (u.u - r^2) = 0.
+    The leading coefficient is <= 0 and the constant term is <= 0 for a
+    contained point, so the smaller root is the unique exit in (0, 1); a
+    point already on the boundary exits at s = 0.
+    """
+    ux, uy = p.x - c.x, p.y - c.y
+    wx, wy = anchor.x - c.x, anchor.y - c.y
+    r2 = r * r
+    alpha = wx * wx + wy * wy - r2
+    beta = 2.0 * (r2 - (ux * wx + uy * wy))
+    gamma = ux * ux + uy * uy - r2
+    if gamma >= 0.0:
+        return 0.0
+    if alpha == 0.0:
+        # anchor on the boundary; beta > 0 for any contained p != anchor
+        return min(1.0, -gamma / beta)
+    disc = beta * beta - 4.0 * alpha * gamma
+    sq = math.sqrt(max(disc, 0.0))
+    root1 = (-beta + sq) / (2.0 * alpha)
+    root2 = (-beta - sq) / (2.0 * alpha)
+    s = min(root1, root2) if min(root1, root2) >= 0.0 else max(root1, root2)
+    return min(max(s, 0.0), 1.0)
 
 
 def bisection_exit(d: Disc, anchor: Point, p: Point, iters: int = 100) -> float:

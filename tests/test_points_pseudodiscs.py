@@ -1,12 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from containment_oracle import rows_graph
 from containment_oracle import uncovered as row_side_uncovered
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from shrink_oracle import bisection_exit, event_canonical_tuples, event_cut_ties
+from shrink_oracle import _exit_parameter, bisection_exit, event_canonical_tuples, event_cut_ties
 
 from ztnet.errors import DegenerateInput, PreconditionViolated
 from ztnet.generators import GenParams, generate, prune_to_ktt_free
@@ -16,6 +17,7 @@ from ztnet.points_pseudodiscs import (
     _uncovered,
     counting_inequality_check,
     coverage_violations,
+    exit_parameters,
     shrink_canonical_tuples,
     shrink_exits,
 )
@@ -32,6 +34,46 @@ def pd_instance(n_pts, n_discs, seed):
 def pruned_pd_graph(n_pts, n_discs, seed):
     """The K_{2,2}-free incidence graph left after pruning `pd_instance`."""
     return prune_to_ktt_free(BipartiteIntersectionGraph.from_families(*pd_instance(n_pts, n_discs, seed)), 2).graph
+
+
+_GRID = st.integers(-4, 4)  # coordinates in quarters
+
+
+@st.composite
+def grid_paths(draw):
+    """(cx, cy, r, ax, ay, px, py) on the step-1/4 grid, anchor and point in the
+    disc: many sit on the circle, where a point exits at 0 and an anchor makes
+    the leading coefficient 0 exactly (radius 5/4 adds the 3-4-5 offsets)."""
+    cx, cy, k = draw(_GRID), draw(_GRID), draw(st.integers(1, 5))
+    offset = st.tuples(st.integers(-k, k), st.integers(-k, k)).filter(lambda o: o[0] ** 2 + o[1] ** 2 <= k * k)
+    (ax, ay), (px, py) = draw(offset), draw(offset)
+    return tuple(v / 4 for v in (cx, cy, k, cx + ax, cy + ay, cx + px, cy + py))
+
+
+@st.composite
+def float_paths(draw):
+    """(cx, cy, r, ax, ay, px, py) in floats, anchor and point drawn inside the disc."""
+    cx, cy, r = draw(st.floats(-100, 100)), draw(st.floats(-100, 100)), draw(st.floats(1e-3, 100))
+    ends = []
+    for _ in range(2):
+        rad, ang = r * draw(st.floats(0, 1)), draw(st.floats(0, 2 * math.pi))
+        ends += [cx + rad * math.cos(ang), cy + rad * math.sin(ang)]
+    return (cx, cy, r, *ends)
+
+
+class TestExitParameters:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(grid_paths(), float_paths()), min_size=1, max_size=20))
+    @example([(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.5)])  # the anchor on the circle: linear in s
+    @example([(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 0.5, 0.0, 0.5, 0.0)])  # p on the circle; p at the anchor
+    def test_matches_scalar_oracle(self, paths):
+        # the kernel's float operations are the scalar's, in the same order,
+        # so every exit is equal, and none is NaN on a contained point
+        exits = exit_parameters(*np.array(paths).T)
+        assert not np.isnan(exits).any()
+        for (cx, cy, r, ax, ay, px, py), s in zip(paths, exits.tolist()):
+            assert point_in_disc(Point(px, py), Disc(Point(cx, cy), r))
+            assert s == _exit_parameter(Point(px, py), Point(cx, cy), r, Point(ax, ay))
 
 
 class TestShrinkEvents:
@@ -95,9 +137,6 @@ class TestShrinkEvents:
         assert exits == sorted(exits)
         assert sorted(i for _, i in exits) == [i for i in range(len(pts)) if pts[i] != anchor]
         assert all(0.0 <= s <= 1.0 for s, _ in exits) and exits[:2] == [(0.0, 13), (0.0, 15)]
-
-
-_GRID = st.integers(-4, 4)  # coordinates in quarters
 
 
 def grid_graph(pts, discs):
@@ -183,6 +222,11 @@ class TestCanonicalTuples:
         # a tie that does not cross the cut is no degeneracy: at t = 1 the
         # centre is the last point left
         assert shrink_canonical_tuples(g, 1).tuples == {(0,), (1,), (2,)}
+        # toward an anchor on the circle, its copy never leaves, though its
+        # exit parameter is 0 like the other points on the circle
+        g = grid_graph([(4, 0), (4, 0), (0, 4), (-4, 0), (0, -4)], [(0, 0, 4)])
+        with pytest.raises(DegenerateInput, match=r"^disc 0 shrunk toward anchor point 0: points \[2, 3, 4\] leave"):
+            shrink_canonical_tuples(g, 3)
 
     @pytest.mark.parametrize("copies, expected", [(3, {(3, 4)}), (2, {(0, 1), (2, 3)})])
     def test_anchor_copies(self, copies, expected):
@@ -206,6 +250,17 @@ class TestCanonicalTuples:
         g = BipartiteIntersectionGraph.from_families(side_a, side_b)
         with pytest.raises(PreconditionViolated, match=f"side {side} must"):
             entry(g, 2)
+
+    def test_list_sides_are_refused(self):
+        # the tuples read the families' columns, which `from_edges`' lists lack
+        g = BipartiteIntersectionGraph.from_edges([Point(0, 0), Point(0.1, 0)], [Disc(Point(0, 0), 1)], [(0, 0), (1, 0)])
+        with pytest.raises(PreconditionViolated, match="side a must contain points only"):
+            shrink_canonical_tuples(g, 1)
+
+    def test_builds_no_objects(self):
+        g = BipartiteIntersectionGraph.from_families(*pd_instance(40, 15, seed=2))
+        assert shrink_canonical_tuples(g, 2).size() > 0 and coverage_violations(g, 3) == []
+        assert g.side_a._objects is None and g.side_b._objects is None
 
     def test_coverage_invariant(self):
         for seed in range(8):

@@ -142,12 +142,21 @@ class TestGuards:
         assert suite.check_shrink(cfg, [])[0].observed == "mismatches=0"
         assert calls == [cfg.shrink_triples]
 
+    def test_check_shrink_makes_one_exit_kernel_call(self, monkeypatch):
+        # one call over the seven path columns, each as long as the triples
+        calls = []
+        real = suite.exit_parameters
+        monkeypatch.setattr(suite, "exit_parameters", lambda *cols: calls.append([len(c) for c in cols]) or real(*cols))
+        cfg = suite.desk_config(7)
+        assert suite.check_shrink(cfg, [])[0].observed == "mismatches=0"
+        assert calls == [[cfg.shrink_triples] * 7]
+
     @pytest.mark.parametrize("shift, mismatches", [(1e-6, 150), (1e-13, 0)])
     def test_check_shrink_counts_mismatches(self, monkeypatch, shift, mismatches):
         # exits moved by more than abs_tol = 1e-12 (and rel_tol * s <= 1e-9) all
         # mismatch; moved by less, none does
-        real = suite.shrink_exits
-        monkeypatch.setattr(suite, "shrink_exits", lambda d, a, pts: [(s + shift, i) for s, i in real(d, a, pts)])
+        real = suite.exit_parameters
+        monkeypatch.setattr(suite, "exit_parameters", lambda *cols: real(*cols) + shift)
         cfg = suite.desk_config(7)
         assert cfg.shrink_triples == 150
         assert suite.check_shrink(cfg, [])[0].observed == f"mismatches={mismatches}"
