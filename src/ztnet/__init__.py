@@ -61,7 +61,6 @@ from .rectangles import (
 from .points_pseudodiscs import (
     counting_inequality_check,
     shrink_canonical_tuples,
-    shrink_exits,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,8 +21,9 @@ counts containment from the tuple side, on the graph's `nbrs_a`.
 
 `BipartiteIntersectionGraph.from_families` is the one way two families become
 a graph: one candidate grid, and predicates bitwise equal to `intersects`.
-It reads the columns of `geometry.Family` and builds one object per kind,
-and `induced` takes columns, so objects are built only where asked for.
+It reads the columns of `geometry.Family` and builds one object per kind;
+`from_edges` gives each side its vertex ids, and `induced` takes a side's
+kept entries either way, so objects are built only where asked for.
 """
 
 from __future__ import annotations
@@ -42,15 +43,7 @@ from .errors import InequalityViolated
 from .geometry import DISC, FRAME, HORIZONTAL, POINT, RECT, VERTICAL, Family, intersects
 
 # ---------------------------------------------------------------------------
-# bit positions, transposes and the containment primitive
-
-
-def bits_of(mask: int):
-    """Yield the set bit positions of `mask` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# transposes and the containment primitive
 
 
 def holder_masks(rows: Sequence[Sequence[int]]) -> dict[int, int]:
@@ -139,8 +132,10 @@ def counting_chain(tuples, g: BipartiteIntersectionGraph, t: int, k: int, lower:
 
 @dataclass(eq=False)
 class BipartiteIntersectionGraph:
-    """Two object families plus the edges (rows[k], cols[k]), i in A and j in
-    B, as int64 arrays in row-major order without repeats.
+    """Two sides plus the edges (rows[k], cols[k]), i in A and j in B, as
+    int64 arrays in row-major order without repeats.  A side is an object
+    `Family` (`from_families`) or an int64 array of vertex ids (`from_edges`
+    stores 0..m-1 and 0..n-1), and `induced` carries either through.
 
     The arrays are the one stored adjacency form: the neighbour lists
     `nbrs_a` / `nbrs_b`, the degrees and the `edges` view are derived from
@@ -149,8 +144,8 @@ class BipartiteIntersectionGraph:
     `from_families` and `from_edges` build the arrays.
     """
 
-    side_a: Sequence
-    side_b: Sequence
+    side_a: Family | np.ndarray
+    side_b: Family | np.ndarray
     rows: np.ndarray
     cols: np.ndarray
 
@@ -174,15 +169,15 @@ class BipartiteIntersectionGraph:
         return cls(fam_a, fam_b, *np.concatenate([np.stack(b) for b in _edge_blocks(fam_a, fam_b)], axis=1))
 
     @classmethod
-    def from_edges(cls, side_a, side_b, pairs: Iterable[tuple[int, int]]) -> "BipartiteIntersectionGraph":
-        """Graph on the given sides with the explicit index pairs (i, j), i in A
-        and j in B; repeats count once.  Out-of-range pairs raise ValueError."""
-        side_a, side_b = list(side_a), list(side_b)
+    def from_edges(cls, m: int, n: int, pairs: Iterable[tuple[int, int]]) -> "BipartiteIntersectionGraph":
+        """Graph on sides of m and n vertex ids with the explicit index pairs
+        (i, j), i in A and j in B; repeats count once.  Out-of-range pairs
+        raise ValueError."""
         ij = np.array(sorted(set(pairs)), dtype=np.int64).reshape(-1, 2)
-        bad = ((ij < 0) | (ij >= [len(side_a), len(side_b)])).any(axis=1)
+        bad = ((ij < 0) | (ij >= [m, n])).any(axis=1)
         if bad.any():
-            raise ValueError(f"edge {tuple(ij[bad][0].tolist())} out of range for a {len(side_a)} x {len(side_b)} graph")
-        return cls(side_a, side_b, *ij.T)
+            raise ValueError(f"edge {tuple(ij[bad][0].tolist())} out of range for a {m} x {n} graph")
+        return cls(np.arange(m), np.arange(n), *ij.T)
 
     @cached_property
     def _lists(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -217,7 +212,8 @@ class BipartiteIntersectionGraph:
         return np.bincount(self.cols, minlength=self.n).tolist()
 
     def induced(self, keep_a: Iterable[int], keep_b: Iterable[int]) -> "BipartiteIntersectionGraph":
-        """Subgraph on the given vertex subsets, reindexed in sorted order.
+        """Subgraph on the given vertex subsets, reindexed in sorted order; each
+        side keeps its kept entries, so vertex ids carry the original indices.
         An index outside its side raises ValueError."""
         ka, kb = (np.sort(np.fromiter(keep, dtype=np.int64)) for keep in (keep_a, keep_b))
         ka, kb = (k[np.diff(k, prepend=k[:1] - 1) != 0] for k in (ka, kb))  # each index once
@@ -228,9 +224,7 @@ class BipartiteIntersectionGraph:
         new_a[ka], new_b[kb] = np.arange(len(ka)), np.arange(len(kb))
         rows, cols = new_a[self.rows], new_b[self.cols]
         kept = (rows >= 0) & (cols >= 0)
-        sides = (side.take(k) if isinstance(side, Family) else [side[i] for i in k.tolist()]
-                 for side, k in ((self.side_a, ka), (self.side_b, kb)))
-        return BipartiteIntersectionGraph(*sides, rows[kept], cols[kept])
+        return BipartiteIntersectionGraph(self.side_a.take(ka), self.side_b.take(kb), rows[kept], cols[kept])
 
 
 @dataclass

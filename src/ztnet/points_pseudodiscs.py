@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInput, PreconditionViolated
-from .geometry import DISC, POINT, Disc, Family, Point, point_in_disc
+from .geometry import DISC, POINT, Family
 from .hypergraph import (
     BipartiteIntersectionGraph, CanonicalTupleFamily, ChainReport, containing_rows, counting_chain)
 
@@ -37,7 +37,8 @@ def exit_parameters(cx, cy, r, ax, ay, px, py) -> np.ndarray:
     The leading coefficient is <= 0 and the constant term is <= 0 for a
     contained point, so the smaller root is the unique exit in (0, 1); a
     point already on the boundary exits at s = 0, and with the anchor on the
-    boundary (leading coefficient 0) the equation is linear.
+    boundary (leading coefficient 0) the equation is linear.  Where squared
+    offsets overflow (coordinates above about 1.3e154) the result is NaN.
     """
     # huge coordinates overflow to inf and nan silently, as Python floats do,
     # and the branches np.where drops may divide by 0
@@ -57,19 +58,6 @@ def exit_parameters(cx, cy, r, ax, ay, px, py) -> np.ndarray:
     return np.where(gamma >= 0.0, 0.0, np.where(alpha == 0.0, linear, s))
 
 
-def shrink_exits(d: Disc, anchor: Point, pts: list[Point]) -> list[tuple[float, int]]:
-    """Loss events of the contained set along the shrink path toward `anchor`,
-    as (s, i) pairs for the points pts[i], sorted by exit parameter s and then
-    by index, so simultaneous exits are consecutive.  Points equal to the
-    anchor never exit and are left out."""
-    for what, p in [("anchor", anchor)] + [("point", p) for p in pts]:
-        if not point_in_disc(p, d):
-            raise PreconditionViolated(f"{what} {p} lies outside the disc {d}")
-    idx = [i for i, p in enumerate(pts) if p.x != anchor.x or p.y != anchor.y]
-    xy = np.array([(pts[i].x, pts[i].y) for i in idx], float).reshape(-1, 2).T
-    return sorted(zip(exit_parameters(d.center.x, d.center.y, d.radius, anchor.x, anchor.y, *xy).tolist(), idx))
-
-
 def shrink_canonical_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalTupleFamily:
     """Point t-subsets realizable as b cap A for some shrunk copy b of a disc,
     on the incidence graph `g` of a point `Family` (side a) and a disc
@@ -79,7 +67,8 @@ def shrink_canonical_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalT
     one d x d exit matrix, a row per anchor; toward each anchor, the points
     left after the first d - t losses of its sorted row count.  If the
     (d-t)-th loss ties with the next, the path never holds t points there, so
-    the points are not in general position and DegenerateInput names them.
+    the points are not in general position and DegenerateInput names them; a
+    disc whose exits are NaN (`exit_parameters`' overflow) raises it too.
     The graph's edges passed `point_in_disc` bit for bit, and its neighbour
     lists are ascending, so each set's tuple is too.
     """
@@ -101,6 +90,9 @@ def shrink_canonical_tuples(g: BipartiteIntersectionGraph, t: int) -> CanonicalT
         x, y = px[idx], py[idx]
         copies = (x[:, None] == x) & (y[:, None] == y)  # the anchor's copies never exit
         exits = exit_parameters(cx[j], cy[j], rad[j], x[:, None], y[:, None], x, y)
+        if np.isnan(exits).any():
+            raise DegenerateInput(
+                f"disc {j}: its shrink exits are NaN, as squared offsets overflow (coordinates above about 1.3e154)")
         order = np.lexsort((exits, copies))  # per row: the k exits by s, then by index; the copies last
         s, k = np.take_along_axis(exits, order, axis=1), len(idx) - copies.sum(axis=1)
         if (tied := np.flatnonzero((k > cut) & (s[:, cut - 1] == s[:, cut]))).size:

@@ -215,12 +215,10 @@ class SegmentDelaunay:
         """Planar drawing: vertices at right endpoints, each edge a 3-leg path that
         runs along one segment, jumps over the witness vertical, and follows the
         other segment to its right endpoint."""
-        hsegs = self.hsegs
-        if not hsegs:
+        if not self.hsegs:
             return '<svg xmlns="http://www.w3.org/2000/svg" width="16" height="16"/>'
-        xs = [s.lo for s in hsegs] + [s.hi for s in hsegs]
-        ys = [s.fixed for s in hsegs]
-        x_min, x_max = min(xs), max(xs)
+        los, his, ys = self.hsegs.fields[:3].tolist()
+        x_min, x_max = min(los + his), max(los + his)
         y_min, y_max = min(ys), max(ys)
         span_x = (x_max - x_min) or 1.0
         span_y = (y_max - y_min) or 1.0
@@ -240,10 +238,10 @@ class SegmentDelaunay:
             f'height="{height + 2 * pad:.1f}" '
             f'viewBox="0 0 {width + 2 * pad:.1f} {height + 2 * pad:.1f}">'
         ]
-        for s in hsegs:
+        for lo, hi, y in zip(los, his, ys):
             parts.append(
-                f'<line x1="{tx(s.lo):.3f}" y1="{ty(s.fixed):.3f}" '
-                f'x2="{tx(s.hi):.3f}" y2="{ty(s.fixed):.3f}" '
+                f'<line x1="{tx(lo):.3f}" y1="{ty(y):.3f}" '
+                f'x2="{tx(hi):.3f}" y2="{ty(y):.3f}" '
                 'stroke="#bbbbbb" stroke-width="1.5"/>'
             )
         for pts in delaunay_drawing_paths(self).values():
@@ -251,9 +249,9 @@ class SegmentDelaunay:
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="#33678f" stroke-width="0.8"/>'
             )
-        for s in hsegs:
+        for hi, y in zip(his, ys):
             parts.append(
-                f'<circle cx="{tx(s.hi):.3f}" cy="{ty(s.fixed):.3f}" r="2.2" fill="#222222"/>'
+                f'<circle cx="{tx(hi):.3f}" cy="{ty(y):.3f}" r="2.2" fill="#222222"/>'
             )
         parts.append("</svg>")
         return "\n".join(parts)
@@ -281,21 +279,16 @@ def delaunay_drawing_paths(dela: "SegmentDelaunay") -> dict[tuple[int, int], lis
     active segment strictly inside the witness vertical's span, contradicting
     the exact two-element stab set.
     """
-    hsegs = dela.hsegs
-    ys = sorted({s.fixed for s in hsegs})
-    gaps = [b - a for a, b in zip(ys, ys[1:])]
+    _, his, ys = dela.hsegs.fields[:3].tolist()
+    levels = sorted(set(ys))
+    gaps = [b - a for a, b in zip(levels, levels[1:])]
     eps_draw = (min(gaps) / 10.0) if gaps else 0.01
     paths = {}
     for rank, (i, j) in enumerate(zip(dela.graph.rows.tolist(), dela.graph.cols.tolist())):
         off = eps_draw * (1 + rank % 7) / 7.0
         xw = dela.witness_x[(i, j)]
-        yi, yj = hsegs[i].fixed + off, hsegs[j].fixed + off
-        paths[(i, j)] = [
-            (hsegs[i].hi, yi),
-            (xw, yi),
-            (xw, yj),
-            (hsegs[j].hi, yj),
-        ]
+        yi, yj = ys[i] + off, ys[j] + off
+        paths[(i, j)] = [(his[i], yi), (xw, yi), (xw, yj), (his[j], yj)]
     return paths
 
 

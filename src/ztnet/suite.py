@@ -313,7 +313,7 @@ def random_tiny_hypergraph(rng: random.Random) -> Hypergraph:
 
 def random_bipartite_graph(rng: random.Random, m: int, n: int, p: float):
     edges = [(i, j) for i in range(m) for j in range(n) if rng.random() < p]
-    return BipartiteIntersectionGraph.from_edges([None] * m, [None] * n, edges)
+    return BipartiteIntersectionGraph.from_edges(m, n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,15 @@ row, as bitmasks over the whole index range.  `counting_chain` states the
 chain of `hypergraph.counting_chain` on that scan, and `rows_graph` builds
 the graph whose N(b) lists are given rows, for the callers that take a graph."""
 
-from graph_oracle import mask_of
+from graph_oracle import bits_of, mask_of
 
-from ztnet.hypergraph import BipartiteIntersectionGraph, bits_of
+from ztnet.hypergraph import BipartiteIntersectionGraph
 
 
 def rows_graph(rows: list[list[int]], size: int) -> BipartiteIntersectionGraph:
     """The graph on `size` A vertices and one B vertex per row, with N(b) the
     row b (a list of indices in 0..size-1)."""
-    return BipartiteIntersectionGraph.from_edges(
-        [None] * size, [None] * len(rows), [(i, b) for b, row in enumerate(rows) for i in row])
+    return BipartiteIntersectionGraph.from_edges(size, len(rows), [(i, b) for b, row in enumerate(rows) for i in row])
 
 
 def containing_rows(tuples, rows: list[list[int]]) -> list[tuple[tuple[int, ...], list[int]]]:

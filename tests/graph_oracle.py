@@ -4,13 +4,22 @@ test oracles: the edge set is the stored form, `induced` relabels it through
 dicts, and the neighbour lists are sorted from the tuples.  Also the
 frozenset view of hyperedges that `Hypergraph`'s lists replaced, as helpers
 for tests that state hyperedges as sets, and the bitmask helpers the mask
-oracles build their side-long masks with.  `delaunay_graph`, which no part of
+oracles build and read their side-long masks with (`bits_of`, which no part
+of the package reads, left `ztnet.hypergraph` for here).  `delaunay_graph`, which no part of
 the package reached, left `ztnet.hypergraph` for here."""
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from ztnet.hypergraph import Graph, Hypergraph, _edge_blocks, bits_of
+from ztnet.hypergraph import Graph, Hypergraph, _edge_blocks
+
+
+def bits_of(mask: int):
+    """Yield the set bit positions of `mask` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def mask_of(indices: Iterable[int]) -> int:

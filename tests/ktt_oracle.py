@@ -19,8 +19,9 @@ import math
 from bisect import bisect_left
 from typing import Optional
 
+from graph_oracle import bits_of
+
 from ztnet.errors import BudgetExceeded
-from ztnet.hypergraph import bits_of
 from ztnet.zarankiewicz import BUDGET_ENV_VAR
 
 

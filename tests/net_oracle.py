@@ -31,10 +31,10 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from epsilon_net_oracle import stacked_cover_set as library_cover_set
-from graph_oracle import mask_of
+from graph_oracle import bits_of, mask_of
 
 from ztnet.errors import InfeasibleNet, PreconditionViolated
-from ztnet.hypergraph import Hypergraph, bits_of
+from ztnet.hypergraph import Hypergraph
 from ztnet.nets import (
     EpsilonLike,
     NetBuildTrace,

@@ -3,7 +3,7 @@
 oracle: one path at a time, the same float operations in the same order,
 with branches where the kernel has `np.where`.  `bisection_exit` is the
 scalar bisection that `suite.bisection_exits` replaced, kept as its test
-oracle and as the exit-parameter oracle of `shrink_exits`: one path at a
+oracle and as an independent oracle of `exit_parameters`: one path at a
 time, 100 halvings of a Python float interval.  `event_canonical_tuples` is
 the per-event form of `shrink_canonical_tuples`: every loss records the set
 left after it, and `event_cut_ties` finds the anchors whose simultaneous

@@ -138,8 +138,7 @@ class TestCombosAtLeast:
 
 
 def bip(m, n, edges):
-    return BipartiteIntersectionGraph.from_edges([f"a{i}" for i in range(m)],
-                                                 [f"b{j}" for j in range(n)], edges)
+    return BipartiteIntersectionGraph.from_edges(m, n, edges)
 
 
 def naive_prune(g, t):
@@ -152,7 +151,7 @@ def naive_prune(g, t):
         amap = {v: i for i, v in enumerate(side_a)}
         bmap = {v: j for j, v in enumerate(side_b)}
         cur = {(amap[i], bmap[j]) for i, j in edges if i in amap and j in bmap}
-        return BipartiteIntersectionGraph.from_edges([None] * len(side_a), [None] * len(side_b), cur)
+        return BipartiteIntersectionGraph.from_edges(len(side_a), len(side_b), cur)
 
     while True:
         cur = current_graph()

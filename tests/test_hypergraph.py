@@ -17,7 +17,8 @@ from box_oracle import dense_pairs, intersection_matrix
 from containment_oracle import containing_rows as row_side_containing
 from containment_oracle import counting_chain as row_side_chain
 from containment_oracle import rows_graph
-from graph_oracle import TupleGraph, TupleSetGraph, delaunay_graph, edge_set, hyperedges, hypergraph_of, mask_of, set_of
+from graph_oracle import (
+    TupleGraph, TupleSetGraph, bits_of, delaunay_graph, edge_set, hyperedges, hypergraph_of, mask_of, set_of)
 from net_oracle import induced_subhypergraph
 from round_oracle import dense_edges, round_matrix
 
@@ -38,7 +39,6 @@ from ztnet.hypergraph import (
     BipartiteIntersectionGraph,
     Graph,
     Hypergraph,
-    bits_of,
     containing_rows,
     counting_chain,
     dual_hypergraph,
@@ -64,7 +64,7 @@ def hypergraphs(draw):
 
 
 def bip(m, n, edges):
-    return BipartiteIntersectionGraph.from_edges([None] * m, [None] * n, edges)
+    return BipartiteIntersectionGraph.from_edges(m, n, edges)
 
 
 def pairs(g):
@@ -661,7 +661,7 @@ def bipartite_graphs(draw):
 
 def assert_same_graph(g, oracle):
     """The array graph `g` agrees with the tuple-set `oracle` on every view."""
-    assert g.side_a == oracle.side_a and g.side_b == oracle.side_b
+    assert list(g.side_a) == list(oracle.side_a) and list(g.side_b) == list(oracle.side_b)
     assert g.rows.dtype == g.cols.dtype == np.int64
     assert pairs(g) == sorted(oracle.edges)
     assert g.edges == oracle.edges and isinstance(g.edges, frozenset)
@@ -683,13 +683,16 @@ class TestArrayGraphOracle:
     def test_from_edges_and_induced_match_tuple_graph(self, m, n, data):
         every = [(i, j) for i in range(m) for j in range(n)]
         chosen = data.draw(st.lists(st.sampled_from(every))) if every else []  # repeats too
-        side_a, side_b = [f"a{i}" for i in range(m)], [f"b{j}" for j in range(n)]
-        g = BipartiteIntersectionGraph.from_edges(side_a, side_b, chosen)
-        oracle = TupleGraph(side_a, side_b, set(chosen))
+        g = BipartiteIntersectionGraph.from_edges(m, n, chosen)
+        oracle = TupleGraph(list(range(m)), list(range(n)), set(chosen))
         assert_same_graph(g, oracle)
         for _ in range(3):
             keep_a, keep_b = data.draw(keep_lists(m)), data.draw(keep_lists(n))
-            assert_same_graph(g.induced(keep_a, keep_b), oracle.induced(keep_a, keep_b))
+            sub = g.induced(keep_a, keep_b)
+            assert_same_graph(sub, oracle.induced(keep_a, keep_b))
+            # the sides are the vertex ids kept: the sorted, distinct keep lists
+            assert sub.side_a.dtype == sub.side_b.dtype == np.int64
+            assert sub.side_a.tolist() == sorted(set(keep_a)) and sub.side_b.tolist() == sorted(set(keep_b))
             assert_same_graph(g.induced(set(keep_a), iter(keep_b)), oracle.induced(keep_a, keep_b))
 
     @settings(max_examples=100, deadline=None)
@@ -703,16 +706,16 @@ class TestArrayGraphOracle:
 
     def test_from_edges_rejects_out_of_range_pairs(self):
         with pytest.raises(ValueError, match=r"\(-1, 0\)"):
-            BipartiteIntersectionGraph.from_edges([None] * 3, [None] * 3, [(0, 1), (-1, 0)])
+            BipartiteIntersectionGraph.from_edges(3, 3, [(0, 1), (-1, 0)])
         with pytest.raises(ValueError, match=r"\(0, 5\)"):
-            BipartiteIntersectionGraph.from_edges([None] * 2, [None] * 2, [(0, 5)])
+            BipartiteIntersectionGraph.from_edges(2, 2, [(0, 5)])
         with pytest.raises(ValueError):
-            BipartiteIntersectionGraph.from_edges([None] * 2, [], [(0, 0)])
+            BipartiteIntersectionGraph.from_edges(2, 0, [(0, 0)])
         with pytest.raises(ValueError):
-            BipartiteIntersectionGraph.from_edges([None], [None], [(0, -1)])
+            BipartiteIntersectionGraph.from_edges(1, 1, [(0, -1)])
 
     def test_induced_rejects_out_of_range_indices(self):
-        g = BipartiteIntersectionGraph.from_edges([None] * 3, [None] * 2, [(0, 0), (2, 1)])
+        g = BipartiteIntersectionGraph.from_edges(3, 2, [(0, 0), (2, 1)])
         with pytest.raises(ValueError, match=r"index -1 out of range for side A of 3"):
             g.induced([-1], [1])
         with pytest.raises(ValueError, match=r"index 3 out of range for side A of 3"):
@@ -845,9 +848,7 @@ class TestGraphTypes:
 
     def test_graph_hypergraphs_skip_the_check(self, monkeypatch):
         # a graph's neighbour lists are ascending and in range by construction
-        g = BipartiteIntersectionGraph.from_edges(
-            ["a0", "a1", "a2"], ["b0", "b1"], {(0, 0), (2, 1), (1, 1)}
-        )
+        g = BipartiteIntersectionGraph.from_edges(3, 2, {(0, 0), (2, 1), (1, 1)})
 
         def no_check(self):
             raise AssertionError("hyperedge check on a graph's own lists")
@@ -864,12 +865,13 @@ class TestGraphTypes:
             Hypergraph(3, [[0, 1]])
 
     def test_induced_graph(self):
-        g = BipartiteIntersectionGraph.from_edges(
-            ["a0", "a1", "a2"], ["b0", "b1"], {(0, 0), (2, 1), (1, 1)}
-        )
+        g = BipartiteIntersectionGraph.from_edges(3, 2, {(0, 0), (2, 1), (1, 1)})
+        assert g.side_a.tolist() == [0, 1, 2] and g.side_b.tolist() == [0, 1]
         sub = g.induced([0, 2], [1])
-        assert sub.side_a == ["a0", "a2"] and sub.side_b == ["b1"]
+        assert sub.side_a.tolist() == [0, 2] and sub.side_b.tolist() == [1]
         assert sub.edges == {(1, 0)}
+        # a second pruning step still names the original vertices
+        assert g.induced([2, 1], [1]).induced([1], [0]).side_a.tolist() == [2]
 
     def test_bit_helpers(self):
         m = mask_of([0, 3, 5])

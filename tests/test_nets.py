@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ztnet import suite
 from ztnet.errors import BudgetExceeded, InfeasibleNet, PreconditionViolated
 from ztnet.generators import GenParams, generate
-from ztnet.hypergraph import BipartiteIntersectionGraph, Hypergraph, bits_of, primal_hypergraph
+from ztnet.hypergraph import BipartiteIntersectionGraph, Hypergraph, primal_hypergraph
 from ztnet.nets import (
     TNet,
     _removal_net,
@@ -27,7 +27,7 @@ from ztnet.nets import (
 
 import net_oracle
 from epsilon_net_oracle import sampled_epsilon_net, stacked_cover_set, verify_epsilon_net
-from graph_oracle import distinct_hyperedges, hypergraph_of, mask_of, set_of
+from graph_oracle import bits_of, distinct_hyperedges, hypergraph_of, mask_of, set_of
 from net_oracle import table_greedy_t_net
 
 

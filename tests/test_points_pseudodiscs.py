@@ -19,7 +19,6 @@ from ztnet.points_pseudodiscs import (
     coverage_violations,
     exit_parameters,
     shrink_canonical_tuples,
-    shrink_exits,
 )
 
 
@@ -77,32 +76,19 @@ class TestExitParameters:
 
 
 class TestShrinkEvents:
-    """The loss events `shrink_exits` returns: (s, i) pairs sorted by exit
-    parameter, then index, with the anchor's copies left out."""
+    """Single exits from `exit_parameters`, against closed forms and the
+    bisection oracle."""
 
     def test_anchor_only_sentinel(self):
-        # the anchor never exits, and no terminator closes the list
-        d = Disc(Point(0, 0), 1)
-        anchor = Point(0.2, 0.1)
-        assert shrink_exits(d, anchor, [anchor]) == []
+        # the anchor itself exits at s = 1, the path's end: it never leaves
+        assert exit_parameters(0.0, 0.0, 1.0, 0.2, 0.1, np.array([0.2]), np.array([0.1])).tolist() == [1.0]
 
     def test_quadratic_example(self):
-        d = Disc(Point(0, 0), 2)
-        anchor = Point(1, 0)
-        [(s, i)] = shrink_exits(d, anchor, [anchor, Point(0, 1.5)])
-        assert i == 1
+        s = float(exit_parameters(0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 1.5))
         assert math.isclose(s, (8 - math.sqrt(43)) / 6, rel_tol=1e-12)
 
     def test_boundary_point_exits_immediately(self):
-        d = Disc(Point(0, 0), 1)
-        assert shrink_exits(d, Point(0, 0), [Point(1, 0)]) == [(0.0, 0)]
-
-    def test_preconditions(self):
-        d = Disc(Point(0, 0), 1)
-        with pytest.raises(PreconditionViolated, match="anchor"):
-            shrink_exits(d, Point(5, 5), [])
-        with pytest.raises(PreconditionViolated, match="point"):
-            shrink_exits(d, Point(0, 0), [Point(3, 0)])
+        assert float(exit_parameters(0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0)) == 0.0
 
     def test_matches_bisection_oracle(self):
         rng = random.Random(17)
@@ -118,25 +104,29 @@ class TestShrinkEvents:
             anchor, p = inside(), inside()
             if p == anchor:
                 continue
-            s_impl = shrink_exits(d, anchor, [p])[0][0]
+            s_impl = float(exit_parameters(cx, cy, r, anchor.x, anchor.y, p.x, p.y))
             s_oracle = bisection_exit(d, anchor, p)
             assert math.isclose(s_impl, s_oracle, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_chain_monotone_and_anchor_persists(self):
-        # sorted by (s, i), the anchor and its copy absent, every other index once
+        # the shrunk disc at s is the disc scaled by 1 - s about the anchor, so
+        # the point a fraction f of the way from the anchor to the circle exits
+        # at s = 1 - f: along a ray, farther points leave first, the point on
+        # the circle at 0 and the anchor and its copy at 1
         rng = random.Random(4)
-        d = Disc(Point(0, 0), 1)
-        anchor = Point(0.1, -0.2)
-        pts = [anchor]
+        ax, ay = 0.1, -0.2
         for _ in range(12):
-            rad = math.sqrt(rng.random())
             ang = rng.uniform(0, 2 * math.pi)
-            pts.append(Point(rad * math.cos(ang), rad * math.sin(ang)))
-        pts += [Point(1, 0), Point(0.1, -0.2), Point(-1, 0)]  # two on the circle, a copy of the anchor
-        exits = shrink_exits(d, anchor, pts)
-        assert exits == sorted(exits)
-        assert sorted(i for _, i in exits) == [i for i in range(len(pts)) if pts[i] != anchor]
-        assert all(0.0 <= s <= 1.0 for s, _ in exits) and exits[:2] == [(0.0, 13), (0.0, 15)]
+            qx, qy = math.cos(ang), math.sin(ang)
+            f = np.array([0.0, 0.0, *sorted(rng.random() for _ in range(6)), 1.0])
+            exits = exit_parameters(0.0, 0.0, 1.0, ax, ay, ax + f * (qx - ax), ay + f * (qy - ay))
+            assert (np.diff(exits) <= 0).all() and exits[:2].tolist() == [1.0, 1.0]
+            assert np.allclose(exits, 1 - f, rtol=0, atol=1e-9)
+
+
+# five points in the disc of radius 1e200 about the origin
+HUGE_POINTS = [Point(0.1e200, 0.2e200), Point(-0.3e200, 0.1e200), Point(0.5e200, -0.4e200),
+               Point(-0.2e200, -0.6e200), Point(0.05e200, 0.7e200)]
 
 
 def grid_graph(pts, discs):
@@ -211,7 +201,8 @@ class TestCanonicalTuples:
         # toward the centre both mirror points leave at once, from 3 points to
         # 1, so no pair is ever left there and the points are refused
         g = grid_graph([(0, 0), (1, 0), (-1, 0)], [(0, 0, 2)])
-        (s1, _), (s2, _) = shrink_exits(g.side_b[0], g.side_a[0], list(g.side_a))
+        (px, _, py, _, _), (cx, _, cy, _, r) = g.side_a.fields, g.side_b.fields[:, 0]
+        _, s1, s2 = exit_parameters(cx, cy, r, px[0], py[0], px, py).tolist()
         assert s1 == s2
         assert event_cut_ties(g, 2) == [(0, 0)]
         message = ("disc 0 shrunk toward anchor point 0: points [1, 2] leave it at once, from more than 2 "
@@ -227,6 +218,42 @@ class TestCanonicalTuples:
         g = grid_graph([(4, 0), (4, 0), (0, 4), (-4, 0), (0, -4)], [(0, 0, 4)])
         with pytest.raises(DegenerateInput, match=r"^disc 0 shrunk toward anchor point 0: points \[2, 3, 4\] leave"):
             shrink_canonical_tuples(g, 3)
+
+    @pytest.mark.parametrize("entry", [shrink_canonical_tuples, coverage_violations, counting_inequality_check])
+    def test_overflowing_exits_are_refused(self, entry):
+        # at radius 1e200 the squared offsets overflow and every exit is NaN,
+        # which would sort by index, not by geometry
+        g = BipartiteIntersectionGraph.from_families(HUGE_POINTS, [Disc(Point(0, 0), 1e200)])
+        (px, _, py, _, _), (cx, _, cy, _, r) = g.side_a.fields, g.side_b.fields[:, 0]
+        assert np.isnan(exit_parameters(cx, cy, r, px[:, None], py[:, None], px, py)).all()
+        with pytest.raises(DegenerateInput, match=r"^disc 0: its shrink exits are NaN"):
+            entry(g, 2)
+        # a disc of exactly t points is not shrunk, so it still counts
+        assert shrink_canonical_tuples(g, 5).tuples == {(0, 1, 2, 3, 4)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_GRID, _GRID), max_size=10),
+           st.lists(st.tuples(_GRID, _GRID, st.integers(1, 4)), max_size=4),
+           st.integers(1, 3), st.integers(0, 300), st.randoms(use_true_random=False))
+    @example([(1, 0), (-1, 1), (2, -2), (-1, -3), (0, 3)], [(0, 0, 4)], 2, 200, random.Random(1))
+    def test_relabelling_commutes(self, pts, discs, t, power, rng):
+        # the family is a function of the geometry: relabelling the points and
+        # discs relabels it, or both labellings are refused
+        scale = 10.0 ** power
+        pts = [Point(x * scale / 4, y * scale / 4) for x, y in pts]
+        discs = [Disc(Point(x * scale / 4, y * scale / 4), r * scale / 4) for x, y, r in discs]
+        perm_a, perm_b = rng.sample(range(len(pts)), len(pts)), rng.sample(range(len(discs)), len(discs))
+        results = []
+        for fam_a, fam_b in ((pts, discs), ([pts[i] for i in perm_a], [discs[j] for j in perm_b])):
+            try:
+                results.append(shrink_canonical_tuples(BipartiteIntersectionGraph.from_families(fam_a, fam_b), t).tuples)
+            except DegenerateInput:
+                results.append(None)
+        base, relabelled = results
+        if base is None or relabelled is None:
+            assert base is relabelled
+        else:
+            assert {tuple(sorted(perm_a[i] for i in tp)) for tp in relabelled} == base
 
     @pytest.mark.parametrize("copies, expected", [(3, {(3, 4)}), (2, {(0, 1), (2, 3)})])
     def test_anchor_copies(self, copies, expected):
@@ -252,8 +279,8 @@ class TestCanonicalTuples:
             entry(g, 2)
 
     def test_list_sides_are_refused(self):
-        # the tuples read the families' columns, which `from_edges`' lists lack
-        g = BipartiteIntersectionGraph.from_edges([Point(0, 0), Point(0.1, 0)], [Disc(Point(0, 0), 1)], [(0, 0), (1, 0)])
+        # the tuples read the families' columns, which `from_edges`' vertex-id sides lack
+        g = BipartiteIntersectionGraph.from_edges(2, 1, [(0, 0), (1, 0)])
         with pytest.raises(PreconditionViolated, match="side a must contain points only"):
             shrink_canonical_tuples(g, 1)
 

@@ -437,6 +437,12 @@ class TestSegmentDelaunay:
         assert len(polylines) == len(dela.graph.rows)
         assert len(lines) == len(segs)
 
+    def test_svg_builds_no_objects(self):
+        # the drawing reads the x_lo, x_hi and y rows of the segments' columns
+        dela = segment_delaunay(horizontal_edges_of(generate("random_rects", 15, None, 2)))
+        dela.to_svg()
+        assert dela.hsegs._objects is None
+
     def test_svg_empty_input(self):
         ET.fromstring(segment_delaunay([]).to_svg())
 

@@ -28,7 +28,7 @@ _BESIDE = [AxisRect(1.0, 2.0, 0.0, 1.0), AxisRect(1.0, 2.0, 1.0, 2.0), AxisRect(
 
 
 def bip(m, n, edges):
-    return BipartiteIntersectionGraph.from_edges([None] * m, [None] * n, edges)
+    return BipartiteIntersectionGraph.from_edges(m, n, edges)
 
 
 class TestClosedBoxPairCount:

@@ -29,7 +29,7 @@ from ktt_oracle import MaskBicliqueSearch, _lex_witness, all_pairs_ktt_free, mas
 
 
 def bip(m, n, edges):
-    return BipartiteIntersectionGraph.from_edges([None] * m, [None] * n, edges)
+    return BipartiteIntersectionGraph.from_edges(m, n, edges)
 
 
 def _draw_pool(data, t, dense=False):
@@ -421,9 +421,7 @@ class TestNumEdgesBound:
         edges = sorted(g.edges)
         for _ in range(min(10, len(edges))):
             removed = rng.choice(edges)
-            smaller = BipartiteIntersectionGraph.from_edges(
-                g.side_a, g.side_b, g.edges - {removed}
-            )
+            smaller = BipartiteIntersectionGraph.from_edges(g.m, g.n, g.edges - {removed})
             assert num_edges_bound(smaller, 2, eps_rule=rule, seed=0).bound <= base
 
     def test_csv_rows_schema(self):
